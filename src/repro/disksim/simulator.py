@@ -514,25 +514,25 @@ def _service_tables(plan: ReplayPlan, pm: PowerModel, geom: _PlanGeometry) -> _S
 # Stepwise engine (reference)
 # ---------------------------------------------------------------------- #
 def _replay_stepwise(
-    trace: Trace,
     plan: ReplayPlan,
     disks: list[Disk],
     ctrl: Controller,
     reactive: bool,
     timed: Sequence[TimedDirective],
+    directives: Sequence,
+    total_compute_s: float,
     responses: list[float],
     busy: list[list[BusyInterval]],
     collect_busy_intervals: bool,
-    rpm_counts: dict[int, int] | None = None,
-    directives: Sequence | None = None,
-    fault_plan=None,
-    delay0: float = 0.0,
-    timed_idx0: int = 0,
-    finalize: bool = True,
-    miss_keys: frozenset | None = None,
-    open_loop: bool = False,
+    rpm_counts: dict[int, int] | None,
+    fault_plan,
+    delay0: float,
+    timed_idx0: int,
+    finalize: bool,
+    miss_keys: frozenset | None,
+    open_loop: bool,
 ) -> tuple[int, float, float, int]:
-    """Reference per-sub-request replay; returns
+    """Reference per-sub-request replay of one chunk; returns
     ``(num_directives, end_time, delay, timed_idx)``.
 
     ``open_loop=True`` freezes the delay at ``delay0``: issue times come
@@ -548,15 +548,15 @@ def _replay_stepwise(
     instead of ``directive:*``/``oracle:*``.
 
     ``delay0``/``timed_idx0`` seed the closed-loop delay and the oracle
-    directive cursor for chunked (streamed) replays, where one logical
-    trace arrives as a sequence of column chunks; ``finalize=False``
-    skips the trailing timed-directive flush so the next chunk continues
-    the same timeline.  Whole-trace callers use the defaults, which make
-    this the exact loop it always was.
+    directive cursor carried over from the previous chunk (``0.0``/``0``
+    for the first); ``finalize=False`` skips the trailing timed-directive
+    flush so the next chunk continues the same timeline.  A whole trace
+    is a single chunk with ``finalize=True``.
 
-    The request and directive streams are merged inline (both are sorted
-    by nominal time; ties execute the directive first) so the hot loop
-    needs no generator or per-record isinstance dispatch.  The striping
+    The request, directive, and timed (oracle) streams are merged inline
+    (all are sorted by time; ties execute the directive first) so the hot
+    loop needs no generator or per-record isinstance dispatch; with no
+    timed directives the oracle drain is one failed comparison.  The striping
     fan-out and seek class of every sub-request come precomputed from the
     (scheme-invariant) replay plan as flat per-sub lists; the only
     per-request field the loop reads is the nominal time, taken straight
@@ -568,8 +568,6 @@ def _replay_stepwise(
     req_times = geom.req_times
     indptr_l = geom.indptr_l
     disk_l, nb_l, seek_name_l = geom.scalar_views()
-    if directives is None:
-        directives = trace.directives
     num_requests = len(req_times)
     num_dir_records = len(directives)
     serves = [d.serve for d in disks]
@@ -609,126 +607,23 @@ def _replay_stepwise(
     timed_idx = timed_idx0
     ri = 0
     di = 0
-    if num_timed == 0:
-        # Five of the seven schemes have no timed (oracle) directives; skip
-        # the timed-stream merge entirely rather than re-checking an empty
-        # list before every record.
-        while ri < num_requests or di < num_dir_records:
-            if di < num_dir_records and (
-                ri >= num_requests or directives[di].nominal_time_s <= req_times[ri]
-            ):
-                rec = directives[di]
-                di += 1
-                t_exec = rec.nominal_time_s + delay
-                call = rec.call
-                if not 0 <= call.disk < num_disks:
-                    raise SimulationError(
-                        f"directive targets unknown disk {call.disk}"
-                    )
-                if open_loop:
-                    # The frozen delay can leave a directive's executed
-                    # time behind a backlogged disk; it takes effect as
-                    # soon as the disk is available, like a timed call.
-                    c = disks[call.disk].cursor_s
-                    if t_exec < c:
-                        t_exec = c
-                if _dcause is not None:
-                    apply_call(
-                        disks[call.disk], t_exec, call, _dcause(di - 1, rec)
-                    )
-                else:
-                    apply_call(disks[call.disk], t_exec, call)
-                num_directives += 1
-                if call.overhead_cycles and not open_loop:
-                    delay += call.overhead_cycles / _CLOCK_HZ
-                continue
-
-            t_exec = req_times[ri] + delay
-            completion = t_exec
-            faulty = flags is not None and flags[ri]
-            for j in range(indptr_l[ri], indptr_l[ri + 1]):
-                disk_id = disk_l[j]
-                if faulty and (errs := sub_errors.get(j, 0)):
-                    done = disks[disk_id].serve_faulty(
-                        t_exec, nb_l[j], seek_name_l[j], errs
-                    )
-                else:
-                    done = serves[disk_id](t_exec, nb_l[j], seek_name_l[j])
-                if rpm_counts is not None:
-                    r = disks[disk_id].rpm
-                    rpm_counts[r] = rpm_counts.get(r, 0) + 1
-                if track:
-                    disk = disks[disk_id]
-                    start = disk.last_service_start_s
-                    if collect_busy_intervals:
-                        busy[disk_id].append(BusyInterval(disk_id, start, done))
-                    if on_complete is not None:
-                        on_complete(
-                            disk, t_exec, start, done, nb_l[j], seek_name_l[j]
-                        )
-                if done > completion:
-                    completion = done
-            ri += 1
-            response = completion - t_exec
-            append_response(response)
-            if not open_loop:
-                delay += response
-    else:
-        while ri < num_requests or di < num_dir_records:
-            if di < num_dir_records and (
-                ri >= num_requests or directives[di].nominal_time_s <= req_times[ri]
-            ):
-                rec = directives[di]
-                di += 1
-                t_exec = rec.nominal_time_s + delay
-                # Oracle directives scheduled before this point fire first,
-                # at their own absolute times (they were planned against
-                # the realized timeline, which a zero-penalty oracle shares
-                # with this replay).
-                while timed_idx < num_timed and timed_times[timed_idx] <= t_exec:
-                    td = timed[timed_idx]
-                    target = disks[td.call.disk]
-                    # If replay drifted past the planned instant (the disk
-                    # was still busy), the call takes effect as soon as the
-                    # disk is available.
-                    t_td = td.time_s
-                    c = target.cursor_s
-                    if _tcause is not None:
-                        apply_call(
-                            target, t_td if t_td > c else c, td.call,
-                            _tcause(timed_idx, td),
-                        )
-                    else:
-                        apply_call(target, t_td if t_td > c else c, td.call)
-                    num_directives += 1
-                    timed_idx += 1
-                call = rec.call
-                if not 0 <= call.disk < num_disks:
-                    raise SimulationError(
-                        f"directive targets unknown disk {call.disk}"
-                    )
-                if open_loop:
-                    # The frozen delay can leave a directive's executed
-                    # time behind a backlogged disk; it takes effect as
-                    # soon as the disk is available, like a timed call.
-                    c = disks[call.disk].cursor_s
-                    if t_exec < c:
-                        t_exec = c
-                if _dcause is not None:
-                    apply_call(
-                        disks[call.disk], t_exec, call, _dcause(di - 1, rec)
-                    )
-                else:
-                    apply_call(disks[call.disk], t_exec, call)
-                num_directives += 1
-                if call.overhead_cycles and not open_loop:
-                    delay += call.overhead_cycles / _CLOCK_HZ
-                continue
-
-            t_exec = req_times[ri] + delay
+    while ri < num_requests or di < num_dir_records:
+        if di < num_dir_records and (
+            ri >= num_requests or directives[di].nominal_time_s <= req_times[ri]
+        ):
+            rec = directives[di]
+            di += 1
+            t_exec = rec.nominal_time_s + delay
+            # Oracle directives scheduled before this point fire first,
+            # at their own absolute times (they were planned against
+            # the realized timeline, which a zero-penalty oracle shares
+            # with this replay).
             while timed_idx < num_timed and timed_times[timed_idx] <= t_exec:
                 td = timed[timed_idx]
                 target = disks[td.call.disk]
+                # If replay drifted past the planned instant (the disk
+                # was still busy), the call takes effect as soon as the
+                # disk is available.
                 t_td = td.time_s
                 c = target.cursor_s
                 if _tcause is not None:
@@ -740,39 +635,77 @@ def _replay_stepwise(
                     apply_call(target, t_td if t_td > c else c, td.call)
                 num_directives += 1
                 timed_idx += 1
+            call = rec.call
+            if not 0 <= call.disk < num_disks:
+                raise SimulationError(
+                    f"directive targets unknown disk {call.disk}"
+                )
+            if open_loop:
+                # The frozen delay can leave a directive's executed
+                # time behind a backlogged disk; it takes effect as
+                # soon as the disk is available, like a timed call.
+                c = disks[call.disk].cursor_s
+                if t_exec < c:
+                    t_exec = c
+            if _dcause is not None:
+                apply_call(
+                    disks[call.disk], t_exec, call, _dcause(di - 1, rec)
+                )
+            else:
+                apply_call(disks[call.disk], t_exec, call)
+            num_directives += 1
+            if call.overhead_cycles and not open_loop:
+                delay += call.overhead_cycles / _CLOCK_HZ
+            continue
 
-            completion = t_exec
-            faulty = flags is not None and flags[ri]
-            for j in range(indptr_l[ri], indptr_l[ri + 1]):
-                disk_id = disk_l[j]
-                if faulty and (errs := sub_errors.get(j, 0)):
-                    done = disks[disk_id].serve_faulty(
-                        t_exec, nb_l[j], seek_name_l[j], errs
+        t_exec = req_times[ri] + delay
+        while timed_idx < num_timed and timed_times[timed_idx] <= t_exec:
+            td = timed[timed_idx]
+            target = disks[td.call.disk]
+            t_td = td.time_s
+            c = target.cursor_s
+            if _tcause is not None:
+                apply_call(
+                    target, t_td if t_td > c else c, td.call,
+                    _tcause(timed_idx, td),
+                )
+            else:
+                apply_call(target, t_td if t_td > c else c, td.call)
+            num_directives += 1
+            timed_idx += 1
+
+        completion = t_exec
+        faulty = flags is not None and flags[ri]
+        for j in range(indptr_l[ri], indptr_l[ri + 1]):
+            disk_id = disk_l[j]
+            if faulty and (errs := sub_errors.get(j, 0)):
+                done = disks[disk_id].serve_faulty(
+                    t_exec, nb_l[j], seek_name_l[j], errs
+                )
+            else:
+                done = serves[disk_id](t_exec, nb_l[j], seek_name_l[j])
+            if rpm_counts is not None:
+                r = disks[disk_id].rpm
+                rpm_counts[r] = rpm_counts.get(r, 0) + 1
+            if track:
+                disk = disks[disk_id]
+                start = disk.last_service_start_s
+                if collect_busy_intervals:
+                    busy[disk_id].append(BusyInterval(disk_id, start, done))
+                if on_complete is not None:
+                    on_complete(
+                        disk, t_exec, start, done, nb_l[j], seek_name_l[j]
                     )
-                else:
-                    done = serves[disk_id](t_exec, nb_l[j], seek_name_l[j])
-                if rpm_counts is not None:
-                    r = disks[disk_id].rpm
-                    rpm_counts[r] = rpm_counts.get(r, 0) + 1
-                if track:
-                    disk = disks[disk_id]
-                    start = disk.last_service_start_s
-                    if collect_busy_intervals:
-                        busy[disk_id].append(BusyInterval(disk_id, start, done))
-                    if on_complete is not None:
-                        on_complete(
-                            disk, t_exec, start, done, nb_l[j], seek_name_l[j]
-                        )
-                if done > completion:
-                    completion = done
-            ri += 1
-            response = completion - t_exec
-            append_response(response)
-            if not open_loop:
-                delay += response
+            if done > completion:
+                completion = done
+        ri += 1
+        response = completion - t_exec
+        append_response(response)
+        if not open_loop:
+            delay += response
 
     # Flush oracle directives scheduled after the last record.
-    end_time = trace.total_compute_s + delay
+    end_time = total_compute_s + delay
     if finalize:
         while timed_idx < num_timed and timed_times[timed_idx] <= end_time:
             td = timed[timed_idx]
@@ -1157,26 +1090,26 @@ def _run_vector(
 # Segmented engine driver
 # ---------------------------------------------------------------------- #
 def _replay_segmented(
-    trace: Trace,
     plan: ReplayPlan,
     disks: list[Disk],
     pm: PowerModel,
     timed: Sequence[TimedDirective],
+    directives: Sequence,
+    total_compute_s: float,
     responses: list[float],
     busy: list[list[BusyInterval]],
     collect_busy_intervals: bool,
-    rpm_counts: dict[int, int] | None = None,
-    directives: Sequence | None = None,
-    fault_plan=None,
-    drpm=None,
-    delay0: float = 0.0,
-    timed_idx0: int = 0,
-    finalize: bool = True,
-    drpm_carry: tuple[list, list, list] | None = None,
-    miss_keys: frozenset | None = None,
-    open_loop: bool = False,
+    rpm_counts: dict[int, int] | None,
+    fault_plan,
+    drpm,
+    delay0: float,
+    timed_idx0: int,
+    finalize: bool,
+    drpm_carry: tuple[list, list, list] | None,
+    miss_keys: frozenset | None,
+    open_loop: bool,
 ) -> tuple[int, float, float, int]:
-    """Segmented replay; returns
+    """Segmented replay of one chunk; returns
     ``(num_directives, end_time, delay, timed_idx)``.
 
     ``open_loop=True`` freezes the delay at ``delay0`` exactly as in
@@ -1185,9 +1118,9 @@ def _replay_segmented(
     overlap guard bails queued-up arrivals to the scalar mirror, which
     models the queueing exactly.
 
-    ``delay0``/``timed_idx0``/``finalize`` support chunked (streamed)
-    replays exactly as in :func:`_replay_stepwise`; ``drpm_carry``
-    optionally supplies the in-kernel reactive-DRPM window accumulators
+    ``delay0``/``timed_idx0``/``finalize`` carry the timeline across
+    chunks exactly as in :func:`_replay_stepwise`; ``drpm_carry`` (given
+    iff ``drpm`` is) holds the in-kernel reactive-DRPM window accumulators
     ``(dw_sum, dw_cnt, dw_prev)`` so a window spanning a chunk boundary
     keeps folding (the lists are mutated in place and reused by the next
     chunk).  The DiskArray mirror itself is per-call: it syncs to the
@@ -1243,8 +1176,6 @@ def _replay_segmented(
     nb_l: list | None = None
     seek_name_l: list | None = None
     reqmask: list | None = None
-    if directives is None:
-        directives = trace.directives
     n = len(req_times)
     num_dir_records = len(directives)
     num_timed = len(timed)
@@ -1351,12 +1282,7 @@ def _replay_segmented(
         drpm_wsize = drpm.window_size
         drpm_max = drpm.max_rpm
         drpm_top_row = row_list(level_row[drpm_max])
-        if drpm_carry is not None:
-            dw_sum, dw_cnt, dw_prev = drpm_carry
-        else:
-            dw_sum = [0.0] * num_disks
-            dw_cnt = [0] * num_disks
-            dw_prev = [None] * num_disks
+        dw_sum, dw_cnt, dw_prev = drpm_carry
         # Vector windows fold completed sub-requests into the same window
         # accumulators (sequentially, via ``np.add.accumulate``, so the
         # left-fold is bit-equal to the scalar ``+=`` chain); windows are
@@ -2214,7 +2140,7 @@ def _replay_segmented(
     da.sync_to_disks()
 
     # Flush oracle directives scheduled after the last record.
-    end_time = trace.total_compute_s + delay
+    end_time = total_compute_s + delay
     if finalize:
         while timed_idx < num_timed and timed[timed_idx].time_s <= end_time:
             td = timed[timed_idx]
@@ -2237,9 +2163,76 @@ def _replay_segmented(
     return num_directives, end_time, delay, timed_idx
 
 
+class _ResponseFold:
+    """List-shaped response sink folding count/total/max on the fly.
+
+    Stands in for the per-request response list during streamed replay:
+    the engines' scalar paths ``append`` floats (the ``+=`` fold is the
+    scalar chain itself) and the vector kernel hands whole windows to
+    :meth:`fold_array` (``sequential_sum`` is bit-equal to that chain;
+    max is an order-independent exact selection), so no response column
+    is ever materialized.
+    """
+
+    __slots__ = ("count", "total", "max")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.max = 0.0
+
+    def append(self, r: float) -> None:
+        self.count += 1
+        self.total += r
+        if r > self.max:
+            self.max = r
+
+    def fold_array(self, arr: np.ndarray) -> None:
+        if arr.size:
+            self.count += int(arr.size)
+            self.total = sequential_sum(self.total, arr)
+            m = float(arr.max())
+            if m > self.max:
+                self.max = m
+
+
+def _stream_chunks(layout, directives: Sequence, columns):
+    """``(plan, directives, final)`` per chunk of a streamed replay.
+
+    Each chunk gets its own :class:`ReplayPlan` with seek continuity
+    threaded via :class:`~repro.disksim.replay.SeekCarry`.  Directive
+    records are partitioned by the merged-stream tie rule: a chunk
+    executes every directive whose nominal time is at or before its last
+    request's nominal time and the final chunk takes all leftovers, so the
+    partition reproduces the whole-trace merge exactly.  Empty chunks are
+    skipped, except that an empty stream still yields one empty final
+    chunk.  One chunk of lookahead tells the last chunk apart.
+    """
+    dir_times = [d.nominal_time_s for d in directives]
+    carry = None
+    dlo = 0
+    cur = next(columns, None)
+    if cur is None:
+        cur = RequestColumns.from_requests(())
+    while cur is not None:
+        nxt = next(columns, None)
+        final = nxt is None
+        if len(cur) or final:
+            plan, carry = ReplayPlan.for_columns(cur, layout, carry)
+            if final:
+                dhi = len(directives)
+            else:
+                dhi = bisect_right(
+                    dir_times, float(cur.nominal_time_s[-1]), dlo
+                )
+            yield plan, directives[dlo:dhi], final
+            dlo = dhi
+        cur = nxt
+
+
 # ---------------------------------------------------------------------- #
 def simulate(
-    trace: Trace,
+    trace: Trace | TraceStream,
     params: SubsystemParams,
     controller: Controller | None = None,
     collect_busy_intervals: bool = False,
@@ -2252,6 +2245,41 @@ def simulate(
 ) -> SimulationResult:
     """Replay ``trace`` under ``params`` with an optional controller.
 
+    ``trace`` is a whole :class:`~repro.trace.request.Trace` or a
+    :class:`~repro.trace.stream.TraceStream`, and both run one replay
+    loop over chunks.  A whole trace is exactly one chunk: the ``plan``
+    (or :meth:`ReplayPlan.for_trace`), the full (fault-shifted) directive
+    stream, and a per-request response list, so the result carries
+    ``request_responses`` and an exact p95.  A stream is replayed chunk by
+    chunk with peak memory bounded by the chunk size: each chunk gets its
+    own plan and its share of the directives (see :func:`_stream_chunks`).
+    Between chunks the closed-loop delay, the oracle-directive cursor, and
+    the segmented engine's reactive-DRPM accumulators carry over; all
+    other cross-chunk state lives in the per-object ``Disk`` state
+    machines, which the segmented mirror syncs back to at every chunk
+    boundary.  Any chunking of the same request sequence is therefore
+    bit-identical to the whole-trace replay, and both engines agree (the
+    streaming equivalence tests enforce both).  Streamed response
+    statistics fold as running count/total/max —
+    :meth:`ResponseSummary.from_running`, with the 95th percentile
+    reported as the documented ``0.0`` sentinel — and per-request
+    response columns are not retained.
+
+    Streamed restrictions (each raises :class:`SimulationError` rather
+    than degrading silently):
+
+    * no timeline ``recorder`` and no ``collect_busy_intervals`` — both
+      are whole-timeline artifacts, unbounded in a bounded-memory replay;
+    * no ``faults`` — a fault plan indexes absolute sub-request ordinals
+      of a whole-trace replay plan;
+    * no caller-supplied ``plan`` — plans are per chunk by construction.
+
+    Conversely ``pipeline=True`` requires a stream: it moves chunk
+    production into a forked producer process feeding a bounded
+    shared-memory ring (:func:`repro.trace.ring.pipelined_chunks`),
+    overlapping trace generation with replay; results are bit-identical
+    to the single-process streamed replay.
+
     ``open_loop=True`` issues every request at its recorded trace arrival
     time instead of the closed-loop compute/IO feedback timeline: the
     accumulated delay stays zero, responses and directive overheads never
@@ -2260,14 +2288,8 @@ def simulate(
     This is the natural semantics for ingested block-I/O traces
     (``repro.trace.ingest``), whose arrival times were recorded on a real
     system.  Execution time extends to the last request completion when
-    that outlives the trace's nominal span.  Both engines (and the
-    streamed/pipelined paths) replay open-loop bit-identically.
-
-    ``pipeline=True`` (streamed replays only) moves chunk production into
-    a forked producer process feeding a bounded shared-memory ring
-    (:func:`repro.trace.ring.pipelined_chunks`), overlapping trace
-    generation with replay; results are bit-identical to the
-    single-process streamed path.
+    that outlives the trace's nominal span.  Both engines, whole or
+    streamed, pipelined or not, replay open-loop bit-identically.
 
     ``faults`` optionally supplies a :class:`~repro.faults.FaultConfig`;
     the regime is materialized into a :class:`~repro.faults.FaultPlan`
@@ -2293,37 +2315,60 @@ def simulate(
     per-sub-request reference state machine, ``"segmented"`` the batched
     engine, and ``"auto"`` (default) picks segmented whenever it applies.
     Both engines are bit-identical — including any attached timeline
-    recorder's segment stream; ``"segmented"`` itself falls back to
-    stepwise replay only for reactive controllers (whose per-completion
-    hooks observe every sub-request).  Reactive TPM's autonomous
-    spin-down is handled in-kernel via an exact per-serve due check.
+    recorder's segment stream.  Any engine other than ``"stepwise"`` falls
+    back to stepwise replay for reactive controllers whose per-completion
+    hooks observe every sub-request (``reactive-controller``; reactive
+    DRPM runs in-kernel, and reactive TPM's autonomous spin-down is an
+    exact per-serve due check).  ``"auto"`` also replays whole traces
+    shorter than :data:`AUTO_MIN_REQUESTS` stepwise (``tiny-replay``).
 
     No fallback is silent: each forced routing is logged (DEBUG) with its
     reason and recorded in ``SimulationResult.engine`` /
     ``SimulationResult.engine_forced``.
     """
-    if isinstance(trace, TraceStream):
-        return _simulate_stream(
-            trace, params, controller, collect_busy_intervals, recorder,
-            plan, engine, faults, pipeline, open_loop,
-        )
-    if pipeline:
+    streamed = isinstance(trace, TraceStream)
+    if pipeline and not streamed:
         raise SimulationError(
             "pipeline=True requires a TraceStream: a whole-trace replay "
             "has no chunk production to overlap"
         )
     if engine not in ("auto", "stepwise", "segmented"):
         raise SimulationError(f"unknown replay engine {engine!r}")
+    if streamed:
+        if recorder is not None:
+            raise SimulationError(
+                "streamed replay cannot attach a timeline recorder; "
+                "replay a whole Trace for timelines"
+            )
+        if collect_busy_intervals:
+            raise SimulationError(
+                "streamed replay cannot collect busy intervals; "
+                "replay a whole Trace for busy-interval capture"
+            )
+        if faults is not None:
+            raise SimulationError(
+                "streamed replay does not support fault injection: a fault "
+                "plan indexes absolute sub-request ordinals of a whole-trace "
+                "replay plan"
+            )
+        if plan is not None:
+            raise SimulationError(
+                "streamed replay builds one plan per chunk; do not pass a "
+                "whole-trace plan"
+            )
     ctrl = controller or Controller()
     layout = trace.layout
     if layout.num_disks != params.num_disks:
         raise SimulationError(
             f"trace layout has {layout.num_disks} disks, params say {params.num_disks}"
         )
-    if plan is None:
-        plan = ReplayPlan.for_trace(trace)
-    elif not plan.matches(trace):
-        raise SimulationError("replay plan was built for a different request stream")
+    if not streamed:
+        if plan is None:
+            plan = ReplayPlan.for_trace(trace)
+        elif not plan.matches(trace):
+            raise SimulationError(
+                "replay plan was built for a different request stream"
+            )
     fault_plan = None
     if faults is not None:
         from ..faults import FaultPlan
@@ -2372,9 +2417,6 @@ def simulate(
             (d_id, t1) for d_id, _t0, t1 in (*trace_misses, *timed_misses)
         )
 
-    responses: list[float] = []
-    busy: list[list[BusyInterval]] = [[] for _ in disks]
-
     # ------------------------------------------------------------------ #
     # Engine selection.  Nothing here is silent: every routing away from
     # the requested/auto engine is logged with its reason, recorded in the
@@ -2399,12 +2441,15 @@ def simulate(
     if (
         segmented
         and engine == "auto"
+        and not streamed
         and plan.num_requests < AUTO_MIN_REQUESTS
     ):
         # Directives are boundary edits now, so density no longer matters;
         # the only remaining crossover is stream length — on tiny replays
-        # the mirror/table setup exceeds the whole stepwise loop.  The
-        # rule is recorded in ``AUTO_ROUTING`` (and run manifests).
+        # the mirror/table setup exceeds the whole stepwise loop.  A
+        # stream's length is unknown up front (and per-chunk setup
+        # amortizes over it), so the rule is whole-trace only.  It is
+        # recorded in ``AUTO_ROUTING`` (and run manifests).
         segmented = False
         forced = "tiny-replay"
         logger.debug(
@@ -2419,34 +2464,98 @@ def simulate(
     rpm_counts: dict[int, int] | None = {} if observing else None
     cov_before = dict(REPLAY_COVERAGE) if observing else None
     t_replay0 = time.perf_counter() if observing else 0.0
+
+    # Per-kind sinks: a whole trace keeps every response (exact p95 and
+    # ``request_responses``); a stream folds them as it goes.
+    if streamed:
+        responses = _ResponseFold()
+        span_attrs: dict = {"streamed": True}
+    else:
+        responses = []
+        span_attrs = {
+            "requests": plan.num_requests,
+            "subrequests": plan.num_subrequests,
+        }
+    busy: list[list[BusyInterval]] = [[] for _ in disks]
+    drpm_carry = None
+    if drpm_kernel is not None:
+        n_d = len(disks)
+        drpm_carry = ([0.0] * n_d, [0] * n_d, [None] * n_d)
+    delay = 0.0
+    timed_idx = 0
+    num_directives = 0
+    num_requests = 0
+    num_chunks = 0
+    pipe_stats: dict | None = None
+    REPLAY_COVERAGE["replays_segmented" if segmented else "replays_stepwise"] += 1
+
     with obs.span(
         "sim.replay",
         program=trace.program_name,
         scheme=ctrl.name,
         engine=engine_used,
-        requests=plan.num_requests,
-        subrequests=plan.num_subrequests,
+        **span_attrs,
     ) as sp:
         if forced:
             sp.set(forced=forced)
         if fault_plan is not None:
             sp.set(fault_seed=faults.seed)
-        if segmented:
-            REPLAY_COVERAGE["replays_segmented"] += 1
-            num_directives, end_time, _, _ = _replay_segmented(
-                trace, plan, disks, pm, timed, responses, busy,
-                collect_busy_intervals, rpm_counts, directives, fault_plan,
-                drpm_kernel, miss_keys=miss_keys, open_loop=open_loop,
+        if not streamed:
+            chunks = ((plan, directives, True),)
+        elif pipeline:
+            from ..trace.ring import pipelined_chunks
+
+            sp.set(pipelined=True)
+            pipe_stats = {}
+            chunks = _stream_chunks(
+                layout, directives, pipelined_chunks(trace, stats=pipe_stats)
             )
         else:
-            REPLAY_COVERAGE["replays_stepwise"] += 1
-            REPLAY_COVERAGE["subrequests_stepwise"] += plan.num_subrequests
-            num_directives, end_time, _, _ = _replay_stepwise(
-                trace, plan, disks, ctrl, reactive, timed, responses, busy,
-                collect_busy_intervals, rpm_counts, directives, fault_plan,
-                miss_keys=miss_keys, open_loop=open_loop,
+            chunks = _stream_chunks(layout, directives, trace.iter_chunks())
+        for plan_c, dirs_c, final in chunks:
+            if segmented:
+                nd, end_time, delay, timed_idx = _replay_segmented(
+                    plan_c, disks, pm, timed, dirs_c, trace.total_compute_s,
+                    responses, busy, collect_busy_intervals, rpm_counts,
+                    fault_plan, drpm_kernel, delay, timed_idx, final,
+                    drpm_carry, miss_keys, open_loop,
+                )
+            else:
+                REPLAY_COVERAGE["subrequests_stepwise"] += plan_c.num_subrequests
+                nd, end_time, delay, timed_idx = _replay_stepwise(
+                    plan_c, disks, ctrl, reactive, timed, dirs_c,
+                    trace.total_compute_s, responses, busy,
+                    collect_busy_intervals, rpm_counts, fault_plan, delay,
+                    timed_idx, final, miss_keys, open_loop,
+                )
+            num_directives += nd
+            num_requests += plan_c.num_requests
+            num_chunks += 1
+            if streamed:
+                if observing:
+                    # Live-telemetry feed: a ProgressReporter samples
+                    # these between chunks (requests replayed so far,
+                    # chunk count, simulated-time watermark) to derive
+                    # req/s and ETA.
+                    _metrics.inc("progress.requests", plan_c.num_requests)
+                    _metrics.inc("progress.chunks")
+                    _metrics.set_gauge("progress.sim_time_s", round(end_time, 6))
+                # Break the plan <-> _PlanGeometry reference cycle so the
+                # chunk's plan, geometry lists, and service tables are
+                # freed by refcounting the moment ``plan_c`` rebinds.  Left
+                # to the cyclic GC, dozens of chunks' worth of O(chunk)
+                # derived state pile up between gen-2 collections and the
+                # streamed peak grows with trace length instead of staying
+                # bounded.  Only per-chunk plans built here are cleared: a
+                # caller's plan keeps its derived state for the next replay.
+                plan_c._derived.clear()
+        if streamed:
+            sp.set(
+                requests=num_requests, directives=num_directives,
+                chunks=num_chunks,
             )
-        sp.set(directives=num_directives)
+        else:
+            sp.set(directives=num_directives)
 
     if fault_plan is not None:
         # Deadline-miss and degraded-serve accounting is derived from the
@@ -2482,7 +2591,14 @@ def simulate(
                         "sim.fallbacks", value,
                         reason=key[9:].replace("_", "-"),
                     )
-        _metrics.inc("sim.requests", plan.num_requests)
+        _metrics.inc("sim.requests", num_requests)
+        if streamed:
+            # Retire the live-telemetry count: ``progress.requests`` minus
+            # ``progress.requests_done`` is the streamed in-flight
+            # backlog, so a reporter's (completed + in-flight) total never
+            # double-counts a finished streamed replay against
+            # ``sim.requests``.
+            _metrics.inc("progress.requests_done", num_requests)
         _metrics.inc("sim.directives", num_directives)
         if rpm_counts:
             for rpm, count in rpm_counts.items():
@@ -2509,315 +2625,6 @@ def simulate(
             ):
                 if total:
                     _metrics.inc(metric, total, scheme=ctrl.name)
-
-    if open_loop:
-        # With no delay feedback the nominal span can end before the last
-        # queued request drains; execution runs to the later of the two.
-        # ``last_request_end_s`` is engine-invariant (both engines leave
-        # identical disk state), so the extension preserves bit-identity.
-        end_time = max(
-            end_time, max((d.last_request_end_s for d in disks), default=0.0)
-        )
-    for disk in disks:
-        disk.finalize(end_time)
-    # Disk timelines may exceed the app end (e.g. a trailing transition);
-    # execution time is the app's, but energy accounting follows each disk
-    # to its own final cursor, so energy==power*time invariants hold.
-    return SimulationResult(
-        scheme=ctrl.name,
-        program_name=trace.program_name,
-        execution_time_s=end_time,
-        disk_stats=tuple(d.stats for d in disks),
-        responses=ResponseSummary.from_samples(responses),
-        num_requests=plan.num_requests,
-        num_directives=num_directives,
-        busy_intervals=tuple(tuple(b) for b in busy) if collect_busy_intervals else (),
-        request_responses=tuple(responses),
-        engine=engine_used,
-        engine_forced=forced,
-    )
-
-
-class _ResponseFold:
-    """List-shaped response sink folding count/total/max on the fly.
-
-    Stands in for the per-request response list during streamed replay:
-    the engines' scalar paths ``append`` floats (the ``+=`` fold is the
-    scalar chain itself) and the vector kernel hands whole windows to
-    :meth:`fold_array` (``sequential_sum`` is bit-equal to that chain;
-    max is an order-independent exact selection), so no response column
-    is ever materialized.
-    """
-
-    __slots__ = ("count", "total", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-
-    def append(self, r: float) -> None:
-        self.count += 1
-        self.total += r
-        if r > self.max:
-            self.max = r
-
-    def extend(self, values) -> None:
-        for r in values:
-            self.append(r)
-
-    def fold_array(self, arr: np.ndarray) -> None:
-        if arr.size:
-            self.count += int(arr.size)
-            self.total = sequential_sum(self.total, arr)
-            m = float(arr.max())
-            if m > self.max:
-                self.max = m
-
-
-def _simulate_stream(
-    stream: TraceStream,
-    params: SubsystemParams,
-    controller: Controller | None,
-    collect_busy_intervals: bool,
-    recorder,
-    plan: ReplayPlan | None,
-    engine: str,
-    faults,
-    pipeline: bool = False,
-    open_loop: bool = False,
-) -> SimulationResult:
-    """Replay a :class:`~repro.trace.stream.TraceStream` chunk by chunk.
-
-    Peak memory is bounded by the chunk size: each chunk gets its own
-    :class:`ReplayPlan` (seek continuity threaded via
-    :class:`~repro.disksim.replay.SeekCarry`) and replays through the
-    selected engine with the closed-loop ``delay``, the oracle-directive
-    cursor, and — for the segmented engine — the in-kernel reactive-DRPM
-    accumulators carried across chunks; all other cross-chunk state lives
-    in the per-object ``Disk`` state machines, which the segmented mirror
-    syncs back to at every chunk boundary.  Any chunking of the same
-    request sequence is therefore bit-identical, and both engines agree
-    (the streaming equivalence tests enforce both).
-
-    Streamed restrictions (each raises :class:`SimulationError` rather
-    than degrading silently):
-
-    * no timeline recorder and no ``collect_busy_intervals`` — both are
-      whole-timeline artifacts, unbounded in a bounded-memory replay;
-    * no fault injection — a fault plan indexes absolute sub-request
-      ordinals of a whole-trace replay plan;
-    * no caller-supplied ``plan`` — plans are per chunk by construction.
-
-    Directive records are partitioned by the merged-stream tie rule: a
-    chunk executes every directive whose nominal time is at or before its
-    last request's nominal time (the final chunk takes all leftovers), so
-    the partition reproduces the whole-trace merge exactly.  Response
-    statistics fold as running count/total/max —
-    :meth:`ResponseSummary.from_running`, with the 95th percentile
-    reported as the documented ``0.0`` sentinel — and per-request
-    response columns are not retained.
-    """
-    if engine not in ("auto", "stepwise", "segmented"):
-        raise SimulationError(f"unknown replay engine {engine!r}")
-    if recorder is not None:
-        raise SimulationError(
-            "streamed replay cannot attach a timeline recorder; "
-            "replay a whole Trace for timelines"
-        )
-    if collect_busy_intervals:
-        raise SimulationError(
-            "streamed replay cannot collect busy intervals; "
-            "replay a whole Trace for busy-interval capture"
-        )
-    if faults is not None:
-        raise SimulationError(
-            "streamed replay does not support fault injection: a fault "
-            "plan indexes absolute sub-request ordinals of a whole-trace "
-            "replay plan"
-        )
-    if plan is not None:
-        raise SimulationError(
-            "streamed replay builds one plan per chunk; do not pass a "
-            "whole-trace plan"
-        )
-    ctrl = controller or Controller()
-    layout = stream.layout
-    if layout.num_disks != params.num_disks:
-        raise SimulationError(
-            f"trace layout has {layout.num_disks} disks, params say "
-            f"{params.num_disks}"
-        )
-    pm = PowerModel(params.disk, params.drpm)
-    num_disks = params.num_disks
-    disks = [
-        Disk(i, pm, auto_spindown_threshold_s=ctrl.auto_spindown_threshold_s)
-        for i in range(num_disks)
-    ]
-    ctrl.prepare(num_disks, pm)
-    reactive = type(ctrl).on_request_complete is not Controller.on_request_complete
-
-    timed: Sequence[TimedDirective] = sorted(
-        ctrl.timed_directives(), key=lambda d: d.time_s
-    )
-    directives = stream.directives
-    dir_times = [d.nominal_time_s for d in directives]
-
-    # Engine selection: the whole-trace rules minus the tiny-replay
-    # crossover (the stream length is unknown up front, and per-chunk
-    # mirror setup amortizes over the whole stream anyway).
-    segmented = engine != "stepwise"
-    forced = ""
-    drpm_kernel = None
-    if segmented and reactive:
-        if type(ctrl) is _reactive_drpm_type():
-            drpm_kernel = ctrl.drpm
-        else:
-            segmented = False
-            forced = "reactive-controller"
-            logger.debug(
-                "%s/%s: reactive controller %s observes per-sub-request "
-                "completions; streaming through the stepwise loop",
-                stream.program_name, ctrl.name, type(ctrl).__name__,
-            )
-    engine_used = "segmented" if segmented else "stepwise"
-
-    observing = obs.enabled()
-    rpm_counts: dict[int, int] | None = {} if observing else None
-    cov_before = dict(REPLAY_COVERAGE) if observing else None
-    t_replay0 = time.perf_counter() if observing else 0.0
-
-    busy: list[list[BusyInterval]] = [[] for _ in disks]
-    carry = None
-    drpm_carry = ([0.0] * num_disks, [0] * num_disks, [None] * num_disks)
-    delay = 0.0
-    timed_idx = 0
-    num_directives = 0
-    num_requests = 0
-    num_chunks = 0
-    resp_fold = _ResponseFold()
-    end_time = stream.total_compute_s
-
-    if segmented:
-        REPLAY_COVERAGE["replays_segmented"] += 1
-    else:
-        REPLAY_COVERAGE["replays_stepwise"] += 1
-
-    with obs.span(
-        "sim.replay",
-        program=stream.program_name,
-        scheme=ctrl.name,
-        engine=engine_used,
-        streamed=True,
-    ) as sp:
-        if forced:
-            sp.set(forced=forced)
-        pipe_stats: dict | None = None
-        if pipeline:
-            from ..trace.ring import pipelined_chunks
-
-            sp.set(pipelined=True)
-            pipe_stats = {}
-            it = pipelined_chunks(stream, stats=pipe_stats)
-        else:
-            it = stream.iter_chunks()
-        cur = next(it, None)
-        if cur is None:
-            cur = RequestColumns.from_requests(())
-        dlo = 0
-        while cur is not None:
-            nxt = next(it, None)
-            final = nxt is None
-            cols = cur
-            n_chunk = len(cols)
-            if n_chunk == 0 and not final:
-                cur = nxt
-                continue
-            plan_c, carry = ReplayPlan.for_columns(cols, layout, carry)
-            if final:
-                dhi = len(directives)
-            else:
-                dhi = bisect_right(
-                    dir_times, float(cols.nominal_time_s[-1]), dlo
-                )
-            dslice = directives[dlo:dhi]
-            dlo = dhi
-            trace_c = Trace(
-                program_name=stream.program_name,
-                layout=layout,
-                directives=(),
-                total_compute_s=stream.total_compute_s,
-                columns=cols,
-            )
-            if segmented:
-                nd, end_time, delay, timed_idx = _replay_segmented(
-                    trace_c, plan_c, disks, pm, timed, resp_fold, busy,
-                    False, rpm_counts, dslice, None, drpm_kernel,
-                    delay0=delay, timed_idx0=timed_idx, finalize=final,
-                    drpm_carry=drpm_carry, open_loop=open_loop,
-                )
-            else:
-                REPLAY_COVERAGE["subrequests_stepwise"] += plan_c.num_subrequests
-                nd, end_time, delay, timed_idx = _replay_stepwise(
-                    trace_c, plan_c, disks, ctrl, reactive, timed,
-                    resp_fold, busy, False, rpm_counts, dslice, None,
-                    delay0=delay, timed_idx0=timed_idx, finalize=final,
-                    open_loop=open_loop,
-                )
-            num_directives += nd
-            num_requests += n_chunk
-            num_chunks += 1
-            if observing:
-                # Live-telemetry feed: a ProgressReporter samples these
-                # between chunks (requests replayed so far, chunk count,
-                # simulated-time watermark) to derive req/s and ETA.
-                _metrics.inc("progress.requests", n_chunk)
-                _metrics.inc("progress.chunks")
-                _metrics.set_gauge("progress.sim_time_s", round(end_time, 6))
-            # Break the plan <-> _PlanGeometry reference cycle so the
-            # chunk's plan, geometry lists, and service tables are freed
-            # by refcounting the moment ``plan_c`` rebinds.  Left to the
-            # cyclic GC, dozens of chunks' worth of O(chunk) derived
-            # state pile up between gen-2 collections and the streamed
-            # peak grows with trace length instead of staying bounded.
-            plan_c._derived.clear()
-            cur = nxt
-        sp.set(
-            requests=num_requests, directives=num_directives,
-            chunks=num_chunks,
-        )
-
-    if observing:
-        _metrics.inc("sim.replays", engine=engine_used, scheme=ctrl.name)
-        if forced:
-            _metrics.inc("sim.fallbacks", reason=forced)
-        cov_delta = {
-            key: value - cov_before[key]
-            for key, value in REPLAY_COVERAGE.items()
-            if value != cov_before.get(key, 0)
-        }
-        if cov_delta:
-            _metrics.ingest_counters(cov_delta, prefix="sim.coverage.")
-            for key, value in cov_delta.items():
-                if key.startswith("fallback_"):
-                    _metrics.inc(
-                        "sim.fallbacks", value,
-                        reason=key[9:].replace("_", "-"),
-                    )
-        _metrics.inc("sim.requests", num_requests)
-        # Retire the live-telemetry count: ``progress.requests`` minus
-        # ``progress.requests_done`` is the streamed in-flight backlog, so
-        # a reporter's (completed + in-flight) total never double-counts a
-        # finished streamed replay against ``sim.requests``.
-        _metrics.inc("progress.requests_done", num_requests)
-        _metrics.inc("sim.directives", num_directives)
-        if rpm_counts:
-            for rpm, count in rpm_counts.items():
-                _metrics.inc("sim.subrequests", count, rpm=rpm)
-        _metrics.observe(
-            "sim.replay_wall_s", time.perf_counter() - t_replay0,
-            scheme=ctrl.name,
-        )
         if pipe_stats:
             # Ring transport counters: stall seconds on both sides of the
             # shared-memory ring plus average occupancy — the numbers that
@@ -2844,25 +2651,36 @@ def _simulate_stream(
                 )
 
     if open_loop:
-        # Same extension as the whole-trace path: run to the last queued
-        # completion when it outlives the nominal span (engine-invariant).
+        # With no delay feedback the nominal span can end before the last
+        # queued request drains; execution runs to the later of the two.
+        # ``last_request_end_s`` is engine-invariant (both engines leave
+        # identical disk state), so the extension preserves bit-identity.
         end_time = max(
             end_time, max((d.last_request_end_s for d in disks), default=0.0)
         )
     for disk in disks:
         disk.finalize(end_time)
+    if streamed:
+        summary = ResponseSummary.from_running(
+            responses.count, responses.total, responses.max
+        )
+        per_request: tuple = ()
+    else:
+        summary = ResponseSummary.from_samples(responses)
+        per_request = tuple(responses)
+    # Disk timelines may exceed the app end (e.g. a trailing transition);
+    # execution time is the app's, but energy accounting follows each disk
+    # to its own final cursor, so energy==power*time invariants hold.
     return SimulationResult(
         scheme=ctrl.name,
-        program_name=stream.program_name,
+        program_name=trace.program_name,
         execution_time_s=end_time,
         disk_stats=tuple(d.stats for d in disks),
-        responses=ResponseSummary.from_running(
-            resp_fold.count, resp_fold.total, resp_fold.max
-        ),
+        responses=summary,
         num_requests=num_requests,
         num_directives=num_directives,
-        busy_intervals=(),
-        request_responses=(),
+        busy_intervals=tuple(tuple(b) for b in busy) if collect_busy_intervals else (),
+        request_responses=per_request,
         engine=engine_used,
         engine_forced=forced,
     )

@@ -248,29 +248,12 @@ def _run_replay_task_obs(payload: tuple[ReplayTask, bool]):
 
 def _run_replay_task(task: ReplayTask) -> SimulationResult:
     """Worker: replay one scheme against its (directive-bearing) trace."""
-    from ..controllers.compiler_directed import CompilerDirected
-    from ..controllers.drpm import ReactiveDRPM
-    from ..controllers.oracle import OracleDRPM, OracleTPM
-    from ..controllers.tpm import ReactiveTPM
+    from .schemes import controller_for
 
-    scheme, trace, params = task.scheme, task.trace, task.params
-    if scheme == "TPM":
-        ctrl = ReactiveTPM(params.effective_tpm_threshold_s)
-    elif scheme == "ITPM":
-        assert task.base is not None
-        ctrl = OracleTPM(task.base, params)
-    elif scheme == "DRPM":
-        ctrl = ReactiveDRPM(params.drpm)
-    elif scheme == "IDRPM":
-        assert task.base is not None
-        ctrl = OracleDRPM(task.base, params)
-    elif scheme == "CMTPM":
-        ctrl = CompilerDirected("tpm")
-    elif scheme == "CMDRPM":
-        ctrl = CompilerDirected("drpm")
-    else:
-        raise ReproError(f"unknown replay scheme {scheme!r}")
-    return simulate(trace, params, ctrl, engine=task.engine, faults=task.faults)
+    ctrl = controller_for(task.scheme, task.params, task.base)
+    return simulate(
+        task.trace, task.params, ctrl, engine=task.engine, faults=task.faults
+    )
 
 
 class SuiteExecutor:

@@ -42,7 +42,13 @@ from ..trace.request import Trace
 from ..util.errors import ReproError
 from ..workloads.base import Workload
 
-__all__ = ["SCHEME_NAMES", "SchemeSuite", "run_schemes", "run_workload"]
+__all__ = [
+    "SCHEME_NAMES",
+    "SchemeSuite",
+    "controller_for",
+    "run_schemes",
+    "run_workload",
+]
 
 #: All schemes of paper §4.2, in its presentation order.
 SCHEME_NAMES: tuple[str, ...] = (
@@ -54,6 +60,32 @@ SCHEME_NAMES: tuple[str, ...] = (
     "CMTPM",
     "CMDRPM",
 )
+
+
+def controller_for(
+    scheme: str, params: SubsystemParams, base: SimulationResult | None = None
+) -> Controller:
+    """A fresh controller for one scheme of :data:`SCHEME_NAMES`.
+
+    ``base`` is the Base replay the oracle schemes (ITPM, IDRPM) derive
+    their decisions from; the other schemes ignore it.  Oracle derivation
+    runs here, so callers that can skip a replay (a cache hit) should
+    skip this call too.
+    """
+    if scheme == "Base":
+        return Controller()
+    if scheme == "TPM":
+        return ReactiveTPM(params.effective_tpm_threshold_s)
+    if scheme == "DRPM":
+        return ReactiveDRPM(params.drpm)
+    if scheme in ("ITPM", "IDRPM"):
+        if base is None:
+            raise ReproError(f"{scheme} derives from a Base replay; pass base=")
+        oracle = OracleTPM if scheme == "ITPM" else OracleDRPM
+        return oracle(base, params)
+    if scheme in ("CMTPM", "CMDRPM"):
+        return CompilerDirected("tpm" if scheme == "CMTPM" else "drpm")
+    raise ReproError(f"unknown replay scheme {scheme!r}")
 
 
 @dataclass
@@ -261,37 +293,14 @@ def _run_schemes(
             results[scheme] = result
     else:
         for scheme in pending:
-            if scheme == "TPM":
-                ctrl: Controller = ReactiveTPM(params.effective_tpm_threshold_s)
-                results[scheme] = simulate(
-                    trace, params, ctrl, plan=replay_plan, engine=engine,
-                    faults=faults,
-                )
-            elif scheme == "ITPM":
-                results[scheme] = simulate(
-                    trace, params, OracleTPM(base, params), plan=replay_plan,
-                    engine=engine, faults=faults,
-                )
-            elif scheme == "DRPM":
-                results[scheme] = simulate(
-                    trace, params, ReactiveDRPM(params.drpm), plan=replay_plan,
-                    engine=engine, faults=faults,
-                )
-            elif scheme == "IDRPM":
-                results[scheme] = simulate(
-                    trace, params, OracleDRPM(base, params), plan=replay_plan,
-                    engine=engine, faults=faults,
-                )
-            else:
-                kind = "tpm" if scheme == "CMTPM" else "drpm"
-                results[scheme] = simulate(
-                    cm_traces[scheme],
-                    params,
-                    CompilerDirected(kind),
-                    plan=replay_plan,
-                    engine=engine,
-                    faults=faults,
-                )
+            results[scheme] = simulate(
+                cm_traces.get(scheme, trace),
+                params,
+                controller_for(scheme, params, base),
+                plan=replay_plan,
+                engine=engine,
+                faults=faults,
+            )
 
     for scheme in pending:
         if scheme in ("CMTPM", "CMDRPM"):

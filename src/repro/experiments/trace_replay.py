@@ -34,17 +34,13 @@ from pathlib import Path
 
 from .. import obs
 from ..cache import fingerprint, trace_fingerprint
-from ..controllers.compiler_directed import CompilerDirected
-from ..controllers.drpm import ReactiveDRPM
-from ..controllers.oracle import OracleDRPM, OracleTPM
-from ..controllers.tpm import ReactiveTPM
-from ..disksim.interface import Controller
 from ..disksim.simulator import simulate
 from ..disksim.stats import SimulationResult
 from ..trace.ingest import ingest_fingerprint, ingest_trace, stream_ingest
 from ..trace.synth import SynthConfig, synth_stream, synth_trace
 from ..util.errors import ReproError
 from .report import ExperimentReport
+from .schemes import controller_for
 
 __all__ = [
     "TRACE_REPLAY_SCHEMES",
@@ -244,7 +240,9 @@ def _replay_source(
         "streamed" if source.streamed else "whole",
     )
 
-    def _cached(scheme: str, make) -> SimulationResult:
+    def _replay(
+        scheme: str, base=None, collect_busy_intervals: bool = False
+    ) -> SimulationResult:
         if cache is not None:
             key = cache.scheme_key(suite_fp, scheme)
             hit = cache.load(key)
@@ -255,60 +253,33 @@ def _replay_source(
             )
             if hit is not None:
                 return hit
-        result = make()
+        # The controller is built only on a miss, so a cache hit also
+        # skips the oracle derivation.
+        result = simulate(
+            trace, params, controller_for(scheme, params, base),
+            collect_busy_intervals=collect_busy_intervals, open_loop=True,
+        )
         if cache is not None:
             cache.store(cache.scheme_key(suite_fp, scheme), result)
         return result
 
     notes: list[str] = []
     results: dict[str, SimulationResult] = {}
-    results["Base"] = _cached(
-        "Base",
-        lambda: simulate(
-            trace, params, Controller(),
-            collect_busy_intervals=not source.streamed,
-            open_loop=True,
-        ),
+    results["Base"] = _replay(
+        "Base", collect_busy_intervals=not source.streamed
     )
-    results["TPM"] = _cached(
-        "TPM",
-        lambda: simulate(
-            trace, params, ReactiveTPM(params.effective_tpm_threshold_s),
-            open_loop=True,
-        ),
-    )
-    results["DRPM"] = _cached(
-        "DRPM",
-        lambda: simulate(
-            trace, params, ReactiveDRPM(params.drpm), open_loop=True
-        ),
-    )
+    for scheme in ("TPM", "DRPM"):
+        results[scheme] = _replay(scheme)
     if source.streamed:
         notes.append(
             f"{source.label}: streamed replay — oracle schemes skipped "
             "(they derive from whole-trace busy intervals)"
         )
     else:
-        base = results["Base"]
-        results["ITPM"] = _cached(
-            "ITPM",
-            lambda: simulate(
-                trace, params, OracleTPM(base, params), open_loop=True
-            ),
-        )
-        results["IDRPM"] = _cached(
-            "IDRPM",
-            lambda: simulate(
-                trace, params, OracleDRPM(base, params), open_loop=True
-            ),
-        )
-    for scheme, kind in (("CMTPM", "tpm"), ("CMDRPM", "drpm")):
-        results[scheme] = _cached(
-            scheme,
-            lambda kind=kind: simulate(
-                trace, params, CompilerDirected(kind), open_loop=True
-            ),
-        )
+        for scheme in ("ITPM", "IDRPM"):
+            results[scheme] = _replay(scheme, results["Base"])
+    for scheme in ("CMTPM", "CMDRPM"):
+        results[scheme] = _replay(scheme)
     notes.append(
         f"{source.label}: CMTPM/CMDRPM degrade to the no-directive "
         "baseline (no compile-time knowledge on external traces)"

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.controllers.base import Controller, TimedDirective
+from repro.controllers.drpm import ReactiveDRPM
 from repro.disksim.params import SubsystemParams
 from repro.disksim.powermodel import PowerModel
+from repro.disksim.replay import ReplayPlan
 from repro.disksim.simulator import apply_call, simulate
 from repro.ir.nodes import PowerAction, PowerCall
 from repro.layout.files import default_layout
 from repro.layout.striping import Striping
 from repro.layout.files import FileEntry, SubsystemLayout
+from repro.trace.generator import generate_trace
 from repro.trace.request import DirectiveRecord, IORequest, Trace
 from repro.util.errors import SimulationError
 from repro.util.units import KB
@@ -175,3 +178,23 @@ def test_determinism(params):
     assert r1.total_energy_j == r2.total_energy_j
     assert r1.execution_time_s == r2.execution_time_s
     assert r1.request_responses == r2.request_responses
+
+
+@pytest.mark.parametrize("engine", ["stepwise", "segmented"])
+def test_caller_plan_keeps_derived_state_across_replays(
+    tiny_program, tiny_layout, small_trace_options, engine
+):
+    """A suite shares one plan across all its scheme replays, so a replay
+    must leave the plan's derived views in place for the next one."""
+    trace = generate_trace(tiny_program, tiny_layout, small_trace_options)
+    params = SubsystemParams(num_disks=4)
+    plan = ReplayPlan.for_trace(trace)
+    simulate(trace, params, plan=plan, engine=engine)
+    geom = plan._derived["geom"]
+    again = simulate(
+        trace, params, ReactiveDRPM(params.drpm), plan=plan, engine=engine
+    )
+    assert plan._derived["geom"] is geom
+    assert again == simulate(
+        trace, params, ReactiveDRPM(params.drpm), engine=engine
+    )

@@ -29,6 +29,7 @@ from repro.disksim.simulator import (
     simulate,
 )
 from repro.disksim.stats import ResponseSummary
+from repro.disksim.timeline import TimelineRecorder
 from repro.ir.nodes import PowerAction, PowerCall
 from repro.layout.files import default_layout
 from repro.trace.generator import TraceOptions, generate_trace, stream_trace
@@ -243,6 +244,16 @@ def test_streamed_rejects_busy_interval_capture(
     with pytest.raises(SimulationError, match="busy intervals"):
         simulate(
             stream, SubsystemParams(num_disks=4), collect_busy_intervals=True
+        )
+
+
+def test_streamed_rejects_timeline_recorder(
+    tiny_program, tiny_layout, small_trace_options
+):
+    stream = _tiny_stream(tiny_program, tiny_layout, small_trace_options)
+    with pytest.raises(SimulationError, match="timeline recorder"):
+        simulate(
+            stream, SubsystemParams(num_disks=4), recorder=TimelineRecorder()
         )
 
 
