@@ -86,6 +86,10 @@ def test_ingested_fixture_streamed_matches_whole(chunk):
         assert res_s.execution_time_s == res_w[eng].execution_time_s
         assert res_s.disk_stats == res_w[eng].disk_stats
         assert res_s.num_requests == res_w[eng].num_requests
+        # A forked producer reads the same text trace's binary spill
+        # through the inherited descriptor.
+        piped = _replay(stream, params, "base", eng, pipeline=True)
+        assert piped == res_s
     assert res_w["stepwise"] == res_w["segmented"] == res_w["auto"]
 
 

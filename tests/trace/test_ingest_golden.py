@@ -24,7 +24,12 @@ from repro.controllers.drpm import ReactiveDRPM
 from repro.controllers.tpm import ReactiveTPM
 from repro.disksim.params import SubsystemParams
 from repro.disksim.simulator import simulate
-from repro.trace.ingest import ingest_trace, read_records, scan_trace
+from repro.trace.ingest import (
+    ingest_trace,
+    read_records,
+    scan_trace,
+    write_binary_records,
+)
 from repro.util.errors import TraceError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "traces"
@@ -102,6 +107,14 @@ def test_text_and_binary_fixtures_are_identical():
     assert ingest_trace(TEXT, num_disks=4).columns == ingest_trace(
         BINARY, num_disks=4
     ).columns
+
+
+def test_binary_fixture_rewrites_byte_identically(tmp_path):
+    """Re-serializing the binary fixture's own records reproduces its
+    bytes exactly: the writer and reader share one record layout."""
+    out = tmp_path / "again.btrace"
+    assert write_binary_records(out, read_records(BINARY)) == GOLDEN_NUM_RECORDS
+    assert out.read_bytes() == BINARY.read_bytes()
 
 
 @pytest.mark.parametrize("path", [TEXT, BINARY], ids=["text", "binary"])

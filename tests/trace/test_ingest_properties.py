@@ -15,8 +15,12 @@ Three families:
   exception type, never a silently truncated parse.
 """
 
+import gc
+import os
+import struct
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +31,10 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from strategies import ingest_records  # noqa: E402
 
+from repro.trace import ingest
 from repro.trace.ingest import (
     BINARY_MAGIC,
+    RECORD_DTYPE,
     ingest_trace,
     read_records,
     scan_trace,
@@ -247,6 +253,157 @@ def test_magic_only_file_is_a_trace_error(tmp_path):
     p.write_bytes(BINARY_MAGIC)
     with pytest.raises(TraceError):
         list(read_records(p))
+
+
+# --------------------------------------------------------------------- #
+# Error precedence: the first bad record in file order is the one named.
+# --------------------------------------------------------------------- #
+_HEADER = len(BINARY_MAGIC) + 8
+_RECORD = RECORD_DTYPE.itemsize
+
+
+def _kind_offset(k: int) -> int:
+    """Byte offset of record ``k``'s kind byte (the record's last byte)."""
+    return _HEADER + (k + 1) * _RECORD - 1
+
+
+#: Every reader that checks time order (``read_records`` does not).
+_ORDERED_READERS = (
+    scan_trace,
+    lambda p: ingest_trace(p, num_disks=4),
+    lambda p: stream_ingest(p, num_disks=4, chunk_requests=7),
+)
+
+
+def _all_readers_raise(path: Path, match: str, readers=None) -> None:
+    if readers is None:
+        readers = (lambda p: list(read_records(p)),) + _ORDERED_READERS
+    for read in readers:
+        with pytest.raises(TraceError, match=match):
+            read(path)
+
+
+@_SLOW_SETTINGS
+@given(records=ingest_records(min_size=2, max_size=30), data=st.data())
+def test_bad_kind_reported_before_later_truncation(records, data):
+    """A bad kind byte at record k wins over a truncation after it."""
+    k = data.draw(st.integers(0, len(records) - 2))
+    with tempfile.TemporaryDirectory() as d:
+        path = _write(records, "binary", Path(d))
+        blob = bytearray(path.read_bytes())
+        blob[_kind_offset(k)] = data.draw(st.integers(2, 255))
+        cut = data.draw(st.integers(_kind_offset(k) + 1, len(blob) - 1))
+        path.write_bytes(bytes(blob[:cut]))
+        _all_readers_raise(path, f"^record {k}: bad request kind byte")
+
+
+@_SLOW_SETTINGS
+@given(records=ingest_records(min_size=1, max_size=30), data=st.data())
+def test_trailing_bytes_reported_after_every_record_validates(records, data):
+    """Trailing bytes are an error only once every promised record has
+    validated; an invalid record anywhere is reported instead."""
+    with tempfile.TemporaryDirectory() as d:
+        path = _write(records, "binary", Path(d))
+        blob = bytearray(path.read_bytes())
+        blob += bytes(data.draw(st.integers(1, 2 * _RECORD)))
+        path.write_bytes(bytes(blob))
+        _all_readers_raise(path, "trailing bytes after")
+        k = data.draw(st.integers(0, len(records) - 1))
+        blob[_kind_offset(k)] = 9
+        path.write_bytes(bytes(blob))
+        _all_readers_raise(path, f"^record {k}: bad request kind byte 9")
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_out_of_order_past_chunk_boundary_names_global_record(
+    fmt, tmp_path, monkeypatch
+):
+    """Record 7 opens the second 7-record block; its ordering error is
+    named by its global index, with the previous arrival carried over
+    the block boundary."""
+    records = [(float(i), 0, i, 512, False) for i in range(20)]
+    records[7] = (5.5, 0, 7, 512, False)
+    path = _write(records, fmt, tmp_path)
+    want = r"^record 7: arrival 5\.5 precedes previous 6\.0"
+    _all_readers_raise(path, want, _ORDERED_READERS)
+    monkeypatch.setattr(ingest, "_BLOCK_RECORDS", 7)
+    _all_readers_raise(path, want, _ORDERED_READERS)
+
+
+def test_chunk_pass_carries_order_across_chunk_boundary(tmp_path):
+    """The streamed chunk reader re-validates every pass: a binary trace
+    rewritten in place after opening fails at record 7, the first record
+    of the second 7-record chunk."""
+    records = [(float(i), 0, i, 512, False) for i in range(20)]
+    path = _write(records, "binary", tmp_path)
+    stream = stream_ingest(path, num_disks=4, chunk_requests=7)
+    with open(path, "r+b") as fh:
+        fh.seek(_HEADER + 7 * _RECORD)
+        fh.write(struct.pack("<d", 5.5))
+    with pytest.raises(TraceError, match=r"^record 7: arrival 5\.5 precedes"):
+        list(stream.iter_chunks())
+
+
+# --------------------------------------------------------------------- #
+# Streamed text: parsed once, spilled, spill closed with the stream.
+# --------------------------------------------------------------------- #
+_TEXT_RECORDS = [(i * 0.5, i % 3, i * 8, 4096, i % 2 == 0) for i in range(50)]
+
+
+def test_text_stream_parses_once(tmp_path, monkeypatch):
+    path = _write(_TEXT_RECORDS, "text", tmp_path)
+    calls = []
+    parse = ingest._iter_text
+
+    def counting_parse(p):
+        calls.append(p)
+        return parse(p)
+
+    monkeypatch.setattr(ingest, "_iter_text", counting_parse)
+    stream = stream_ingest(path, num_disks=4, chunk_requests=7)
+    assert len(calls) == 1
+    passes = [list(stream.iter_chunks()) for _ in range(3)]
+    assert len(calls) == 1
+    whole = ingest_trace(path, num_disks=4).columns
+    for chunks in passes:
+        for f in _COLUMN_FIELDS:
+            got = np.concatenate([getattr(c, f) for c in chunks])
+            assert np.array_equal(got, getattr(whole, f)), f
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+def test_text_stream_spill_closed_when_collected(tmp_path):
+    path = _write(_TEXT_RECORDS, "text", tmp_path)
+
+    def open_fds() -> int:
+        return len(os.listdir("/proc/self/fd"))
+
+    gc.collect()
+    before = open_fds()
+    stream = stream_ingest(path, num_disks=4, chunk_requests=7)
+    assert sum(len(c) for c in stream.iter_chunks()) == len(_TEXT_RECORDS)
+    assert open_fds() == before + 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        del stream
+        gc.collect()
+    assert open_fds() == before
+    # Closed explicitly, not left for the interpreter to warn about.
+    assert not [w for w in caught if w.category is ResourceWarning]
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_pass_outlives_its_stream(fmt, tmp_path):
+    """A pass keeps reading after the stream that started it is dropped
+    and collected mid-pass."""
+    path = _write(_TEXT_RECORDS, fmt, tmp_path)
+    n = 0
+    for chunk in stream_ingest(path, num_disks=4, chunk_requests=7).iter_chunks():
+        gc.collect()
+        n += len(chunk)
+    assert n == len(_TEXT_RECORDS)
 
 
 # --------------------------------------------------------------------- #

@@ -154,8 +154,9 @@ def collect_ingest_timings(repeats: int = 3, num_requests: int = 50_000) -> dict
     One record set is serialized in both on-disk formats and each is timed
     through parse → normalize, plus the chunked streaming reader and a
     same-size ``synth_stream`` pass.  Bit-identity — text vs binary columns,
-    and streamed chunks concatenating to the whole-file ingest — is asserted
-    as a side effect; the smoke mode runs this cell as its ingest gate.
+    and streamed chunks concatenating to the whole-file ingest (binary, and
+    two passes over the text stream's spill) — is asserted as a side
+    effect; the smoke mode runs this cell as its ingest gate.
     """
     import numpy as np
 
@@ -206,15 +207,19 @@ def collect_ingest_timings(repeats: int = 3, num_requests: int = 50_000) -> dict
             ).iter_chunks():
                 pass
 
-        streamed = stream_ingest(bp, num_disks=8, chunk_requests=8192)
-        for f in fields:
-            got = np.concatenate(
-                [getattr(c, f) for c in streamed.iter_chunks()]
-            )
-            if not np.array_equal(got, getattr(cb, f)):
-                raise SystemExit(
-                    f"streamed ingest identity broken on {f}: bench aborted"
-                )
+        # The text stream is parsed once and replayed from its binary
+        # spill, so two passes over it must both match the whole ingest.
+        for path, whole, passes in ((bp, cb, 1), (tp, ct, 2)):
+            streamed = stream_ingest(path, num_disks=8, chunk_requests=8192)
+            for _ in range(passes):
+                chunks = list(streamed.iter_chunks())
+                for f in fields:
+                    got = np.concatenate([getattr(c, f) for c in chunks])
+                    if not np.array_equal(got, getattr(whole, f)):
+                        raise SystemExit(
+                            f"streamed {path.suffix} ingest identity broken "
+                            f"on {f}: bench aborted"
+                        )
         text_s = min(
             _time_us(lambda: ingest_trace(tp, num_disks=8))
             for _ in range(repeats)
@@ -648,7 +653,7 @@ def run_smoke() -> int:
     for name, row in trace["per_workload"].items():
         print(f"  trace {name}: seed {row['seed_s']:.3f}s -> "
               f"optimized {row['optimized_s']:.3f}s ({row['speedup']}x)")
-    # SystemExits when either ingest identity assertion fails.
+    # SystemExits when any ingest identity assertion fails.
     ingest = collect_ingest_timings(repeats=1, num_requests=20_000)
     print(f"  ingest+synth ({ingest['num_requests']} requests): "
           f"text {ingest['text_ingest_s']:.3f}s, "
