@@ -22,8 +22,8 @@ trace-event JSON (loadable in Perfetto / ``chrome://tracing``) — including
 per-disk power-state timeline tracks from a representative replay, whose
 decision-attribution ledger (conservation-verified) lands in the run
 manifest — and implies ``--obs``.  ``--progress [SECS]`` streams live
-progress lines (requests replayed, req/s, ring occupancy, shard status,
-ETA) to stderr.  ``-v``/``-vv`` raise the ``repro`` logger to INFO/DEBUG on
+progress lines (requests replayed, req/s, ring occupancy, ETA) to
+stderr.  ``-v``/``-vv`` raise the ``repro`` logger to INFO/DEBUG on
 stderr.  Reports always go to **stdout**; every diagnostic line (cache
 summary, manifest path) goes to **stderr**, keeping rendered artifacts
 byte-stable under any flag combination.
@@ -167,14 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_JOBS or 1; 0 = one per CPU)",
     )
     parser.add_argument(
-        "--shard",
-        action="store_true",
-        help="prefetch suites through the shard scheduler: decompose "
-        "sweeps into fingerprint-keyed (configuration, scheme) shards, "
-        "dedupe, and reassemble from the shared cache (bit-identical to "
-        "serial at any worker count)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="ignore and do not write the persistent result cache",
@@ -254,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECS",
         help="stream live progress lines to stderr every SECS seconds "
-        "(default 2): requests replayed, req/s, ring occupancy, shard "
-        "status, ETA; implies --obs",
+        "(default 2): requests replayed, req/s, ring occupancy, ETA; "
+        "implies --obs",
     )
     parser.add_argument(
         "--manifest-out",
@@ -322,8 +314,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "--trace-in/--synth only affect the trace_replay experiment"
             )
     ctx = ExperimentContext(
-        jobs=args.jobs, cache=cache, faults=faults, shard=args.shard,
-        trace_sources=trace_sources,
+        jobs=args.jobs, cache=cache, faults=faults, trace_sources=trace_sources,
     )
 
     reporter = None
@@ -354,29 +345,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     cache_stats = ctx.cache_stats()
     if cache_stats is not None:
         print(ctx.result_cache.summary(), file=sys.stderr)
-    _print_engine_counters(ctx)
+    _print_pipeline_counters()
 
     if observing:
         _write_obs_artifacts(args, ids, ctx, phases, total_wall_s, cache_stats)
     return 0
 
 
-def _print_engine_counters(ctx: ExperimentContext) -> None:
-    """Satellite: one stderr line each for the shard scheduler and the
-    streamed-pipeline counters, next to the cache hit/miss summary.
+def _print_pipeline_counters() -> None:
+    """Satellite: one stderr line of streamed-pipeline counters, next to
+    the cache hit/miss summary.
 
-    Shard stats come off the scheduler object (available without
-    ``--obs``); pipeline counters only exist in the metrics registry, so
-    that line appears when observability recorded a pipelined replay.
+    The counters only exist in the metrics registry, so the line appears
+    when observability recorded a pipelined replay.
     """
-    shard_stats = ctx.shard_stats()
-    if shard_stats is not None and shard_stats.get("runs"):
-        print(
-            "shard scheduler: {runs} runs, {requested} requested, "
-            "{deduped} deduped, {cache_hits} cache hits, "
-            "{computed} computed".format(**shard_stats),
-            file=sys.stderr,
-        )
     replays = obs.metrics.counter("pipeline.replays")
     if replays:
         chunks = obs.metrics.counter("pipeline.chunks")
@@ -463,16 +445,14 @@ def _write_obs_artifacts(
     """Export the Chrome trace and the run manifest (``--obs`` epilogue)."""
     config = {
         "experiments": ids,
-        "jobs": ctx.jobs,
-        "shard": ctx.shard,
+        # The effective worker count (after $REPRO_JOBS and the CPU
+        # clamp), not the raw --jobs argument.
+        "jobs": ctx.executor.jobs,
         "cache": cache_stats["dir"] if cache_stats else None,
         "num_disks": ctx.params.num_disks,
         "faults": repr(ctx.faults) if ctx.faults is not None else None,
     }
     extra: dict = {"total_wall_s": round(total_wall_s, 6)}
-    shard_stats = ctx.shard_stats()
-    if shard_stats is not None:
-        extra["shard"] = shard_stats
     if "trace_replay" in ids:
         from .trace_replay import last_manifest_section
 

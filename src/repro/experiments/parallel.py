@@ -1,24 +1,19 @@
-"""Process-parallel execution of independent experiment units.
+"""Process-parallel execution of independent scheme suites.
 
-The evaluation's unit of work is embarrassingly parallel at two grains:
+Every ``(workload, configuration)`` scheme suite is independent of every
+other (the Table 2 set, the stripe-size/factor sweeps, the ablation
+grids), so the evaluation fans out at suite grain: one worker generates a
+suite's trace and replays all of its schemes.
 
-* **suite grain** — every ``(workload, configuration)`` scheme suite is
-  independent of every other (the Table 2 set, the stripe-size/factor
-  sweeps, the ablation grids);
-* **replay grain** — within one suite, every non-Base scheme replays the
-  same trace independently once the Base run exists (the oracles read the
-  Base result; the compiler schemes only attach different directive
-  streams).
-
-:class:`SuiteExecutor` fans both out over a ``ProcessPoolExecutor``.  The
-worker count comes from (in priority order) an explicit ``jobs`` argument,
-the ``REPRO_JOBS`` environment variable (``0`` or ``auto`` = one worker per
-CPU), else 1 — and is then clamped to the CPUs the process may run on
-(the work is CPU-bound; oversubscription only buys pickling overhead).
-With one worker everything runs serially in-process — no
-pool, no pickling — so single-process behaviour is bit-identical to the
-pre-parallel engine, and results are always returned in submission order
-regardless of completion order.
+:class:`SuiteExecutor` is the repo's one executor.  The worker count comes
+from (in priority order) an explicit ``jobs`` argument, the ``REPRO_JOBS``
+environment variable (``0`` or ``auto`` = one worker per CPU), else 1 —
+and is then clamped to the CPUs the process may run on (the work is
+CPU-bound; oversubscription only buys pickling overhead).  With one worker
+everything runs serially in-process — no pool, no pickling — so
+single-process behaviour is bit-identical to the pre-parallel engine, and
+results are always returned in submission order regardless of completion
+order.
 
 Workers rebuild workloads from their registry names and may share one
 persistent :class:`~repro.cache.ResultCache` directory (writes are atomic).
@@ -34,11 +29,8 @@ from typing import Sequence
 from .. import obs
 from ..cache import ResultCache
 from ..disksim.params import SubsystemParams
-from ..disksim.simulator import simulate
-from ..disksim.stats import SimulationResult
 from ..faults import FaultConfig
 from ..layout.files import SubsystemLayout, default_layout
-from ..trace.request import Trace
 from ..util.errors import ReproError
 
 __all__ = [
@@ -46,7 +38,6 @@ __all__ = [
     "available_cpus",
     "resolve_jobs",
     "SuiteSpec",
-    "ReplayTask",
     "SuiteExecutor",
 ]
 
@@ -140,26 +131,6 @@ class SuiteSpec:
     faults: FaultConfig | None = None
 
 
-@dataclass(frozen=True)
-class ReplayTask:
-    """One non-Base scheme replay of an already-generated trace.
-
-    ``trace`` carries the scheme's directive stream (compiler schemes);
-    ``base`` is the Base run the oracle controllers derive from (``None``
-    for the reactive and compiler schemes).
-    """
-
-    scheme: str
-    trace: Trace
-    params: SubsystemParams
-    base: SimulationResult | None = None
-    #: Replay engine selector, forwarded to ``simulate`` (see
-    #: :func:`repro.disksim.simulator.simulate`).
-    engine: str = "auto"
-    #: Optional :class:`~repro.faults.FaultConfig` forwarded to ``simulate``.
-    faults: FaultConfig | None = None
-
-
 def _run_suite_spec(payload: tuple[SuiteSpec, str | None]):
     """Worker: build the workload by name and run its scheme suite."""
     from ..workloads.registry import build_workload
@@ -236,32 +207,12 @@ def _run_suite_spec_obs(payload: tuple[SuiteSpec, str | None, bool]):
     return result, _obs_envelope(obs_flag)
 
 
-def _run_replay_task_obs(payload: tuple[ReplayTask, bool]):
-    """Pool-worker wrapper: run one replay, ship result + obs envelope."""
-    task, obs_flag = payload
-    _reset_worker_obs()
-    if obs_flag and not obs.enabled():
-        obs.enable()
-    result = _run_replay_task(task)
-    return result, _obs_envelope(obs_flag)
-
-
-def _run_replay_task(task: ReplayTask) -> SimulationResult:
-    """Worker: replay one scheme against its (directive-bearing) trace."""
-    from .schemes import controller_for
-
-    ctrl = controller_for(task.scheme, task.params, task.base)
-    return simulate(
-        task.trace, task.params, ctrl, engine=task.engine, faults=task.faults
-    )
-
-
 class SuiteExecutor:
-    """Ordered, deterministic fan-out of experiment units across processes.
+    """Ordered, deterministic fan-out of scheme suites across processes.
 
-    With ``jobs <= 1`` (the default without ``REPRO_JOBS``) every method
-    degrades to a plain in-process loop, guaranteeing behaviour identical
-    to the serial engine.
+    With ``jobs <= 1`` (the default without ``REPRO_JOBS``)
+    :meth:`run_suites` degrades to a plain in-process loop, guaranteeing
+    behaviour identical to the serial engine.
     """
 
     def __init__(
@@ -281,24 +232,9 @@ class SuiteExecutor:
             self.jobs = self.requested_jobs
         self.cache_root = str(cache_root) if cache_root is not None else None
 
-    # ------------------------------------------------------------------ #
     @property
     def serial(self) -> bool:
         return self.jobs <= 1
-
-    def _pool(self, num_tasks: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=min(self.jobs, num_tasks))
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _merge_envelope(envelope: dict | None) -> None:
-        """Fold a worker's drained metrics/spans into this process."""
-        if not envelope:
-            return
-        obs.metrics.merge(envelope.get("metrics", {}))
-        rec = obs.get_recorder()
-        if isinstance(rec, obs.SpanRecorder):
-            rec.absorb(envelope.get("spans", []), envelope.get("events", []))
 
     def run_suites(self, specs: Sequence[SuiteSpec]) -> list:
         """Run one scheme suite per spec; results in spec order."""
@@ -307,19 +243,14 @@ class SuiteExecutor:
             return [_run_suite_spec((spec, self.cache_root)) for spec in specs]
         obs_flag = obs.enabled()
         payloads = [(spec, self.cache_root, obs_flag) for spec in specs]
-        with self._pool(len(specs)) as pool:
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(specs))) as pool:
             pairs = list(pool.map(_run_suite_spec_obs, payloads))
+        rec = obs.get_recorder()
         for _, envelope in pairs:
-            self._merge_envelope(envelope)
-        return [result for result, _ in pairs]
-
-    def run_replays(self, tasks: Sequence[ReplayTask]) -> list[SimulationResult]:
-        """Replay the given schemes; results in task order."""
-        if self.serial or len(tasks) <= 1:
-            return [_run_replay_task(t) for t in tasks]
-        obs_flag = obs.enabled()
-        with self._pool(len(tasks)) as pool:
-            pairs = list(pool.map(_run_replay_task_obs, [(t, obs_flag) for t in tasks]))
-        for _, envelope in pairs:
-            self._merge_envelope(envelope)
+            # Fold each worker's drained metrics/spans into this process.
+            if not envelope:
+                continue
+            obs.metrics.merge(envelope.get("metrics", {}))
+            if isinstance(rec, obs.SpanRecorder):
+                rec.absorb(envelope.get("spans", []), envelope.get("events", []))
         return [result for result, _ in pairs]

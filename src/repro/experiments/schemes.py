@@ -128,7 +128,6 @@ def run_schemes(
     accesses: Sequence[NestAccess] | None = None,
     timing: ProgramTiming | None = None,
     cache: ResultCache | None = None,
-    executor=None,
     engine: str = "auto",
     faults=None,
 ) -> SchemeSuite:
@@ -146,8 +145,6 @@ def run_schemes(
     so re-rendering artifacts is near-free when nothing relevant changed;
     the generated base trace is cached the same way (keyed by program IR,
     layout, trace options, and generator version).
-    ``executor`` optionally fans the independent non-Base replays out across
-    a :class:`~repro.experiments.parallel.SuiteExecutor`'s workers.
     ``engine`` selects the replay engine (see
     :func:`~repro.disksim.simulator.simulate`); the default picks the
     segmented batch engine wherever it applies.
@@ -165,7 +162,7 @@ def run_schemes(
     ) as suite_span:
         suite = _run_schemes(
             program, layout, params, options, estimation, schemes,
-            accesses, timing, cache, executor, engine, faults,
+            accesses, timing, cache, engine, faults,
         )
         suite_span.set(results=len(suite.results))
         return suite
@@ -181,7 +178,6 @@ def _run_schemes(
     accesses: Sequence[NestAccess] | None,
     timing: ProgramTiming | None,
     cache: ResultCache | None,
-    executor,
     engine: str,
     faults=None,
 ) -> SchemeSuite:
@@ -240,76 +236,47 @@ def _run_schemes(
     measured = measured_timing(
         program, trace.request_nests, np.asarray(base.request_responses)
     )
-    actual = timing
 
     results: dict[str, SimulationResult] = {"Base": base}
     plans: dict[str, CompilerPlan] = {}
-    pending: list[str] = []
     for scheme in schemes:
         if scheme == "Base":
             continue
+        compiler = scheme in ("CMTPM", "CMDRPM")
         payload = _load(scheme)
-        if payload is None:
-            pending.append(scheme)
-        elif scheme in ("CMTPM", "CMDRPM"):
-            results[scheme], plans[scheme] = payload
-        else:
-            results[scheme] = payload
-
-    # Plan the compiler-directed schemes up front (the planner is cheap next
-    # to a replay, and the directive-bearing traces are what workers need).
-    cm_traces: dict[str, Trace] = {}
-    for scheme in pending:
-        if scheme in ("CMTPM", "CMDRPM"):
-            kind = "tpm" if scheme == "CMTPM" else "drpm"
+        if payload is not None:
+            if compiler:
+                results[scheme], plans[scheme] = payload
+            else:
+                results[scheme] = payload
+            continue
+        replay_trace = trace
+        if compiler:
             plan = plan_power_calls(
                 program,
                 layout,
                 params,
-                kind,
+                "tpm" if scheme == "CMTPM" else "drpm",
                 estimation=estimation,
                 accesses=accesses,
                 measured=measured,
             )
             plans[scheme] = plan
-            directives = directives_at_positions(plan.placements, actual)
-            cm_traces[scheme] = trace.with_directives(directives)
-
-    if executor is not None and not executor.serial and len(pending) > 1:
-        from .parallel import ReplayTask
-
-        tasks = [
-            ReplayTask(
-                scheme=scheme,
-                trace=cm_traces.get(scheme, trace),
-                params=params,
-                base=base if scheme in ("ITPM", "IDRPM") else None,
-                engine=engine,
-                faults=faults,
+            replay_trace = trace.with_directives(
+                directives_at_positions(plan.placements, timing)
             )
-            for scheme in pending
-        ]
-        for scheme, result in zip(pending, executor.run_replays(tasks)):
-            results[scheme] = result
-    else:
-        for scheme in pending:
-            results[scheme] = simulate(
-                cm_traces.get(scheme, trace),
-                params,
-                controller_for(scheme, params, base),
-                plan=replay_plan,
-                engine=engine,
-                faults=faults,
-            )
+        results[scheme] = simulate(
+            replay_trace,
+            params,
+            controller_for(scheme, params, base),
+            plan=replay_plan,
+            engine=engine,
+            faults=faults,
+        )
+        _store(scheme, (results[scheme], plan) if compiler else results[scheme])
 
-    for scheme in pending:
-        if scheme in ("CMTPM", "CMDRPM"):
-            _store(scheme, (results[scheme], plans[scheme]))
-        else:
-            _store(scheme, results[scheme])
-
-    # Present results in canonical scheme order regardless of cache/executor
-    # completion interleaving.
+    # Present results in canonical scheme order regardless of which schemes
+    # came from the cache.
     ordered = {s: results[s] for s in SCHEME_NAMES if s in results}
     return SchemeSuite(
         program_name=program.name,
@@ -329,7 +296,6 @@ def run_workload(
     accesses: Sequence[NestAccess] | None = None,
     timing: ProgramTiming | None = None,
     cache: ResultCache | None = None,
-    executor=None,
     engine: str = "auto",
     faults=None,
 ) -> SchemeSuite:
@@ -346,7 +312,6 @@ def run_workload(
         accesses=accesses,
         timing=timing,
         cache=cache,
-        executor=executor,
         engine=engine,
         faults=faults,
     )

@@ -18,11 +18,7 @@ engine all register measurements here:
   ring (``repro.trace.ring``): ``replays``, ``chunks``, ``splits``,
   ``producer_stall_s`` / ``consumer_stall_s`` (seconds each side spent
   blocked on the ring), and ``queue_depth`` / ``queue_depth_samples``
-  (divide for the mean occupied-slot depth at chunk handoff);
-* ``shard.*`` — sharded sweep execution
-  (``repro.experiments.shard.ShardScheduler``): per-run deltas for
-  ``requested``, ``unique``, ``deduped``, ``cache_hits``, ``computed``,
-  and ``runs``.
+  (divide for the mean occupied-slot depth at chunk handoff).
 
 Metric keys are flat strings — ``name`` or ``name{k=v,...}`` with labels
 sorted — so a snapshot is plain JSON and two snapshots merge by key.

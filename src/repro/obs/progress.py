@@ -4,8 +4,8 @@
 and manifests — a lightweight sampler that reads the process-wide
 :data:`~repro.obs.metrics.REGISTRY` on a timer and emits one human-readable
 line per interval (requests replayed, instantaneous req/s, streamed-replay
-ring occupancy, shard sweep status, and an ETA when a workload total is
-known).  It *only* reads the registry — the engines stay untouched, and
+ring occupancy, and an ETA when a workload total is known).  It *only*
+reads the registry — the engines stay untouched, and
 when observability is disabled every sample comes back empty and nothing
 is printed, preserving the off-by-default zero-cost contract.
 
@@ -118,13 +118,6 @@ class ProgressReporter:
             out["ring_occupancy"] = (
                 counters.get("pipeline.queue_depth_sum", 0) / depth_samples
             )
-        if counters.get("shard.runs", 0) or counters.get("shard.requested", 0):
-            out["shard"] = {
-                "runs": counters.get("shard.runs", 0),
-                "requested": _labelled_sum(counters, "shard.requested"),
-                "computed": counters.get("shard.computed", 0),
-                "cache_hits": counters.get("shard.cache_hits", 0),
-            }
         if self.total_requests and out["req_per_s"] > 0:
             remaining = self.total_requests - requests
             if remaining > 0:
@@ -150,13 +143,6 @@ class ProgressReporter:
             )
         if "ring_occupancy" in s:
             parts.append(f"ring {s['ring_occupancy']:.1f}")
-        shard = s.get("shard")
-        if shard:
-            parts.append(
-                f"shard {int(shard['runs'])} runs"
-                f" {int(shard['computed'])} computed"
-                f" {int(shard['cache_hits'])} hits"
-            )
         if "eta_s" in s:
             parts.append(f"eta {s['eta_s']:.0f}s")
         return " | ".join(parts)

@@ -29,7 +29,7 @@ from strategies import fault_configs, programs  # noqa: E402
 from repro.analysis.cycles import EstimationModel
 from repro.disksim.params import SubsystemParams
 from repro.disksim.simulator import simulate
-from repro.experiments.parallel import ReplayTask, SuiteExecutor
+from repro.experiments.parallel import SuiteExecutor, SuiteSpec
 from repro.experiments.schemes import SCHEME_NAMES, run_schemes, run_workload
 from repro.faults import FaultConfig, FaultRates
 from repro.layout.files import default_layout
@@ -135,39 +135,25 @@ def test_different_seed_different_draws(
     assert a.sub_errors != b.sub_errors
 
 
-def test_same_seed_same_result_across_processes(
-    phase_program, phase_layout
-):
-    """The parallel replay path (worker processes) must reproduce the
-    in-process faulted result exactly: every fault event is a pure
-    function of (seed, kind, index), never of process state."""
-    trace = generate_trace(phase_program, phase_layout, TraceOptions())
-    params = SubsystemParams(num_disks=4)
+def test_same_seed_same_result_across_processes():
+    """The worker-process path must reproduce the in-process faulted
+    suite exactly: every fault event is a pure function of (seed, kind,
+    index), never of process state."""
     faults = _faulty_config()
-    ref = {
-        scheme: simulate_scheme(trace, params, scheme, faults)
-        for scheme in ("TPM", "DRPM")
-    }
-    tasks = [
-        ReplayTask(scheme=s, trace=trace, params=params, faults=faults)
-        for s in ("TPM", "DRPM")
+    params = SubsystemParams(num_disks=4)
+    schemes = ("Base", "TPM", "DRPM", "IDRPM")
+    names = ("wupwise", "mgrid")
+    specs = [
+        SuiteSpec(name, params=params, schemes=schemes, faults=faults)
+        for name in names
     ]
+    serial = SuiteExecutor(jobs=1).run_suites(specs)
     executor = SuiteExecutor(jobs=2, clamp_to_cpus=False)
     assert not executor.serial
-    for task, result in zip(tasks, executor.run_replays(tasks)):
-        _assert_results_identical(result, ref[task.scheme])
-
-
-def simulate_scheme(trace, params, scheme, faults):
-    from repro.controllers.drpm import ReactiveDRPM
-    from repro.controllers.tpm import ReactiveTPM
-
-    ctrl = (
-        ReactiveTPM(params.effective_tpm_threshold_s)
-        if scheme == "TPM"
-        else ReactiveDRPM(params.drpm)
-    )
-    return simulate(trace, params, ctrl, faults=faults)
+    pooled = executor.run_suites(specs)
+    for ref, got in zip(serial, pooled):
+        assert sum(d.num_request_errors for d in ref.base.disk_stats) > 0
+        _assert_suites_identical(ref, got)
 
 
 # --------------------------------------------------------------------- #

@@ -1,22 +1,23 @@
 """Parallel engine: jobs resolution, CPU clamp, serial equivalence.
 
-The equivalence tests force real worker processes (``clamp_to_cpus=False``)
-so they exercise the pool machinery even on a single-core machine.
+The equivalence tests force real worker processes (``clamp_to_cpus=False``,
+or a patched ``available_cpus`` for context-driven runs) so they exercise
+the pool machinery even on a single-core machine.
 """
 
 import pytest
 
-from repro.analysis.cycles import EstimationModel
+from repro.cache import ResultCache
 from repro.disksim.params import SubsystemParams
 from repro.experiments.parallel import (
-    ReplayTask,
     SuiteExecutor,
     SuiteSpec,
     _cgroup_quota_cpus,
     available_cpus,
     resolve_jobs,
 )
-from repro.experiments.schemes import SCHEME_NAMES, run_schemes, run_workload
+from repro.experiments.runner import ExperimentContext
+from repro.experiments.schemes import SCHEME_NAMES, run_workload
 from repro.util.errors import ReproError
 from repro.workloads.registry import build_workload
 
@@ -113,54 +114,39 @@ class TestEquivalence:
             for scheme in SCHEME_NAMES:
                 assert_results_identical(ser.results[scheme], par.results[scheme])
 
-    def test_replay_grain_matches_serial(
-        self, phase_program, phase_layout, small_trace_options,
-        assert_results_identical,
-    ):
-        """Within one suite, parallel non-Base replays equal serial ones."""
-        params = SubsystemParams(num_disks=4)
-        est = EstimationModel(relative_error=0.05)
-        serial = run_schemes(
-            phase_program, phase_layout, params, small_trace_options, est
-        )
-        ex = SuiteExecutor(jobs=2, clamp_to_cpus=False)
-        parallel = run_schemes(
-            phase_program,
-            phase_layout,
-            params,
-            small_trace_options,
-            est,
-            executor=ex,
-        )
-        for scheme in SCHEME_NAMES:
-            assert_results_identical(
-                serial.results[scheme], parallel.results[scheme]
-            )
-
     def test_results_keep_submission_order(self):
+        """Results come back in spec order, whatever order the workers
+        finish in."""
         ex = SuiteExecutor(jobs=2, clamp_to_cpus=False)
-        tasks = [
-            ReplayTask(
-                scheme="DRPM",
-                trace=trace,
-                params=SubsystemParams(num_disks=trace.layout.num_disks),
-            )
-            for trace in self._two_traces()
+        small = SubsystemParams(num_disks=4)
+        specs = [
+            SuiteSpec(name, params=small, schemes=("Base", "DRPM"), key=(i,))
+            for i, name in enumerate(reversed(WORKLOADS))
         ]
-        out = ex.run_replays(tasks)
-        assert [r.program_name for r in out] == [
-            t.trace.program_name for t in tasks
-        ]
+        out = ex.run_suites(specs)
+        assert [s.program_name for s in out] == [s.workload for s in specs]
+        assert [set(s.results) for s in out] == [{"Base", "DRPM"}] * 2
 
-    @staticmethod
-    def _two_traces():
-        from repro.trace.generator import generate_trace
 
+class TestContextPool:
+    """``ExperimentContext`` drives the pool through ``prefetch``; the
+    2-worker context patches ``available_cpus`` so the pool really runs on
+    a single-core host."""
+
+    def test_pooled_prefetch_fills_shared_cache(self, tmp_path, monkeypatch):
+        """Workers write every suite they compute into the shared
+        persistent cache: a fresh serial context then misses nothing."""
+        root = tmp_path / "cache"
+        monkeypatch.setattr(
+            "repro.experiments.parallel.available_cpus", lambda: 2
+        )
+        pooled = ExperimentContext(jobs=2, cache=ResultCache(root))
+        assert pooled.executor.jobs == 2
+        pooled.prefetch_defaults(WORKLOADS)
+
+        fresh = ExperimentContext(jobs=1, cache=ResultCache(root))
         for name in WORKLOADS:
-            wl = build_workload(name)
-            from repro.layout.files import default_layout
-
-            layout = default_layout(
-                wl.program.arrays, num_disks=SubsystemParams().num_disks
-            )
-            yield generate_trace(wl.program, layout, wl.trace_options)
+            fresh.suite(name)
+        stats = fresh.cache_stats()
+        assert stats["misses"] == 0
+        assert stats["hits"] > 0

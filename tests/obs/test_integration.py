@@ -9,11 +9,14 @@ stdout byte-identical to a no-flag run.
 
 from __future__ import annotations
 
+import os
+
 from repro import obs
 from repro.analysis.cycles import EstimationModel
 from repro.disksim.params import SubsystemParams
 from repro.disksim.simulator import AUTO_MIN_REQUESTS
 from repro.experiments import cli
+from repro.experiments.parallel import available_cpus
 from repro.experiments.schemes import SCHEME_NAMES, run_schemes
 from repro.obs.export import load_and_validate as load_trace
 from repro.obs.export import span_names
@@ -138,3 +141,25 @@ def test_cli_obs_manifest_captures_suite_metrics(tmp_path, capsys):
     assert routing["auto_vector_min_requests"] > 0
     assert routing["drpm_vector_min_window"] > 0
     assert manifest["engine"]["replays_segmented"] > 0
+
+
+def test_cli_obs_manifest_records_effective_jobs(tmp_path, capsys):
+    """``--jobs 0`` means one worker per CPU: the manifest records the
+    worker count that ran (after the CPU clamp), not the raw argument."""
+    manifest_path = tmp_path / "m.json"
+    rc = cli.main(
+        [
+            "--no-cache",
+            "--jobs",
+            "0",
+            "--obs",
+            "--manifest-out",
+            str(manifest_path),
+            "table1",
+        ]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    jobs = load_manifest(manifest_path)["config"]["jobs"]
+    assert isinstance(jobs, int) and jobs >= 1
+    assert jobs == min(os.cpu_count() or 1, available_cpus())

@@ -45,26 +45,18 @@ def test_sample_combines_completed_and_in_flight_requests():
     assert s2["req_per_s"] == 0.0
 
 
-def test_sample_surfaces_ring_and_shard_status():
+def test_sample_surfaces_ring_status():
     obs.enable()
     obs.metrics.inc("pipeline.queue_depth_sum", 30)
     obs.metrics.inc("pipeline.queue_depth_samples", 10)
-    obs.metrics.inc("shard.runs")
-    obs.metrics.inc("shard.requested", 14)
-    obs.metrics.inc("shard.computed", 5)
-    obs.metrics.inc("shard.cache_hits", 9)
     obs.metrics.inc("progress.chunks", 4)
     obs.metrics.set_gauge("progress.sim_time_s", 12.5)
     s = ProgressReporter(clock=_Clock()).sample()
     assert s["ring_occupancy"] == 3.0
-    assert s["shard"] == {
-        "runs": 1, "requested": 14, "computed": 5, "cache_hits": 9,
-    }
     assert s["stream"]["chunks"] == 4
     assert s["stream"]["sim_time_s"] == 12.5
     line = ProgressReporter.format_line(s)
     assert "ring 3.0" in line
-    assert "shard 1 runs 5 computed 9 hits" in line
     assert "stream 4 chunks" in line
 
 

@@ -35,8 +35,7 @@ the 256-disk segmented speedup staying above
 are tens of milliseconds and CI neighbours are noisy — a genuine
 regression is persistent, a noise burst is not).  It also gates the
 pipelined replay's bit-identity (its speedup only where ``available_cpus()
->= 2``) and runs a 2-worker sharded sweep whose merged suites must equal a
-serial run with every unique shard computed exactly once.
+>= 2``).
 """
 from __future__ import annotations
 
@@ -334,8 +333,6 @@ def run_smoke(baseline_path: Path, attempts: int = 3) -> int:
         failed = True
     if not _smoke_pipeline(gate_disks, smoke_requests):
         failed = True
-    if not _smoke_shard():
-        failed = True
     if failed:
         return 1
     print("smoke ok")
@@ -377,62 +374,13 @@ def _smoke_pipeline(num_disks: int, num_requests: int) -> bool:
     return ok
 
 
-def _smoke_shard() -> bool:
-    """Sharded sweep smoke: a 2-worker sharded run must merge bit-identical
-    to the serial suites, computing each unique shard exactly once."""
-    import tempfile
-
-    from repro.experiments.parallel import SuiteSpec
-    from repro.experiments.runner import ExperimentContext
-    from repro.experiments.shard import ShardScheduler
-    from repro.cache import ResultCache
-
-    workload = "swim"
-    with tempfile.TemporaryDirectory(prefix="repro-shard-smoke-") as td:
-        serial = ExperimentContext(cache=ResultCache(td + "/serial"))
-        want = serial.suite(workload)
-        # Two workers regardless of this machine's core count (the pool
-        # machinery is what's under test), plus a duplicate spec that must
-        # collapse via dedupe rather than recompute.
-        sched = ShardScheduler(
-            jobs=2, cache_root=td + "/sharded", clamp_to_cpus=False
-        )
-        specs = [SuiteSpec(workload), SuiteSpec(workload, key=("dup",))]
-        got, got_dup = sched.run(specs)
-        stats = sched.stats
-        identical = all(
-            want.results[s] == got.results[s] for s in want.results
-        ) and list(want.results) == list(got.results)
-        dup_identical = all(
-            got.results[s] == got_dup.results[s] for s in got.results
-        )
-        print(
-            f"  shard: {workload} x2 specs, 2 workers: "
-            f"requested={stats.requested} unique={stats.unique} "
-            f"deduped={stats.deduped} computed={stats.computed} "
-            f"identical={identical}"
-        )
-        ok = True
-        if not identical or not dup_identical:
-            print("SMOKE FAIL: sharded merge diverges from serial suites")
-            ok = False
-        if stats.computed != stats.unique or stats.deduped == 0:
-            print(
-                "SMOKE FAIL: shard dedupe broken "
-                f"(unique={stats.unique}, computed={stats.computed}, "
-                f"deduped={stats.deduped})"
-            )
-            ok = False
-    return ok
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke",
         action="store_true",
         help="quick CI mode: 25k-request column, identity + speedup gates, "
-        "pipelined bit-identity, 2-worker sharded-sweep merge",
+        "pipelined bit-identity",
     )
     parser.add_argument(
         "--pipeline",
