@@ -42,8 +42,7 @@ Two replay engines produce bit-identical results:
   engine-independent: the mirror edits and scalar accruals emit the same
   :class:`~repro.disksim.timeline.Segment` stream the stepwise recorder
   produces, bit for bit (recording disables only the fused vector
-  accounting and the columnar directive batch, which have no
-  per-interval structure to emit).
+  accounting, which has no per-interval structure to emit).
 
 Within a quiescent segment the synchronous model guarantees every
 sub-request starts exactly at its issue time: the app blocks until the
@@ -98,7 +97,6 @@ __all__ = [
     "VECTOR_MIN_SUBREQUESTS_PM",
     "DRPM_VECTOR_MIN_WINDOW",
     "AUTO_VECTOR_MIN_REQUESTS",
-    "AUTO_MIN_REQUESTS",
     "AUTO_ROUTING",
 ]
 
@@ -155,39 +153,25 @@ AUTO_VECTOR_MIN_REQUESTS = 8192
 #: driver drains and re-probes for a vector window instead.
 DEFER_WINDOW_REQUESTS = 128
 
-#: Minimum run length for the columnar directive batch-apply: consecutive
-#: SET_RPM directives on distinct plain disks with no intervening request
-#: collapse into one precomputed pass over the DiskArray columns.  Below
-#: this the per-run precheck costs more than the per-call dispatch saves.
-DIRECTIVE_BATCH_MIN = 8
-
 #: Disk-count floor for the columnar (NumPy) whole-array driver scans —
 #: the reactive-TPM fire bound over the DiskArray columns.  Below it the
 #: per-disk Python loop is faster than array construction.
 _WIDE_DISKS = 32
 
-#: Minimum stream length (in requests) for the segmented engine under
-#: ``engine="auto"``: below this the mirror/kernel setup costs more than
-#: the whole stepwise replay.  Measured crossover on this container — see
-#: ``AUTO_ROUTING`` (recorded in run manifests) and docs/performance.md.
-AUTO_MIN_REQUESTS = 48
-
-#: The ``auto`` routing rule in manifest-ready form.  Since directives
-#: became boundary edits the only remaining engine-level crossover is
-#: stream length; the in-kernel vector/scalar crossovers (measured on this
-#: container, see docs/performance.md) ride along so a run manifest
-#: records the full routing policy that produced its numbers.
+#: The ``auto`` routing rule in manifest-ready form.  Directives are
+#: boundary edits, so no engine-level crossover remains: ``auto`` is
+#: segmented unless a reactive controller observes every sub-request.
+#: The in-kernel vector/scalar crossovers (see docs/performance.md) ride
+#: along so a run manifest records the full routing policy that produced
+#: its numbers.
 AUTO_ROUTING: dict = {
-    "rule": "segmented if num_requests >= min_requests",
-    "min_requests": AUTO_MIN_REQUESTS,
-    "directive_density_cutoff": None,
+    "rule": "segmented unless the controller is reactive",
     "vector_min_requests": VECTOR_MIN_REQUESTS,
     "vector_min_subrequests": VECTOR_MIN_SUBREQUESTS,
     "vector_min_subrequests_pm": VECTOR_MIN_SUBREQUESTS_PM,
     "auto_vector_min_requests": AUTO_VECTOR_MIN_REQUESTS,
     "drpm_vector_min_window": DRPM_VECTOR_MIN_WINDOW,
     "defer_window_requests": DEFER_WINDOW_REQUESTS,
-    "directive_batch_min": DIRECTIVE_BATCH_MIN,
 }
 
 #: Engine observability: how much of the replay ran on which path.
@@ -230,7 +214,6 @@ def reset_replay_coverage() -> None:
         subrequests_stepwise=0,
         bailouts=0,
         directive_edits=0,
-        directive_batch_calls=0,
         directive_mid_service=0,
         windows_scalar_short_run=0,
         fallback_transition_entangled=0,
@@ -1211,7 +1194,6 @@ def _replay_segmented(
     subs_step_c = 0
     short_run_c = 0
     dir_edits_c = 0
-    batch_c = 0
     collect = collect_busy_intervals
     counting = rpm_counts is not None
     delay = delay0
@@ -2017,97 +1999,6 @@ def _replay_segmented(
             ri = k
 
         if di < num_dir_records:
-            # Columnar directive batch-apply: a run of consecutive SET_RPM
-            # directives due before the next request, targeting *distinct*
-            # plain mirrored disks (no auto policy, not hot), reduces to
-            # independent boundary edits — the per-call ``_edit`` dispatch,
-            # entanglement checks, and driver round trip all collapse into
-            # one precomputed pass over the DiskArray columns.  The
-            # executed-time prefix ``nominal_i + (delay + Σ overheads)`` is
-            # an ``np.add.accumulate`` left fold, bit-equal to the scalar
-            # ``delay +=`` chain (zero overheads add +0.0, a bitwise no-op
-            # on the non-negative delay).
-            if (
-                num_timed == 0
-                and not mirrors_stale
-                and not recording
-                and num_dir_records - di >= DIRECTIVE_BATCH_MIN
-            ):
-                limit = req_times[ri] if ri < n else inf
-                dj = di
-                seen = 0
-                while dj < num_dir_records:
-                    r2 = directives[dj]
-                    if r2.nominal_time_s > limit:
-                        break
-                    c2 = r2.call
-                    dk2 = c2.disk
-                    if (
-                        c2.action is not PowerAction.SET_RPM
-                        or c2.rpm not in level_row
-                        or not 0 <= dk2 < num_disks
-                    ):
-                        break
-                    b2 = 1 << dk2
-                    if (
-                        seen & b2
-                        or hot & b2
-                        or not m_valid[dk2]
-                        or m_thr[dk2] is not None
-                    ):
-                        break
-                    seen |= b2
-                    dj += 1
-                nrun = dj - di
-                if nrun >= DIRECTIVE_BATCH_MIN:
-                    run = directives[di:dj]
-                    acc = np.empty(nrun + 1, dtype=np.float64)
-                    acc[0] = delay
-                    if open_loop:
-                        # Overheads never shift the frozen open-loop delay;
-                        # +0.0 keeps the prefix bit-equal to ``delay``.
-                        acc[1:] = 0.0
-                    else:
-                        acc[1:] = [r2.call.overhead_cycles for r2 in run]
-                        acc[1:] /= _CLOCK_HZ
-                    np.add.accumulate(acc, out=acc)
-                    accl = acc.tolist()
-                    for i in range(nrun):
-                        r2 = run[i]
-                        dk2 = r2.call.disk
-                        t = r2.nominal_time_s + accl[i]
-                        c = m_cur[dk2]
-                        if t < c:
-                            if not open_loop and t < c - 1e-9:
-                                raise SimulationError(
-                                    f"disk {dk2}: advance to {t} precedes "
-                                    f"cursor {c}"
-                                )
-                            cov["directive_mid_service"] += 1
-                            t = c
-                        elif t > c:
-                            dur = t - c
-                            m_idle_t[dk2] += dur
-                            m_idle_e[dk2] += dur * m_iw[dk2]
-                            m_brpm[dk2] += dur
-                            m_anyidle[dk2] = True
-                            m_cur[dk2] = t
-                        m_dirty[dk2] = True
-                        tgt2 = r2.call.rpm
-                        if tgt2 != m_rpm[dk2]:
-                            dur_pw = tr_pair[(m_rpm[dk2], tgt2)]
-                            stats_l[dk2].num_rpm_shifts += 1
-                            _begin(
-                                dk2, t, dur_pw[0], dur_pw[1], "rpm_shift",
-                                tgt2, False,
-                            )
-                    delay = accl[nrun]
-                    hot = da.hot
-                    num_directives += nrun
-                    dir_edits_c += nrun
-                    batch_c += nrun
-                    di = dj
-                    continue
             rec = directives[di]
             di += 1
             t_exec = rec.nominal_time_s + delay
@@ -2159,7 +2050,6 @@ def _replay_segmented(
     cov["subrequests_stepwise"] += subs_step_c
     cov["windows_scalar_short_run"] += short_run_c
     cov["directive_edits"] += dir_edits_c
-    cov["directive_batch_calls"] += batch_c
     return num_directives, end_time, delay, timed_idx
 
 
@@ -2240,7 +2130,6 @@ def simulate(
     plan: ReplayPlan | None = None,
     engine: str = "auto",
     faults=None,
-    pipeline: bool = False,
     open_loop: bool = False,
 ) -> SimulationResult:
     """Replay ``trace`` under ``params`` with an optional controller.
@@ -2274,12 +2163,6 @@ def simulate(
       of a whole-trace replay plan;
     * no caller-supplied ``plan`` — plans are per chunk by construction.
 
-    Conversely ``pipeline=True`` requires a stream: it moves chunk
-    production into a forked producer process feeding a bounded
-    shared-memory ring (:func:`repro.trace.ring.pipelined_chunks`),
-    overlapping trace generation with replay; results are bit-identical
-    to the single-process streamed replay.
-
     ``open_loop=True`` issues every request at its recorded trace arrival
     time instead of the closed-loop compute/IO feedback timeline: the
     accumulated delay stays zero, responses and directive overheads never
@@ -2289,7 +2172,7 @@ def simulate(
     (``repro.trace.ingest``), whose arrival times were recorded on a real
     system.  Execution time extends to the last request completion when
     that outlives the trace's nominal span.  Both engines, whole or
-    streamed, pipelined or not, replay open-loop bit-identically.
+    streamed, replay open-loop bit-identically.
 
     ``faults`` optionally supplies a :class:`~repro.faults.FaultConfig`;
     the regime is materialized into a :class:`~repro.faults.FaultPlan`
@@ -2319,19 +2202,14 @@ def simulate(
     back to stepwise replay for reactive controllers whose per-completion
     hooks observe every sub-request (``reactive-controller``; reactive
     DRPM runs in-kernel, and reactive TPM's autonomous spin-down is an
-    exact per-serve due check).  ``"auto"`` also replays whole traces
-    shorter than :data:`AUTO_MIN_REQUESTS` stepwise (``tiny-replay``).
+    exact per-serve due check).  ``"auto"`` therefore means segmented
+    unless the controller is reactive.
 
     No fallback is silent: each forced routing is logged (DEBUG) with its
     reason and recorded in ``SimulationResult.engine`` /
     ``SimulationResult.engine_forced``.
     """
     streamed = isinstance(trace, TraceStream)
-    if pipeline and not streamed:
-        raise SimulationError(
-            "pipeline=True requires a TraceStream: a whole-trace replay "
-            "has no chunk production to overlap"
-        )
     if engine not in ("auto", "stepwise", "segmented"):
         raise SimulationError(f"unknown replay engine {engine!r}")
     if streamed:
@@ -2438,26 +2316,6 @@ def simulate(
                 "completions; routing to the stepwise reference loop",
                 trace.program_name, ctrl.name, type(ctrl).__name__,
             )
-    if (
-        segmented
-        and engine == "auto"
-        and not streamed
-        and plan.num_requests < AUTO_MIN_REQUESTS
-    ):
-        # Directives are boundary edits now, so density no longer matters;
-        # the only remaining crossover is stream length — on tiny replays
-        # the mirror/table setup exceeds the whole stepwise loop.  A
-        # stream's length is unknown up front (and per-chunk setup
-        # amortizes over it), so the rule is whole-trace only.  It is
-        # recorded in ``AUTO_ROUTING`` (and run manifests).
-        segmented = False
-        forced = "tiny-replay"
-        logger.debug(
-            "%s/%s: tiny stream (%d requests < %d); stepwise loop is "
-            "faster than mirror setup",
-            trace.program_name, ctrl.name,
-            plan.num_requests, AUTO_MIN_REQUESTS,
-        )
     engine_used = "segmented" if segmented else "stepwise"
 
     observing = obs.enabled()
@@ -2486,7 +2344,6 @@ def simulate(
     num_directives = 0
     num_requests = 0
     num_chunks = 0
-    pipe_stats: dict | None = None
     REPLAY_COVERAGE["replays_segmented" if segmented else "replays_stepwise"] += 1
 
     with obs.span(
@@ -2502,14 +2359,6 @@ def simulate(
             sp.set(fault_seed=faults.seed)
         if not streamed:
             chunks = ((plan, directives, True),)
-        elif pipeline:
-            from ..trace.ring import pipelined_chunks
-
-            sp.set(pipelined=True)
-            pipe_stats = {}
-            chunks = _stream_chunks(
-                layout, directives, pipelined_chunks(trace, stats=pipe_stats)
-            )
         else:
             chunks = _stream_chunks(layout, directives, trace.iter_chunks())
         for plan_c, dirs_c, final in chunks:
@@ -2625,30 +2474,6 @@ def simulate(
             ):
                 if total:
                     _metrics.inc(metric, total, scheme=ctrl.name)
-        if pipe_stats:
-            # Ring transport counters: stall seconds on both sides of the
-            # shared-memory ring plus average occupancy — the numbers that
-            # say whether the pipeline overlapped or just queued.
-            _metrics.inc("pipeline.replays")
-            _metrics.inc("pipeline.chunks", pipe_stats.get("chunks", 0))
-            _metrics.inc("pipeline.splits", pipe_stats.get("splits", 0))
-            _metrics.inc(
-                "pipeline.producer_stall_s",
-                pipe_stats.get("producer_stall_s", 0.0),
-            )
-            _metrics.inc(
-                "pipeline.consumer_stall_s",
-                pipe_stats.get("consumer_stall_s", 0.0),
-            )
-            samples = pipe_stats.get("queue_depth_samples", 0)
-            _metrics.inc("pipeline.queue_depth_sum",
-                         pipe_stats.get("queue_depth_sum", 0))
-            _metrics.inc("pipeline.queue_depth_samples", samples)
-            if samples:
-                _metrics.set_gauge(
-                    "pipeline.queue_depth_avg",
-                    round(pipe_stats["queue_depth_sum"] / samples, 3),
-                )
 
     if open_loop:
         # With no delay feedback the nominal span can end before the last

@@ -102,8 +102,7 @@ class SimulationResult:
     #: results still compare equal (``""`` on results from older caches).
     engine: str = field(default="", compare=False)
     #: Why the replay was routed away from the requested/auto engine
-    #: (``"reactive-controller"`` or ``"tiny-replay"``; empty when nothing
-    #: was forced).
+    #: (``"reactive-controller"``; empty when nothing was forced).
     engine_forced: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:

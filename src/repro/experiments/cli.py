@@ -22,7 +22,7 @@ trace-event JSON (loadable in Perfetto / ``chrome://tracing``) — including
 per-disk power-state timeline tracks from a representative replay, whose
 decision-attribution ledger (conservation-verified) lands in the run
 manifest — and implies ``--obs``.  ``--progress [SECS]`` streams live
-progress lines (requests replayed, req/s, ring occupancy, ETA) to
+progress lines (requests replayed, req/s, streamed chunks, ETA) to
 stderr.  ``-v``/``-vv`` raise the ``repro`` logger to INFO/DEBUG on
 stderr.  Reports always go to **stdout**; every diagnostic line (cache
 summary, manifest path) goes to **stderr**, keeping rendered artifacts
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECS",
         help="stream live progress lines to stderr every SECS seconds "
-        "(default 2): requests replayed, req/s, ring occupancy, ETA; "
+        "(default 2): requests replayed, req/s, streamed chunks, ETA; "
         "implies --obs",
     )
     parser.add_argument(
@@ -345,36 +345,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     cache_stats = ctx.cache_stats()
     if cache_stats is not None:
         print(ctx.result_cache.summary(), file=sys.stderr)
-    _print_pipeline_counters()
 
     if observing:
         _write_obs_artifacts(args, ids, ctx, phases, total_wall_s, cache_stats)
     return 0
-
-
-def _print_pipeline_counters() -> None:
-    """Satellite: one stderr line of streamed-pipeline counters, next to
-    the cache hit/miss summary.
-
-    The counters only exist in the metrics registry, so the line appears
-    when observability recorded a pipelined replay.
-    """
-    replays = obs.metrics.counter("pipeline.replays")
-    if replays:
-        chunks = obs.metrics.counter("pipeline.chunks")
-        samples = obs.metrics.counter("pipeline.queue_depth_samples")
-        depth = (
-            obs.metrics.counter("pipeline.queue_depth_sum") / samples
-            if samples
-            else 0.0
-        )
-        print(
-            f"pipeline: {replays:.0f} streamed replays, {chunks:.0f} chunks, "
-            f"ring depth {depth:.1f}, stalls "
-            f"{obs.metrics.counter('pipeline.producer_stall_s'):.2f}s prod / "
-            f"{obs.metrics.counter('pipeline.consumer_stall_s'):.2f}s cons",
-            file=sys.stderr,
-        )
 
 
 def _timeline_artifacts(ctx: ExperimentContext) -> tuple[list[dict], dict]:

@@ -13,12 +13,7 @@ engine all register measurements here:
 * ``trace.cache_hits`` / ``trace.cache_misses`` — buffer-cache behaviour
   during trace generation (hit ratio = hits / (hits + misses));
 * ``sim.replay_wall_s{scheme=...}`` — per-scheme replay latency
-  histograms;
-* ``pipeline.*`` — pipelined streamed replays through the shared-memory
-  ring (``repro.trace.ring``): ``replays``, ``chunks``, ``splits``,
-  ``producer_stall_s`` / ``consumer_stall_s`` (seconds each side spent
-  blocked on the ring), and ``queue_depth`` / ``queue_depth_samples``
-  (divide for the mean occupied-slot depth at chunk handoff).
+  histograms.
 
 Metric keys are flat strings — ``name`` or ``name{k=v,...}`` with labels
 sorted — so a snapshot is plain JSON and two snapshots merge by key.

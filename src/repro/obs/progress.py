@@ -4,7 +4,7 @@
 and manifests — a lightweight sampler that reads the process-wide
 :data:`~repro.obs.metrics.REGISTRY` on a timer and emits one human-readable
 line per interval (requests replayed, instantaneous req/s, streamed-replay
-ring occupancy, and an ETA when a workload total is known).  It *only*
+chunk progress, and an ETA when a workload total is known).  It *only*
 reads the registry — the engines stay untouched, and
 when observability is disabled every sample comes back empty and nothing
 is printed, preserving the off-by-default zero-cost contract.
@@ -113,11 +113,6 @@ class ProgressReporter:
                 "in_flight": in_flight,
                 "sim_time_s": gauges.get("progress.sim_time_s", 0.0),
             }
-        depth_samples = counters.get("pipeline.queue_depth_samples", 0)
-        if depth_samples:
-            out["ring_occupancy"] = (
-                counters.get("pipeline.queue_depth_sum", 0) / depth_samples
-            )
         if self.total_requests and out["req_per_s"] > 0:
             remaining = self.total_requests - requests
             if remaining > 0:
@@ -141,8 +136,6 @@ class ProgressReporter:
                 f"stream {int(stream['chunks'])} chunks"
                 f" @ t={stream['sim_time_s']:.1f}s"
             )
-        if "ring_occupancy" in s:
-            parts.append(f"ring {s['ring_occupancy']:.1f}")
         if "eta_s" in s:
             parts.append(f"eta {s['eta_s']:.0f}s")
         return " | ".join(parts)

@@ -586,7 +586,6 @@ def stream_trace(
         total_compute_s=timing.total_seconds,
         chunks=chunks,
         directives=(),
-        chunk_requests=chunk_requests,
     )
 
 

@@ -6,7 +6,7 @@ real desktop/server disk produces — and normalizes them into the exact
 columnar representation (:class:`~repro.trace.request.RequestColumns` /
 :class:`~repro.trace.request.Trace`) the replay engines already consume, so
 every downstream path (both engines, the streamed bounded-memory replay,
-the pipelined ring, caching, observability) works unchanged.
+caching, observability) works unchanged.
 
 Two on-disk formats are supported:
 
@@ -602,8 +602,7 @@ def stream_ingest(
     pass, which spills its records in the binary layout to an anonymous
     temporary file.  Each :meth:`~repro.trace.stream.TraceStream.iter_chunks`
     pass then reads binary blocks of ``chunk_requests`` records, so peak
-    memory stays bounded regardless of trace size and the stream composes
-    with the pipelined shared-memory ring unchanged.  The chunked and
+    memory stays bounded regardless of trace size.  The chunked and
     whole-file readers produce identical request columns for any valid
     input (enforced by the ingest property tests).
     """
@@ -642,7 +641,6 @@ def stream_ingest(
             chunk_requests,
         ),
         directives=(),
-        chunk_requests=chunk_requests,
     )
 
 

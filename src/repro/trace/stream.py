@@ -43,7 +43,6 @@ class TraceStream:
         "layout",
         "directives",
         "total_compute_s",
-        "chunk_requests",
         "_factory",
         "_once",
     )
@@ -55,14 +54,10 @@ class TraceStream:
         total_compute_s: float,
         chunks: Callable[[], Iterable[RequestColumns]] | Iterable[RequestColumns],
         directives: Sequence[DirectiveRecord] = (),
-        chunk_requests: int | None = None,
     ):
         self.program_name = program_name
         self.layout = layout
         self.total_compute_s = total_compute_s
-        #: Advisory chunk size (rows) of the factory's output, when known —
-        #: the pipelined transport sizes its shared-memory slots from it.
-        self.chunk_requests = chunk_requests
         if callable(chunks):
             self._factory: Callable[[], Iterable[RequestColumns]] | None = chunks
             self._once: Iterable[RequestColumns] | None = None
@@ -99,7 +94,6 @@ class TraceStream:
         out.program_name = self.program_name
         out.layout = self.layout
         out.total_compute_s = self.total_compute_s
-        out.chunk_requests = self.chunk_requests
         out._factory = self._factory
         out._once = self._once
         out.directives = ordered

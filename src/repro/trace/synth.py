@@ -188,7 +188,6 @@ def synth_stream(config: SynthConfig) -> TraceStream:
         total_compute_s=0.0,
         chunks=lambda: _chunks(config),
         directives=(),
-        chunk_requests=config.chunk_requests,
     )
 
 

@@ -226,5 +226,4 @@ def stream_trace_file(
         total_compute_s=total_compute_s,
         chunks=lambda: read_trace_chunks(path, layout, chunk_requests),
         directives=(),
-        chunk_requests=chunk_requests,
     )

@@ -3,10 +3,10 @@
 Open-loop mode (``simulate(..., open_loop=True)``) issues requests at
 their trace arrival times instead of compounding the closed-loop delay
 feedback.  Everything the closed-loop differential suites guarantee must
-hold here too: both engines (and auto's routing), whole and streamed and
-pipelined replays, ingested and synthetic and generated traces, clean and
-under seeded fault regimes, all produce bit-identical results — mirroring
-``test_stream_equivalence.py``.
+hold here too: both engines (and auto's routing), whole and streamed
+replays at any chunking, ingested and synthetic and generated traces,
+clean and under seeded fault regimes, all produce bit-identical results —
+mirroring ``test_stream_equivalence.py``.
 
 Also here: the acceptance-scale run — a 10⁶-request bursty synthetic
 stream replayed through every engine with identical ``DiskStats``.
@@ -32,6 +32,7 @@ from repro.layout.files import default_layout
 from repro.trace.generator import generate_trace, stream_trace
 from repro.trace.ingest import ingest_trace, stream_ingest
 from repro.trace.request import DirectiveRecord
+from repro.trace.stream import TraceStream
 from repro.trace.synth import SynthConfig, synth_stream, synth_trace
 
 ENGINES = ("stepwise", "segmented", "auto")
@@ -86,10 +87,6 @@ def test_ingested_fixture_streamed_matches_whole(chunk):
         assert res_s.execution_time_s == res_w[eng].execution_time_s
         assert res_s.disk_stats == res_w[eng].disk_stats
         assert res_s.num_requests == res_w[eng].num_requests
-        # A forked producer reads the same text trace's binary spill
-        # through the inherited descriptor.
-        piped = _replay(stream, params, "base", eng, pipeline=True)
-        assert piped == res_s
     assert res_w["stepwise"] == res_w["segmented"] == res_w["auto"]
 
 
@@ -116,16 +113,22 @@ def test_synth_engines_identical(config, data):
 
 @_SLOW_SETTINGS
 @given(config=synth_configs(max_requests=1500))
-def test_synth_pipelined_matches_unpipelined(config):
+def test_synth_rechunked_stream_matches(config):
+    """Re-splitting one open-loop request sequence into different chunks
+    replays bit-identically, response totals included."""
     params = SubsystemParams(num_disks=config.num_disks)
-    plain = simulate(
-        synth_stream(config), params, engine="segmented", open_loop=True
+    stream = synth_stream(config)
+    cols = synth_trace(config).columns
+    n = len(cols)
+    rechunked = TraceStream(
+        stream.program_name, stream.layout, stream.total_compute_s,
+        chunks=lambda: (
+            cols.slice(lo, min(lo + 97, n)) for lo in range(0, n, 97)
+        ),
     )
-    piped = simulate(
-        synth_stream(config), params, engine="segmented", open_loop=True,
-        pipeline=True,
-    )
-    assert plain == piped
+    plain = simulate(stream, params, engine="segmented", open_loop=True)
+    resplit = simulate(rechunked, params, engine="segmented", open_loop=True)
+    assert plain == resplit
 
 
 # --------------------------------------------------------------------- #
@@ -241,13 +244,9 @@ def test_million_request_bursty_stream_engines_identical():
         )
         for eng in ENGINES
     }
-    piped = simulate(
-        synth_stream(config), params, engine="auto", open_loop=True,
-        pipeline=True,
-    )
     ref = results["stepwise"]
     assert ref.num_requests == 1_000_000
-    for other in (results["segmented"], results["auto"], piped):
+    for other in (results["segmented"], results["auto"]):
         assert other.disk_stats == ref.disk_stats
         assert other.execution_time_s == ref.execution_time_s
         assert other.responses.count == ref.responses.count

@@ -18,7 +18,7 @@ from repro import obs
 from repro.controllers.drpm import ReactiveDRPM
 from repro.controllers.tpm import AdaptiveTPM
 from repro.disksim.params import SubsystemParams
-from repro.disksim.simulator import AUTO_MIN_REQUESTS, simulate
+from repro.disksim.simulator import simulate
 from repro.disksim.timeline import TimelineRecorder
 from repro.layout.files import FileEntry, SubsystemLayout
 from repro.layout.striping import Striping
@@ -26,7 +26,7 @@ from repro.trace.request import IORequest, Trace
 from repro.util.units import KB
 
 
-def _trace(num_disks=2, num_requests=AUTO_MIN_REQUESTS):
+def _trace(num_disks=2, num_requests=48):
     layout = SubsystemLayout(
         num_disks=num_disks,
         entries=(FileEntry("A", 1024 * KB, Striping(0, num_disks, 64 * KB), 0),),
@@ -49,16 +49,13 @@ def test_plain_run_reports_segmented_unforced(p):
     assert res.engine_forced == ""
 
 
-def test_auto_routes_tiny_replays_stepwise(p):
+def test_auto_routes_tiny_replays_segmented(p):
+    # No stream-length crossover: even a 2-request replay runs segmented
+    # under ``auto`` and matches the stepwise reference bit for bit.
     res = simulate(_trace(num_requests=2), p)
-    assert res.engine == "stepwise"
-    assert res.engine_forced == "tiny-replay"
-
-
-def test_explicit_segmented_overrides_tiny_replay_gate(p):
-    res = simulate(_trace(num_requests=2), p, engine="segmented")
     assert res.engine == "segmented"
     assert res.engine_forced == ""
+    assert res == simulate(_trace(num_requests=2), p, engine="stepwise")
 
 
 def test_explicit_stepwise_is_a_choice_not_a_fallback(p):

@@ -14,7 +14,7 @@ import os
 from repro import obs
 from repro.analysis.cycles import EstimationModel
 from repro.disksim.params import SubsystemParams
-from repro.disksim.simulator import AUTO_MIN_REQUESTS
+from repro.disksim.simulator import AUTO_ROUTING
 from repro.experiments import cli
 from repro.experiments.parallel import available_cpus
 from repro.experiments.schemes import SCHEME_NAMES, run_schemes
@@ -134,10 +134,10 @@ def test_cli_obs_manifest_captures_suite_metrics(tmp_path, capsys):
     assert any(k.startswith("sim.subrequests{rpm=") for k in counters)
     assert any(k.startswith("cache.misses") for k in counters)
     # The routing policy that produced these numbers rides along with the
-    # coverage counters: the engine-level crossover plus every in-kernel
-    # vector/scalar gate (AUTO_ROUTING, measured on this container).
+    # coverage counters: the engine-level rule plus every in-kernel
+    # vector/scalar gate (AUTO_ROUTING).
     routing = manifest["engine"]["routing"]
-    assert routing["min_requests"] == AUTO_MIN_REQUESTS
+    assert routing == AUTO_ROUTING
     assert routing["auto_vector_min_requests"] > 0
     assert routing["drpm_vector_min_window"] > 0
     assert manifest["engine"]["replays_segmented"] > 0

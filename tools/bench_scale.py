@@ -21,21 +21,12 @@ whether the two :class:`~repro.disksim.simulator.SimulationResult`\\ s are
 identical — the structure-of-arrays kernels are required to be bit-equal
 to the per-object path at every scale.
 
-Streamed-end-to-end cells additionally time the forked producer/consumer
-pipeline (``simulate(..., pipeline=True)``, :mod:`repro.trace.ring`) and
-record its bit-identity against the in-process segmented replay;
-``--pipeline`` extends that measurement to every cell.  Overlap speedup
-requires a second CPU — on a single-core box the pipeline is parity-bound
-and only identity is meaningful.
-
 ``--smoke`` is the CI quick mode: the 25k-request column only, gating on
 result identity, on the committed ``BENCH_scale.json``'s cell set, and on
 the 256-disk segmented speedup staying above
 :data:`SMOKE_MIN_SPEEDUP` (with re-measurement, since individual cells
 are tens of milliseconds and CI neighbours are noisy — a genuine
-regression is persistent, a noise burst is not).  It also gates the
-pipelined replay's bit-identity (its speedup only where ``available_cpus()
->= 2``).
+regression is persistent, a noise burst is not).
 """
 from __future__ import annotations
 
@@ -79,24 +70,15 @@ def bench_cell(
     num_disks: int,
     num_requests: int,
     repeats: int | None = None,
-    pipeline: bool | None = None,
 ) -> dict:
     """Measure one grid cell; returns the cell's JSON row.
 
     Engines are timed round-robin within each repeat (not all repeats of
     one engine back to back) so slow machine drift lands evenly across
     engines before the per-engine minimum is taken.
-
-    ``pipeline`` additionally times the segmented replay with the forked
-    producer pipeline (``simulate(..., pipeline=True)``) and records its
-    bit-identity against the in-process segmented result.  The default
-    (``None``) measures it on streamed-end-to-end cells only — those are
-    the cells whose chunk *production* is on the timed path and therefore
-    the ones the pipeline can overlap.
     """
     from repro.disksim.simulator import simulate
     from repro.experiments.scale import scale_cell
-    from repro.trace.ring import pipeline_available
     from repro.trace.stream import TraceStream
 
     if repeats is None:
@@ -110,17 +92,12 @@ def bench_cell(
             return TraceStream(
                 cell.program.name, cell.layout, 0.0,
                 chunks=lambda: iter(chunks),
-                chunk_requests=cell.chunk_requests,
             )
     else:
         stream = cell.stream
-    if pipeline is None:
-        pipeline = not replay_only
-    pipeline = pipeline and pipeline_available()
 
     results: dict[str, object] = {}
     best = {eng: float("inf") for eng in ENGINES}
-    best_pipe = float("inf")
     for _ in range(repeats):
         for eng in ENGINES:
             took = _time_us(
@@ -130,18 +107,6 @@ def bench_cell(
             )
             if took < best[eng]:
                 best[eng] = took
-        if pipeline:
-            took = _time_us(
-                lambda: results.__setitem__(
-                    "pipelined",
-                    simulate(
-                        stream(), cell.params, engine="segmented",
-                        pipeline=True,
-                    ),
-                )
-            )
-            if took < best_pipe:
-                best_pipe = took
 
     identical = results["stepwise"] == results["segmented"]
     row: dict[str, object] = {
@@ -161,16 +126,10 @@ def bench_cell(
     row["requests_per_s"] = rps
     row["disk_requests_per_s"] = drps
     row["speedup_segmented"] = round(best["stepwise"] / best["segmented"], 2)
-    if pipeline:
-        row["pipelined_s"] = best_pipe
-        row["pipeline_speedup"] = round(best["segmented"] / best_pipe, 2)
-        row["pipeline_identical"] = bool(
-            results["pipelined"] == results["segmented"]
-        )
     return row
 
 
-def collect_grid(disks=None, requests=None, pipeline: bool | None = None) -> dict:
+def collect_grid(disks=None, requests=None) -> dict:
     from repro.experiments.scale import SCALE_DISKS, SCALE_REQUESTS
 
     disks = list(disks if disks is not None else SCALE_DISKS)
@@ -178,30 +137,23 @@ def collect_grid(disks=None, requests=None, pipeline: bool | None = None) -> dic
     cells = []
     for nr in requests:
         for nd in disks:
-            row = bench_cell(nd, nr, pipeline=pipeline)
+            row = bench_cell(nd, nr)
             cells.append(row)
-            extra = ""
-            if "pipelined_s" in row:
-                extra = (
-                    f", pipelined {row['pipelined_s']:.3f}s "
-                    f"({row['pipeline_speedup']}x, "
-                    f"pipeline_identical={row['pipeline_identical']})"
-                )
             print(
                 f"  {nd:4d} disks x {nr:>10,} requests [{row['mode']}]: "
                 f"stepwise {row['stepwise_s']:.3f}s -> "
                 f"segmented {row['segmented_s']:.3f}s "
                 f"({row['speedup_segmented']}x, "
                 f"{row['requests_per_s']['segmented']:,} req/s, "
-                f"identical={row['identical']})" + extra
+                f"identical={row['identical']})"
             )
     return {"disks": disks, "requests": requests, "cells": cells}
 
 
-def write_report(path: str | Path, pipeline: bool | None = None) -> dict:
+def write_report(path: str | Path) -> dict:
     from repro.experiments.parallel import available_cpus
 
-    grid = collect_grid(pipeline=pipeline)
+    grid = collect_grid()
     payload = {
         "schema": 1,
         "bench": "streamed replay throughput across (disks x requests) "
@@ -220,13 +172,7 @@ def write_report(path: str | Path, pipeline: bool | None = None) -> dict:
             "requests), so their throughput includes chunked trace "
             "generation.  'identical' asserts the segmented "
             "(structure-of-arrays) result equals the stepwise "
-            "(per-object) result bit for bit at that scale.  "
-            "streamed-end-to-end cells also time the forked "
-            "producer/consumer pipeline (simulate(pipeline=True)); "
-            "'pipeline_identical' asserts its result equals the in-process "
-            "segmented replay bit for bit.  pipeline_speedup > 1 needs a "
-            "second CPU (see machine.cpus): with one, the pipeline is "
-            "parity-bound — correctness holds, overlap cannot."
+            "(per-object) result bit for bit at that scale."
         ),
         "results": grid,
     }
@@ -271,19 +217,6 @@ def run_smoke(baseline_path: Path, attempts: int = 3) -> int:
             print(
                 f"SMOKE FAIL: committed {baseline_path.name} records "
                 f"non-identical engine results at {sorted(not_identical)}"
-            )
-            failed = True
-        pipe_bad = [
-            k
-            for k, c in committed.items()
-            if c.get("mode") == "streamed-end-to-end"
-            and not c.get("pipeline_identical")
-        ]
-        if pipe_bad:
-            print(
-                f"SMOKE FAIL: committed {baseline_path.name} "
-                f"streamed-end-to-end cells lack pipeline_identical=True "
-                f"at {sorted(pipe_bad)}"
             )
             failed = True
 
@@ -331,47 +264,10 @@ def run_smoke(baseline_path: Path, attempts: int = 3) -> int:
             f"{gate_disks} disks"
         )
         failed = True
-    if not _smoke_pipeline(gate_disks, smoke_requests):
-        failed = True
     if failed:
         return 1
     print("smoke ok")
     return 0
-
-
-def _smoke_pipeline(num_disks: int, num_requests: int) -> bool:
-    """Pipelined replay smoke: bit-identity always; overlap speedup only
-    where a second CPU exists to overlap onto."""
-    from repro.experiments.parallel import available_cpus
-    from repro.trace.ring import pipeline_available
-
-    if not pipeline_available():
-        print("  pipeline: fork unavailable on this platform; skipped")
-        return True
-    row = bench_cell(num_disks, num_requests, repeats=3, pipeline=True)
-    cpus = available_cpus()
-    print(
-        f"  pipeline: {num_disks} disks x {num_requests:,} requests: "
-        f"segmented {row['segmented_s']*1e3:.1f}ms -> "
-        f"pipelined {row['pipelined_s']*1e3:.1f}ms "
-        f"({row['pipeline_speedup']}x, "
-        f"identical={row['pipeline_identical']}, cpus={cpus})"
-    )
-    ok = True
-    if not row["pipeline_identical"]:
-        print("SMOKE FAIL: pipelined replay diverges from in-process replay")
-        ok = False
-    if cpus >= 2 and row["pipeline_speedup"] < 1.0:
-        # With real parallelism available the pipeline must at least not
-        # lose to the serial path; on one CPU it is parity-bound (fork +
-        # copy overhead with nothing to overlap onto) and only identity
-        # is gated.
-        print(
-            f"SMOKE FAIL: pipelined replay slower than serial "
-            f"({row['pipeline_speedup']}x) with {cpus} CPUs available"
-        )
-        ok = False
-    return ok
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -379,14 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="quick CI mode: 25k-request column, identity + speedup gates, "
-        "pipelined bit-identity",
-    )
-    parser.add_argument(
-        "--pipeline",
-        action="store_true",
-        help="measure the forked producer pipeline on every cell (default: "
-        "streamed-end-to-end cells only)",
+        help="quick CI mode: 25k-request column, identity + speedup gates",
     )
     parser.add_argument(
         "-o",
@@ -399,17 +288,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         return run_smoke(Path(args.output))
 
-    grid = write_report(args.output, pipeline=True if args.pipeline else None)
+    grid = write_report(args.output)
     print(f"wrote {args.output}")
     import bench_history
 
     for flag in bench_history.record(args.output):
         print(f"  REGRESSION {Path(args.output).name}: {flag}")
-    bad = [
-        c
-        for c in grid["cells"]
-        if not c["identical"] or c.get("pipeline_identical") is False
-    ]
+    bad = [c for c in grid["cells"] if not c["identical"]]
     if bad:
         for c in bad:
             print(

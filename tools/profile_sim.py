@@ -113,15 +113,8 @@ def run_memory(
     num_disks: int,
     requests_list: list[int],
     chunk_requests: int,
-    pipeline: bool = False,
 ) -> int:
-    """Verify streamed-replay peak memory is bounded by the chunk size.
-
-    ``pipeline`` runs each replay through the forked producer ring
-    (:mod:`repro.trace.ring`); the consumer-side heap then holds the ring's
-    shared slots plus one copied chunk, so the same flat-growth bound
-    applies (the producer's memory lives in its own process).
-    """
+    """Verify streamed-replay peak memory is bounded by the chunk size."""
     import resource
     import time
     import tracemalloc
@@ -132,7 +125,6 @@ def run_memory(
     print(
         f"streamed replay memory profile: {num_disks} disks, "
         f"engine={engine}, chunk_requests={chunk_requests}"
-        + (", pipelined" if pipeline else "")
     )
     rows = []
     for nr in sorted(requests_list):
@@ -140,9 +132,7 @@ def run_memory(
         tracemalloc.start()
         tracemalloc.reset_peak()
         t0 = time.perf_counter()
-        res = simulate(
-            cell.stream(), cell.params, engine=engine, pipeline=pipeline
-        )
+        res = simulate(cell.stream(), cell.params, engine=engine)
         took = time.perf_counter() - t0
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
@@ -221,16 +211,8 @@ def main(argv: list[str] | None = None) -> int:
         default=65536,
         help="streaming chunk size for --memory (default: 65536)",
     )
-    parser.add_argument(
-        "--pipeline",
-        action="store_true",
-        help="with --memory: replay through the forked producer pipeline "
-        "(simulate(pipeline=True)); the flat-heap bound must still hold",
-    )
     args = parser.parse_args(argv)
 
-    if args.pipeline and not args.memory:
-        parser.error("--pipeline only applies to --memory runs")
     if args.memory:
         try:
             requests_list = [
@@ -243,7 +225,6 @@ def main(argv: list[str] | None = None) -> int:
             args.disks,
             requests_list,
             args.chunk_requests,
-            pipeline=args.pipeline,
         )
 
     from repro import obs
