@@ -107,37 +107,6 @@ class DiskStats:
             by_rpm = self.idle_time_by_rpm
             by_rpm[rpm] = by_rpm.get(rpm, 0.0) + duration
 
-    def add_many(
-        self,
-        state: str,
-        durations: np.ndarray,
-        power_w: float,
-        rpm: int | None = None,
-    ) -> None:
-        """Accrue a whole batch of same-state, same-power periods at once.
-
-        Bit-identical to the stepwise replay's per-request accounting: the
-        time and energy accumulators are folded with strictly sequential
-        adds (:func:`sequential_sum`), and the per-element energies are the
-        same ``duration * power_w`` products the scalar path computes.
-        Zero durations are bitwise no-ops, matching the stepwise fast
-        path's ``dur > 0`` guard; like that guard, ``idle_time_by_rpm``
-        only gains a new RPM key when some duration is positive.
-        """
-        durations = np.ascontiguousarray(durations, dtype=np.float64)
-        if durations.size == 0:
-            return
-        if durations.min() < 0:
-            raise SimulationError("negative accounting duration in batch")
-        self.time_s[state] = sequential_sum(self.time_s[state], durations)
-        self.energy_j[state] = sequential_sum(
-            self.energy_j[state], durations * power_w
-        )
-        if rpm is not None and state == "idle":
-            by_rpm = self.idle_time_by_rpm
-            if rpm in by_rpm or bool(durations.max() > 0):
-                by_rpm[rpm] = sequential_sum(by_rpm.get(rpm, 0.0), durations)
-
 
 class Disk:
     """One simulated disk (TPM- and DRPM-capable)."""

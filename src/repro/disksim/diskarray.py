@@ -5,14 +5,11 @@ TPM/DRPM heuristics read and write a handful of per-disk fields — cursor,
 ready time, RPM level row, idle anchor, one in-flight transition, standby
 bookkeeping, and per-(disk, state) residency/energy partial sums.  This
 module stores those fields *columnar*: one flat sequence per field,
-indexed by disk id, instead of one Python object per disk.  At hundreds
-of disks the per-object layout loses twice — every kernel touch chases
-``disk.attr`` through an object header, and whole-array decisions (the
-reactive-TPM fire bound, directive batch preconditions) degrade to
-per-object Python loops.  The columns fix both: scalar kernels index
-plain lists (CPython list indexing is 3–5× faster than NumPy scalar
-indexing, which is why the hot columns are lists, not ndarrays), and
-wide-array passes export the same columns as NumPy vectors.
+indexed by disk id, instead of one Python object per disk, so the
+scalar kernels index plain lists instead of chasing ``disk.attr``
+through an object header (CPython list indexing is 3–5× faster than
+NumPy scalar indexing, which is why the columns are lists, not
+ndarrays).
 
 Sync contract
 -------------
@@ -50,8 +47,6 @@ order — and therefore byte-identical reports — is preserved.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .disk import STATE_NAMES, Disk
 
 __all__ = ["DiskArray", "StatsBank", "STATE_INDEX"]
@@ -70,9 +65,7 @@ class StatsBank:
     ``time[state_index][disk]`` / ``energy[state_index][disk]`` replace
     the per-disk ``DiskStats.time_s`` / ``energy_j`` dict lookups on the
     mirror path: one list index instead of a dict hash per accrual.  The
-    rows are plain lists (see the module docstring for why not ndarrays);
-    :meth:`time_array` / :meth:`energy_array` export ``(num_states,
-    num_disks)`` float64 matrices for wide-array consumers.
+    rows are plain lists (see the module docstring for why not ndarrays).
 
     The per-RPM idle residency is *single-bucket*: ``level_bucket[d]``
     accrues the current level's ``idle_time_by_rpm`` entry, and
@@ -128,15 +121,6 @@ class StatsBank:
         if self.level_hadkey[d] or self.level_touched[d]:
             stats.idle_time_by_rpm[rpm] = self.level_bucket[d]
 
-    # NumPy exports for wide-array passes / tooling -------------------- #
-    def time_array(self) -> np.ndarray:
-        """``(num_states, num_disks)`` residency matrix (a copy)."""
-        return np.array(self.time, dtype=np.float64)
-
-    def energy_array(self) -> np.ndarray:
-        """``(num_states, num_disks)`` energy matrix (a copy)."""
-        return np.array(self.energy, dtype=np.float64)
-
 
 class DiskArray:
     """Columnar mirror of every ``Disk`` field the segmented kernels touch.
@@ -180,7 +164,6 @@ class DiskArray:
         "iw",
         "aw",
         "thr",
-        "thr_f",
         "anchor",
         "armed",
         "tr_end",
@@ -235,9 +218,6 @@ class DiskArray:
         self.iw = [0.0] * num_disks
         self.aw = [0.0] * num_disks
         self.thr: list = [None] * num_disks
-        #: ``thr`` with ``None`` as ``+inf`` — the NumPy fire-bound scan
-        #: needs a homogeneous float column.
-        self.thr_f = [float("inf")] * num_disks
         self.anchor = [0.0] * num_disks
         self.armed = [False] * num_disks
         # Pending-transition image (``None`` end = no transition in flight).
@@ -281,9 +261,7 @@ class DiskArray:
         self.aw[d] = self._active_w_by[r]
         self.cur[d] = disk.cursor_s
         self.rdy[d] = disk.ready_s
-        thr = disk.auto_spindown_threshold_s
-        self.thr[d] = thr
-        self.thr_f[d] = float("inf") if thr is None else thr
+        self.thr[d] = disk.auto_spindown_threshold_s
         self.anchor[d] = disk.idle_anchor_s
         self.armed[d] = disk._auto_armed
         self.bank.load(d, self.stats[d], r)
@@ -456,52 +434,3 @@ class DiskArray:
         self.dirty[d] = True
         self.busy_mask |= 1 << d
         self.hot = self.exact_mask | self.busy_mask
-
-    # ------------------------------------------------------------------ #
-    # Wide-array NumPy passes
-    # ------------------------------------------------------------------ #
-    def auto_fire_scan(self, t0w: float, vnext: float) -> tuple[float, int]:
-        """Vectorized reactive-TPM fire bound over all non-hot disks.
-
-        Returns ``(vnext, due_mask)`` — the earliest instant any plain
-        disk could trip its idleness threshold (armed disks from their
-        anchor, unarmed from ``t0w``) and the bitmask of already-overdue
-        disks.  Requires every non-hot disk to be mirrored (the caller
-        gates on ``not mirrors_stale``); bit-identical to the scalar
-        per-disk scan — the candidate fire instants are the same float
-        expressions and ``min`` is order-independent.
-        """
-        thr = np.array(self.thr_f)
-        act = np.isfinite(thr)
-        h = self.hot
-        while h:
-            low = h & -h
-            h -= low
-            act[low.bit_length() - 1] = False
-        if not act.any():
-            return vnext, 0
-        armed = np.array(self.armed)
-        fd = np.where(armed, np.array(self.anchor) + thr, t0w + thr)
-        due = act & armed & (fd <= t0w)
-        cand = act & ~due
-        if cand.any():
-            mn = float(fd[cand].min())
-            if mn < vnext:
-                vnext = mn
-        due_mask = 0
-        for d in np.flatnonzero(due):
-            due_mask |= 1 << int(d)
-        return vnext, due_mask
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """NumPy export of the live columns (copies; for tooling/tests)."""
-        return {
-            "valid": np.array(self.valid, dtype=bool),
-            "cursor_s": np.array(self.cur, dtype=np.float64),
-            "ready_s": np.array(self.rdy, dtype=np.float64),
-            "rpm": np.array(self.rpm, dtype=np.int64),
-            "idle_anchor_s": np.array(self.anchor, dtype=np.float64),
-            "standby": np.array(self.standby, dtype=bool),
-            "time_s": self.bank.time_array(),
-            "energy_j": self.bank.energy_array(),
-        }

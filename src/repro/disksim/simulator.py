@@ -30,9 +30,9 @@ Two replay engines produce bit-identical results:
   of ending a segment.  Windows with no disk in a mirrored-busy or
   exact-routed state run the vectorized kernel (service maxima as table
   lookups, closed-loop ``delay`` as a short scan, idle/active accrual in
-  bulk); windows touching a busy disk run a scalar mirror loop that
-  resolves the in-flight transition inline.  Reactive DRPM's window
-  heuristic is folded into both via :func:`repro.power.planner.
+  one fused fold); windows touching a busy disk run a scalar mirror loop
+  that resolves the in-flight transition inline.  Reactive DRPM's window
+  heuristic runs on the scalar mirror via :func:`repro.power.planner.
   drpm_window_step`.  Only genuinely entangled cases escape to the exact
   ``Disk`` methods — a directive landing inside a transition, an
   auto-spindown falling due, a standby wake, a spin-up fault, or queued
@@ -41,8 +41,8 @@ Two replay engines produce bit-identical results:
   ``sim.fallbacks{reason}`` metric.  Timeline recording is
   engine-independent: the mirror edits and scalar accruals emit the same
   :class:`~repro.disksim.timeline.Segment` stream the stepwise recorder
-  produces, bit for bit (recording disables only the fused vector
-  accounting, which has no per-interval structure to emit).
+  produces, bit for bit, and the fused vector accounting emits each
+  window's segments from the arrays it folds.
 
 Within a quiescent segment the synchronous model guarantees every
 sub-request starts exactly at its issue time: the app blocks until the
@@ -95,8 +95,6 @@ __all__ = [
     "VECTOR_MIN_REQUESTS",
     "VECTOR_MIN_SUBREQUESTS",
     "VECTOR_MIN_SUBREQUESTS_PM",
-    "DRPM_VECTOR_MIN_WINDOW",
-    "AUTO_VECTOR_MIN_REQUESTS",
     "AUTO_ROUTING",
 ]
 
@@ -123,28 +121,10 @@ VECTOR_MIN_REQUESTS = 64
 #: directives) run the scalar mirror, which has no setup cost.
 VECTOR_MIN_SUBREQUESTS = 256
 
-#: Lower sub-request floor for power-managed replays (reactive TPM/DRPM).
-#: Their scalar alternative is the general per-sub loop with auto-due and
-#: window-fold checks (~2× the tight loop's cost), which moves the
-#: crossover down; DRPM windows in particular are count-bounded at
-#: ``window_size × num_disks`` subs and would otherwise never vectorize.
+#: Lower sub-request floor for reactive-TPM replays.  Their scalar
+#: alternative serves every sub with the per-sub auto-spindown due check,
+#: which moves the crossover down.
 VECTOR_MIN_SUBREQUESTS_PM = 96
-
-#: Reactive-DRPM vector gate: a DRPM vector window is count-bounded at
-#: ``window_size × num_disks`` sub-requests (every disk's window must stay
-#: open across it).  Below this product the windows are too short to
-#: amortize the kernel's per-window setup — measured a net loss at the
-#: default ``window_size=30`` with 8 disks (~240-sub ceiling) — so such
-#: replays keep the scalar mirror kernel end to end.
-DRPM_VECTOR_MIN_WINDOW = 512
-
-#: Reactive-TPM vector gate: every autonomous spin-down costs one
-#: re-probe round trip through the driver (fire-bound recomputation plus
-#: window setup), which on short streams outweighs what the vector kernel
-#: saves between fires.  Streams below this request count keep the scalar
-#: mirror kernel; above it the fire-bounded vector windows win (measured
-#: crossover between the 7k- and 12k-request Table 2 traces).
-AUTO_VECTOR_MIN_REQUESTS = 8192
 
 #: Maximum scalar-window length (in requests) while timed directives are
 #: pending.  Deferral keeps serving disks the due directives do not touch,
@@ -152,11 +132,6 @@ AUTO_VECTOR_MIN_REQUESTS = 8192
 #: remaining stream to the scalar kernel; every ``cap`` requests the
 #: driver drains and re-probes for a vector window instead.
 DEFER_WINDOW_REQUESTS = 128
-
-#: Disk-count floor for the columnar (NumPy) whole-array driver scans —
-#: the reactive-TPM fire bound over the DiskArray columns.  Below it the
-#: per-disk Python loop is faster than array construction.
-_WIDE_DISKS = 32
 
 #: The ``auto`` routing rule in manifest-ready form.  Directives are
 #: boundary edits, so no engine-level crossover remains: ``auto`` is
@@ -169,8 +144,6 @@ AUTO_ROUTING: dict = {
     "vector_min_requests": VECTOR_MIN_REQUESTS,
     "vector_min_subrequests": VECTOR_MIN_SUBREQUESTS,
     "vector_min_subrequests_pm": VECTOR_MIN_SUBREQUESTS_PM,
-    "auto_vector_min_requests": AUTO_VECTOR_MIN_REQUESTS,
-    "drpm_vector_min_window": DRPM_VECTOR_MIN_WINDOW,
     "defer_window_requests": DEFER_WINDOW_REQUESTS,
 }
 
@@ -181,8 +154,9 @@ AUTO_ROUTING: dict = {
 #: ``subrequests_scalar`` count the batched kernels, and ``bailouts``
 #: counts per-request vector-kernel exits on the rounding guard.
 #: ``segments_fused`` counts vector windows served by the fused SoA
-#: accounting batch (``segments_fused_multirpm``: the subset fused while
-#: the subsystem held mixed RPM levels — per-disk power-lane selection).
+#: accounting batch, which serves every vector window
+#: (``segments_fused_multirpm``: the subset fused while the subsystem
+#: held mixed RPM levels).
 #: ``segments_scalar`` counts *maximal* scalar-kernel runs — directive
 #: boundary edits (``directive_edits``) and per-sub escapes do not close a
 #: segment, only a vector run does.  ``fallback_*`` keys count the per-sub
@@ -283,9 +257,9 @@ class _PlanGeometry:
     replays of a suite (the plan's ``_derived`` cache keeps it alive).
     The views are built in lazy groups — the stepwise engine needs only
     the flat per-sub lists, while the segmented driver additionally needs
-    the vector-kernel arrays (``counts``/``nbytes_f``/``subs_by_disk``)
-    and the per-request disk bitmasks — so sweep points replayed purely
-    stepwise never pay for the batch-engine views.
+    the vector-kernel arrays (``counts``/``nbytes_f``) and the per-request
+    disk bitmasks — so sweep points replayed purely stepwise never pay
+    for the batch-engine views.
     """
 
     __slots__ = (
@@ -298,8 +272,6 @@ class _PlanGeometry:
         "counts",
         "single_sub",
         "nbytes_f",
-        "subs_by_disk",
-        "disk_cnt_at_req",
         "reqmask",
     )
 
@@ -313,8 +285,6 @@ class _PlanGeometry:
         self.counts = None
         self.single_sub = False
         self.nbytes_f = None
-        self.subs_by_disk = None
-        self.disk_cnt_at_req = None
         self.reqmask = None
 
     def scalar_views(self) -> tuple[list, list, list]:
@@ -345,43 +315,6 @@ class _PlanGeometry:
             plan = self._plan
             self.single_sub = bool(plan.indptr[-1] == plan.num_requests)
         self.nbytes_float()
-
-    def disk_views(self) -> None:
-        """Dense per-disk sub indices and prefix counts (idempotent, cached).
-
-        ``disk_cnt_at_req[d][k]`` = subs of disk d in requests ``[0, k)``
-        and ``subs_by_disk[d]`` = disk d's sub indices in stream order —
-        O(1) lookups for the reactive-DRPM window-boundary scan, the only
-        consumer.  O(num_disks x num_requests) memory and build time, so
-        it is *not* part of :meth:`vector_views`: the request-window
-        kernel groups subs per window instead and stays O(window).
-        """
-        plan = self._plan
-        if self.subs_by_disk is None:
-            self.vector_views()
-            nd = plan.num_disks
-            n = plan.num_requests
-            # Group sub indices by disk with one stable argsort (ascending
-            # within a disk, since the sort is stable over ascending
-            # indices) instead of one O(m) scan per disk.
-            by_disk = np.argsort(plan.sub_disk, kind="stable")
-            bounds = np.searchsorted(
-                plan.sub_disk[by_disk], np.arange(nd + 1, dtype=np.int64)
-            )
-            self.subs_by_disk = [
-                by_disk[bounds[d]:bounds[d + 1]] for d in range(nd)
-            ]
-            # One flat bincount + row cumsum builds all disks' prefix
-            # counts at once — one ``searchsorted(subs, indptr)`` per disk
-            # costs O(disks x requests x log subs) and dominates wide
-            # subsystems.
-            req_of_sub = np.repeat(np.arange(n, dtype=np.int64), self.counts)
-            hist = np.bincount(
-                plan.sub_disk * n + req_of_sub, minlength=nd * n
-            ).reshape(nd, n)
-            cnt = np.zeros((nd, n + 1), dtype=np.int64)
-            np.cumsum(hist, axis=1, out=cnt[:, 1:])
-            self.disk_cnt_at_req = list(cnt)
 
     def request_masks(self) -> list:
         """Per-request touched-disk bitmasks (idempotent, cached)."""
@@ -708,12 +641,143 @@ def _replay_stepwise(
 # ---------------------------------------------------------------------- #
 # Segmented engine kernels
 # ---------------------------------------------------------------------- #
+def _fold_disks(
+    pdisks: list[Disk],
+    glen: np.ndarray,
+    td_s: np.ndarray,
+    svc_s: np.ndarray,
+    comp_s: np.ndarray,
+    nbytes_s: np.ndarray,
+    tables: _ServiceTables,
+    rpm_counts: dict[int, int] | None,
+    busy: list[list[BusyInterval]] | None,
+    recorder,
+) -> None:
+    """Fused accounting of one vector window over the disks ``pdisks``.
+
+    The per-sub arrays hold those disks' subs grouped by disk, in stream
+    order within each disk (``glen[p]`` subs for ``pdisks[p]``).  Every
+    per-disk accrual is a sequential left fold over that disk's subs, so
+    all five folds x all disks are packed into one zero-padded matrix —
+    one row per (disk, accumulator), seeded with the current totals in
+    column 0 — and run through a single ``np.add.accumulate`` along the
+    rows: padding zeros are bitwise no-ops on the non-negative
+    accumulators, so the row ends equal the scalar ``+=`` chains bit for
+    bit.  A disk's RPM is constant across the window (plain disks only
+    change level at directive boundaries, which close windows), so each
+    disk's idle/active power broadcasts along its row.
+
+    Busy intervals (``busy`` given) and timeline segments (``recorder``
+    given) come from the same arrays: per sub, an idle segment from the
+    previous completion to the issue time, then a service segment whose
+    explicit duration is the *table* service time — ``(td + svc) - td``
+    differs from ``svc`` in the last bits, and the fold accrued ``svc``.
+    """
+    P = len(pdisks)
+    n = td_s.size
+    heads = np.zeros(P, dtype=np.int64)
+    np.cumsum(glen[:-1], out=heads[1:])
+    prev_s = np.empty(n)
+    prev_s[1:] = comp_s[:-1]
+    prev_s[heads] = [d.cursor_s for d in pdisks]
+    dur = td_s - prev_s
+    if float(dur.min()) < 0:
+        raise SimulationError("negative accounting duration in batch")
+    rpm_p = [d.rpm for d in pdisks]
+    iw_p = [tables.idle_w[r] for r in rpm_p]
+    aw_p = [tables.active_w[r] for r in rpm_p]
+    seeds = np.empty(5 * P)
+    for p, d in enumerate(pdisks):
+        st = d.stats
+        seeds[p] = st.time_s["idle"]
+        seeds[P + p] = st.energy_j["idle"]
+        seeds[2 * P + p] = st.time_s["active"]
+        seeds[3 * P + p] = st.energy_j["active"]
+        seeds[4 * P + p] = st.idle_time_by_rpm.get(rpm_p[p], 0.0)
+    stride = int(glen.max()) + 1
+    mat = np.zeros((5 * P, stride))
+    mat[:, 0] = seeds
+    # Scatter the two time lanes (disk p's i-th sub lands in column
+    # i + 1 of row p), then derive the energy and per-RPM lanes densely:
+    # each element of a per-disk power broadcast is the exact ``dur * w``
+    # product the scalar path computes, and padding stays zero.
+    pos = np.arange(n, dtype=np.int64) + np.repeat(
+        np.arange(P, dtype=np.int64) * stride - heads + 1, glen
+    )
+    flat = mat.ravel()
+    flat[pos] = dur
+    flat[pos + 2 * P * stride] = svc_s
+    idle = mat[:P, 1:]
+    act = mat[2 * P:3 * P, 1:]
+    np.multiply(idle, np.array(iw_p)[:, None], out=mat[P:2 * P, 1:])
+    np.multiply(act, np.array(aw_p)[:, None], out=mat[3 * P:4 * P, 1:])
+    mat[4 * P:, 1:] = idle
+    np.add.accumulate(mat, axis=1, out=mat)
+    finals = mat[:, -1]
+    idle_t = finals[:P].tolist()
+    idle_e = finals[P:2 * P].tolist()
+    act_t = finals[2 * P:3 * P].tolist()
+    act_e = finals[3 * P:4 * P].tolist()
+    rpm_tm = finals[4 * P:].tolist()
+    lasts = heads + glen - 1
+    dmax = np.maximum.reduceat(dur, heads).tolist()
+    nbytes_g = np.add.reduceat(nbytes_s, heads).tolist()
+    td_last = td_s[lasts].tolist()
+    comp_last = comp_s[lasts].tolist()
+    glen_l = glen.tolist()
+    for p, disk in enumerate(pdisks):
+        st = disk.stats
+        st.time_s["idle"] = idle_t[p]
+        st.energy_j["idle"] = idle_e[p]
+        st.time_s["active"] = act_t[p]
+        st.energy_j["active"] = act_e[p]
+        by_rpm = st.idle_time_by_rpm
+        rpm_d = rpm_p[p]
+        if rpm_d in by_rpm or dmax[p] > 0:
+            by_rpm[rpm_d] = rpm_tm[p]
+        st.num_requests += glen_l[p]
+        st.bytes_served += nbytes_g[p]
+        disk.last_service_start_s = td_last[p]
+        end = comp_last[p]
+        disk.cursor_s = end
+        disk.ready_s = end
+        disk.idle_anchor_s = end
+        disk.last_request_end_s = end
+        disk._auto_armed = True
+        if rpm_counts is not None:
+            rpm_counts[rpm_d] = rpm_counts.get(rpm_d, 0) + glen_l[p]
+    if busy is None and recorder is None:
+        return
+    td_l = td_s.tolist()
+    comp_l = comp_s.tolist()
+    if recorder is not None:
+        rec_fn = recorder.record
+        prev_l = prev_s.tolist()
+        svc_l = svc_s.tolist()
+    lo = 0
+    for p, disk in enumerate(pdisks):
+        hi = lo + glen_l[p]
+        d_id = disk.disk_id
+        if busy is not None:
+            busy[d_id].extend(
+                map(BusyInterval, repeat(d_id), td_l[lo:hi], comp_l[lo:hi])
+            )
+        if recorder is not None:
+            rpm_d = rpm_p[p]
+            iw = iw_p[p]
+            aw = aw_p[p]
+            for i in range(lo, hi):
+                t_i = td_l[i]
+                rec_fn(d_id, "idle", prev_l[i], t_i, iw, rpm_d)
+                rec_fn(d_id, "active", t_i, comp_l[i], aw, rpm_d, "", svc_l[i])
+        lo = hi
+
+
 def _run_vector(
     plan: ReplayPlan,
     geom: _PlanGeometry,
     tables: _ServiceTables,
     disks: list[Disk],
-    req_times: list[float],
     ri: int,
     we: int,
     delay: float,
@@ -721,10 +785,8 @@ def _run_vector(
     pc0: float,
     nonplain: int,
     responses: list[float],
-    busy: list[list[BusyInterval]],
-    collect: bool,
+    busy: list[list[BusyInterval]] | None,
     rpm_counts: dict[int, int] | None = None,
-    drpm_fold: tuple[list[float], list[int], np.ndarray] | None = None,
     recorder=None,
     open_loop: bool = False,
 ) -> tuple[int, float, bool]:
@@ -733,12 +795,10 @@ def _run_vector(
     Returns ``(next_request, delay, bailed)``; ``bailed`` means request
     ``next_request`` overlaps a previous completion (rounding guard) and
     must continue on the scalar kernel, which models queueing exactly.
-
-    With ``drpm_fold`` (reactive DRPM), each disk's normalized response
-    ratios accumulate into the controller's window state ``(sum, count)``.
-    The caller guarantees no window closes inside ``[ri, we)``; the fold
-    is a sequential left-to-right accumulate, bit-equal to the scalar
-    ``+=`` chain.
+    A window may also end early without a bail (the delay fixpoint did
+    not settle, see below); the driver then re-enters the kernel.
+    ``busy`` (given iff busy intervals are collected) and ``recorder``
+    receive the window's intervals and timeline segments.
     """
     geom.vector_views()
     indptr_l = geom.indptr_l
@@ -783,6 +843,7 @@ def _run_vector(
     tn_win = plan.columns.nominal_time_s[ri:we]
     acc = np.empty(w + 1)
     acc[0] = delay
+    w_ok = w
     if open_loop:
         # Open-loop: arrivals come from the trace plus the frozen delay
         # offset; responses never feed back.  Accumulating exact zeros
@@ -795,10 +856,8 @@ def _run_vector(
         t_arr = tn_win + pre[:-1]
         comp = t_arr + m_win
         resp = comp - t_arr
-        converged = True
     else:
         resp = m_win
-        converged = False
         for _ in range(8):
             acc[1:] = resp
             pre = np.add.accumulate(acc)
@@ -806,57 +865,40 @@ def _run_vector(
             comp = t_arr + m_win
             new_resp = comp - t_arr
             if np.array_equal(new_resp, resp):
-                converged = True
                 break
             resp = new_resp
-    bailed = False
-    if converged:
-        pcs = np.empty(w)
-        pcs[0] = pc0
-        pcs[1:] = comp[:-1]
-        stop = np.flatnonzero((t_arr >= tnext) | (t_arr < pcs))
-        if stop.size:
-            cut = int(stop[0])
-            # The scalar loop checks the window boundary before the
-            # overlap guard: only a pure overlap violation bails.
-            bailed = bool(t_arr[cut] < tnext)
         else:
-            cut = w
-        k = ri + cut
-        delay = float(pre[cut])
-        fold = getattr(responses, "fold_array", None)
-        if fold is None:
-            responses.extend(resp[:cut].tolist())
-        else:
-            fold(resp[:cut])
-        t_win = t_arr[:cut]
-    else:  # pragma: no cover - the fixpoint converges in practice
-        k = ri
-        t_list: list[float] = []
-        t_append = t_list.append
-        r_append = responses.append
-        pc = pc0
-        for tn, m in zip(req_times[ri:we], m_win.tolist()):
-            t = tn + delay
-            if t >= tnext:
-                break
-            if t < pc:
-                bailed = True
-                break
-            comp_s = t + m
-            resp_s = comp_s - t
-            r_append(resp_s)
-            delay += resp_s
-            pc = comp_s
-            t_append(t)
-            k += 1
-        t_win = np.array(t_list, dtype=np.float64)
-
-    nreq = k - ri
-    if nreq == 0:
+            # Still moving after the last pass.  Every response before
+            # the first one that changed was fed back unchanged, so that
+            # prefix (and its issue times) satisfies the recurrence
+            # exactly; the window ends there and the driver re-enters the
+            # kernel for the rest.  Pass ``i`` settles response ``i``, so
+            # the prefix is never empty.
+            w_ok = int(np.flatnonzero(resp != acc[1:])[0])
+    pcs = np.empty(w)
+    pcs[0] = pc0
+    pcs[1:] = comp[:-1]
+    stop = np.flatnonzero(((t_arr >= tnext) | (t_arr < pcs))[:w_ok])
+    if stop.size:
+        cut = int(stop[0])
+        # The scalar loop checks the window boundary before the overlap
+        # guard: only a pure overlap violation bails.
+        bailed = bool(t_arr[cut] < tnext)
+    else:
+        cut = w_ok
+        bailed = False
+    if cut == 0:
         if bailed:
             REPLAY_COVERAGE["bailouts"] += 1
-        return k, delay, bailed
+        return ri, delay, bailed
+    k = ri + cut
+    delay = float(pre[cut])
+    fold = getattr(responses, "fold_array", None)
+    if fold is None:
+        responses.extend(resp[:cut].tolist())
+    else:
+        fold(resp[:cut])
+    t_win = t_arr[:cut]
 
     sk = indptr_l[k]
     # Single-sub plans (every request maps to one disk) need no fan-out
@@ -865,8 +907,8 @@ def _run_vector(
     rep_t = t_win if geom.single_sub else np.repeat(t_win, geom.counts[ri:k])
     # Group the window's subs by disk with one stable argsort — stable
     # keeps each disk's subs in stream order, which the per-disk
-    # completion chain below requires.  Window-local grouping keeps the
-    # kernel O(window log window); a global per-disk index would cost
+    # completion chain requires.  Window-local grouping keeps the kernel
+    # O(window log window); a global per-disk index would cost
     # O(disks x requests) to build.
     wdisk = plan.sub_disk[s0:sk]
     worder = np.argsort(wdisk, kind="stable")
@@ -874,196 +916,40 @@ def _run_vector(
         wdisk[worder], np.arange(plan.num_disks + 1, dtype=np.int64)
     )
     wsubs = sk - s0
-    if drpm_fold is None and not collect and recorder is None:
-        # Fused accounting: every per-disk accrual is a sequential left
-        # fold over that disk's window subs.  Pack all five folds x all
-        # touched disks into one zero-padded matrix — one row per (disk,
-        # accumulator), seeded with the current totals in column 0 —
-        # and run a single ``np.add.accumulate`` along the rows: padding
-        # zeros are bitwise no-ops on the non-negative accumulators, so
-        # row ends equal the per-disk ``add_many`` chains bit for bit.
-        # Replaces ~10 small NumPy calls per disk (the wide-subsystem
-        # bottleneck) with O(1) calls per window.
-        #
-        # A disk's RPM is constant across the window (plain disks only
-        # change level at directive boundaries, which close windows), so
-        # mixed-level windows fuse too: each disk selects its own
-        # idle/active-power lane, broadcast per sub with ``np.repeat`` —
-        # the per-element ``dur * w`` products are the exact multiplies
-        # the scalar ``add_many`` fold performs.
-        glen_all = np.diff(wbounds)
-        present = np.flatnonzero(glen_all)
-        glen = glen_all[present]
-        P = int(present.size)
-        L = int(glen.max()) if P else 0
-        dmap = {d.disk_id: d for d in disks}
-        if P and 5 * P * (L + 1) <= 24 * wsubs + 4096 and all(
-            int(d_id) in dmap for d_id in present
-        ):
-            multirpm = len(rpm_set) > 1
-            heads = wbounds[present]
-            widx = worder + s0
-            td_s = rep_t[worder]
-            svc_s = svc_full[widx] if svc_full is not None else svc_win[worder]
-            comp_s = td_s + svc_s
-            prev_s = np.empty(wsubs)
-            prev_s[1:] = comp_s[:-1]
-            present_l = present.tolist()
-            pdisks = [dmap[d_id] for d_id in present_l]
-            cursors = [d.cursor_s for d in pdisks]
-            prev_s[heads] = cursors
-            dur = td_s - prev_s
-            if float(dur.min()) < 0:
-                raise SimulationError("negative accounting duration in batch")
-            rowid = np.repeat(np.arange(P, dtype=np.int64), glen)
-            col = np.arange(wsubs, dtype=np.int64) - np.repeat(heads, glen) + 1
-            rpm_p = [d.rpm for d in pdisks]
-            seeds = np.empty(5 * P)
-            for p, d in enumerate(pdisks):
-                st = d.stats
-                seeds[p] = st.time_s["idle"]
-                seeds[P + p] = st.energy_j["idle"]
-                seeds[2 * P + p] = st.time_s["active"]
-                seeds[3 * P + p] = st.energy_j["active"]
-                seeds[4 * P + p] = st.idle_time_by_rpm.get(rpm_p[p], 0.0)
-            stride = L + 1
-            mat = np.zeros((5 * P, stride))
-            mat[:, 0] = seeds
-            flat = mat.ravel()
-            base = rowid * stride + col
-            band = P * stride
-            flat[base] = dur
-            if multirpm:
-                idle_w = tables.idle_w
-                active_w = tables.active_w
-                iw_sub = np.repeat(
-                    np.array([idle_w[r] for r in rpm_p]), glen
-                )
-                aw_sub = np.repeat(
-                    np.array([active_w[r] for r in rpm_p]), glen
-                )
-                flat[base + band] = dur * iw_sub
-                flat[base + 3 * band] = svc_s * aw_sub
-            else:
-                rpm0 = rpm_p[0] if P else next(iter(rpm_set))
-                flat[base + band] = dur * tables.idle_w[rpm0]
-                flat[base + 3 * band] = svc_s * tables.active_w[rpm0]
-            flat[base + 2 * band] = svc_s
-            flat[base + 4 * band] = dur
-            np.add.accumulate(mat, axis=1, out=mat)
-            finals = mat[:, -1]
-            idle_t = finals[:P].tolist()
-            idle_e = finals[P:2 * P].tolist()
-            act_t = finals[2 * P:3 * P].tolist()
-            act_e = finals[3 * P:4 * P].tolist()
-            rpm_tm = finals[4 * P:].tolist()
-            lasts = heads + glen - 1
-            dmax = np.maximum.reduceat(dur, heads).tolist()
-            nbytes_g = np.add.reduceat(plan.sub_nbytes[widx], heads).tolist()
-            td_last = td_s[lasts].tolist()
-            comp_last = comp_s[lasts].tolist()
-            glen_l = glen.tolist()
-            for p, disk in enumerate(pdisks):
-                st = disk.stats
-                st.time_s["idle"] = idle_t[p]
-                st.energy_j["idle"] = idle_e[p]
-                st.time_s["active"] = act_t[p]
-                st.energy_j["active"] = act_e[p]
-                by_rpm = st.idle_time_by_rpm
-                rpm_d = rpm_p[p]
-                if rpm_d in by_rpm or dmax[p] > 0:
-                    by_rpm[rpm_d] = rpm_tm[p]
-                st.num_requests += glen_l[p]
-                st.bytes_served += nbytes_g[p]
-                disk.last_service_start_s = td_last[p]
-                end = comp_last[p]
-                disk.cursor_s = end
-                disk.ready_s = end
-                disk.idle_anchor_s = end
-                disk.last_request_end_s = end
-                disk._auto_armed = True
-            if rpm_counts is not None:
-                if multirpm:
-                    for p, rpm_d in enumerate(rpm_p):
-                        rpm_counts[rpm_d] = rpm_counts.get(rpm_d, 0) + glen_l[p]
-                else:
-                    rpm0 = next(iter(rpm_set))
-                    rpm_counts[rpm0] = rpm_counts.get(rpm0, 0) + wsubs
-            cov = REPLAY_COVERAGE
-            cov["segments_vector"] += 1
-            cov["subrequests_vector"] += wsubs
-            cov["segments_fused"] += 1
-            if multirpm:
-                cov["segments_fused_multirpm"] += 1
-            if bailed:
-                cov["bailouts"] += 1
-            return k, delay, bailed
-    for disk in disks:
-        d_id = disk.disk_id
-        lo = int(wbounds[d_id])
-        hi = int(wbounds[d_id + 1])
-        if lo == hi:
-            continue
-        idx = worder[lo:hi]
-        idx_abs = idx + s0
-        td = rep_t[idx]
-        svc_d = svc_full[idx_abs] if svc_full is not None else svc_win[idx]
-        comp_d = td + svc_d
-        prev = np.empty_like(comp_d)
-        prev[0] = disk.cursor_s
-        prev[1:] = comp_d[:-1]
-        stats = disk.stats
-        rpm = disk.rpm
-        stats.add_many("idle", td - prev, tables.idle_w[rpm], rpm)
-        stats.add_many("active", svc_d, tables.active_w[rpm])
-        stats.num_requests += int(idx.size)
-        stats.bytes_served += int(plan.sub_nbytes[idx_abs].sum())
-        if rpm_counts is not None:
-            rpm_counts[rpm] = rpm_counts.get(rpm, 0) + int(idx.size)
-        if drpm_fold is not None:
-            dw_sum, dw_cnt, top_np = drpm_fold
-            d_id = disk.disk_id
-            acc = np.empty(idx.size + 1)
-            acc[0] = dw_sum[d_id]
-            acc[1:] = (comp_d - td) / top_np[idx_abs]
-            dw_sum[d_id] = float(np.add.accumulate(acc)[-1])
-            dw_cnt[d_id] += int(idx.size)
-        if recorder is not None:
-            # Interleaved idle/active segments, exactly the stepwise
-            # order: ``_settle_idle`` (cursor -> issue) then the service
-            # segment with the *table* service time as its explicit
-            # duration — ``(td + svc) - td`` differs from ``svc`` in the
-            # last bits, and the stats fold above accrued ``svc``.
-            rec_fn = recorder.record
-            d_id = disk.disk_id
-            iw = tables.idle_w[rpm]
-            aw = tables.active_w[rpm]
-            td_l = td.tolist()
-            comp_l = comp_d.tolist()
-            prev_l = prev.tolist()
-            svc_l = svc_d.tolist()
-            for i in range(len(td_l)):
-                t_i = td_l[i]
-                rec_fn(d_id, "idle", prev_l[i], t_i, iw, rpm)
-                rec_fn(
-                    d_id, "active", t_i, comp_l[i], aw, rpm, "", svc_l[i]
-                )
-        disk.last_service_start_s = float(td[-1])
-        end = float(comp_d[-1])
-        disk.cursor_s = end
-        disk.ready_s = end
-        disk.idle_anchor_s = end
-        disk.last_request_end_s = end
-        disk._auto_armed = True
-        if collect:
-            d_id = disk.disk_id
-            busy[d_id].extend(
-                map(BusyInterval, repeat(d_id), td.tolist(), comp_d.tolist())
+    glen_all = np.diff(wbounds)
+    present = np.flatnonzero(glen_all)
+    glen = glen_all[present]
+    widx = worder + s0
+    td_s = rep_t[worder]
+    svc_s = svc_full[widx] if svc_full is not None else svc_win[worder]
+    comp_s = td_s + svc_s
+    nbytes_s = plan.sub_nbytes[widx]
+    pdisks = [disks[d_id] for d_id in present.tolist()]
+    P = len(pdisks)
+    if 5 * P * (int(glen.max()) + 1) <= 24 * wsubs + 4096:
+        _fold_disks(
+            pdisks, glen, td_s, svc_s, comp_s, nbytes_s, tables,
+            rpm_counts, busy, recorder,
+        )
+    else:
+        # A skewed window (one disk holding most subs) would pad every
+        # row to the longest disk's length; fold one disk at a time so
+        # memory stays O(window).
+        lo = 0
+        for p, gl in enumerate(glen.tolist()):
+            hi = lo + gl
+            _fold_disks(
+                pdisks[p:p + 1], glen[p:p + 1], td_s[lo:hi], svc_s[lo:hi],
+                comp_s[lo:hi], nbytes_s[lo:hi], tables, rpm_counts, busy,
+                recorder,
             )
-
+            lo = hi
     cov = REPLAY_COVERAGE
     cov["segments_vector"] += 1
-    cov["subrequests_vector"] += sk - s0
+    cov["subrequests_vector"] += wsubs
+    cov["segments_fused"] += 1
+    if len(rpm_set) > 1:
+        cov["segments_fused_multirpm"] += 1
     if bailed:
         cov["bailouts"] += 1
     return k, delay, bailed
@@ -1103,7 +989,7 @@ def _replay_segmented(
 
     ``delay0``/``timed_idx0``/``finalize`` carry the timeline across
     chunks exactly as in :func:`_replay_stepwise`; ``drpm_carry`` (given
-    iff ``drpm`` is) holds the in-kernel reactive-DRPM window accumulators
+    iff ``drpm`` is) holds the mirror's reactive-DRPM window accumulators
     ``(dw_sum, dw_cnt, dw_prev)`` so a window spanning a chunk boundary
     keeps folding (the lists are mutated in place and reused by the next
     chunk).  The DiskArray mirror itself is per-call: it syncs to the
@@ -1142,10 +1028,11 @@ def _replay_segmented(
     the new level) without leaving the batched path.
 
     When ``drpm`` (a :class:`~repro.disksim.params.DRPMParams`) is given,
-    the reactive-DRPM window heuristic runs *in kernel*: the per-sub
-    normalized-response fold and the window-boundary level decision
-    (:func:`repro.power.planner.drpm_window_step`) are applied as boundary
-    edits, so reactive DRPM no longer routes stepwise under ``auto``.
+    the reactive-DRPM window heuristic runs on the scalar mirror: the
+    per-sub normalized-response fold and the window-boundary level
+    decision (:func:`repro.power.planner.drpm_window_step`) are applied as
+    boundary edits, so reactive DRPM does not route stepwise under
+    ``auto``.  Such replays never enter the vector kernel.
     """
     num_disks = len(disks)
     geom = _geometry(plan)
@@ -1165,11 +1052,9 @@ def _replay_segmented(
     serves = [d.serve for d in disks]
     append_response = responses.append
     # Timeline recording: segments are emitted straight from the mirror
-    # edits and scalar accruals below, bit-identical to the stepwise
-    # recorder's output.  ``recording`` is hoisted so the unobserved
-    # replay pays one local-bool test at the few emission sites that sit
-    # on warm paths (the tight loop and the fused vector path stay
-    # recorder-free — recording routes around both).
+    # edits, scalar accruals and fused vector windows, bit-identical to
+    # the stepwise recorder's output.  ``recording`` is hoisted so the
+    # unobserved replay pays one local-bool test per emission site.
     tl_rec = disks[0].recorder if disks else None
     recording = tl_rec is not None
     rec_seg = tl_rec.record if recording else None
@@ -1256,7 +1141,11 @@ def _replay_segmented(
     # In-kernel reactive DRPM (see docstring).  The baseline row is the
     # full-speed service-time table row — bit-equal to the
     # ``pm.service_time_s(nbytes, max_rpm, seek)`` memo the controller
-    # keeps, so the fold reproduces its control signal exactly.
+    # keeps, so the fold reproduces its control signal exactly.  Its
+    # window boundaries close on per-disk completion counts, so reactive
+    # DRPM runs on the scalar mirror end to end: every reactive-DRPM
+    # replay of the paper and trace workloads has windows too short
+    # (``window_size x num_disks`` subs) for the vector kernel to pay.
     drpm_on = drpm is not None
     if drpm_on:
         from ..power.planner import drpm_window_step as drpm_step
@@ -1265,30 +1154,11 @@ def _replay_segmented(
         drpm_max = drpm.max_rpm
         drpm_top_row = row_list(level_row[drpm_max])
         dw_sum, dw_cnt, dw_prev = drpm_carry
-        # Vector windows fold completed sub-requests into the same window
-        # accumulators (sequentially, via ``np.add.accumulate``, so the
-        # left-fold is bit-equal to the scalar ``+=`` chain); windows are
-        # truncated before any disk's window-closing sub-request, so the
-        # boundary itself always fires on the scalar path.
-        drpm_fold = (dw_sum, dw_cnt, tables.row_np(level_row[drpm_max]))
-        geom.disk_views()
-        subs_by_disk = geom.subs_by_disk
-        disk_cnt_at_req = geom.disk_cnt_at_req
-    else:
-        drpm_fold = None
-    use_vector = (
-        not auto_active or n >= AUTO_VECTOR_MIN_REQUESTS
-    ) and (
-        not drpm_on or drpm_wsize * num_disks >= DRPM_VECTOR_MIN_WINDOW
-    )
+    use_vector = not drpm_on
     min_subs = (
-        VECTOR_MIN_SUBREQUESTS_PM
-        if auto_active or drpm_on
-        else VECTOR_MIN_SUBREQUESTS
+        VECTOR_MIN_SUBREQUESTS_PM if auto_active else VECTOR_MIN_SUBREQUESTS
     )
-    # Recording routes every scalar sub through the general loop: the
-    # tight loop stays free of per-sub recorder branches.
-    general_loop = auto_active or drpm_on or recording
+    busy_v = busy if collect else None
 
     # Persistent columnar mirror: a :class:`DiskArray` holds flat per-disk
     # columns of the serve state (cursors, RPM-level rows, the residency
@@ -1654,40 +1524,34 @@ def _replay_segmented(
                     # already *overdue* fires only when it is next served,
                     # so instead of pinning ``vnext`` in the past it joins
                     # ``due_mask`` and the window truncates at its first
-                    # touch.  Wide arrays take the columnar scan (every
-                    # non-hot disk is mirrored once the stale flag clears,
-                    # so the NumPy pass over the DiskArray columns sees
-                    # the same candidates as the per-disk loop).
+                    # touch.
                     t0w = req_times[ri] + delay
-                    if num_disks >= _WIDE_DISKS and not mirrors_stale:
-                        vnext, due_mask = da.auto_fire_scan(t0w, vnext)
-                    else:
-                        for d in range(num_disks):
-                            if (hot >> d) & 1:
-                                continue
-                            if m_valid[d]:
-                                thr_o = m_thr[d]
-                                if thr_o is not None:
-                                    if m_armed[d]:
-                                        fd = m_anchor[d] + thr_o
-                                        if fd <= t0w:
-                                            due_mask |= 1 << d
-                                        elif fd < vnext:
-                                            vnext = fd
-                                    elif t0w + thr_o < vnext:
-                                        vnext = t0w + thr_o
-                            else:
-                                dk_o = disks[d]
-                                thr_o = dk_o.auto_spindown_threshold_s
-                                if thr_o is not None:
-                                    if dk_o._auto_armed:
-                                        fd = dk_o.idle_anchor_s + thr_o
-                                        if fd <= t0w:
-                                            due_mask |= 1 << d
-                                        elif fd < vnext:
-                                            vnext = fd
-                                    elif t0w + thr_o < vnext:
-                                        vnext = t0w + thr_o
+                    for d in range(num_disks):
+                        if (hot >> d) & 1:
+                            continue
+                        if m_valid[d]:
+                            thr_o = m_thr[d]
+                            if thr_o is not None:
+                                if m_armed[d]:
+                                    fd = m_anchor[d] + thr_o
+                                    if fd <= t0w:
+                                        due_mask |= 1 << d
+                                    elif fd < vnext:
+                                        vnext = fd
+                                elif t0w + thr_o < vnext:
+                                    vnext = t0w + thr_o
+                        else:
+                            dk_o = disks[d]
+                            thr_o = dk_o.auto_spindown_threshold_s
+                            if thr_o is not None:
+                                if dk_o._auto_armed:
+                                    fd = dk_o.idle_anchor_s + thr_o
+                                    if fd <= t0w:
+                                        due_mask |= 1 << d
+                                    elif fd < vnext:
+                                        vnext = fd
+                                elif t0w + thr_o < vnext:
+                                    vnext = t0w + thr_o
                 vec_we = bound
                 if vnext is not inf:
                     # Timed directives no longer close the scalar window —
@@ -1703,26 +1567,6 @@ def _replay_segmented(
                         cut = bisect_left(req_times, vnext - delay, ri, bound) + 1
                         if cut < vec_we:
                             vec_we = cut
-                if drpm_on and vec_we - ri >= VECTOR_MIN_REQUESTS:
-                    # Reactive-DRPM window boundaries close on completion
-                    # *counts*, not times: truncate before the request
-                    # holding any disk's window-closing sub-request, so
-                    # the boundary (and any level shift it starts) always
-                    # runs on the exact scalar path.
-                    se = indptr_l[vec_we]
-                    for d in range(num_disks):
-                        sbd = subs_by_disk[d]
-                        bi = (
-                            int(disk_cnt_at_req[d][ri])
-                            + drpm_wsize - dw_cnt[d] - 1
-                        )
-                        if bi < sbd.size:
-                            j_abs = int(sbd[bi])
-                            if j_abs < se:
-                                rq = bisect_right(indptr_l, j_abs) - 1
-                                if rq < vec_we:
-                                    vec_we = rq
-                                    se = indptr_l[vec_we]
             if hot:
                 # Transitions that end at or before this issue time
                 # complete now, exactly as the serve/advance machinery
@@ -1781,9 +1625,8 @@ def _replay_segmented(
                                 pc0 = m
                     ri0 = ri
                     ri, delay, bailed = _run_vector(
-                        plan, geom, tables, disks, req_times, ri, wv, delay,
-                        vnext, pc0, hot, responses, busy, collect,
-                        rpm_counts, drpm_fold, tl_rec, open_loop,
+                        plan, geom, tables, disks, ri, wv, delay, vnext, pc0,
+                        hot, responses, busy_v, rpm_counts, tl_rec, open_loop,
                     )
                     if ri > ri0:
                         seg_open = False
@@ -1801,22 +1644,16 @@ def _replay_segmented(
             # the disk's previous completion (no idle accrues; service
             # starts at the busy cursor).  Hot and faulty sub-requests
             # dispatch to the slow sub path without closing the segment.
-            # Requests touching no hot disk on a plain (no auto-spindown,
-            # no reactive-DRPM) replay take a branch-free tight loop; the
-            # general loop keeps the per-sub dispatch.  Reactive DRPM
-            # stays on the general loop because a window boundary can
-            # start a shift between two subs of one request.
             if mirrors_stale:
                 da.refresh_stale()
                 mirrors_stale = False
                 hot = da.hot
-            if tnext is not inf or (use_vector and (auto_active or drpm_on)):
+            if tnext is not inf or (use_vector and auto_active):
                 # Cap the scalar run so the driver periodically drains due
                 # directives and re-probes for a vector window.  Without
                 # the cap, a due directive on an untouched disk — or an
-                # auto/DRPM run that just crossed a fire bound or window
-                # boundary — would pin the whole remaining stream to the
-                # scalar kernel.
+                # auto run that just crossed a fire bound — would pin the
+                # whole remaining stream to the scalar kernel.
                 cap = ri + DEFER_WINDOW_REQUESTS
                 if cap < we:
                     we = cap
@@ -1847,137 +1684,101 @@ def _replay_segmented(
                 jhi = indptr_l[k + 1]
                 comp = t
                 faulty = have_flags and flags[k]
-                if faulty or general_loop or reqmask[k] & hot:
-                    for j in range(jlo, jhi):
-                        d = disk_l[j]
-                        if (hot >> d) & 1:
-                            done = _sub_slow(
-                                d, j, t,
-                                sub_errors.get(j, 0) if faulty else 0,
-                            )
+                for j in range(jlo, jhi):
+                    d = disk_l[j]
+                    if (hot >> d) & 1:
+                        done = _sub_slow(
+                            d, j, t,
+                            sub_errors.get(j, 0) if faulty else 0,
+                        )
+                        hot = da.hot
+                        if done > comp:
+                            comp = done
+                        continue
+                    if faulty and (errs := sub_errors.get(j, 0)):
+                        done = _sub_slow(d, j, t, errs)
+                        hot = da.hot
+                        if done > comp:
+                            comp = done
+                        continue
+                    c = m_cur[d]
+                    if auto_active:
+                        thr_d = m_thr[d]
+                        if (
+                            thr_d is not None
+                            and m_armed[d]
+                            and m_anchor[d] + thr_d
+                            < (t if t > c else c) - 1e-9
+                        ):
+                            # The idleness threshold elapsed before
+                            # this serve: run the spin-down / standby
+                            # / spin-up sequence through the exact
+                            # state machine, then re-mirror the disk.
+                            cov["fallback_auto_spindown"] += 1
+                            _flush(d)
+                            done = serves[d](t, nb_l[j], seek_name_l[j])
+                            _refresh(d)
                             hot = da.hot
-                            if done > comp:
-                                comp = done
-                            continue
-                        if faulty and (errs := sub_errors.get(j, 0)):
-                            done = _sub_slow(d, j, t, errs)
-                            hot = da.hot
-                            if done > comp:
-                                comp = done
-                            continue
-                        c = m_cur[d]
-                        if auto_active:
-                            thr_d = m_thr[d]
-                            if (
-                                thr_d is not None
-                                and m_armed[d]
-                                and m_anchor[d] + thr_d
-                                < (t if t > c else c) - 1e-9
-                            ):
-                                # The idleness threshold elapsed before
-                                # this serve: run the spin-down / standby
-                                # / spin-up sequence through the exact
-                                # state machine, then re-mirror the disk.
-                                cov["fallback_auto_spindown"] += 1
-                                _flush(d)
-                                done = serves[d](t, nb_l[j], seek_name_l[j])
-                                _refresh(d)
-                                hot = da.hot
-                                fired += 1
-                                brk = True
-                                if counting:
-                                    r2 = disks[d].rpm
-                                    rpm_counts[r2] = rpm_counts.get(r2, 0) + 1
-                                if collect:
-                                    busy[d].append(
-                                        BusyInterval(
-                                            d,
-                                            disks[d].last_service_start_s,
-                                            done,
-                                        )
+                            fired += 1
+                            brk = True
+                            if counting:
+                                r2 = disks[d].rpm
+                                rpm_counts[r2] = rpm_counts.get(r2, 0) + 1
+                            if collect:
+                                busy[d].append(
+                                    BusyInterval(
+                                        d,
+                                        disks[d].last_service_start_s,
+                                        done,
                                     )
-                                if done > comp:
-                                    comp = done
-                                continue
-                        if t > c:
-                            dur = t - c
-                            m_idle_t[d] += dur
-                            m_idle_e[d] += dur * m_iw[d]
-                            m_brpm[d] += dur
-                            m_anyidle[d] = True
-                            if recording:
-                                rec_seg(d, "idle", c, t, m_iw[d], m_rpm[d])
-                            start = t
-                        else:
-                            start = c
-                        r = m_rdy[d]
-                        if r > start:
-                            start = r
-                        svc = m_svc[d][j]
-                        done = start + svc
-                        m_act_t[d] += svc
-                        m_act_e[d] += svc * m_aw[d]
+                                )
+                            if done > comp:
+                                comp = done
+                            continue
+                    if t > c:
+                        dur = t - c
+                        m_idle_t[d] += dur
+                        m_idle_e[d] += dur * m_iw[d]
+                        m_brpm[d] += dur
+                        m_anyidle[d] = True
                         if recording:
-                            rec_seg(
-                                d, "active", start, done, m_aw[d], m_rpm[d],
-                                "", svc,
-                            )
-                        m_cur[d] = done
-                        m_rdy[d] = done
-                        m_anchor[d] = done
-                        m_armed[d] = True
-                        m_last[d] = start
-                        m_lre[d] = done
-                        m_n[d] += 1
-                        m_b[d] += nb_l[j]
-                        if counting:
-                            r2 = m_rpm[d]
-                            rpm_counts[r2] = rpm_counts.get(r2, 0) + 1
-                        if collect:
-                            busy[d].append(BusyInterval(d, start, done))
-                        if drpm_on:
-                            dw_sum[d] += (done - start) / drpm_top_row[j]
-                            dw_cnt[d] += 1
-                            if dw_cnt[d] == drpm_wsize:
-                                _drpm_boundary(d, done)
-                                hot = da.hot
-                        if done > comp:
-                            comp = done
-                else:
-                    for j in range(jlo, jhi):
-                        d = disk_l[j]
-                        c = m_cur[d]
-                        if t > c:
-                            dur = t - c
-                            m_idle_t[d] += dur
-                            m_idle_e[d] += dur * m_iw[d]
-                            m_brpm[d] += dur
-                            m_anyidle[d] = True
-                            start = t
-                        else:
-                            start = c
-                        r = m_rdy[d]
-                        if r > start:
-                            start = r
-                        svc = m_svc[d][j]
-                        done = start + svc
-                        m_act_t[d] += svc
-                        m_act_e[d] += svc * m_aw[d]
-                        m_cur[d] = done
-                        m_rdy[d] = done
-                        m_anchor[d] = done
-                        m_armed[d] = True
-                        m_last[d] = start
-                        m_lre[d] = done
-                        m_n[d] += 1
-                        m_b[d] += nb_l[j]
-                        if counting:
-                            r2 = m_rpm[d]
-                            rpm_counts[r2] = rpm_counts.get(r2, 0) + 1
-                        if collect:
-                            busy[d].append(BusyInterval(d, start, done))
-                        if done > comp:
-                            comp = done
+                            rec_seg(d, "idle", c, t, m_iw[d], m_rpm[d])
+                        start = t
+                    else:
+                        start = c
+                    r = m_rdy[d]
+                    if r > start:
+                        start = r
+                    svc = m_svc[d][j]
+                    done = start + svc
+                    m_act_t[d] += svc
+                    m_act_e[d] += svc * m_aw[d]
+                    if recording:
+                        rec_seg(
+                            d, "active", start, done, m_aw[d], m_rpm[d],
+                            "", svc,
+                        )
+                    m_cur[d] = done
+                    m_rdy[d] = done
+                    m_anchor[d] = done
+                    m_armed[d] = True
+                    m_last[d] = start
+                    m_lre[d] = done
+                    m_n[d] += 1
+                    m_b[d] += nb_l[j]
+                    if counting:
+                        r2 = m_rpm[d]
+                        rpm_counts[r2] = rpm_counts.get(r2, 0) + 1
+                    if collect:
+                        busy[d].append(BusyInterval(d, start, done))
+                    if drpm_on:
+                        dw_sum[d] += (done - start) / drpm_top_row[j]
+                        dw_cnt[d] += 1
+                        if dw_cnt[d] == drpm_wsize:
+                            _drpm_boundary(d, done)
+                            hot = da.hot
+                    if done > comp:
+                        comp = done
                 jlo = jhi
                 resp = comp - t
                 append_response(resp)
@@ -2201,8 +2002,8 @@ def simulate(
     recorder's segment stream.  Any engine other than ``"stepwise"`` falls
     back to stepwise replay for reactive controllers whose per-completion
     hooks observe every sub-request (``reactive-controller``; reactive
-    DRPM runs in-kernel, and reactive TPM's autonomous spin-down is an
-    exact per-serve due check).  ``"auto"`` therefore means segmented
+    DRPM runs on the segmented engine's scalar mirror, and reactive TPM's
+    autonomous spin-down is an exact per-serve due check).  ``"auto"`` therefore means segmented
     unless the controller is reactive.
 
     No fallback is silent: each forced routing is logged (DEBUG) with its

@@ -78,10 +78,10 @@ def drpm_window_step(
     time and the disk's current level, return the RPM to shift to, or
     ``None`` to hold.  This is the decision kernel
     :class:`~repro.controllers.drpm.ReactiveDRPM` applies per completion
-    window and the segmented replay engine applies in-kernel; both callers
-    must reset their reference mean after a recovery ramp (a returned
-    target equal to ``drpm.max_rpm`` — a step *down* can never return the
-    top level, so the discrimination is sound).
+    window and the segmented replay engine applies on its scalar mirror;
+    both callers must reset their reference mean after a recovery ramp (a
+    returned target equal to ``drpm.max_rpm`` — a step *down* can never
+    return the top level, so the discrimination is sound).
 
     ``drpm`` is a :class:`~repro.disksim.params.DRPMParams`; the argument
     is duck-typed so the kernel can pass it without importing params here.

@@ -9,12 +9,11 @@ in-flight transition).  :func:`strategies.boundary_adjacent_traces`
 generates exactly those placements; every engine must stay bit-identical,
 with and without fault injection.
 
-Also here: targeted streams for the two size-gated vector paths — the
-reactive-DRPM windowed kernel (engaged only when
-``window_size * num_disks >= DRPM_VECTOR_MIN_WINDOW``) and the
-auto-spin-down vector kernel (engaged only for streams of at least
-``AUTO_VECTOR_MIN_REQUESTS`` requests) — so both run under their real
-gates, not just in synthetic unit settings.
+Also here: targeted streams for the two reactive controllers the
+segmented engine serves itself — reactive DRPM with a wide window (its
+count-bounded windows and level shifts run on the scalar mirror) and
+reactive TPM on a short and a long stream, both of which must engage the
+fire-bounded vector windows between autonomous spin-downs.
 """
 
 import sys
@@ -32,8 +31,6 @@ from repro.controllers.tpm import ReactiveTPM
 from repro.disksim.params import DRPMParams, SubsystemParams
 from repro.disksim.replay import ReplayPlan
 from repro.disksim.simulator import (
-    AUTO_VECTOR_MIN_REQUESTS,
-    DRPM_VECTOR_MIN_WINDOW,
     replay_coverage,
     reset_replay_coverage,
     simulate,
@@ -73,7 +70,7 @@ def test_boundary_adjacent_directives_bit_identical(data):
 
 
 # --------------------------------------------------------------------- #
-# Targeted streams for the size-gated vector paths.
+# Targeted streams for the reactive controllers.
 # --------------------------------------------------------------------- #
 def _uniform_trace(num_disks, num_requests, gap_s, burst_every=0, burst_gap_s=0.0):
     layout = SubsystemLayout(
@@ -91,49 +88,45 @@ def _uniform_trace(num_disks, num_requests, gap_s, burst_every=0, burst_gap_s=0.
 
 
 def test_drpm_vector_window_path_bit_identical():
-    """A window-size/disk-count product over ``DRPM_VECTOR_MIN_WINDOW``
-    engages the windowed vector kernel (count-bounded windows plus the
-    response-sum fold); it must reproduce the stepwise replay exactly."""
+    """A wide reactive-DRPM window (256 subs per disk) folds long runs of
+    responses and shifts levels at the boundaries on the scalar mirror;
+    it must reproduce the stepwise replay exactly."""
     drpm = DRPMParams(window_size=256)
     params = SubsystemParams(num_disks=4, drpm=drpm)
-    assert drpm.window_size * params.num_disks >= DRPM_VECTOR_MIN_WINDOW
     trace = _uniform_trace(4, 2048, gap_s=0.004)
     plan = ReplayPlan.for_trace(trace)
-    results = {}
-    for eng in ENGINES:
-        reset_replay_coverage()
-        results[eng] = simulate(
+    results = {
+        eng: simulate(
             trace, params, ReactiveDRPM(drpm), collect_busy_intervals=True,
             plan=plan, engine=eng,
         )
-        cov = replay_coverage()
-        if eng == "segmented":
-            # The gate is open: the vector kernel must actually engage.
-            assert cov["segments_vector"] >= 1
-            assert cov["subrequests_vector"] > 0
+        for eng in ENGINES
+    }
     _assert_results_identical(results["segmented"], results["stepwise"])
     _assert_results_identical(results["auto"], results["stepwise"])
 
 
 def test_auto_spindown_vector_path_bit_identical():
-    """A stream past ``AUTO_VECTOR_MIN_REQUESTS`` with mid-replay
-    autonomous spin-downs engages the fire-bounded vector windows; spin
-    counts, timing and stats must match the stepwise replay exactly."""
-    n = AUTO_VECTOR_MIN_REQUESTS + 1024
-    trace = _uniform_trace(4, n, gap_s=0.002, burst_every=512, burst_gap_s=1.0)
+    """Short and long streams with mid-replay autonomous spin-downs both
+    engage the fire-bounded vector windows; spin counts, timing and stats
+    must match the stepwise replay exactly."""
     params = SubsystemParams(num_disks=4)
-    plan = ReplayPlan.for_trace(trace)
-    results = {}
-    for eng in ENGINES:
-        reset_replay_coverage()
-        results[eng] = simulate(
-            trace, params, ReactiveTPM(0.4), plan=plan, engine=eng
+    for n in (2048, 9216):
+        trace = _uniform_trace(
+            4, n, gap_s=0.002, burst_every=512, burst_gap_s=1.0
         )
-        cov = replay_coverage()
-        if eng == "segmented":
-            assert cov["segments_vector"] >= 1
-            assert cov["subrequests_vector"] > 0
-    # The 1 s bursts exceed the 0.4 s threshold: fires must happen.
-    assert results["stepwise"].total_spin_downs > 0
-    _assert_results_identical(results["segmented"], results["stepwise"])
-    _assert_results_identical(results["auto"], results["stepwise"])
+        plan = ReplayPlan.for_trace(trace)
+        results = {}
+        for eng in ENGINES:
+            reset_replay_coverage()
+            results[eng] = simulate(
+                trace, params, ReactiveTPM(0.4), plan=plan, engine=eng
+            )
+            cov = replay_coverage()
+            if eng == "segmented":
+                assert cov["segments_vector"] >= 1, n
+                assert cov["subrequests_vector"] > 0, n
+        # The 1 s bursts exceed the 0.4 s threshold: fires must happen.
+        assert results["stepwise"].total_spin_downs > 0
+        _assert_results_identical(results["segmented"], results["stepwise"])
+        _assert_results_identical(results["auto"], results["stepwise"])

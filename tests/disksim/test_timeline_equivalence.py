@@ -16,9 +16,10 @@ Three layers of evidence:
 * the full Table 2 sweep — every workload x every scheme, clean and under
   a seeded fault regime — comparing segment streams across all three
   engines and checking ledger conservation on each;
-* the disabled path: without a recorder the segmented engine must keep
-  using its fused vector kernel (coverage counters prove the hot path is
-  untouched), which is what the bench's <2 % obs-disabled gate measures.
+* the fused vector kernel emits its windows' segments itself: attaching
+  a recorder leaves the fused-window count unchanged (coverage counters
+  prove the hot path is untouched) and the segments equal the stepwise
+  replay's, including a skewed window folded one disk at a time.
 """
 
 import sys
@@ -207,7 +208,7 @@ def test_sweep_surfaces_directive_and_fault_causes():
 
 
 # --------------------------------------------------------------------- #
-# Disabled path: no recorder => the fused vector kernel stays in play.
+# A recorder keeps the fused vector kernel in play.
 # --------------------------------------------------------------------- #
 def _big_uniform_trace(num_requests=600, num_disks=4):
     from repro.layout.files import FileEntry, SubsystemLayout
@@ -236,15 +237,68 @@ def test_recorder_disabled_keeps_fused_vector_path():
     assert REPLAY_COVERAGE["segments_fused"] > 0
     fused_without = REPLAY_COVERAGE["segments_fused"]
 
-    # With a recorder the engine trades the fused kernel for the exact
-    # per-disk emission loop — same arithmetic, segment-level bookkeeping.
+    # With a recorder the fused kernel emits each window's segments from
+    # the arrays it folds: the same windows fuse, and the segment stream
+    # equals the stepwise replay's.
     reset_replay_coverage()
     rec = TimelineRecorder()
     simulate(trace, params, engine="segmented", recorder=rec)
-    assert REPLAY_COVERAGE["segments_fused"] == 0
-    assert rec.disks
-
-    # And detaching the recorder restores the fused path (no sticky state).
-    reset_replay_coverage()
-    simulate(trace, params, engine="segmented")
     assert REPLAY_COVERAGE["segments_fused"] == fused_without
+    ref = TimelineRecorder()
+    simulate(trace, params, engine="stepwise", recorder=ref)
+    assert rec.disks
+    assert _segments(rec) == _segments(ref)
+
+
+def _skewed_trace(num_requests=2048, num_disks=64):
+    """Disk 0 takes 15 of every 16 requests; the rest cycle over the
+    other 63 disks, so one quiescent window touches every disk while one
+    disk holds nearly all of its sub-requests."""
+    from repro.layout.files import FileEntry, SubsystemLayout
+    from repro.layout.striping import Striping
+    from repro.trace.request import IORequest, Trace
+    from repro.util.units import KB
+
+    layout = SubsystemLayout(
+        num_disks=num_disks,
+        entries=(
+            FileEntry(
+                "A", num_disks * 64 * KB, Striping(0, num_disks, 64 * KB), 0
+            ),
+        ),
+    )
+    reqs = tuple(
+        IORequest(
+            0.01 * i,
+            "A",
+            (1 + (i // 16) % (num_disks - 1)) * 64 * KB if i % 16 == 0 else 0,
+            8 * KB,
+            False,
+        )
+        for i in range(num_requests)
+    )
+    return Trace("skewed", layout, reqs, (), 0.01 * num_requests + 1.0)
+
+
+def test_skewed_window_folds_per_disk_bit_identical(assert_results_identical):
+    """A window whose padded fold matrix would exceed its memory bound
+    folds one disk at a time through the same fused code — busy
+    intervals, stats and segments still match the stepwise replay."""
+    trace = _skewed_trace()
+    params = SubsystemParams(num_disks=64)
+    plan = ReplayPlan.for_trace(trace)
+    results = {}
+    streams = {}
+    for eng in ENGINES:
+        reset_replay_coverage()
+        rec = TimelineRecorder()
+        results[eng] = simulate(
+            trace, params, plan=plan, engine=eng, recorder=rec,
+            collect_busy_intervals=True,
+        )
+        streams[eng] = _segments(rec)
+        if eng == "segmented":
+            assert REPLAY_COVERAGE["segments_fused"] >= 1
+    for eng in ("segmented", "auto"):
+        assert_results_identical(results[eng], results["stepwise"])
+        assert streams[eng] == streams["stepwise"]

@@ -138,8 +138,8 @@ def test_cli_obs_manifest_captures_suite_metrics(tmp_path, capsys):
     # vector/scalar gate (AUTO_ROUTING).
     routing = manifest["engine"]["routing"]
     assert routing == AUTO_ROUTING
-    assert routing["auto_vector_min_requests"] > 0
-    assert routing["drpm_vector_min_window"] > 0
+    assert routing["vector_min_subrequests"] > 0
+    assert routing["defer_window_requests"] > 0
     assert manifest["engine"]["replays_segmented"] > 0
 
 

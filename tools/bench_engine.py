@@ -384,7 +384,7 @@ def write_sim_report(path: str | Path, repeats: int = 3) -> dict:
             "replays segmented under auto (directives are mirror boundary "
             "edits, the reactive-DRPM window fold and TPM spin-down checks "
             "run in-kernel), with stepwise reserved for reactive "
-            "per-completion controller hooks and timeline recording"
+            "per-completion controller hooks"
         ),
         "results": sim,
     }
