@@ -14,8 +14,10 @@ hash of everything the output depends on:
   dataclasses);
 * the compiler's estimation model (error magnitude and seed);
 * the scheme name;
-* a code-version tag (:data:`CACHE_VERSION`), bumped whenever an engine
-  change alters simulation output — the versioned-invalidation escape hatch.
+* the code digest (:func:`code_digest`): one SHA-256 over the source of
+  every module that determines results, so any edit to the engine,
+  planner, trace pipeline or workloads invalidates every entry without
+  anyone bumping a version by hand.
 
 All IR/parameter types are frozen dataclasses of tuples, strings, numbers
 and enums, so their ``repr`` is deterministic across processes (no
@@ -29,6 +31,7 @@ point elsewhere with ``REPRO_CACHE_DIR=/path``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import os
@@ -42,26 +45,34 @@ from .obs import metrics as _metrics
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "CACHE_VERSION",
-    "TRACE_GENERATOR_VERSION",
     "DEFAULT_CACHE_DIR",
+    "RESULT_SOURCES",
     "ResultCache",
+    "code_digest",
     "fingerprint",
     "program_fingerprint",
     "suite_fingerprint",
     "trace_fingerprint",
 ]
 
-#: Bump whenever simulator/planner behaviour changes in a way that alters
-#: results — stale entries from older code versions then never match.
-#: v2: DiskStats grew fault counters and suite fingerprints gained the
-#: fault regime (fault configs must never alias clean runs).
-CACHE_VERSION = 2
+#: Packages and modules of ``repro`` whose source determines simulation
+#: results and generated traces, relative to the package root.
+RESULT_SOURCES = (
+    "disksim",
+    "power",
+    "controllers",
+    "faults",
+    "trace",
+    "analysis",
+    "layout",
+    "transform",
+    "workloads",
+    "ir",
+    "util",
+    "experiments/schemes.py",
+)
 
-#: Bump whenever the trace generator's output could change (request
-#: emission order, coalescing, chunking, cache-filter semantics) — cached
-#: base traces from older generators then never match.
-TRACE_GENERATOR_VERSION = 1
+_PACKAGE_ROOT = Path(__file__).resolve().parent
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -69,6 +80,24 @@ _ENV_TOGGLE = "REPRO_CACHE"
 _ENV_DIR = "REPRO_CACHE_DIR"
 
 _FALSY = {"0", "false", "no", "off"}
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest(root: Path = _PACKAGE_ROOT) -> str:
+    """SHA-256 over the source of every :data:`RESULT_SOURCES` module under
+    ``root`` (path and bytes of each file, in sorted order).
+
+    Computed on first use and memoized, so a process that never builds a
+    cache key never reads the source.
+    """
+    h = hashlib.sha256()
+    for name in RESULT_SOURCES:
+        path = root / name
+        for f in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            data = f.read_bytes()
+            h.update(f"{f.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+            h.update(data)
+    return h.hexdigest()
 
 
 def fingerprint(*parts: str) -> str:
@@ -93,7 +122,7 @@ def suite_fingerprint(program, layout, params, options, estimation, faults=None)
     its ``repr`` is deterministic); clean runs hash ``faults:None`` and can
     therefore never alias a faulty regime."""
     return fingerprint(
-        f"cache-version:{CACHE_VERSION}",
+        f"code:{code_digest()}",
         program_fingerprint(program),
         repr(layout),
         repr(params),
@@ -106,7 +135,7 @@ def suite_fingerprint(program, layout, params, options, estimation, faults=None)
 def trace_fingerprint(program, layout, options, source: str | None = None) -> str:
     """Content hash of one base-trace generation — everything the generated
     request stream depends on: the program IR, the disk layout, the trace
-    options, and the generator's code version.
+    options, and the code digest.
 
     ``source`` covers traces that were not generated from a program:
     pass an ingest-source digest
@@ -117,7 +146,7 @@ def trace_fingerprint(program, layout, options, source: str | None = None) -> st
     ``source`` field where a generated one hashes ``source:None``, so the
     two key spaces can never alias."""
     return fingerprint(
-        f"trace-generator-version:{TRACE_GENERATOR_VERSION}",
+        f"code:{code_digest()}",
         program_fingerprint(program) if program is not None else "program:None",
         repr(layout),
         repr(options),
@@ -129,7 +158,8 @@ class ResultCache:
     """On-disk pickle store addressed by content hash.
 
     ``load`` returns ``None`` on any miss — absent file, unreadable pickle,
-    or envelope-version mismatch — so callers just recompute; ``store`` is
+    or an envelope written by other code (a different
+    :func:`code_digest`) — so callers just recompute; ``store`` is
     atomic and best-effort (a read-only filesystem degrades to a no-op).
     """
 
@@ -169,11 +199,11 @@ class ResultCache:
             return None
         if (
             not isinstance(envelope, dict)
-            or envelope.get("version") != CACHE_VERSION
+            or envelope.get("version") != code_digest()
         ):
             self.misses += 1
             _metrics.inc("cache.misses")
-            logger.debug("cache miss %s (stale envelope version)", key[:12])
+            logger.debug("cache miss %s (stale envelope code digest)", key[:12])
             return None
         self.hits += 1
         _metrics.inc("cache.hits")
@@ -181,7 +211,7 @@ class ResultCache:
 
     def store(self, key: str, payload: Any) -> None:
         path = self._path(key)
-        envelope = {"version": CACHE_VERSION, "payload": payload}
+        envelope = {"version": code_digest(), "payload": payload}
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")

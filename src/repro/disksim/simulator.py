@@ -94,7 +94,6 @@ __all__ = [
     "reset_replay_coverage",
     "VECTOR_MIN_REQUESTS",
     "VECTOR_MIN_SUBREQUESTS",
-    "VECTOR_MIN_SUBREQUESTS_PM",
     "AUTO_ROUTING",
 ]
 
@@ -121,11 +120,6 @@ VECTOR_MIN_REQUESTS = 64
 #: directives) run the scalar mirror, which has no setup cost.
 VECTOR_MIN_SUBREQUESTS = 256
 
-#: Lower sub-request floor for reactive-TPM replays.  Their scalar
-#: alternative serves every sub with the per-sub auto-spindown due check,
-#: which moves the crossover down.
-VECTOR_MIN_SUBREQUESTS_PM = 96
-
 #: Maximum scalar-window length (in requests) while timed directives are
 #: pending.  Deferral keeps serving disks the due directives do not touch,
 #: so without a cap one due directive on an idle disk could pin the whole
@@ -143,7 +137,6 @@ AUTO_ROUTING: dict = {
     "rule": "segmented unless the controller is reactive",
     "vector_min_requests": VECTOR_MIN_REQUESTS,
     "vector_min_subrequests": VECTOR_MIN_SUBREQUESTS,
-    "vector_min_subrequests_pm": VECTOR_MIN_SUBREQUESTS_PM,
     "defer_window_requests": DEFER_WINDOW_REQUESTS,
 }
 
@@ -1155,9 +1148,6 @@ def _replay_segmented(
         drpm_top_row = row_list(level_row[drpm_max])
         dw_sum, dw_cnt, dw_prev = drpm_carry
     use_vector = not drpm_on
-    min_subs = (
-        VECTOR_MIN_SUBREQUESTS_PM if auto_active else VECTOR_MIN_SUBREQUESTS
-    )
     busy_v = busy if collect else None
 
     # Persistent columnar mirror: a :class:`DiskArray` holds flat per-disk
@@ -1609,7 +1599,7 @@ def _replay_segmented(
                         wv = flagged[fr_idx]
                 if (
                     wv - ri >= VECTOR_MIN_REQUESTS
-                    and indptr_l[wv] - indptr_l[ri] >= min_subs
+                    and indptr_l[wv] - indptr_l[ri] >= VECTOR_MIN_SUBREQUESTS
                 ):
                     # The vector kernel reads and writes the Disk objects
                     # directly, so any live mirrors hand back first.

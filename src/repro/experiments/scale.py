@@ -3,9 +3,10 @@
 The paper's six benchmark models top out around 10⁵ requests — plenty for
 the figures, but too small to expose how the replay engines scale with
 disk count and trace length.  This module builds *scale cells*: synthetic
-(disks × requests) configurations whose traces have a known, exact shape,
-shared by ``tools/bench_scale.py`` (throughput grid → ``BENCH_scale.json``)
-and ``tools/profile_sim.py --memory`` (bounded-memory verification).
+(disks × requests) configurations whose traces have a known, exact shape.
+The benchmark's ``stream_scale`` workload replays the 256-disk ×
+10⁷-request cell (``bench/workloads.py``), and the tier-1 tests replay
+smaller cells.
 
 A cell's program is a single streaming sweep over one disk-resident array
 with 32 KB rows.  With the cache disabled and both the cache line and the
@@ -14,7 +15,7 @@ request cap set to the row size, every outer iteration emits **exactly one
 no cache-regime or coalescing surprises — and the default 64 KB striping
 rotates consecutive requests across all disks, so every disk stays on the
 replay hot path.  Compute cost is ~267 µs/row, a steady I/O cadence with
-no multi-second idle gaps: the bench measures request-replay throughput,
+no multi-second idle gaps: a cell measures request-replay throughput,
 not power-management savings.
 
 Cells are deliberately *stream-first*: :meth:`ScaleCell.stream` is O(chunk)
@@ -37,17 +38,10 @@ from ..trace.stream import TraceStream
 from ..workloads.phases import CLOCK_HZ, io_sweep
 
 __all__ = [
-    "SCALE_DISKS",
-    "SCALE_REQUESTS",
     "ScaleCell",
     "scale_cell",
     "scale_program",
 ]
-
-#: The BENCH_scale grid axes (ISSUE: disks ∈ {8, 64, 256} ×
-#: requests ∈ {25k, 10⁶, 10⁷}).
-SCALE_DISKS: tuple[int, ...] = (8, 64, 256)
-SCALE_REQUESTS: tuple[int, ...] = (25_000, 1_000_000, 10_000_000)
 
 #: One request per row: 4096 doubles = 32 KB.
 ROW_BYTES: int = 4096 * 8

@@ -25,10 +25,10 @@ determinism:
   state instead of waiting for an activation that never came, then
   honours the directive late.
 
-A zero-rate plan (``FaultRates()``) still threads the whole fault path —
-flags are materialized, lookups happen — and must reproduce the clean
-simulator's output *byte-identically*; ``tools/bench_engine.py --smoke``
-gates that overhead below 2 %.
+A zero-rate plan (``FaultRates()``) materializes no request flags and
+sub-request errors, so the replay takes the clean path: its output is
+*byte-identical* to the clean simulator's and every replay-coverage
+counter matches (``tests/disksim/test_fault_equivalence.py``).
 """
 
 from __future__ import annotations

@@ -17,8 +17,9 @@ suites):
 
 Everything is **off by default**.  The module-level recorder starts as
 :data:`~repro.obs.recorder.NULL_RECORDER` and the registry disabled, so
-an instrumented call site costs an attribute load and a no-op call —
-unmeasurable against the bench smoke's 2 % gate.  Switch on with:
+an instrumented call site costs an attribute load and a no-op call, and
+a run records nothing (``tests/obs/test_integration.py``).  Switch on
+with:
 
 * ``REPRO_OBS=1`` in the environment (inherited by pool workers), or
 * ``repro.obs.enable()`` in code, or

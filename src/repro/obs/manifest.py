@@ -2,7 +2,7 @@
 
 The observability layer's third pillar.  A manifest is the durable,
 machine-readable answer to "what produced these artifacts?": it pins the
-package and cache code versions, fingerprints the run configuration,
+package version and the result-cache code digest, fingerprints the run configuration,
 records per-phase wall times, and embeds the final metric snapshot plus
 cache and replay-engine statistics — enough to compare two runs, audit a
 regression, or invalidate stale artifacts, without re-reading logs.
@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ..cache import CACHE_VERSION, TRACE_GENERATOR_VERSION, fingerprint
+from ..cache import code_digest, fingerprint
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -87,8 +87,7 @@ def build_manifest(
         "package": {
             "name": "repro",
             "version": __version__,
-            "cache_version": CACHE_VERSION,
-            "trace_generator_version": TRACE_GENERATOR_VERSION,
+            "code_digest": code_digest(),
         },
         "host": _host_info(),
         "env": {k: os.environ[k] for k in _ENV_KEYS if k in os.environ},
@@ -142,7 +141,7 @@ def validate_manifest(obj: Any) -> list[str]:
     if obj["schema"] != MANIFEST_SCHEMA:
         problems.append(f"unknown schema {obj['schema']!r}")
     pkg = obj["package"]
-    for key in ("version", "cache_version", "trace_generator_version"):
+    for key in ("version", "code_digest"):
         if key not in pkg:
             problems.append(f"package record missing {key!r}")
     if not isinstance(obj["phases"], list):

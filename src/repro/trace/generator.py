@@ -632,9 +632,9 @@ def generate_trace_reference(
 ) -> Trace:
     """The naive per-line reference generator.
 
-    Retained verbatim as the semantic baseline :func:`generate_trace` is
-    proven against (equivalence tests) and benchmarked against
-    (``tools/bench_engine.py``): one Python loop per outer iteration,
+    Retained verbatim as the oracle :func:`generate_trace` is proven
+    against (``tests/trace/test_generator_equivalence.py``): one Python
+    loop per outer iteration,
     per-line LRU filtering through :meth:`BufferCache.access_extents`, one
     :class:`IORequest` object per emitted chunk.
     """

@@ -125,11 +125,6 @@ _ORDERED_OR_SORT = (
 #: Recognized device→disk mapping policies (see :func:`device_layout`).
 MAPPING_POLICIES = ("modulo", "range", "lba")
 
-#: Version folded into :func:`ingest_fingerprint` — bump when parsing or
-#: normalization semantics change, so stale cached replays cannot be
-#: mistaken for current ones.
-INGEST_VERSION = 1
-
 
 # ---------------------------------------------------------------------- #
 # Record-level parsing
@@ -659,7 +654,8 @@ def ingest_fingerprint(
     parameter that shapes the normalized columns, so a cached replay is
     reused exactly when the same recorded data would normalize the same
     way — feed this into
-    :func:`repro.cache.trace_fingerprint`'s ``source`` argument.
+    :func:`repro.cache.trace_fingerprint`'s ``source`` argument, whose
+    code digest covers the parser itself.
     """
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -667,7 +663,6 @@ def ingest_fingerprint(
             h.update(block)
     descriptor = "\x1f".join(
         (
-            f"ingest-v{INGEST_VERSION}",
             h.hexdigest(),
             fmt,
             mapping,

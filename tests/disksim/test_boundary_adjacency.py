@@ -109,11 +109,13 @@ def test_drpm_vector_window_path_bit_identical():
 def test_auto_spindown_vector_path_bit_identical():
     """Short and long streams with mid-replay autonomous spin-downs both
     engage the fire-bounded vector windows; spin counts, timing and stats
-    must match the stepwise replay exactly."""
+    must match the stepwise replay exactly.  At 1 ms gaps a window bounded
+    by the 0.4 s fire horizon spans ~400 sub-requests, above
+    ``VECTOR_MIN_SUBREQUESTS``."""
     params = SubsystemParams(num_disks=4)
     for n in (2048, 9216):
         trace = _uniform_trace(
-            4, n, gap_s=0.002, burst_every=512, burst_gap_s=1.0
+            4, n, gap_s=0.001, burst_every=512, burst_gap_s=1.0
         )
         plan = ReplayPlan.for_trace(trace)
         results = {}

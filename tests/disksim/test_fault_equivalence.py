@@ -9,7 +9,9 @@ repo's core replay guarantees:
   and miss counters, response streams, busy intervals);
 * **zero-rate byte-identity** — an all-zero-rate :class:`FaultPlan` is
   indistinguishable from no fault plan at all, for every bundled Table 2
-  workload under all seven schemes;
+  workload under all seven schemes: it flags no request and leaves every
+  replay-coverage counter where the clean replay puts it (same path, so
+  same cost);
 * **seed determinism** — the same :class:`FaultConfig` yields the same
   result in-process, across repeat runs, and across worker processes
   (the parallel replay path), while different seeds genuinely differ.
@@ -28,10 +30,15 @@ from strategies import fault_configs, programs  # noqa: E402
 
 from repro.analysis.cycles import EstimationModel
 from repro.disksim.params import SubsystemParams
-from repro.disksim.simulator import simulate
+from repro.disksim.replay import ReplayPlan
+from repro.disksim.simulator import (
+    replay_coverage,
+    reset_replay_coverage,
+    simulate,
+)
 from repro.experiments.parallel import SuiteExecutor, SuiteSpec
 from repro.experiments.schemes import SCHEME_NAMES, run_schemes, run_workload
-from repro.faults import FaultConfig, FaultRates
+from repro.faults import FaultConfig, FaultPlan, FaultRates
 from repro.layout.files import default_layout
 from repro.trace.generator import TraceOptions, generate_trace
 from repro.workloads import all_workloads
@@ -81,14 +88,23 @@ def test_random_faulty_replays_bit_identical(data):
 @pytest.mark.parametrize("workload", all_workloads(), ids=lambda w: w.name)
 def test_zero_rate_faults_are_invisible(workload):
     """A FaultConfig whose every rate is zero must reproduce the clean
-    suite bit for bit — all seven schemes, both concrete engines."""
+    suite bit for bit — all seven schemes, both concrete engines — through
+    the same replay paths: no request is flagged and every coverage
+    counter matches the clean run's."""
     null = FaultConfig(seed=12345, rates=FaultRates())
     assert null.is_null
     for eng in ("stepwise", "segmented"):
+        reset_replay_coverage()
         clean = run_workload(workload, engine=eng)
+        clean_cov = replay_coverage()
+        reset_replay_coverage()
         faulted = run_workload(workload, engine=eng, faults=null)
+        assert replay_coverage() == clean_cov
         assert set(clean.results) == set(SCHEME_NAMES)
         _assert_suites_identical(clean, faulted)
+    plan = FaultPlan(null, ReplayPlan.for_trace(clean.base_trace))
+    assert plan.request_flags is None
+    assert plan.flagged_requests == [] and plan.sub_errors == {}
 
 
 # --------------------------------------------------------------------- #

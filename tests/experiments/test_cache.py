@@ -1,13 +1,17 @@
 """Persistent result cache: round-trips, invalidation, escape hatches."""
 
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
+from repro import cache as cache_mod
 from repro.analysis.cycles import EstimationModel
 from repro.cache import (
-    CACHE_VERSION,
+    RESULT_SOURCES,
     ResultCache,
+    code_digest,
     fingerprint,
     program_fingerprint,
     suite_fingerprint,
@@ -114,6 +118,49 @@ def test_trace_fingerprint_is_a_content_address(
     assert trace_fingerprint(renamed, phase_layout, small_trace_options) != fp
 
 
+def _copy_result_sources(dst: Path) -> Path:
+    root = Path(cache_mod.__file__).parent
+    for name in RESULT_SOURCES:
+        src = root / name
+        if src.is_dir():
+            shutil.copytree(
+                src, dst / name, ignore=shutil.ignore_patterns("__pycache__")
+            )
+        else:
+            (dst / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(src, dst / name)
+    return dst
+
+
+def test_one_byte_source_edit_changes_every_key(
+    phase_program, phase_layout, small_trace_options, tmp_path, monkeypatch
+):
+    """Keys derive from the code: one edited byte in the disk model changes
+    the digest, and with it every suite key and trace key."""
+    clean = _copy_result_sources(tmp_path / "clean")
+    edited = _copy_result_sources(tmp_path / "edited")
+    disk = edited / "disksim" / "disk.py"
+    data = bytearray(disk.read_bytes())
+    data[len(data) // 2] ^= 1
+    disk.write_bytes(bytes(data))
+    assert code_digest(clean) == code_digest()
+    assert code_digest(edited) != code_digest()
+
+    def keys():
+        return (
+            suite_fingerprint(
+                phase_program, phase_layout, PARAMS, small_trace_options, EST
+            ),
+            trace_fingerprint(phase_program, phase_layout, small_trace_options),
+            trace_fingerprint(None, phase_layout, None, source="synth"),
+        )
+
+    before = keys()
+    monkeypatch.setattr(cache_mod, "code_digest", lambda: code_digest(edited))
+    after = keys()
+    assert all(a != b for a, b in zip(before, after))
+
+
 def test_warm_suite_serves_trace_from_cache(
     phase_program, phase_layout, small_trace_options, tmp_path, monkeypatch,
     assert_results_identical,
@@ -142,11 +189,9 @@ def test_version_mismatch_and_corruption_miss(tmp_path):
     cache.store(key, {"answer": 42})
     assert cache.load(key) == {"answer": 42}
 
-    # Envelope from a different code version never matches.
+    # Envelope written by different code (another digest) never matches.
     path = cache._path(key)
-    path.write_bytes(
-        pickle.dumps({"version": CACHE_VERSION + 1, "payload": {"answer": 42}})
-    )
+    path.write_bytes(pickle.dumps({"version": "0" * 64, "payload": {"answer": 42}}))
     assert cache.load(key) is None
 
     # A truncated/corrupted file degrades to a miss, not an exception.

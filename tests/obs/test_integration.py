@@ -1,8 +1,9 @@
 """End-to-end observability: instrumented runs change nothing but add data.
 
-Two contracts: (1) a scheme suite run with observability on produces
+Three contracts: (1) a scheme suite run with observability on produces
 bit-identical results to one with it off, while the recorder/registry fill
-with the pipeline's spans and counters; (2) the CLI's ``--obs`` artifacts
+with the pipeline's spans and counters; (2) with observability off the same
+run records nothing at all; (3) the CLI's ``--obs`` artifacts
 (Chrome trace + run manifest) validate against their schemas and leave
 stdout byte-identical to a no-flag run.
 """
@@ -21,6 +22,7 @@ from repro.experiments.schemes import SCHEME_NAMES, run_schemes
 from repro.obs.export import load_and_validate as load_trace
 from repro.obs.export import span_names
 from repro.obs.manifest import load_and_validate as load_manifest
+from repro.obs.recorder import NULL_RECORDER
 
 #: Spans every full suite run must emit (pipeline stage coverage).
 PIPELINE_SPANS = {
@@ -68,6 +70,20 @@ def test_observed_suite_is_bit_identical_and_fully_spanned(
     )
     assert total_replays >= len(SCHEME_NAMES)
     assert any(k.startswith("sim.replay_wall_s") for k in obs.metrics.snapshot()["histograms"])
+
+
+def test_unobserved_suite_records_nothing(
+    phase_program, phase_layout, small_trace_options
+):
+    """Off means free: a suite run leaves the registry empty and no span
+    recorder behind (the instrumented call sites only hit the null
+    objects)."""
+    assert not obs.enabled()
+    _suite(phase_program, phase_layout, small_trace_options)
+    assert not obs.enabled()
+    assert obs.get_recorder() is NULL_RECORDER
+    assert NULL_RECORDER.drain() == []
+    assert obs.metrics.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
 def test_cli_obs_artifacts_validate_and_stdout_is_flag_invariant(

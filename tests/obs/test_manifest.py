@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro import __version__, obs
-from repro.cache import CACHE_VERSION, TRACE_GENERATOR_VERSION
+from repro.cache import code_digest
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     assert_valid_manifest,
@@ -37,8 +37,7 @@ def test_build_manifest_pins_versions_and_config():
     assert m["kind"] == "repro-run-manifest"
     assert m["command"] == "table2"
     assert m["package"]["version"] == __version__
-    assert m["package"]["cache_version"] == CACHE_VERSION
-    assert m["package"]["trace_generator_version"] == TRACE_GENERATOR_VERSION
+    assert m["package"]["code_digest"] == code_digest()
     assert m["config"]["jobs"] == 2
     assert m["cache"] == {"hits": 3, "misses": 5}
     assert m["engine"] == {"replays_segmented": 24}

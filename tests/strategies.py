@@ -292,7 +292,9 @@ def boundary_adjacent_traces(draw):
             )
             if draw(st.booleans()):
                 steps = params.drpm.steps_between(params.drpm.max_rpm, rpm)
-                t1 = t0 + steps * step_s + draw(edge_eps)
+                # A zero-step call at t = 0 must not chain to a
+                # negative instant.
+                t1 = max(t0 + steps * step_s + draw(edge_eps), 0.0)
                 rpm2 = draw(st.sampled_from(levels))
                 records.append(
                     DirectiveRecord(

@@ -4,8 +4,9 @@ These freeze deterministic facts of the current models — exact request
 counts, DAP structure, nest inventories — so an accidental change to a
 workload or to the trace generator shows up as a diff here rather than as
 a silent drift in the reproduced figures.  If you change a model on
-purpose, update the pins and re-run ``pytest benchmarks/`` to re-validate
-the paper shapes.
+purpose, update the pins, regenerate ``artifacts/`` with
+``tools/regen_experiments.py`` and re-run
+``tests/experiments/test_artifacts.py``, which checks the paper's shapes.
 """
 
 import pytest
