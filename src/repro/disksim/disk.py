@@ -44,8 +44,8 @@ def sequential_sum(acc: float, values: np.ndarray) -> float:
     ``np.add.accumulate`` applies the operation element by element (unlike
     ``np.add.reduce``, which uses pairwise summation), so the result is
     bit-identical to ``for v in values: acc += v`` — the contract the
-    segmented replay engine relies on to accrue batched stats into the same
-    counters the stepwise simulator fills one request at a time.
+    replay's vector kernel relies on to accrue batched stats into the same
+    counters :meth:`Disk.serve` fills one request at a time.
     """
     buf = np.empty(values.size + 1, dtype=np.float64)
     buf[0] = acc
@@ -230,25 +230,6 @@ class Disk:
     def in_transition(self) -> bool:
         return self._transition_end_s is not None
 
-    @property
-    def mirrorable(self) -> bool:
-        """Whether the segmented engine may shadow this disk in its mirror.
-
-        The vectorized replay (:mod:`repro.disksim.simulator`) keeps a
-        per-disk copy of the fields ``serve``/``set_rpm``/``spin_down``/
-        ``spin_up`` read and write — cursor, ready, idle anchor, RPM,
-        standby flag, one in-flight transition — and only writes them back
-        at flush points.  Two pieces of state are deliberately *not*
-        mirrored, because they queue further work whose dispatch order the
-        mirror cannot reproduce without re-implementing the whole state
-        machine: a pending deferred action (directive issued mid-transition)
-        and a multi-level spin-up chain.  While either is set the engine
-        must drive this disk through the exact methods; it checks this
-        property at refresh points and routes the disk scalar-exact until
-        the queued work drains.
-        """
-        return self._pending_action is None and not self._spinup_chain
-
     def _begin_transition(
         self,
         start_s: float,
@@ -259,7 +240,7 @@ class Disk:
         to_standby: bool = False,
         cause: str = "",
     ) -> None:
-        if self.in_transition:
+        if self._transition_end_s is not None:
             raise SimulationError(
                 f"disk {self.disk_id}: transition started while one is in flight"
             )
@@ -269,31 +250,38 @@ class Disk:
                 f"{self.cursor_s}"
             )
         self._settle_idle(start_s)
-        self._transition_end_s = start_s + duration_s
+        end = start_s + duration_s
+        self._transition_end_s = end
         self._transition_power_w = power_w
         self._transition_state = state
         self._transition_target_rpm = target_rpm
         self._transition_to_standby = to_standby
         self._transition_cause = cause
-        self.ready_s = max(self.ready_s, self._transition_end_s)
+        if end > self.ready_s:
+            self.ready_s = end
+
+    def _accrue_transition(self, t: float) -> None:
+        """Accrue the in-flight transition from the cursor to ``t``."""
+        cursor = self.cursor_s
+        state = self._transition_state
+        power = self._transition_power_w
+        dur = t - cursor if t > cursor else 0.0
+        stats = self.stats
+        stats.time_s[state] += dur
+        stats.energy_j[state] += dur * power
+        if t > cursor:
+            if self.recorder is not None:
+                self.recorder.record(
+                    self.disk_id, state, cursor, t, power,
+                    self._transition_target_rpm or self.rpm,
+                    self._transition_cause,
+                )
+            self.cursor_s = t
 
     def _complete_transition(self) -> None:
-        assert self._transition_end_s is not None
         end = self._transition_end_s
-        self.stats.add(
-            self._transition_state,
-            max(0.0, end - self.cursor_s),
-            self._transition_power_w,
-        )
-        self._emit(
-            self._transition_state,
-            self.cursor_s,
-            end,
-            self._transition_power_w,
-            self._transition_target_rpm or self.rpm,
-            self._transition_cause,
-        )
-        self.cursor_s = max(self.cursor_s, end)
+        assert end is not None
+        self._accrue_transition(end)
         if self._transition_target_rpm is not None:
             self.rpm = self._transition_target_rpm
         if self._transition_to_standby and not self.standby:
@@ -331,14 +319,14 @@ class Disk:
     def _settle_idle(self, t: float) -> None:
         """Accrue the base (idle/standby) state from the cursor to ``t``,
         assuming no transition is in flight and none should auto-fire."""
-        if t < self.cursor_s - 1e-9:
+        cursor = self.cursor_s
+        if t < cursor - 1e-9:
             raise SimulationError(
                 f"disk {self.disk_id}: time moved backwards "
-                f"({t} < cursor {self.cursor_s})"
+                f"({t} < cursor {cursor})"
             )
-        cursor = self.cursor_s
-        dur = max(0.0, t - cursor)
-        if dur > 0:
+        if t > cursor:
+            dur = t - cursor
             stats = self.stats
             if self.standby:
                 stats.add("standby", dur, self.pm.standby_power_w)
@@ -352,10 +340,12 @@ class Disk:
                 stats.time_s["idle"] += dur
                 stats.energy_j["idle"] += dur * power
                 by_rpm = stats.idle_time_by_rpm
-                by_rpm[rpm] = by_rpm.get(rpm, 0.0) + dur
+                try:
+                    by_rpm[rpm] += dur
+                except KeyError:  # first idle period at this level
+                    by_rpm[rpm] = dur
                 if self.recorder is not None:
                     self.recorder.record(self.disk_id, "idle", cursor, t, power, rpm)
-        if t > self.cursor_s:
             self.cursor_s = t
 
     # ------------------------------------------------------------------ #
@@ -368,36 +358,24 @@ class Disk:
 
     def advance(self, t: float) -> None:
         """Bring accounting (and autonomous behaviour) up to time ``t``."""
-        if t < self.cursor_s - 1e-9:
-            raise SimulationError(
-                f"disk {self.disk_id}: advance to {t} precedes cursor {self.cursor_s}"
-            )
-        t = max(t, self.cursor_s)
+        cursor = self.cursor_s
+        if t < cursor:
+            if t < cursor - 1e-9:
+                raise SimulationError(
+                    f"disk {self.disk_id}: advance to {t} precedes cursor {cursor}"
+                )
+            t = cursor
         guard = 0
         while True:
             guard += 1
             if guard > 10_000:  # pragma: no cover - defensive
                 raise SimulationError("advance loop failed to converge")
-            if self.in_transition:
-                end = self._transition_end_s
-                assert end is not None
+            end = self._transition_end_s
+            if end is not None:
                 if end <= t + self._EPS:
                     self._complete_transition()
                     continue
-                self.stats.add(
-                    self._transition_state,
-                    max(0.0, t - self.cursor_s),
-                    self._transition_power_w,
-                )
-                self._emit(
-                    self._transition_state,
-                    self.cursor_s,
-                    t,
-                    self._transition_power_w,
-                    self._transition_target_rpm or self.rpm,
-                    self._transition_cause,
-                )
-                self.cursor_s = max(self.cursor_s, t)
+                self._accrue_transition(t)
                 return
             if (
                 not self.standby
@@ -457,7 +435,7 @@ class Disk:
         completes (the cursor never moves ahead of wall-clock time).
         """
         self.advance(t)
-        if self.in_transition:
+        if self._transition_end_s is not None:
             self._pending_action = ("spin_down", None, cause)
             return
         if self.standby:
@@ -467,7 +445,7 @@ class Disk:
     def spin_up(self, t: float, cause: str = CAUSE_EXTERNAL) -> None:
         """Explicit ``spin_up(disk)`` pre-activation call (paper §3)."""
         self.advance(t)
-        if self.in_transition:
+        if self._transition_end_s is not None:
             self._pending_action = ("spin_up", None, cause)
             return
         if not self.standby:
@@ -496,7 +474,7 @@ class Disk:
         if target_rpm not in self.pm.level_index:
             raise SimulationError(f"unsupported RPM level {target_rpm}")
         self.advance(t)
-        if self.in_transition:
+        if self._transition_end_s is not None:
             self._pending_action = ("rpm", target_rpm, cause)
             return
         if self.standby:
@@ -510,34 +488,6 @@ class Disk:
     # ------------------------------------------------------------------ #
     # Request service
     # ------------------------------------------------------------------ #
-    def _finish_service(
-        self, start: float, svc: float, active_power: float, rpm: int, nbytes: int
-    ) -> float:
-        """Canonical request-completion epilogue, shared by every serve path.
-
-        Accrues the active period and moves all service cursors to the
-        completion time; returns it.  The segmented replay engine performs
-        exactly these updates in batch, so keeping them in one place is
-        what its equivalence contract points at.
-        """
-        stats = self.stats
-        stats.time_s["active"] += svc
-        stats.energy_j["active"] += svc * active_power
-        end = start + svc
-        if self.recorder is not None:
-            self.recorder.record(
-                self.disk_id, "active", start, end, active_power, rpm, "", svc
-            )
-        self.last_service_start_s = start
-        self.cursor_s = end
-        self.ready_s = end
-        self.idle_anchor_s = end
-        self._auto_armed = True
-        self.last_request_end_s = end
-        stats.num_requests += 1
-        stats.bytes_served += nbytes
-        return end
-
     def _refresh_level_consts(self, rpm: int) -> None:
         """Memoize the per-level constants ``serve``'s fast path reads.
 
@@ -594,23 +544,57 @@ class Disk:
                 stats.time_s["idle"] += dur
                 stats.energy_j["idle"] += dur * idle_power
                 by_rpm = stats.idle_time_by_rpm
-                by_rpm[rpm] = by_rpm.get(rpm, 0.0) + dur
+                try:
+                    by_rpm[rpm] += dur
+                except KeyError:  # first idle period at this level
+                    by_rpm[rpm] = dur
                 if self.recorder is not None:
                     self.recorder.record(
                         self.disk_id, "idle", cursor, t, idle_power, rpm
                     )
             ready = self.ready_s
             start = t if t > ready else ready
-            # Inlined service_time_s/active_power_w: same cached per-level
-            # constants, same arithmetic, minus ~three calls per request.
-            seek_s = self._seek_s.get(seek)
-            if seek_s is None:
-                raise ConfigError(f"unknown seek class {seek!r}")
-            svc = seek_s + self._lvl_latency + nbytes / self._lvl_rate
-            return self._finish_service(start, svc, self._lvl_active_w, rpm, nbytes)
+        else:
+            start = self._wait_until_serviceable(t_issue)
+            rpm = self.rpm
+            if rpm != self._lvl_rpm:
+                self._refresh_level_consts(rpm)
+        # Completion epilogue, shared by both paths.  Inlined
+        # service_time_s/active_power_w: same cached per-level constants,
+        # same arithmetic, minus ~three calls per request.  The replay's
+        # vector kernel performs exactly these updates in batch.
+        try:
+            seek_s = self._seek_s[seek]
+        except KeyError:
+            raise ConfigError(f"unknown seek class {seek!r}") from None
+        svc = seek_s + self._lvl_latency + nbytes / self._lvl_rate
+        active_power = self._lvl_active_w
+        stats = self.stats
+        stats.time_s["active"] += svc
+        stats.energy_j["active"] += svc * active_power
+        end = start + svc
+        if self.recorder is not None:
+            self.recorder.record(
+                self.disk_id, "active", start, end, active_power, rpm, "", svc
+            )
+        self.last_service_start_s = start
+        self.cursor_s = end
+        self.ready_s = end
+        self.idle_anchor_s = end
+        self._auto_armed = True
+        self.last_request_end_s = end
+        stats.num_requests += 1
+        stats.bytes_served += nbytes
+        return end
+
+    def _wait_until_serviceable(self, t_issue: float) -> float:
+        """``serve``'s slow path: advance to ``t_issue``, wait out every
+        transition (spinning a standby disk up first), and return the
+        instant service can start."""
         # A request may arrive while the disk is still busy (queueing): the
         # accounting clock never rewinds, but service starts at ready time.
-        self.advance(max(t_issue, self.cursor_s))
+        c = self.cursor_s
+        self.advance(t_issue if t_issue > c else c)
         start = t_issue
         guard = 0
         # Silent-stall audit: a directive arriving mid-spin-up parks in
@@ -620,7 +604,7 @@ class Disk:
         # transition queue has wedged and we fail loudly instead of looping
         # a request into a 100-iteration timeout with no diagnosis.
         prev_sig: tuple | None = None
-        while True:
+        while self._transition_end_s is not None or self.standby:
             guard += 1
             if guard > 100:  # pragma: no cover - defensive
                 raise SimulationError("serve wait loop failed to converge")
@@ -633,20 +617,22 @@ class Disk:
                     f"pending={self._pending_action})"
                 )
             prev_sig = sig
-            if self.in_transition:
-                end = self._transition_end_s
-                assert end is not None
+            end = self._transition_end_s
+            c = self.cursor_s
+            if end is not None:
                 self.advance(end)
-                start = max(start, self.cursor_s)
-                continue
-            if self.standby:
-                self._start_spin_up(max(start, self.cursor_s), CAUSE_STANDBY_WAKE)
-                continue
-            break
-        start = max(start, self.ready_s, self.cursor_s)
-        svc = self.pm.service_time_s(nbytes, self.rpm, seek)
-        active_power = self.pm.active_power_w(self.rpm)
-        return self._finish_service(start, svc, active_power, self.rpm, nbytes)
+                c = self.cursor_s
+                if c > start:
+                    start = c
+            else:
+                self._start_spin_up(start if start > c else c, CAUSE_STANDBY_WAKE)
+        r = self.ready_s
+        if r > start:
+            start = r
+        c = self.cursor_s
+        if c > start:
+            start = c
+        return start
 
     def serve_faulty(
         self, t_issue: float, nbytes: int, seek: str, errors: int

@@ -81,7 +81,7 @@ class ReplayPlan:
     columns and is a tuple of ``(disk_id, nbytes, seek)`` sub-requests
     sorted by disk id, where ``seek`` is the precomputed seek class
     (``"seq"``/``"stream"``/``"full"``) — the view the stepwise simulator
-    loop consumes.  The segmented engine reads the flat arrays directly.
+    loop consumes.  The replay driver reads the flat arrays directly.
     """
 
     __slots__ = (

@@ -5,8 +5,8 @@ for debugging plans and for the examples' visualizations it is often more
 useful to see *when* each disk was in each state.  A
 :class:`TimelineRecorder` captures every piecewise-constant power segment a
 disk's accounting emits — from **either** replay engine; the segmented
-engine emits the same records from its boundary-edit mirror and vector
-windows, bit-identical to the stepwise path — and the helpers here turn
+engine's vector windows emit the same records ``Disk`` would, bit for
+bit — and the helpers here turn
 the segments into summaries, CSV, a terminal strip chart, or a
 decision-attribution ledger::
 
@@ -104,14 +104,14 @@ class TimelineRecorder:
     """Accumulates :class:`Segment` records from the disks' accounting.
 
     Pass one recorder to :func:`repro.disksim.simulator.simulate`; it is
-    attached to every disk and, on the segmented engine, to the
-    boundary-edit mirror.  Zero-length segments are dropped.
+    attached to every disk, and the segmented engine's vector windows
+    record into it too.  Zero-length segments are dropped.
     """
 
     def __init__(self) -> None:
         self._segments: dict[int, list[Segment]] = {}
 
-    # Called by Disk/DiskArray accounting hooks.
+    # Called by Disk accounting hooks and the vector kernel's fold.
     def record(
         self,
         disk: int,

@@ -27,7 +27,7 @@ The registry is **disabled by default**: every mutator starts with a
 single ``enabled`` test and returns, keeping the off cost of an
 instrumented call site to roughly a function call.  The truly hot loops
 (per-sub-request service) never call into the registry at all — the
-engines batch their increments per segment/flush.
+replay driver batches its increments per replay.
 """
 
 from __future__ import annotations

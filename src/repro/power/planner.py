@@ -78,8 +78,7 @@ def drpm_window_step(
     time and the disk's current level, return the RPM to shift to, or
     ``None`` to hold.  This is the decision kernel
     :class:`~repro.controllers.drpm.ReactiveDRPM` applies per completion
-    window and the segmented replay engine applies on its scalar mirror;
-    both callers must reset their reference mean after a recovery ramp (a
+    window; the caller must reset its reference mean after a recovery ramp (a
     returned target equal to ``drpm.max_rpm`` — a step *down* can never
     return the top level, so the discrimination is sound).
 

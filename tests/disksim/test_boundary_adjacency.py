@@ -126,7 +126,7 @@ def test_auto_spindown_vector_path_bit_identical():
             )
             cov = replay_coverage()
             if eng == "segmented":
-                assert cov["segments_vector"] >= 1, n
+                assert cov["segments_fused"] >= 1, n
                 assert cov["subrequests_vector"] > 0, n
         # The 1 s bursts exceed the 0.4 s threshold: fires must happen.
         assert results["stepwise"].total_spin_downs > 0

@@ -114,7 +114,7 @@ def test_segmented_engine_engages_batch_kernels(phase_program, phase_layout):
     cov = replay_coverage()
     assert cov["replays_segmented"] == 1
     assert cov["replays_stepwise"] == 0
-    assert cov["segments_vector"] >= 1
+    assert cov["segments_fused"] >= 1
     assert cov["subrequests_vector"] > 0
 
 
@@ -148,17 +148,27 @@ def test_reactive_tpm_runs_segmented_with_spindowns(
 
 
 def test_auto_keeps_directive_dense_replays_segmented():
-    """Under ``auto``, directive-dense replays (IDRPM: two level shifts
-    around every exploited gap) and reactive DRPM both stay on the
-    segmented engine — directives are mirror boundary edits and the window
-    heuristic runs in-kernel, so neither routes to the reference loop."""
+    """Under ``auto``, a directive-dense replay (CMDRPM: compiler-inserted
+    level shifts around every exploited gap) stays on the segmented engine:
+    its power calls apply between vector windows, so the quiescent runs
+    between them still reach the vector kernel.  Reactive DRPM, whose
+    completion hook observes every sub-request, routes stepwise."""
     workload = all_workloads()[0]
     reset_replay_coverage()
-    run_workload(workload, schemes=("Base", "IDRPM", "DRPM"), engine="auto")
+    run_workload(workload, schemes=("Base",), engine="auto")
+    base = replay_coverage()
+    reset_replay_coverage()
+    run_workload(workload, schemes=("Base", "CMDRPM", "DRPM"), engine="auto")
     cov = replay_coverage()
-    assert cov["replays_stepwise"] == 0
-    assert cov["replays_segmented"] >= 3
-    assert cov["directive_edits"] > 0  # IDRPM shifts applied as edits
+    assert cov["replays_segmented"] == 2
+    assert cov["replays_stepwise"] == 1
+    # DRPM replays every sub-request of the trace stepwise.
+    assert cov["subrequests_stepwise"] == (
+        base["subrequests_vector"] + base["subrequests_scalar"]
+    )
+    assert cov["directive_edits"] > 0
+    # Vector sub-requests beyond the Base replay's come from CMDRPM.
+    assert cov["subrequests_vector"] > base["subrequests_vector"]
 
 
 def test_shared_plan_consistent_across_engines(

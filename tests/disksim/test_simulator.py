@@ -118,8 +118,29 @@ def test_directive_overhead_charged(params):
 def test_directive_unknown_disk_rejected(params):
     lay = _layout()
     bad = DirectiveRecord(1.0, PowerCall(PowerAction.SPIN_DOWN, 9))
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="directive 0 targets unknown disk 9"):
         simulate(Trace("t", lay, (), (bad,), total_compute_s=5.0), params)
+
+
+@pytest.mark.parametrize("engine", ["stepwise", "segmented"])
+def test_timed_directive_unknown_disk_rejected(engine):
+    lay = _layout(num_disks=2)
+
+    class Oracle(Controller):
+        name = "oracle"
+
+        def timed_directives(self):
+            return [
+                TimedDirective(0.5, PowerCall(PowerAction.SPIN_DOWN, 5)),
+                TimedDirective(0.2, PowerCall(PowerAction.SPIN_DOWN, 1)),
+            ]
+
+    trace = _trace([_req(0.1, 0, 8 * KB), _req(1.0, 0, 8 * KB)], lay)
+    # Named by its index in time order, the ``oracle:<k>`` numbering.
+    with pytest.raises(
+        SimulationError, match="timed directive 1 targets unknown disk 5"
+    ):
+        simulate(trace, SubsystemParams(num_disks=2), Oracle(), engine=engine)
 
 
 def test_oracle_timed_directives(params):

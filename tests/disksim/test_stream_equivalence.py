@@ -193,7 +193,7 @@ def test_scale_cell_256_disks_engines_identical():
     assert all(st.num_requests > 0 for st in seg.disk_stats)
     # The columnar replay must actually run the vector kernels at scale.
     assert cov["replays_segmented"] == 1
-    assert cov["segments_vector"] >= 1
+    assert cov["segments_fused"] >= 1
     assert cov["subrequests_vector"] > 0
 
 

@@ -14,6 +14,7 @@ observability off the module dict must remain the only copy.
 from __future__ import annotations
 
 from repro import obs
+from repro.controllers.drpm import ReactiveDRPM
 from repro.controllers.tpm import ReactiveTPM
 from repro.disksim.params import SubsystemParams
 from repro.disksim.simulator import (
@@ -40,13 +41,16 @@ def _trace(num_requests=96, gap_s=1.0):
 
 
 def _run_mixed_replays():
-    """Several replays over both engines, including in-kernel spin-downs
-    (whose fire-arbitrating serves escape as ``fallback_auto_spindown``)."""
+    """Several replays over both engines: a vector-heavy segmented replay,
+    a forced stepwise one, reactive TPM (segmented, with autonomous
+    spin-downs served by ``Disk.serve`` between vector windows), and
+    reactive DRPM (routed stepwise: its hook observes every completion)."""
     params = SubsystemParams(num_disks=2)
-    simulate(_trace(), params)  # segmented, vector-heavy
+    simulate(_trace(num_requests=512), params)  # segmented, vector-heavy
     simulate(_trace(), params, engine="stepwise")
-    # Gap > threshold: autonomous spin-downs fire, serves escape per-sub.
+    # Gap > threshold: autonomous spin-downs fire.
     simulate(_trace(gap_s=2.0), params, ReactiveTPM(0.5))
+    simulate(_trace(), params, ReactiveDRPM(params.drpm))
 
 
 def test_registry_mirror_equals_module_counters_after_many_replays():
@@ -54,23 +58,27 @@ def test_registry_mirror_equals_module_counters_after_many_replays():
     reset_replay_coverage()
     _run_mixed_replays()
     cov = replay_coverage()
-    assert cov["replays_segmented"] >= 2
-    assert cov["replays_stepwise"] == 1
-    assert cov["fallback_auto_spindown"] > 0
+    assert cov["replays_segmented"] == 2
+    assert cov["replays_stepwise"] == 2
+    assert cov["subrequests_vector"] > 0
+    assert cov["subrequests_scalar"] > 0
+    assert cov["subrequests_stepwise"] > 0
     for key, value in cov.items():
         assert obs.metrics.counter("sim.coverage." + key) == value, key
 
 
 def test_fallback_reasons_mirrored_once():
+    """The only routing fallback left is the reactive-controller one; it is
+    counted once per forced replay, and no other reason is recorded."""
     obs.enable()
     reset_replay_coverage()
     _run_mixed_replays()
-    cov = replay_coverage()
-    assert cov["fallback_auto_spindown"] > 0
-    assert (
-        obs.metrics.counter("sim.fallbacks", reason="auto-spindown")
-        == cov["fallback_auto_spindown"]
-    )
+    assert obs.metrics.counter("sim.fallbacks", reason="reactive-controller") == 1
+    fallbacks = [
+        key for key in obs.metrics.snapshot()["counters"]
+        if key.startswith("sim.fallbacks")
+    ]
+    assert fallbacks == ["sim.fallbacks{reason=reactive-controller}"]
 
 
 def test_module_counters_accumulate_without_observability():

@@ -65,19 +65,19 @@ def test_explicit_stepwise_is_a_choice_not_a_fallback(p):
 
 
 def test_reactive_controller_forces_stepwise(p):
-    # Adaptive TPM observes per-sub-request completions with feedback the
-    # mirror cannot replay in batch; it still routes to the reference loop.
+    # Adaptive TPM observes per-sub-request completions, which a vector
+    # window cannot report; it routes to the stepwise driver.
     res = simulate(_trace(), p, AdaptiveTPM(0.5))
     assert res.engine == "stepwise"
     assert res.engine_forced == "reactive-controller"
 
 
-def test_reactive_drpm_runs_segmented(p):
-    # The DRPM window heuristic is lifted into the kernel, so reactive
-    # DRPM no longer forces the reference loop.
+def test_reactive_drpm_forces_stepwise(p):
+    # Reactive DRPM's window heuristic lives only in its completion hook,
+    # so it routes stepwise like any other reactive controller.
     res = simulate(_trace(), p, ReactiveDRPM(p.drpm))
-    assert res.engine == "segmented"
-    assert res.engine_forced == ""
+    assert res.engine == "stepwise"
+    assert res.engine_forced == "reactive-controller"
 
 
 def test_recorder_no_longer_forces_an_engine(p):

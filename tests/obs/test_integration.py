@@ -155,7 +155,6 @@ def test_cli_obs_manifest_captures_suite_metrics(tmp_path, capsys):
     routing = manifest["engine"]["routing"]
     assert routing == AUTO_ROUTING
     assert routing["vector_min_subrequests"] > 0
-    assert routing["defer_window_requests"] > 0
     assert manifest["engine"]["replays_segmented"] > 0
 
 
