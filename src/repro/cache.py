@@ -19,6 +19,11 @@ hash of everything the output depends on:
   planner, trace pipeline or workloads invalidates every entry without
   anyone bumping a version by hand.
 
+Replays that belong to no suite's scheme set (ablation and extension
+replays) are stored under :meth:`ResultCache.derived_key`, derived from the
+owning suite's key; every entry is read and filled through
+:meth:`ResultCache.memo`.
+
 All IR/parameter types are frozen dataclasses of tuples, strings, numbers
 and enums, so their ``repr`` is deterministic across processes (no
 hash-randomized sets or dicts participate), making the key a true content
@@ -38,8 +43,9 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
+from . import obs
 from .obs import metrics as _metrics
 
 logger = logging.getLogger(__name__)
@@ -70,6 +76,8 @@ RESULT_SOURCES = (
     "ir",
     "util",
     "experiments/schemes.py",
+    "experiments/ablations.py",
+    "experiments/pdc_experiment.py",
 )
 
 _PACKAGE_ROOT = Path(__file__).resolve().parent
@@ -185,6 +193,10 @@ class ResultCache:
     def scheme_key(self, suite_fp: str, scheme: str) -> str:
         return fingerprint(suite_fp, f"scheme:{scheme}")
 
+    def derived_key(self, suite_fp: str, name: str) -> str:
+        """Key of a result derived from a suite outside its scheme set."""
+        return fingerprint(suite_fp, f"derived:{name}")
+
     def load(self, key: str) -> Any | None:
         path = self._path(key)
         try:
@@ -231,13 +243,31 @@ class ResultCache:
         else:
             _metrics.inc("cache.stores")
 
+    def memo(self, key: str, compute: Callable[[], Any], **event: Any) -> Any:
+        """The payload under ``key``, or ``compute()`` stored there on a miss.
+
+        Lookups go through :meth:`load`/:meth:`store`, so a subclass that
+        overrides them sees every probe.  ``event`` attributes, when given,
+        tag a ``cache.memo`` instant event with the outcome.
+        """
+        payload = self.load(key)
+        if event:
+            obs.event(
+                "cache.memo", outcome="miss" if payload is None else "hit", **event
+            )
+        if payload is None:
+            payload = compute()
+            self.store(key, payload)
+        return payload
+
     def clear(self) -> None:
-        """Remove every cached entry (keeps the root directory)."""
+        """Remove every cached entry, and any temp file an interrupted
+        :meth:`store` left behind (keeps the root directory)."""
         if not self.root.exists():
             return
         for sub in self.root.iterdir():
             if sub.is_dir():
-                for f in sub.glob("*.pkl"):
+                for f in [*sub.glob("*.pkl"), *sub.glob("*.tmp")]:
                     try:
                         f.unlink()
                     except OSError:

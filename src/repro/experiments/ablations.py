@@ -17,6 +17,7 @@ Three studies beyond the paper's own figures:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 from typing import Sequence
 
@@ -24,9 +25,8 @@ from ..analysis.cycles import EstimationModel
 from ..controllers.compiler_directed import CompilerDirected
 from ..disksim.params import DRPMParams, SubsystemParams
 from ..disksim.simulator import simulate
-from ..layout.files import default_layout
 from ..power.insertion import plan_power_calls
-from ..trace.generator import directives_at_positions, generate_trace
+from ..trace.generator import directives_at_positions
 from .report import ExperimentReport
 from .runner import ExperimentContext
 from .schemes import run_workload
@@ -38,24 +38,40 @@ __all__ = [
 ]
 
 
-def _cm_run(ctx: ExperimentContext, name: str, kind: str, preactivate: bool):
-    """One compiler-directed replay with/without Eq. (1)."""
+def _cm_run(
+    ctx: ExperimentContext,
+    name: str,
+    kind: str,
+    preactivate: bool = True,
+    estimation: EstimationModel | None = None,
+):
+    """One compiler-directed replay of a benchmark's default suite trace,
+    planned with or without Eq. (1) and under ``estimation`` (default: the
+    workload's own); returns ``(result, plan)``, cached off the suite."""
     suite = ctx.suite(name)
     wl = ctx.workload(name)
-    plan = plan_power_calls(
-        wl.program,
-        suite.layout,
-        ctx.params,
-        kind,
-        estimation=wl.estimation,
-        measured=suite.measured,
-        preactivate=preactivate,
-    )
-    directives = directives_at_positions(plan.placements, ctx.analysis(name)[1])
-    return simulate(
-        suite.base_trace.with_directives(directives),
-        ctx.params,
-        CompilerDirected(kind),
+    est = estimation or wl.estimation
+
+    def replay():
+        plan = plan_power_calls(
+            wl.program,
+            suite.layout,
+            ctx.params,
+            kind,
+            estimation=est,
+            measured=suite.measured,
+            preactivate=preactivate,
+        )
+        directives = directives_at_positions(plan.placements, ctx.analysis(name)[1])
+        result = simulate(
+            suite.base_trace.with_directives(directives),
+            ctx.params,
+            CompilerDirected(kind),
+        )
+        return result, plan
+
+    return ctx.derived(
+        suite, f"cm:{kind}:preactivate={preactivate}:{est!r}", replay
     )
 
 
@@ -77,7 +93,7 @@ def preactivation_ablation(
     for name in names:
         suite = ctx.suite(name)
         base = suite.base
-        lazy = _cm_run(ctx, name, "drpm", preactivate=False)
+        lazy, _plan = _cm_run(ctx, name, "drpm", preactivate=False)
         rep.add_row(
             name,
             (
@@ -104,29 +120,15 @@ def estimation_error_sweep(
     """CMDRPM quality vs. the compiler's timing-estimate error."""
     ctx = ctx or ExperimentContext()
     suite = ctx.suite(benchmark)
-    wl = ctx.workload(benchmark)
     base = suite.base
     rep = ExperimentReport(
         experiment_id="ablation_estimation_error",
         title=f"Ablation: {benchmark} CMDRPM vs estimation error",
         columns=("energy", "time", "calls"),
     )
-    actual = ctx.analysis(benchmark)[1]
     for err in errors:
-        plan = plan_power_calls(
-            wl.program,
-            suite.layout,
-            ctx.params,
-            "drpm",
-            estimation=EstimationModel(relative_error=err),
-            measured=suite.measured,
-        )
-        res = simulate(
-            suite.base_trace.with_directives(
-                directives_at_positions(plan.placements, actual)
-            ),
-            ctx.params,
-            CompilerDirected("drpm"),
+        res, plan = _cm_run(
+            ctx, benchmark, "drpm", estimation=EstimationModel(relative_error=err)
         )
         rep.add_row(
             f"err={err:.2f}",
@@ -166,14 +168,12 @@ def transition_speed_ablation(
     ]
     executor = ctx.executor
     if executor.serial:
-        accesses, timing = ctx.analysis(benchmark)
         suites = [
             run_workload(
                 wl,
                 params=params,
                 schemes=schemes,
-                accesses=accesses,
-                timing=timing,
+                analysis=functools.partial(ctx.analysis, benchmark),
                 cache=ctx.result_cache,
             )
             for params in param_grid

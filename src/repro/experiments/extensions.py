@@ -55,6 +55,7 @@ def multi_nest_tiling(
                 wl.trace_options,
                 wl.estimation,
                 schemes=("Base",) + _SCHEMES,
+                cache=ctx.result_cache,
             )
             for s in _SCHEMES:
                 cells.append(

@@ -69,6 +69,7 @@ def run(
                 wl.trace_options,
                 wl.estimation,
                 schemes=("Base",) + _SCHEMES,
+                cache=ctx.result_cache,
             )
             for s in _SCHEMES:
                 cells.append(suite.results[s].total_energy_j / base.total_energy_j)

@@ -9,6 +9,7 @@ layout concentration and proactive planning are orthogonal.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from ..controllers.tpm import AdaptiveTPM
@@ -45,7 +46,6 @@ def run(
         wl = ctx.workload(name)
         orig = ctx.suite(name)
         lay = pdc_layout(wl.program, ctx.default_layout_for(wl))
-        accesses, timing = ctx.analysis(name)
         suite = run_schemes(
             wl.program,
             lay,
@@ -53,14 +53,20 @@ def run(
             wl.trace_options,
             wl.estimation,
             schemes=("Base", "TPM", "DRPM", "CMDRPM"),
-            accesses=accesses,
-            timing=timing,
+            analysis=functools.partial(ctx.analysis, name),
+            cache=ctx.result_cache,
         )
         base_e = orig.base.total_energy_j
-        atpm = simulate(
-            suite.base_trace,
-            ctx.params,
-            AdaptiveTPM(initial_threshold_s=ctx.params.effective_tpm_threshold_s),
+        atpm = ctx.derived(
+            suite,
+            "AdaptiveTPM",
+            lambda: simulate(
+                suite.base_trace,
+                ctx.params,
+                AdaptiveTPM(
+                    initial_threshold_s=ctx.params.effective_tpm_threshold_s
+                ),
+            ),
         )
         rep.add_row(
             name,

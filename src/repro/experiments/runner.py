@@ -22,8 +22,9 @@ Two further layers sit behind the in-memory memo:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from ..analysis.access import NestAccess, analyze_program
 from ..analysis.cycles import ProgramTiming, compute_timing
@@ -131,7 +132,6 @@ class ExperimentContext:
             wl = self.workload(name)
             p = params or self.params
             lay = layout or self.default_layout_for(wl, p)
-            accesses, timing = self.analysis(name)
             self._suites[cache_key] = run_schemes(
                 wl.program,
                 lay,
@@ -139,12 +139,25 @@ class ExperimentContext:
                 wl.trace_options,
                 wl.estimation,
                 schemes=SCHEME_NAMES,
-                accesses=accesses,
-                timing=timing,
+                analysis=functools.partial(self.analysis, name),
                 cache=self.result_cache,
                 faults=faults if faults is not None else self.faults,
             )
         return self._suites[cache_key]
+
+    def derived(self, suite: SchemeSuite, name: str, compute: Callable[[], Any]):
+        """A result derived from ``suite`` outside its scheme set (an
+        ablation or extension replay), cached under ``name`` in the suite's
+        key space.
+
+        ``name`` must spell out every input of ``compute`` that the suite
+        fingerprint does not already cover; the code of the module that
+        computes it belongs in :data:`repro.cache.RESULT_SOURCES`.
+        """
+        cache = self.result_cache
+        if cache is None or suite.fingerprint is None:
+            return compute()
+        return cache.memo(cache.derived_key(suite.fingerprint, name), compute)
 
     # ------------------------------------------------------------------ #
     def prefetch(self, specs: Sequence[SuiteSpec]) -> None:

@@ -11,8 +11,9 @@ many policies).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,12 +44,16 @@ from ..util.errors import ReproError
 from ..workloads.base import Workload
 
 __all__ = [
+    "Analysis",
     "SCHEME_NAMES",
     "SchemeSuite",
     "controller_for",
     "run_schemes",
     "run_workload",
 ]
+
+#: Zero-argument provider of a program's ``(accesses, timing)`` analysis.
+Analysis = Callable[[], "tuple[Sequence[NestAccess], ProgramTiming]"]
 
 #: All schemes of paper §4.2, in its presentation order.
 SCHEME_NAMES: tuple[str, ...] = (
@@ -98,6 +103,9 @@ class SchemeSuite:
     base_trace: Trace
     measured: ProgramTiming
     plans: dict[str, CompilerPlan] = field(default_factory=dict)
+    #: The suite's cache fingerprint (``None`` when run without a cache);
+    #: replays derived from the suite key their cache entries off it.
+    fingerprint: str | None = None
 
     @property
     def base(self) -> SimulationResult:
@@ -125,8 +133,7 @@ def run_schemes(
     options: TraceOptions,
     estimation: EstimationModel,
     schemes: Sequence[str] = SCHEME_NAMES,
-    accesses: Sequence[NestAccess] | None = None,
-    timing: ProgramTiming | None = None,
+    analysis: Analysis | None = None,
     cache: ResultCache | None = None,
     engine: str = "auto",
     faults=None,
@@ -136,15 +143,17 @@ def run_schemes(
     ``Base`` is always run (everything is normalized to it, and the
     oracle/compiler schemes derive from its replay).
 
-    ``accesses``/``timing`` optionally supply the layout-independent
-    analysis results (``analyze_program``/``compute_timing``), which sweep
-    drivers memoize per program instead of recomputing at every sweep point.
+    ``analysis`` optionally supplies the layout-independent analysis
+    results as a zero-argument callable returning ``(accesses, timing)``
+    (``analyze_program``/``compute_timing``), which sweep drivers memoize
+    per program instead of recomputing at every sweep point.  It is called
+    only when a trace, replay or compiler plan actually has to be computed.
 
     ``cache`` optionally consults/fills a persistent
     :class:`~repro.cache.ResultCache` keyed by the full suite configuration,
     so re-rendering artifacts is near-free when nothing relevant changed;
     the generated base trace is cached the same way (keyed by program IR,
-    layout, trace options, and generator version).
+    layout, trace options, and the code digest).
     ``engine`` selects the replay engine (see
     :func:`~repro.disksim.simulator.simulate`); the default picks the
     segmented batch engine wherever it applies.
@@ -162,10 +171,15 @@ def run_schemes(
     ) as suite_span:
         suite = _run_schemes(
             program, layout, params, options, estimation, schemes,
-            accesses, timing, cache, engine, faults,
+            analysis, cache, engine, faults,
         )
         suite_span.set(results=len(suite.results))
         return suite
+
+
+def _memo(cache: ResultCache | None, key: Callable[[], str], compute, **event):
+    """``compute()``, through ``cache`` under ``key()`` when there is one."""
+    return compute() if cache is None else cache.memo(key(), compute, **event)
 
 
 def _run_schemes(
@@ -175,105 +189,91 @@ def _run_schemes(
     options: TraceOptions,
     estimation: EstimationModel,
     schemes: Sequence[str],
-    accesses: Sequence[NestAccess] | None,
-    timing: ProgramTiming | None,
+    analysis: Analysis | None,
     cache: ResultCache | None,
     engine: str,
     faults=None,
 ) -> SchemeSuite:
-    if accesses is None:
-        accesses = analyze_program(program)
-    if timing is None:
-        timing = compute_timing(program)
+    # Analysis and the scheme-invariant striping fan-out are built at most
+    # once, and only when something misses the cache.
+    analyzed = functools.cache(
+        analysis or (lambda: (analyze_program(program), compute_timing(program)))
+    )
+    replay_plan = functools.cache(lambda: ReplayPlan.for_trace(trace))
 
-    trace = None
-    trace_key = None
-    if cache is not None:
-        trace_key = trace_fingerprint(program, layout, options)
-        trace = cache.load(trace_key)
-        obs.event(
-            "suite.trace_cache",
-            program=program.name,
-            outcome="hit" if trace is not None else "miss",
-        )
-    if trace is None:
-        trace = generate_trace(
+    def generate() -> Trace:
+        accesses, timing = analyzed()
+        return generate_trace(
             program, layout, options, accesses=accesses, timing=timing
         )
-        if cache is not None and trace_key is not None:
-            cache.store(trace_key, trace)
-    # The per-request striping fan-out is scheme-invariant: compute it once
-    # and share it across every replay of this suite.
-    replay_plan = ReplayPlan.for_trace(trace)
 
+    trace = _memo(
+        cache,
+        lambda: trace_fingerprint(program, layout, options),
+        generate,
+        entry="trace",
+        program=program.name,
+    )
     suite_fp = (
         suite_fingerprint(program, layout, params, options, estimation, faults)
         if cache is not None
         else None
     )
 
-    def _load(scheme: str):
-        if cache is None or suite_fp is None:
-            return None
-        return cache.load(cache.scheme_key(suite_fp, scheme))
+    def replay(scheme: str, compute):
+        return _memo(cache, lambda: cache.scheme_key(suite_fp, scheme), compute)
 
-    def _store(scheme: str, payload) -> None:
-        if cache is not None and suite_fp is not None:
-            cache.store(cache.scheme_key(suite_fp, scheme), payload)
-
-    base = _load("Base")
-    if base is None:
-        base = simulate(
+    base = replay(
+        "Base",
+        lambda: simulate(
             trace,
             params,
             Controller(),
             collect_busy_intervals=True,
-            plan=replay_plan,
+            plan=replay_plan(),
             engine=engine,
             faults=faults,
-        )
-        _store("Base", base)
+        ),
+    )
     measured = measured_timing(
         program, trace.request_nests, np.asarray(base.request_responses)
     )
 
-    results: dict[str, SimulationResult] = {"Base": base}
-    plans: dict[str, CompilerPlan] = {}
-    for scheme in schemes:
-        if scheme == "Base":
-            continue
-        compiler = scheme in ("CMTPM", "CMDRPM")
-        payload = _load(scheme)
-        if payload is not None:
-            if compiler:
-                results[scheme], plans[scheme] = payload
-            else:
-                results[scheme] = payload
-            continue
-        replay_trace = trace
-        if compiler:
-            plan = plan_power_calls(
-                program,
-                layout,
-                params,
-                "tpm" if scheme == "CMTPM" else "drpm",
-                estimation=estimation,
-                accesses=accesses,
-                measured=measured,
-            )
-            plans[scheme] = plan
-            replay_trace = trace.with_directives(
-                directives_at_positions(plan.placements, timing)
-            )
-        results[scheme] = simulate(
+    def simulate_scheme(scheme: str, replay_trace: Trace = trace) -> SimulationResult:
+        return simulate(
             replay_trace,
             params,
             controller_for(scheme, params, base),
-            plan=replay_plan,
+            plan=replay_plan(),
             engine=engine,
             faults=faults,
         )
-        _store(scheme, (results[scheme], plan) if compiler else results[scheme])
+
+    def compiler_directed(scheme: str) -> tuple[SimulationResult, CompilerPlan]:
+        accesses, timing = analyzed()
+        plan = plan_power_calls(
+            program,
+            layout,
+            params,
+            "tpm" if scheme == "CMTPM" else "drpm",
+            estimation=estimation,
+            accesses=accesses,
+            measured=measured,
+        )
+        replay_trace = trace.with_directives(
+            directives_at_positions(plan.placements, timing)
+        )
+        return simulate_scheme(scheme, replay_trace), plan
+
+    results: dict[str, SimulationResult] = {"Base": base}
+    plans: dict[str, CompilerPlan] = {}
+    for scheme in schemes:
+        if scheme in ("CMTPM", "CMDRPM"):
+            results[scheme], plans[scheme] = replay(
+                scheme, functools.partial(compiler_directed, scheme)
+            )
+        elif scheme != "Base":
+            results[scheme] = replay(scheme, functools.partial(simulate_scheme, scheme))
 
     # Present results in canonical scheme order regardless of which schemes
     # came from the cache.
@@ -285,6 +285,7 @@ def _run_schemes(
         base_trace=trace,
         measured=measured,
         plans=plans,
+        fingerprint=suite_fp,
     )
 
 
@@ -293,8 +294,7 @@ def run_workload(
     params: SubsystemParams | None = None,
     layout: SubsystemLayout | None = None,
     schemes: Sequence[str] = SCHEME_NAMES,
-    accesses: Sequence[NestAccess] | None = None,
-    timing: ProgramTiming | None = None,
+    analysis: Analysis | None = None,
     cache: ResultCache | None = None,
     engine: str = "auto",
     faults=None,
@@ -309,8 +309,7 @@ def run_workload(
         workload.trace_options,
         workload.estimation,
         schemes=schemes,
-        accesses=accesses,
-        timing=timing,
+        analysis=analysis,
         cache=cache,
         engine=engine,
         faults=faults,

@@ -243,25 +243,20 @@ def _replay_source(
     def _replay(
         scheme: str, base=None, collect_busy_intervals: bool = False
     ) -> SimulationResult:
-        if cache is not None:
-            key = cache.scheme_key(suite_fp, scheme)
-            hit = cache.load(key)
-            obs.event(
-                "trace_replay.scheme_cache",
-                source=source.label, scheme=scheme,
-                outcome="hit" if hit is not None else "miss",
-            )
-            if hit is not None:
-                return hit
         # The controller is built only on a miss, so a cache hit also
         # skips the oracle derivation.
-        result = simulate(
-            trace, params, controller_for(scheme, params, base),
-            collect_busy_intervals=collect_busy_intervals, open_loop=True,
+        def replay() -> SimulationResult:
+            return simulate(
+                trace, params, controller_for(scheme, params, base),
+                collect_busy_intervals=collect_busy_intervals, open_loop=True,
+            )
+
+        if cache is None:
+            return replay()
+        return cache.memo(
+            cache.scheme_key(suite_fp, scheme), replay,
+            entry="trace_replay", source=source.label, scheme=scheme,
         )
-        if cache is not None:
-            cache.store(cache.scheme_key(suite_fp, scheme), result)
-        return result
 
     notes: list[str] = []
     results: dict[str, SimulationResult] = {}

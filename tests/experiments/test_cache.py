@@ -135,30 +135,40 @@ def _copy_result_sources(dst: Path) -> Path:
 def test_one_byte_source_edit_changes_every_key(
     phase_program, phase_layout, small_trace_options, tmp_path, monkeypatch
 ):
-    """Keys derive from the code: one edited byte in the disk model changes
-    the digest, and with it every suite key and trace key."""
+    """Keys derive from the code: one edited byte in the disk model, or in a
+    module that computes a derived (ablation or extension) replay, changes
+    the digest, and with it every suite, trace and derived key."""
     clean = _copy_result_sources(tmp_path / "clean")
-    edited = _copy_result_sources(tmp_path / "edited")
-    disk = edited / "disksim" / "disk.py"
-    data = bytearray(disk.read_bytes())
-    data[len(data) // 2] ^= 1
-    disk.write_bytes(bytes(data))
     assert code_digest(clean) == code_digest()
-    assert code_digest(edited) != code_digest()
+    cache = ResultCache(tmp_path / "cache")
 
     def keys():
+        suite_fp = suite_fingerprint(
+            phase_program, phase_layout, PARAMS, small_trace_options, EST
+        )
         return (
-            suite_fingerprint(
-                phase_program, phase_layout, PARAMS, small_trace_options, EST
-            ),
+            suite_fp,
             trace_fingerprint(phase_program, phase_layout, small_trace_options),
             trace_fingerprint(None, phase_layout, None, source="synth"),
+            cache.derived_key(suite_fp, "AdaptiveTPM"),
         )
 
     before = keys()
-    monkeypatch.setattr(cache_mod, "code_digest", lambda: code_digest(edited))
-    after = keys()
-    assert all(a != b for a, b in zip(before, after))
+    for module in (
+        "disksim/disk.py",
+        "experiments/ablations.py",
+        "experiments/pdc_experiment.py",
+    ):
+        edited = _copy_result_sources(tmp_path / module.replace("/", "-"))
+        path = edited / module
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 1
+        path.write_bytes(bytes(data))
+        assert code_digest(edited) != code_digest()
+        monkeypatch.setattr(cache_mod, "code_digest", lambda: code_digest(edited))
+        after = keys()
+        monkeypatch.undo()
+        assert all(a != b for a, b in zip(before, after)), module
 
 
 def test_warm_suite_serves_trace_from_cache(
@@ -181,6 +191,31 @@ def test_warm_suite_serves_trace_from_cache(
         assert_results_identical(first.results[scheme], second.results[scheme])
     fresh = generate_trace(phase_program, phase_layout, small_trace_options)
     assert second.base_trace == fresh
+
+
+def test_fully_cached_suite_skips_analysis_and_replay_plans(
+    phase_program, phase_layout, small_trace_options, tmp_path, monkeypatch
+):
+    """A suite served entirely from cache analyzes nothing and builds no
+    replay plan; its measured timeline and base trace are still there."""
+    first = _run(
+        phase_program, phase_layout, small_trace_options,
+        cache=ResultCache(tmp_path / "cache"),
+    )
+
+    def _boom(*args, **kwargs):  # pragma: no cover - must never run
+        raise AssertionError("warm suite did work the cache covers")
+
+    for name in ("analyze_program", "compute_timing"):
+        monkeypatch.setattr(schemes_mod, name, _boom)
+    monkeypatch.setattr(schemes_mod.ReplayPlan, "for_trace", _boom)
+    second = _run(
+        phase_program, phase_layout, small_trace_options,
+        cache=ResultCache(tmp_path / "cache"),
+    )
+    assert second.measured == first.measured
+    assert second.base_trace == first.base_trace
+    assert second.fingerprint == first.fingerprint is not None
 
 
 def test_version_mismatch_and_corruption_miss(tmp_path):
@@ -228,3 +263,47 @@ def test_store_survives_unwritable_root(tmp_path):
     cache = ResultCache(blocked)
     cache.store(fingerprint("k"), 1)  # silently a no-op
     assert cache.load(fingerprint("k")) is None
+
+
+def test_clear_removes_stray_temp_files(tmp_path):
+    """An interrupted store leaves its mkstemp file behind; clear() must
+    sweep those too."""
+    cache = ResultCache(tmp_path)
+    key = fingerprint("k")
+    cache.store(key, 1)
+    stray = cache._path(key).parent / "tmpabc123.tmp"
+    stray.write_bytes(b"half a pickle")
+    cache.clear()
+    assert not stray.exists()
+    assert list(tmp_path.rglob("*")) == [cache._path(key).parent]
+
+
+def test_memo_computes_once_through_load_and_store(tmp_path):
+    """memo() dispatches through load/store, so a subclass overriding them
+    sees every probe; a hit never calls compute."""
+
+    class Recording(ResultCache):
+        def __init__(self, root):
+            super().__init__(root)
+            self.calls: list = []
+
+        def load(self, key):
+            self.calls.append(("load", key))
+            return super().load(key)
+
+        def store(self, key, payload):
+            self.calls.append(("store", key))
+            super().store(key, payload)
+
+    cache = Recording(tmp_path)
+    key = fingerprint("memo")
+    computed = []
+
+    def compute():
+        computed.append(1)
+        return {"answer": 42}
+
+    assert cache.memo(key, compute) == {"answer": 42}
+    assert cache.memo(key, compute) == {"answer": 42}
+    assert computed == [1]
+    assert cache.calls == [("load", key), ("store", key), ("load", key)]
