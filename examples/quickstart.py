@@ -65,7 +65,7 @@ print(f"Base:   {base.total_energy_j:8.1f} J   {base.execution_time_s:6.2f} s   
 measured = measured_timing(
     program,
     np.array([r.nest for r in trace.requests]),
-    np.array(base.request_responses),
+    base.response_array,
 )
 plan = plan_power_calls(
     program, layout, params, kind="drpm",

@@ -56,7 +56,7 @@ print(render_timeline(drpm_rec, width=72, disks=(0, 3, 7)))
 measured = measured_timing(
     wl.program,
     np.array([r.nest for r in trace.requests]),
-    np.array(base.request_responses),
+    base.response_array,
 )
 plan = plan_power_calls(
     wl.program, layout, params, "drpm",

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..analysis.dap import ActiveInterval, _merge_intervals
 from ..analysis.idle import IdleGap, idle_gaps_from_intervals
 from ..disksim.params import SubsystemParams
 from ..disksim.powermodel import PowerModel
-from ..disksim.stats import BusyInterval, SimulationResult
+from ..disksim.stats import SimulationResult
 from ..ir.nodes import PowerAction, PowerCall
 from ..power.planner import GapDecision, GapMode, plan_gaps
 from ..util.errors import SimulationError
@@ -36,21 +38,6 @@ __all__ = [
 ]
 
 
-def _busy_to_active(busy: Sequence[BusyInterval]) -> list[ActiveInterval]:
-    return [
-        ActiveInterval(
-            disk=b.disk,
-            start_s=b.start_s,
-            end_s=b.end_s,
-            nest_first=-1,
-            iter_first=-1,
-            nest_last=-1,
-            iter_last=-1,
-        )
-        for b in busy
-    ]
-
-
 def _anon_interval(disk: int, start_s: float, end_s: float) -> ActiveInterval:
     return ActiveInterval(
         disk=disk,
@@ -63,41 +50,46 @@ def _anon_interval(disk: int, start_s: float, end_s: float) -> ActiveInterval:
     )
 
 
-def _merge_busy_to_active(
-    busy: Sequence[BusyInterval], merge_gap_s: float
+def _merge_busy_columns(
+    disk: int, starts: np.ndarray, ends: np.ndarray, merge_gap_s: float
 ) -> list[ActiveInterval]:
-    """Fuse one disk's (time-ordered) busy sub-requests straight into merged
-    :class:`ActiveInterval` runs.
+    """Fuse one disk's busy sub-requests into merged :class:`ActiveInterval`
+    runs, closing a run where the next start lies more than ``merge_gap_s``
+    past the run's furthest end (``_merge_intervals`` semantics).
 
-    Equivalent to ``_merge_intervals(_busy_to_active(busy), ...)`` but only
-    materializes one object per merged run instead of one per sub-request —
-    a Base replay produces tens of thousands of sub-requests per disk.
+    For time-ordered starts, ends at or after their starts, and a
+    non-negative gap, the furthest end of the current run is the prefix
+    maximum of *all* ends so far — every run starts past the furthest end
+    before it — so run ``i`` breaks exactly where
+    ``starts[i] - maximum.accumulate(ends)[i - 1] > merge_gap_s``: the same
+    comparisons, on the same floats, as the sequential merge.  Any other
+    input takes the generic object path.  Only one object is built per
+    merged run; a Base replay produces tens of thousands of sub-requests
+    per disk.
     """
-    if not busy:
+    n = starts.size
+    if n == 0:
         return []
-    it = iter(busy)
-    b = next(it)
-    disk = b.disk
-    cur_start = b.start_s
-    cur_end = b.end_s
-    prev_start = cur_start
-    out: list[ActiveInterval] = []
-    append = out.append
-    for b in it:
-        s = b.start_s
-        if s < prev_start:  # unordered input: defer to the generic path
-            return _merge_intervals(_busy_to_active(busy), merge_gap_s)
-        prev_start = s
-        if s - cur_end <= merge_gap_s:
-            e = b.end_s
-            if e > cur_end:
-                cur_end = e
-        else:
-            append(_anon_interval(disk, cur_start, cur_end))
-            cur_start = s
-            cur_end = b.end_s
-    append(_anon_interval(disk, cur_start, cur_end))
-    return out
+    if not (
+        merge_gap_s >= 0
+        and bool(np.all(starts[1:] >= starts[:-1]))
+        and bool(np.all(ends >= starts))
+    ):
+        return _merge_intervals(
+            [
+                _anon_interval(disk, s, e)
+                for s, e in zip(starts.tolist(), ends.tolist())
+            ],
+            merge_gap_s,
+        )
+    reach = np.maximum.accumulate(ends)
+    breaks = np.flatnonzero(starts[1:] - reach[:-1] > merge_gap_s)
+    firsts = np.concatenate(([0], breaks + 1))
+    lasts = np.concatenate((breaks, [n - 1]))
+    return [
+        _anon_interval(disk, s, e)
+        for s, e in zip(starts[firsts].tolist(), reach[lasts].tolist())
+    ]
 
 
 def realized_idle_gaps(
@@ -109,16 +101,18 @@ def realized_idle_gaps(
     ``collect_busy_intervals=True``; busy intervals closer than
     ``min_gap_s`` are merged (such gaps are unusable).
     """
-    if not base.busy_intervals and base.num_requests:
+    columns = base.busy_columns
+    if not columns and base.num_requests:
         raise SimulationError(
             "base result carries no busy intervals; re-run simulate() with "
             "collect_busy_intervals=True"
         )
     horizon = base.execution_time_s
+    none = np.empty(0)
     out: list[list[IdleGap]] = []
     for disk in range(base.num_disks):
-        busy = base.busy_intervals[disk] if base.busy_intervals else ()
-        merged = _merge_busy_to_active(busy, min_gap_s)
+        starts, ends = columns[disk] if columns else (none, none)
+        merged = _merge_busy_columns(disk, starts, ends, min_gap_s)
         out.append(
             idle_gaps_from_intervals(merged, disk, horizon, min_gap_s=min_gap_s)
         )

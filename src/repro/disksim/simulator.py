@@ -64,8 +64,8 @@ from __future__ import annotations
 
 import logging
 import time
+from array import array
 from bisect import bisect_left, bisect_right
-from itertools import repeat
 from math import inf
 from typing import Sequence
 
@@ -83,7 +83,7 @@ from .timeline import CAUSE_EXTERNAL
 from .params import SubsystemParams
 from .powermodel import PowerModel
 from .replay import ReplayPlan
-from .stats import BusyInterval, ResponseSummary, SimulationResult
+from .stats import ResponseSummary, SimulationResult
 
 __all__ = [
     "simulate",
@@ -96,6 +96,10 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+#: Busy-interval sink of a replay: per disk, the start and end times of its
+#: serviced sub-requests, as unboxed float64 ``array("d")`` columns.
+BusySink = tuple[list[array], list[array]]
 
 #: Clock used to charge directive call overhead (Tm), paper §4.1.
 _CLOCK_HZ = 750e6
@@ -362,7 +366,7 @@ def _fold_disks(
     nbytes_s: np.ndarray,
     tables: _ServiceTables,
     rpm_counts: dict[int, int] | None,
-    busy: list[list[BusyInterval]] | None,
+    busy: BusySink | None,
     recorder,
 ) -> None:
     """Fused accounting of one vector window over the disks ``pdisks``.
@@ -379,7 +383,8 @@ def _fold_disks(
     change level at directive boundaries, which close windows), so each
     disk's idle/active power broadcasts along its row.
 
-    Busy intervals (``busy`` given) and timeline segments (``recorder``
+    Busy intervals (``busy`` given) are the per-disk slices of the
+    service-start and completion arrays.  Timeline segments (``recorder``
     given) come from the same arrays: per sub, an idle segment from the
     previous completion to the issue time, then a service segment whose
     explicit duration is the *table* service time — ``(td + svc) - td``
@@ -458,30 +463,32 @@ def _fold_disks(
         disk._auto_armed = True
         if rpm_counts is not None:
             rpm_counts[rpm_d] = rpm_counts.get(rpm_d, 0) + glen_l[p]
-    if busy is None and recorder is None:
+    if busy is not None:
+        starts, ends = busy
+        lo = 0
+        for p, disk in enumerate(pdisks):
+            hi = lo + glen_l[p]
+            starts[disk.disk_id].frombytes(td_s[lo:hi].tobytes())
+            ends[disk.disk_id].frombytes(comp_s[lo:hi].tobytes())
+            lo = hi
+    if recorder is None:
         return
     td_l = td_s.tolist()
     comp_l = comp_s.tolist()
-    if recorder is not None:
-        rec_fn = recorder.record
-        prev_l = prev_s.tolist()
-        svc_l = svc_s.tolist()
+    rec_fn = recorder.record
+    prev_l = prev_s.tolist()
+    svc_l = svc_s.tolist()
     lo = 0
     for p, disk in enumerate(pdisks):
         hi = lo + glen_l[p]
         d_id = disk.disk_id
-        if busy is not None:
-            busy[d_id].extend(
-                map(BusyInterval, repeat(d_id), td_l[lo:hi], comp_l[lo:hi])
-            )
-        if recorder is not None:
-            rpm_d = rpm_p[p]
-            iw = iw_p[p]
-            aw = aw_p[p]
-            for i in range(lo, hi):
-                t_i = td_l[i]
-                rec_fn(d_id, "idle", prev_l[i], t_i, iw, rpm_d)
-                rec_fn(d_id, "active", t_i, comp_l[i], aw, rpm_d, "", svc_l[i])
+        rpm_d = rpm_p[p]
+        iw = iw_p[p]
+        aw = aw_p[p]
+        for i in range(lo, hi):
+            t_i = td_l[i]
+            rec_fn(d_id, "idle", prev_l[i], t_i, iw, rpm_d)
+            rec_fn(d_id, "active", t_i, comp_l[i], aw, rpm_d, "", svc_l[i])
         lo = hi
 
 
@@ -496,8 +503,8 @@ def _run_vector(
     tnext: float,
     pc0: float,
     nonplain: int,
-    responses: list[float],
-    busy: list[list[BusyInterval]] | None,
+    responses: array | _ResponseFold,
+    busy: BusySink | None,
     rpm_counts: dict[int, int] | None = None,
     recorder=None,
     open_loop: bool = False,
@@ -607,7 +614,7 @@ def _run_vector(
     delay = float(pre[cut])
     fold = getattr(responses, "fold_array", None)
     if fold is None:
-        responses.extend(resp[:cut].tolist())
+        responses.frombytes(resp[:cut].tobytes())
     else:
         fold(resp[:cut])
     t_win = t_arr[:cut]
@@ -677,9 +684,8 @@ def _replay(
     timed: Sequence[TimedDirective],
     directives: Sequence,
     total_compute_s: float,
-    responses: list[float],
-    busy: list[list[BusyInterval]],
-    collect_busy_intervals: bool,
+    responses: array | _ResponseFold,
+    busy: BusySink | None,
     rpm_counts: dict[int, int] | None,
     fault_plan,
     delay0: float,
@@ -765,9 +771,11 @@ def _replay(
     fr_n = len(flagged)
     fr_idx = 0
     append_response = responses.append
-    track = collect_busy_intervals or on_complete is not None
+    track = busy is not None or on_complete is not None
+    if busy is not None:
+        busy_starts = [a.append for a in busy[0]]
+        busy_ends = [a.append for a in busy[1]]
     tl_rec = disks[0].recorder if disks else None
-    busy_v = busy if collect_busy_intervals else None
     auto_active = use_vector and any(
         d.auto_spindown_threshold_s is not None for d in disks
     )
@@ -910,7 +918,7 @@ def _replay(
                     ri0 = ri
                     ri, delay, bailed = _run_vector(
                         plan, geom, tables, disks, ri, we, delay, vnext, pc0,
-                        hot, responses, busy_v, rpm_counts, tl_rec, open_loop,
+                        hot, responses, busy, rpm_counts, tl_rec, open_loop,
                     )
                     # A window that stopped at ``vnext`` or an unsettled
                     # delay fixpoint re-probes; one that bailed (its next
@@ -944,8 +952,9 @@ def _replay(
                     if track:
                         disk = disks[disk_id]
                         start = disk.last_service_start_s
-                        if collect_busy_intervals:
-                            busy[disk_id].append(BusyInterval(disk_id, start, done))
+                        if busy is not None:
+                            busy_starts[disk_id](start)
+                            busy_ends[disk_id](done)
                         if on_complete is not None:
                             on_complete(
                                 disk, t, start, done, nb_l[j], seek_name_l[j]
@@ -1004,9 +1013,9 @@ def _replay(
 
 
 class _ResponseFold:
-    """List-shaped response sink folding count/total/max on the fly.
+    """Response sink folding count/total/max on the fly.
 
-    Stands in for the per-request response list during streamed replay:
+    Stands in for the per-request response column during streamed replay:
     the driver's scalar path ``append``s floats (the ``+=`` fold is the
     scalar chain itself) and the vector kernel hands whole windows to
     :meth:`fold_array` (``sequential_sum`` is bit-equal to that chain;
@@ -1088,7 +1097,7 @@ def simulate(
     :class:`~repro.trace.stream.TraceStream`, and both run one replay
     loop over chunks.  A whole trace is exactly one chunk: the ``plan``
     (or :meth:`ReplayPlan.for_trace`), the full (fault-shifted) directive
-    stream, and a per-request response list, so the result carries
+    stream, and a per-request response column, so the result carries
     ``request_responses`` and an exact p95.  A stream is replayed chunk by
     chunk with peak memory bounded by the chunk size: each chunk gets its
     own plan and its share of the directives (see :func:`_stream_chunks`).
@@ -1273,17 +1282,21 @@ def simulate(
     t_replay0 = time.perf_counter() if observing else 0.0
 
     # Per-kind sinks: a whole trace keeps every response (exact p95 and
-    # ``request_responses``); a stream folds them as it goes.
+    # ``request_responses``) in an unboxed column; a stream folds them as
+    # it goes.
+    responses: array | _ResponseFold
     if streamed:
         responses = _ResponseFold()
         span_attrs: dict = {"streamed": True}
     else:
-        responses = []
+        responses = array("d")
         span_attrs = {
             "requests": plan.num_requests,
             "subrequests": plan.num_subrequests,
         }
-    busy: list[list[BusyInterval]] = [[] for _ in disks]
+    busy: BusySink | None = None
+    if collect_busy_intervals:
+        busy = ([array("d") for _ in disks], [array("d") for _ in disks])
     on_complete = ctrl.on_request_complete if reactive else None
     delay = 0.0
     timed_idx = 0
@@ -1311,7 +1324,7 @@ def simulate(
             nd, end_time, delay, timed_idx = _replay(
                 plan_c, disks, pm, on_complete, timed, dirs_c,
                 trace.total_compute_s, responses, busy,
-                collect_busy_intervals, rpm_counts, fault_plan, delay,
+                rpm_counts, fault_plan, delay,
                 timed_idx, final, miss_keys, open_loop, segmented,
             )
             num_directives += nd
@@ -1419,14 +1432,20 @@ def simulate(
         summary = ResponseSummary.from_running(
             responses.count, responses.total, responses.max
         )
-        per_request: tuple = ()
+        per_request = None
     else:
-        summary = ResponseSummary.from_samples(responses)
-        per_request = tuple(responses)
+        per_request = np.frombuffer(responses, dtype=float)
+        summary = ResponseSummary.from_samples(per_request)
+    busy_columns = () if busy is None else tuple(
+        (np.frombuffer(s, dtype=float), np.frombuffer(e, dtype=float))
+        for s, e in zip(*busy)
+    )
     # Disk timelines may exceed the app end (e.g. a trailing transition);
     # execution time is the app's, but energy accounting follows each disk
     # to its own final cursor, so energy==power*time invariants hold.
-    return SimulationResult(
+    return SimulationResult.from_columns(
+        busy_columns=busy_columns,
+        response_array=per_request,
         scheme=ctrl.name,
         program_name=trace.program_name,
         execution_time_s=end_time,
@@ -1434,8 +1453,6 @@ def simulate(
         responses=summary,
         num_requests=num_requests,
         num_directives=num_directives,
-        busy_intervals=tuple(tuple(b) for b in busy) if collect_busy_intervals else (),
-        request_responses=per_request,
         engine=engine_used,
         engine_forced=forced,
     )

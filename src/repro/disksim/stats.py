@@ -4,12 +4,15 @@ A :class:`SimulationResult` is the simulator's only output and the quantity
 every paper figure normalizes: Figures 3/5/7/13 plot
 ``energy / base.energy`` and Figures 4/6/8 plot ``time / base.time``.
 It also retains per-disk busy intervals, which the oracle controllers
-(ITPM/IDRPM) consume as their perfect idle-period knowledge.
+(ITPM/IDRPM) consume as their perfect idle-period knowledge, and the
+per-request response times.  Both per-sub-request fields are stored as
+float64 columns; their tuple views are built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -23,10 +26,9 @@ __all__ = ["BusyInterval", "ResponseSummary", "SimulationResult"]
 class BusyInterval(NamedTuple):
     """One serviced sub-request on one disk: [start, end) wall-clock.
 
-    A ``NamedTuple`` rather than a dataclass: busy-interval collection
-    constructs one of these per sub-request on the replay hot path, and
-    tuple construction is several times cheaper than a frozen dataclass's
-    ``__init__``.
+    The element type of :attr:`SimulationResult.busy_intervals`, a view
+    built from the result's columns on first read; the replay itself never
+    constructs one.
     """
 
     disk: int
@@ -49,10 +51,11 @@ class ResponseSummary:
     total_s: float
 
     @staticmethod
-    def from_samples(samples: Sequence[float]) -> "ResponseSummary":
-        if not samples:
-            return ResponseSummary(0, 0.0, 0.0, 0.0, 0.0)
+    def from_samples(samples: "np.ndarray | Sequence[float]") -> "ResponseSummary":
+        """Summary of a response column; a float64 array is used as is."""
         arr = np.asarray(samples, dtype=float)
+        if arr.size == 0:
+            return ResponseSummary(0, 0.0, 0.0, 0.0, 0.0)
         return ResponseSummary(
             count=int(arr.size),
             mean_s=float(arr.mean()),
@@ -82,9 +85,34 @@ class ResponseSummary:
         )
 
 
+#: Per-disk ``(starts, ends)`` float64 columns of a result's busy intervals.
+BusyColumns = tuple[tuple[np.ndarray, np.ndarray], ...]
+
+_VIEWS = ("busy_intervals", "request_responses")
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only float64 view of ``arr`` (an array's data is not copied)."""
+    arr = np.asarray(arr, dtype=float)
+    if arr.flags.writeable:
+        arr = arr.view()
+        arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class SimulationResult:
-    """Outcome of replaying one trace under one power-management scheme."""
+    """Outcome of replaying one trace under one power-management scheme.
+
+    The two per-sub-request fields live in columns: per disk a
+    ``(starts, ends)`` pair (:attr:`busy_columns`) and one response array
+    (:attr:`response_array`).  :attr:`busy_intervals` and
+    :attr:`request_responses` are tuple views built from them on first
+    read and memoized; a pickle (cache entry, pool-worker return) carries
+    the columns only.  Views passed to the constructor (e.g. by
+    :func:`dataclasses.replace`) are converted to columns, so equal
+    results have equal columns whichever way they were built.
+    """
 
     scheme: str
     program_name: str
@@ -93,13 +121,18 @@ class SimulationResult:
     responses: ResponseSummary
     num_requests: int
     num_directives: int
-    busy_intervals: tuple[tuple[BusyInterval, ...], ...] = field(default=())
+    # ``default_factory`` rather than a plain default: a plain default
+    # would stay behind as a class attribute and hide ``__getattr__``,
+    # which builds these views.
+    busy_intervals: tuple[tuple[BusyInterval, ...], ...] = field(
+        default_factory=tuple
+    )
     #: Per logical request, its blocking response time, aligned with the
     #: trace's request order (input to measurement-based cycle estimation).
-    request_responses: tuple[float, ...] = field(default=())
+    request_responses: tuple[float, ...] = field(default_factory=tuple)
     #: Replay engine that actually ran (``"stepwise"``/``"segmented"``).
     #: Metadata only — excluded from equality so the engines' bit-identical
-    #: results still compare equal (``""`` on results from older caches).
+    #: results still compare equal.
     engine: str = field(default="", compare=False)
     #: Why the replay was routed away from the requested/auto engine
     #: (``"reactive-controller"``; empty when nothing was forced).
@@ -108,6 +141,74 @@ class SimulationResult:
     def __post_init__(self) -> None:
         if self.execution_time_s < 0:
             raise SimulationError("negative execution time")
+        d = self.__dict__
+        busy = d.pop("busy_intervals")
+        for disk, intervals in enumerate(busy):
+            if any(b.disk != disk for b in intervals):
+                raise SimulationError(
+                    f"busy intervals of disk {disk} name another disk"
+                )
+        d["_busy"] = tuple(
+            (
+                _frozen([b.start_s for b in intervals]),
+                _frozen([b.end_s for b in intervals]),
+            )
+            for intervals in busy
+        )
+        d["_responses"] = _frozen(d.pop("request_responses"))
+
+    @classmethod
+    def from_columns(
+        cls,
+        busy_columns: BusyColumns = (),
+        response_array: np.ndarray | None = None,
+        **fields,
+    ) -> "SimulationResult":
+        """A result holding the given columns and no tuple views."""
+        result = cls(**fields)
+        d = result.__dict__
+        d["_busy"] = tuple((_frozen(s), _frozen(e)) for s, e in busy_columns)
+        if response_array is not None:
+            d["_responses"] = _frozen(response_array)
+        return result
+
+    @property
+    def busy_columns(self) -> BusyColumns:
+        """Per disk ``(starts, ends)``; ``()`` when busy intervals were not
+        collected."""
+        return self._busy
+
+    @property
+    def response_array(self) -> np.ndarray:
+        """Read-only per-request response times (empty when streamed)."""
+        return self._responses
+
+    def __getattr__(self, name: str):
+        # Reached only when ``name`` is not in the instance dict: build a
+        # tuple view from its column on first read and memoize it.
+        if name not in _VIEWS:
+            raise AttributeError(name)
+        d = self.__dict__
+        if name == "busy_intervals":
+            view = tuple(
+                tuple(map(BusyInterval, repeat(disk), s.tolist(), e.tolist()))
+                for disk, (s, e) in enumerate(d["_busy"])
+            )
+        else:
+            view = tuple(d["_responses"].tolist())
+        d[name] = view
+        return view
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name in _VIEWS:
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state["_busy"] = tuple((_frozen(s), _frozen(e)) for s, e in state["_busy"])
+        state["_responses"] = _frozen(state["_responses"])
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------ #
     @property

@@ -384,7 +384,7 @@ def _timeline_artifacts(ctx: ExperimentContext) -> tuple[list[dict], dict]:
     meas = measured_timing(
         wl.program,
         np.array([r.nest for r in trace.requests]),
-        np.array(base.request_responses),
+        base.response_array,
     )
     plan = plan_power_calls(
         wl.program, layout, params, "drpm",

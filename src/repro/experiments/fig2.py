@@ -19,8 +19,6 @@ only the third disk").
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..analysis.cycles import EstimationModel
 from ..analysis.dap import build_dap
 from ..ir.builder import ProgramBuilder
@@ -95,7 +93,7 @@ def run() -> ExperimentReport:
     meas = measured_timing(
         program,
         trace.request_nests,
-        np.array(base.request_responses),
+        base.response_array,
     )
     plan = plan_power_calls(
         program,

@@ -15,8 +15,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .. import obs
 from ..analysis.access import NestAccess, analyze_program
 from ..analysis.cycles import (
@@ -236,7 +234,7 @@ def _run_schemes(
         ),
     )
     measured = measured_timing(
-        program, trace.request_nests, np.asarray(base.request_responses)
+        program, trace.request_nests, base.response_array
     )
 
     def simulate_scheme(scheme: str, replay_trace: Trace = trace) -> SimulationResult:

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ..analysis.access import NestAccess
 from ..analysis.cycles import (
     EstimationModel,
@@ -50,9 +52,96 @@ __all__ = ["CompilerPlan", "plan_power_calls", "DEFAULT_CALL_OVERHEAD_CYCLES"]
 DEFAULT_CALL_OVERHEAD_CYCLES: float = 5_000.0
 
 
+#: Row layouts of the pickled ``placements``/``decisions`` columns; ``-1``
+#: stands for a ``None`` RPM, and ``has_up`` for a non-``None`` ``up_at_s``.
+_PLACEMENT_ROW = np.dtype([
+    ("nest", "i8"), ("iteration", "i8"), ("fraction", "f8"),
+    ("action", "i1"), ("disk", "i8"), ("rpm", "i8"), ("overhead", "f8"),
+])
+_DECISION_ROW = np.dtype([
+    ("disk", "i8"), ("start", "f8"), ("end", "f8"), ("trailing", "?"),
+    ("mode", "i1"), ("target_rpm", "i8"), ("down_at", "f8"),
+    ("up_at", "f8"), ("has_up", "?"), ("saving", "f8"),
+])
+_ACTIONS = tuple(PowerAction)
+_MODES = tuple(GapMode)
+_ACTION_CODE = {a: i for i, a in enumerate(_ACTIONS)}
+_MODE_CODE = {m: i for i, m in enumerate(_MODES)}
+
+
+def _encode_placements(placements: Sequence[CallPlacement]) -> np.ndarray:
+    return np.array(
+        [
+            (
+                p.nest, p.iteration, p.fraction, _ACTION_CODE[p.call.action],
+                p.call.disk, -1 if p.call.rpm is None else p.call.rpm,
+                p.call.overhead_cycles,
+            )
+            for p in placements
+        ],
+        dtype=_PLACEMENT_ROW,
+    )
+
+
+def _decode_placements(rows: np.ndarray) -> tuple[CallPlacement, ...]:
+    return tuple(
+        CallPlacement(
+            nest, iteration,
+            PowerCall(_ACTIONS[action], disk, None if rpm < 0 else rpm, overhead),
+            fraction,
+        )
+        for nest, iteration, fraction, action, disk, rpm, overhead in rows.tolist()
+    )
+
+
+def _encode_decisions(decisions: Sequence[GapDecision]) -> np.ndarray:
+    return np.array(
+        [
+            (
+                d.gap.disk, d.gap.start_s, d.gap.end_s, d.gap.trailing,
+                _MODE_CODE[d.mode], -1 if d.target_rpm is None else d.target_rpm,
+                d.down_at_s, 0.0 if d.up_at_s is None else d.up_at_s,
+                d.up_at_s is not None, d.est_saving_j,
+            )
+            for d in decisions
+        ],
+        dtype=_DECISION_ROW,
+    )
+
+
+def _decode_decisions(rows: np.ndarray) -> tuple[GapDecision, ...]:
+    return tuple(
+        GapDecision(
+            IdleGap(disk, start, end, trailing),
+            _MODES[mode],
+            None if target_rpm < 0 else target_rpm,
+            down_at,
+            up_at if has_up else None,
+            saving,
+        )
+        for (
+            disk, start, end, trailing, mode, target_rpm, down_at, up_at,
+            has_up, saving,
+        ) in rows.tolist()
+    )
+
+
+#: Lazily decoded fields: name -> (pickled column key, encode, decode).
+_LAZY = {
+    "placements": ("_placement_rows", _encode_placements, _decode_placements),
+    "decisions": ("_decision_rows", _encode_decisions, _decode_decisions),
+}
+
+
 @dataclass(frozen=True)
 class CompilerPlan:
-    """Everything the compiler decided for one (program, layout, scheme)."""
+    """Everything the compiler decided for one (program, layout, scheme).
+
+    A pickle (cache entry, pool-worker return) stores ``placements`` and
+    ``decisions`` as one structured array each instead of tens of
+    thousands of small objects; an unpickled plan decodes a field on its
+    first read.
+    """
 
     kind: str  # "tpm" or "drpm"
     placements: tuple[CallPlacement, ...]
@@ -63,11 +152,32 @@ class CompilerPlan:
 
     @property
     def num_calls(self) -> int:
-        return len(self.placements)
+        d = self.__dict__
+        if "placements" in d:
+            return len(d["placements"])
+        return len(d["_placement_rows"])
 
     @property
     def acted_gaps(self) -> tuple[GapDecision, ...]:
         return tuple(d for d in self.decisions if d.acts)
+
+    def __getattr__(self, name: str):
+        # Reached only for a lazy field an unpickled plan has not decoded.
+        if name not in _LAZY:
+            raise AttributeError(name)
+        key, _encode, decode = _LAZY[name]
+        d = self.__dict__
+        value = d[name] = decode(d[key])
+        return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name, (key, encode, _decode) in _LAZY.items():
+            if name in state:
+                value = state.pop(name)
+                if key not in state:
+                    state[key] = encode(value)
+        return state
 
 
 def _min_useful_gap_s(pm: PowerModel, kind: str) -> float:

@@ -1,0 +1,240 @@
+"""Pickled results carry columns, not object graphs.
+
+A ``SimulationResult`` pickles its busy intervals and per-request
+responses as float64 columns and a ``CompilerPlan`` its placements and
+decisions as one structured array each; both rebuild the object views on
+first read.  Round trips must be exact, keep the benchmark's canonical
+digest, and unpickle in a bounded number of GC-tracked objects.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import importlib.util
+import pickle
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.analysis.idle import IdleGap
+from repro.controllers.base import Controller
+from repro.disksim.params import SubsystemParams
+from repro.disksim.simulator import simulate
+from repro.faults import FaultConfig, FaultRates
+from repro.ir.nodes import PowerAction, PowerCall
+from repro.power.insertion import CompilerPlan, plan_power_calls
+from repro.power.planner import GapDecision, GapMode
+from repro.trace.generator import CallPlacement
+from repro.trace.synth import SynthConfig, synth_stream, synth_trace
+
+BENCH_DIR = Path(__file__).resolve().parents[2] / "bench"
+PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+
+@pytest.fixture(scope="module")
+def result_digest():
+    """``bench/workloads.result_digest``: sha256 over every compared field."""
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "_bench_workloads", BENCH_DIR / "workloads.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    return module.result_digest
+
+
+def _round_trip(obj):
+    return pickle.loads(pickle.dumps(obj, protocol=PROTOCOL))
+
+
+def _config(n: int = 3000) -> SynthConfig:
+    return SynthConfig(n, num_disks=4, model="onoff", seed=5)
+
+
+@pytest.fixture(scope="module")
+def results() -> dict:
+    """One replay per result shape the cache and the pool carry."""
+    cfg = _config()
+    trace = synth_trace(cfg)
+    params = SubsystemParams(num_disks=cfg.num_disks)
+    faults = FaultConfig(
+        seed=7, rates=FaultRates(spinup_jitter_p=0.5, request_error_p=0.02)
+    )
+    return {
+        "base-busy": simulate(
+            trace, params, Controller(), collect_busy_intervals=True
+        ),
+        "streamed": simulate(synth_stream(cfg), params, Controller()),
+        "faulty": simulate(
+            trace, params, Controller(), collect_busy_intervals=True,
+            faults=faults,
+        ),
+        "open-loop": simulate(
+            trace, params, Controller(), collect_busy_intervals=True,
+            open_loop=True,
+        ),
+        "stepwise": simulate(trace, params, Controller(), engine="stepwise"),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ("base-busy", "faulty", "open-loop", "stepwise", "streamed")
+)
+def test_result_double_round_trip_is_exact(name, results, result_digest):
+    result = results[name]
+    digest = result_digest(result)
+    once = _round_trip(result)
+    twice = _round_trip(once)
+    for loaded in (once, twice):
+        assert "busy_intervals" not in vars(loaded)
+        assert "request_responses" not in vars(loaded)
+        assert loaded == result
+        assert (loaded.engine, loaded.engine_forced) == (
+            result.engine, result.engine_forced
+        )
+        assert result_digest(loaded) == digest
+    # A read view is memoized, never pickled: the payload stays the same.
+    assert len(pickle.dumps(once, protocol=PROTOCOL)) == len(
+        pickle.dumps(twice, protocol=PROTOCOL)
+    )
+
+
+def test_fresh_result_holds_columns_only():
+    result = simulate(
+        synth_trace(_config(200)), SubsystemParams(num_disks=4), Controller(),
+        collect_busy_intervals=True,
+    )
+    assert "busy_intervals" not in vars(result)
+    assert "request_responses" not in vars(result)
+    starts, ends = result.busy_columns[0]
+    view = result.busy_intervals
+    assert result.busy_intervals is view  # memoized
+    assert [(b.start_s, b.end_s) for b in view[0]] == list(
+        zip(starts.tolist(), ends.tolist())
+    )
+    assert all(b.disk == d for d, disk in enumerate(view) for b in disk)
+    assert result.request_responses == tuple(result.response_array.tolist())
+    assert not result.response_array.flags.writeable
+    assert not _round_trip(result).busy_columns[0][0].flags.writeable
+
+
+def test_views_and_replace_agree_with_columns(results, result_digest):
+    base = results["base-busy"]
+    rebuilt = dataclasses.replace(base)
+    assert rebuilt == base
+    assert result_digest(rebuilt) == result_digest(base)
+    for (s0, e0), (s1, e1) in zip(base.busy_columns, rebuilt.busy_columns):
+        assert s0.tobytes() == s1.tobytes() and e0.tobytes() == e1.tobytes()
+    assert results["streamed"].busy_intervals == ()
+    assert results["streamed"].request_responses == ()
+
+
+def test_unpickling_a_base_result_tracks_few_objects():
+    cfg = _config(12_000)
+    base = simulate(
+        synth_trace(cfg), SubsystemParams(num_disks=cfg.num_disks),
+        Controller(), collect_busy_intervals=True,
+    )
+    assert sum(s.size for s, _e in base.busy_columns) >= 10_000
+    blob = pickle.dumps(base, protocol=PROTOCOL)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        loaded = pickle.loads(blob)
+        after = len(gc.get_objects())
+    finally:
+        gc.enable()
+    assert after - before < 100
+    assert loaded == base
+
+
+# ---------------------------------------------------------------------- #
+# CompilerPlan
+# ---------------------------------------------------------------------- #
+def _with_every_variant(plan: CompilerPlan) -> CompilerPlan:
+    """``plan`` with placements and decisions covering every optional."""
+    gap = IdleGap(2, 1.5, 9.25)
+    tail = IdleGap(3, 4.0, 20.0, trailing=True)
+    placements = (
+        CallPlacement(
+            0, 3, PowerCall(PowerAction.SPIN_DOWN, 2, overhead_cycles=5e3), 0.25
+        ),
+        CallPlacement(1, 0, PowerCall(PowerAction.SPIN_UP, 2)),
+        CallPlacement(1, 7, PowerCall(PowerAction.SET_RPM, 3, rpm=6000), 1e-6),
+    )
+    decisions = (
+        GapDecision(gap, GapMode.STANDBY, None, 1.5, 8.0, 12.5),
+        GapDecision(tail, GapMode.RPM, 6000, 4.0, None, 3.0),
+        GapDecision(gap, GapMode.NONE, None, 1.5, None, 0.0),
+    )
+    return dataclasses.replace(plan, placements=placements, decisions=decisions)
+
+
+def _typed(values) -> list:
+    """Every leaf of the placements/decisions with its exact type."""
+    out = []
+    for v in values:
+        for f in dataclasses.fields(v):
+            leaf = getattr(v, f.name)
+            if dataclasses.is_dataclass(leaf):
+                out.extend(_typed([leaf]))
+            else:
+                out.append((f.name, type(leaf), leaf))
+    return out
+
+
+@pytest.fixture()
+def plans(phase_program, phase_layout) -> list[CompilerPlan]:
+    params = SubsystemParams(num_disks=4)
+    real = [
+        plan_power_calls(phase_program, phase_layout, params, kind)
+        for kind in ("tpm", "drpm")
+    ]
+    return [*real, _with_every_variant(real[0])]
+
+
+def _same_plan(a: CompilerPlan, b: CompilerPlan) -> bool:
+    """Field equality; the DAP holds arrays, so it compares by pickle."""
+    return (a.kind, a.placements, a.decisions, a.estimated_timing) == (
+        b.kind, b.placements, b.decisions, b.estimated_timing
+    ) and pickle.dumps(a.dap) == pickle.dumps(b.dap)
+
+
+def test_compiler_plan_round_trip_is_lazy_and_exact(plans):
+    for plan in plans:
+        loaded = _round_trip(plan)
+        assert "placements" not in vars(loaded)
+        assert "decisions" not in vars(loaded)
+        assert loaded.num_calls == plan.num_calls
+        assert "placements" not in vars(loaded)  # counting decodes nothing
+        assert _same_plan(loaded, plan)
+        assert _typed(loaded.placements) == _typed(plan.placements)
+        assert _typed(loaded.decisions) == _typed(plan.decisions)
+        # Decoded or not, a second round trip carries the same payload.
+        again = _round_trip(loaded)
+        assert _same_plan(again, plan)
+        assert pickle.dumps(loaded, protocol=PROTOCOL) == pickle.dumps(
+            _round_trip(plan), protocol=PROTOCOL
+        )
+
+
+def _count_plan_objects() -> int:
+    kinds = (CallPlacement, PowerCall, GapDecision, IdleGap)
+    return sum(isinstance(o, kinds) for o in gc.get_objects())
+
+
+def test_unpickling_a_plan_builds_no_placement_objects(plans):
+    plan = plans[1]
+    assert plan.num_calls and plan.decisions
+    blob = pickle.dumps(plan, protocol=PROTOCOL)
+    before = _count_plan_objects()
+    loaded = pickle.loads(blob)
+    assert _count_plan_objects() == before
+    assert loaded.acted_gaps == plan.acted_gaps
+    assert _count_plan_objects() > before

@@ -1,5 +1,6 @@
 """A warm result cache serves every transformed suite, extension and
-ablation replay: re-rendering replays nothing and plans nothing."""
+ablation replay: re-rendering replays nothing, plans nothing, and builds
+no per-sub-request objects from the cached columns."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import sys
 
 from repro.cache import ResultCache
 from repro.disksim import simulator
+from repro.disksim.stats import BusyInterval
 from repro.experiments import fig13
 from repro.experiments.ablations import (
     estimation_error_sweep,
@@ -74,3 +76,23 @@ def test_warm_render_does_no_replay_or_planning(tmp_path, monkeypatch):
     assert counts == {"simulate": 0, "plan_power_calls": 0}
     assert simulator.replay_coverage() == coverage
     assert warm_ctx.result_cache.misses == 0
+
+
+def test_warm_render_builds_no_busy_interval(tmp_path, monkeypatch):
+    cold = _render_all(ExperimentContext(jobs=1, cache=ResultCache(tmp_path)))
+
+    built: list[tuple] = []
+    original = BusyInterval.__new__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(BusyInterval, "__new__", staticmethod(spy))
+    assert BusyInterval(0, 0.0, 1.0) and built  # the spy sees construction
+    built.clear()
+
+    warm = _render_all(ExperimentContext(jobs=1, cache=ResultCache(tmp_path)))
+
+    assert warm == cold
+    assert built == []
