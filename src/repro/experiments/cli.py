@@ -363,8 +363,6 @@ def _timeline_artifacts(ctx: ExperimentContext) -> tuple[list[dict], dict]:
     (chrome-trace events, ledger dict) for the ``--trace-out`` file and
     the run manifest.
     """
-    import numpy as np
-
     from ..analysis.cycles import compute_timing, measured_timing
     from ..controllers.compiler_directed import CompilerDirected
     from ..disksim.simulator import simulate
@@ -383,7 +381,7 @@ def _timeline_artifacts(ctx: ExperimentContext) -> tuple[list[dict], dict]:
     base = simulate(trace, params, faults=ctx.faults)
     meas = measured_timing(
         wl.program,
-        np.array([r.nest for r in trace.requests]),
+        trace.request_nests,
         base.response_array,
     )
     plan = plan_power_calls(

@@ -15,10 +15,12 @@ Scheme semantics on external traces:
   sources; streamed sources skip them with a report note.
 * ``CMTPM``/``CMDRPM`` — the compiler-directed schemes have no program IR
   to plan against on a recorded trace, so they **degrade to the
-  documented no-directive baseline**: the replay runs with the
-  compiler-directed controller and an empty directive stream, which is
-  bit-identical to ``Base``.  The degradation is explicit in the report
-  notes and the run manifest, never silent.
+  documented no-directive baseline**: a compiler-directed replay with an
+  empty directive stream is bit-identical to ``Base``, so the result is
+  built from the Base result's columns (with its own ``scheme`` and no
+  busy intervals) instead of replaying again; a test checks it against a
+  real replay.  The degradation is explicit in the report notes and the
+  run manifest, never silent.
 
 Every replay is cached under a fingerprint that covers the trace source
 content and every normalization parameter
@@ -29,6 +31,7 @@ exactly when the same recorded bytes would replay the same way.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -240,23 +243,23 @@ def _replay_source(
         "streamed" if source.streamed else "whole",
     )
 
+    def _memo(scheme: str, compute) -> SimulationResult:
+        if cache is None:
+            return compute()
+        return cache.memo(
+            cache.scheme_key(suite_fp, scheme), compute,
+            entry="trace_replay", source=source.label, scheme=scheme,
+        )
+
     def _replay(
         scheme: str, base=None, collect_busy_intervals: bool = False
     ) -> SimulationResult:
         # The controller is built only on a miss, so a cache hit also
         # skips the oracle derivation.
-        def replay() -> SimulationResult:
-            return simulate(
-                trace, params, controller_for(scheme, params, base),
-                collect_busy_intervals=collect_busy_intervals, open_loop=True,
-            )
-
-        if cache is None:
-            return replay()
-        return cache.memo(
-            cache.scheme_key(suite_fp, scheme), replay,
-            entry="trace_replay", source=source.label, scheme=scheme,
-        )
+        return _memo(scheme, lambda: simulate(
+            trace, params, controller_for(scheme, params, base),
+            collect_busy_intervals=collect_busy_intervals, open_loop=True,
+        ))
 
     notes: list[str] = []
     results: dict[str, SimulationResult] = {}
@@ -273,13 +276,31 @@ def _replay_source(
     else:
         for scheme in ("ITPM", "IDRPM"):
             results[scheme] = _replay(scheme, results["Base"])
+    base = results["Base"]
     for scheme in ("CMTPM", "CMDRPM"):
-        results[scheme] = _replay(scheme)
+        results[scheme] = _memo(scheme, lambda: _no_directive_result(base, scheme))
     notes.append(
         f"{source.label}: CMTPM/CMDRPM degrade to the no-directive "
         "baseline (no compile-time knowledge on external traces)"
     )
     return results, notes
+
+
+def _no_directive_result(base: SimulationResult, scheme: str) -> SimulationResult:
+    """``scheme``'s result on a trace with no directives: ``base`` under
+    another name, without busy intervals (only Base collects them)."""
+    return SimulationResult.from_columns(
+        response_array=base.response_array,
+        scheme=scheme,
+        program_name=base.program_name,
+        execution_time_s=base.execution_time_s,
+        disk_stats=copy.deepcopy(base.disk_stats),
+        responses=base.responses,
+        num_requests=base.num_requests,
+        num_directives=0,
+        engine=base.engine,
+        engine_forced=base.engine_forced,
+    )
 
 
 def run_trace_replay(ctx, sources=None) -> ExperimentReport:

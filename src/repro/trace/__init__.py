@@ -1,6 +1,6 @@
 """Trace generation, ingestion, synthesis, and trace-file I/O (paper §4.1)."""
 
-from .buffercache import BufferCache, filter_occurrences
+from .buffercache import BufferCache
 from .generator import (
     CallPlacement,
     TraceOptions,
@@ -28,7 +28,6 @@ from .tracefile import format_trace, parse_trace, read_trace, write_trace
 
 __all__ = [
     "BufferCache",
-    "filter_occurrences",
     "CallPlacement",
     "TraceOptions",
     "directives_at_positions",

@@ -7,9 +7,16 @@ are allocated on both reads and writes; re-references hit.  (Dirty
 write-back traffic on eviction is not modeled — request *counts and timing*
 are what drive the power results; see DESIGN.md §4.)
 
-The hot path is :meth:`access_extents`, which takes whole byte extents and
-returns the missing sub-extents, coalesced — this is what keeps trace
-generation vectorizable at the iteration level.
+Two implementations of the one LRU policy live here:
+
+* :class:`BufferCache` — the per-line cache over (file, line) keys, whose
+  :meth:`~BufferCache.access_extents` takes whole byte extents and returns
+  the missing sub-extents, coalesced.  It backs
+  :func:`~repro.trace.generator.generate_trace_reference` and is the test
+  oracle of the other one;
+* :class:`LRUState` — the filter the trace generator runs: integer line
+  keys of one occurrence-stream block at a time, vectorized whenever no
+  eviction can happen, with the recency order carried between blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 from ..util.errors import TraceError
 from ..util.units import KB
 
-__all__ = ["BufferCache", "LRUState", "filter_occurrences"]
+__all__ = ["BufferCache", "LRUState"]
 
 
 class BufferCache:
@@ -140,55 +147,26 @@ class BufferCache:
 
 
 # ---------------------------------------------------------------------- #
-# Batch filtering — the vectorized trace generator's cache back end.
+# Block filtering — the vectorized trace generator's cache back end.
 # ---------------------------------------------------------------------- #
-def _lru_replay(keys: np.ndarray, capacity_lines: int) -> np.ndarray:
-    """Exact LRU replay of a whole occurrence stream (eviction fallback).
-
-    A tight loop over plain ``int`` keys and one ``OrderedDict`` — no
-    per-extent slicing, scalar boxing, or method dispatch, which is what
-    dominates :meth:`BufferCache.access_extents` on the per-line path.
-    """
-    lru: OrderedDict[int, None] = OrderedDict()
-    move_to_end = lru.move_to_end
-    popitem = lru.popitem
-    miss_positions: list[int] = []
-    append = miss_positions.append
-    size = 0
-    for i, k in enumerate(keys.tolist()):
-        if k in lru:
-            move_to_end(k)
-        else:
-            append(i)
-            lru[k] = None
-            if size < capacity_lines:
-                size += 1
-            else:
-                popitem(last=False)
-    miss = np.zeros(keys.size, dtype=bool)
-    if miss_positions:
-        miss[np.asarray(miss_positions, dtype=np.int64)] = True
-    return miss
-
-
 class LRUState:
-    """Persistent LRU cache state for *chunked* occurrence filtering.
+    """LRU cache state carried across blocks of an occurrence stream.
 
-    The chunked trace generator feeds the occurrence stream through the
-    cache one chunk at a time; the recency order must survive between
-    chunks for the miss pattern to match the whole-stream filter.  This
-    object holds that order (plus running hit/miss totals) and exposes
-    :meth:`filter`, whose concatenated miss masks are bit-identical to one
-    :func:`filter_occurrences` call over the concatenated stream — the
-    chunked-vs-whole equivalence tests enforce this.
+    The trace generator feeds its cache-line occurrence stream (one integer
+    key per line touch, in program order) through :meth:`filter` one block
+    at a time; the recency order survives between blocks, so the
+    concatenated miss masks and the hit/miss totals do not depend on where
+    the stream was cut.  They equal feeding the stream through a
+    :class:`BufferCache` one line at a time — the equivalence tests check
+    this over random streams cut at random points.
 
-    Three per-chunk regimes mirror the stateless filter:
+    Three per-block regimes, fastest applicable wins:
 
     * capacity 0 — caching disabled, every touch misses, no state;
     * resident + new distinct lines fit in capacity — **no eviction can
-      occur during this chunk**, so misses are "first chunk occurrence of
+      occur during this block**, so misses are "first block occurrence of
       a line not already resident" (vectorized), and the recency order is
-      patched afterwards by re-inserting the chunk's distinct lines in
+      patched afterwards by re-inserting the block's distinct lines in
       last-touch order — exactly the order a serial replay leaves behind;
     * otherwise — exact seeded LRU replay in a tight loop.
     """
@@ -208,7 +186,7 @@ class LRUState:
         return len(self._lru)
 
     def filter(self, keys: np.ndarray) -> np.ndarray:
-        """Filter one chunk of the occurrence stream; returns its miss mask
+        """Filter one block of the occurrence stream; returns its miss mask
         and advances the carried cache state."""
         n = int(keys.size)
         if n == 0:
@@ -224,8 +202,8 @@ class LRUState:
         first_sorted = np.empty(n, dtype=bool)
         first_sorted[0] = True
         np.not_equal(sk[1:], sk[:-1], out=first_sorted[1:])
-        # Stable sort keeps chunk order within a key, so group firsts/lasts
-        # are each key's first/last touch of the chunk.
+        # Stable sort keeps block order within a key, so group firsts/lasts
+        # are each key's first/last touch of the block.
         first_pos = order[first_sorted]
         new_flags = np.asarray(
             [k not in lru for k in keys[first_pos].tolist()], dtype=bool
@@ -276,42 +254,3 @@ class LRUState:
             miss[np.asarray(miss_positions, dtype=np.int64)] = True
         return miss
 
-
-def filter_occurrences(
-    keys: np.ndarray, capacity_lines: int
-) -> tuple[np.ndarray, int, int]:
-    """Filter a cache-line occurrence stream through LRU semantics in batch.
-
-    ``keys`` holds one integer per line *touch*, in program order, uniquely
-    encoding (file, line).  Returns ``(miss_mask, hits, misses)`` with
-    ``miss_mask[i]`` true iff touch ``i`` misses — bit-identical to feeding
-    the stream through :class:`BufferCache` one line at a time.
-
-    Three regimes, fastest applicable wins:
-
-    * ``capacity_lines == 0`` — caching disabled, every touch misses;
-    * the stream's distinct-line count fits in capacity — **no eviction can
-      ever occur**, so recency is irrelevant and a touch misses iff it is
-      the first occurrence of its line (fully vectorized via one stable
-      argsort, which also yields the distinct count that proves the regime
-      applies);
-    * otherwise — exact LRU replay in a tight loop (:func:`_lru_replay`).
-    """
-    n = int(keys.size)
-    if n == 0:
-        return np.zeros(0, dtype=bool), 0, 0
-    if capacity_lines == 0:
-        return np.ones(n, dtype=bool), 0, n
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    first_sorted = np.empty(n, dtype=bool)
-    first_sorted[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first_sorted[1:])
-    distinct = int(first_sorted.sum())
-    if distinct <= capacity_lines:
-        miss = np.empty(n, dtype=bool)
-        miss[order] = first_sorted
-        return miss, n - distinct, distinct
-    miss = _lru_replay(keys, capacity_lines)
-    misses = int(miss.sum())
-    return miss, n - misses, misses

@@ -6,18 +6,20 @@ run (split at ``max_request_bytes``).  Request arrival times come from the
 *actual* cycle model — the generator plays the role of the instrumented
 real execution on the paper's Blade1000.
 
-The walk is **columnar**, end to end:
+The walk is **columnar** and has one producer,
+:func:`generate_trace_chunks`; :func:`generate_trace` is its chunks joined
+by :meth:`RequestColumns.concat`, so a whole trace and a streamed one are
+the same request sequence by construction.  Per iteration block of a nest:
 
-1. every (outer iteration × reference footprint × contiguous run) *cell* of
-   the whole program is laid out with NumPy broadcasting (the footprint at
+1. every (outer iteration × reference footprint × contiguous run) *cell*
+   of the block is laid out with NumPy broadcasting (the footprint at
    outer value ``v`` is the base footprint shifted by a constant, so the
-   per-cell line ranges are one arithmetic expression over all iterations);
-2. the cells expand to a single program-ordered **cache-line occurrence
-   stream**, which :func:`~repro.trace.buffercache.filter_occurrences`
-   filters through LRU semantics in batch — fully vectorized when caching
-   is off or the working set fits in capacity (no eviction can occur, so a
-   touch misses iff it is the first occurrence of its line), and an exact
-   tight-loop LRU replay under eviction pressure;
+   per-cell line ranges are one arithmetic expression over the block);
+2. the cells expand to a program-ordered **cache-line occurrence
+   stream**, which a carried :class:`~repro.trace.buffercache.LRUState`
+   filters through LRU semantics — vectorized when caching is off or no
+   eviction can happen within the block, and an exact tight-loop LRU
+   replay under eviction pressure;
 3. the surviving misses are coalesced into maximal line runs, clipped at
    each file's tail, split at ``max_request_bytes`` with one ``arange``,
    and assembled directly into :class:`~repro.trace.request.RequestColumns`
@@ -50,7 +52,7 @@ from ..ir.program import Program
 from ..layout.files import SubsystemLayout
 from ..util.errors import TraceError
 from ..util.units import KB
-from .buffercache import BufferCache, LRUState, filter_occurrences
+from .buffercache import BufferCache, LRUState
 from .request import DirectiveRecord, IORequest, RequestColumns, Trace
 
 __all__ = [
@@ -110,7 +112,8 @@ def generate_trace(
     timing: ProgramTiming | None = None,
     stats: dict | None = None,
 ) -> Trace:
-    """Produce the I/O request trace of ``program`` under ``layout``.
+    """Produce the I/O request trace of ``program`` under ``layout``: the
+    chunks of :func:`generate_trace_chunks` joined end to end.
 
     ``stats``, when given, receives the buffer cache's ``hits``/``misses``
     counters (equivalence tests compare them against the reference path).
@@ -123,13 +126,18 @@ def generate_trace(
             accesses = analyze_program(program)
         if timing is None:
             timing = compute_timing(program)
-        _check_accesses(program, accesses)
-
-        columns, hits, misses = _generate_columns(layout, opts, accesses, timing)
-        if stats is not None:
-            stats["hits"] = hits
-            stats["misses"] = misses
-        num_requests = int(columns.nominal_time_s.size)
+        counts = {} if stats is None else stats
+        parts = list(
+            generate_trace_chunks(
+                program, layout, opts,
+                accesses=accesses, timing=timing, stats=counts,
+            )
+        )
+        columns = RequestColumns.concat(
+            parts, parts[0].array_names if parts else ()
+        )
+        hits, misses = counts["hits"], counts["misses"]
+        num_requests = len(columns)
         sp.set(requests=num_requests, cache_hits=hits, cache_misses=misses)
         _metrics.inc("trace.cache_hits", hits)
         _metrics.inc("trace.cache_misses", misses)
@@ -148,9 +156,8 @@ class _NestPrep:
 
     One "cell" is an (outer iteration, footprint, run) triple; a nest's
     cells for any iteration window ``[lo, hi)`` are a pure function of this
-    prep (:func:`_cells_for_block`), which is what lets the chunked
-    generator materialize the occurrence stream one iteration block at a
-    time while staying bit-identical to the whole-program walk.
+    prep (:func:`_cells_for_block`), which is what lets the generator
+    materialize the occurrence stream one iteration block at a time.
     """
 
     __slots__ = (
@@ -200,7 +207,7 @@ class _NestPrep:
 
 
 class _Cells:
-    """Parallel per-cell arrays for one iteration block (or whole nests)."""
+    """Parallel per-cell arrays for one iteration block."""
 
     __slots__ = ("firsts", "counts", "aid", "time", "arr", "write", "nest",
                  "iter", "fsize")
@@ -232,8 +239,7 @@ def _prepare_nests(
     per-column line index is linear in the outer value, so its maximum is
     at one of the two iteration endpoints).  A global stride makes cache
     keys identical across iteration blocks, which the carried LRU state
-    requires; key *values* may differ from the whole-stream filter's
-    local stride, but LRU behaviour depends only on key identity.
+    requires.
     """
     lb = opts.cache_line_bytes
     array_ids: dict[str, int] = {}
@@ -344,13 +350,6 @@ def _cells_for_block(prep: _NestPrep, lo: int, hi: int, lb: int) -> _Cells:
     )
 
 
-def _concat_cells(parts: list[_Cells]) -> _Cells:
-    return _Cells(*(
-        np.concatenate([getattr(p, f) for p in parts])
-        for f in _Cells.__slots__
-    ))
-
-
 def _expand_occurrences(cells: _Cells) -> tuple[np.ndarray, np.ndarray]:
     """Expand cells into the per-line occurrence stream."""
     counts = cells.counts
@@ -375,10 +374,9 @@ def _build_requests(
     cap_req: int,
     names: tuple[str, ...],
 ) -> RequestColumns:
-    """Misses -> coalesced, clipped, size-split request columns."""
+    """Misses (at least one) -> coalesced, clipped, size-split request
+    columns."""
     idx = np.flatnonzero(miss)
-    if idx.size == 0:
-        return _empty_columns(names)
 
     # Coalesce: a miss run continues while touches are adjacent in the
     # stream (no hit between), lines are consecutive, and the access — one
@@ -434,34 +432,6 @@ def _build_requests(
     )
 
 
-def _generate_columns(
-    layout: SubsystemLayout,
-    opts: TraceOptions,
-    accesses: Sequence[NestAccess],
-    timing: ProgramTiming,
-) -> tuple[RequestColumns, int, int]:
-    """The columnar pipeline: cells -> occurrence stream -> miss columns."""
-    lb = opts.cache_line_bytes
-    cap_lines = opts.buffer_cache_bytes // lb
-    cap_req = opts.max_request_bytes
-
-    preps, names, stride = _prepare_nests(layout, opts, accesses, timing)
-    if not preps:
-        return _empty_columns(names), 0, 0
-    cells = _concat_cells(
-        [_cells_for_block(p, 0, p.trips, lb) for p in preps]
-    )
-    occ_cell, occ_line = _expand_occurrences(cells)
-    if occ_line.size == 0:
-        return _empty_columns(names), 0, 0
-
-    # Encode (file, line) into one int key; files never interact otherwise.
-    keys = cells.arr[occ_cell] * stride + occ_line
-
-    miss, hits, misses = filter_occurrences(keys, cap_lines)
-    return _build_requests(miss, occ_cell, occ_line, cells, lb, cap_req, names), hits, misses
-
-
 def generate_trace_chunks(
     program: Program,
     layout: SubsystemLayout,
@@ -471,17 +441,17 @@ def generate_trace_chunks(
     timing: ProgramTiming | None = None,
     stats: dict | None = None,
 ):
-    """Yield the trace of ``program`` as :class:`RequestColumns` chunks.
+    """Yield the trace of ``program`` as :class:`RequestColumns` chunks —
+    the generator's one producer.
 
-    The concatenation of the yielded chunks is bit-identical to
-    :func:`generate_trace`'s columns (same requests, same cache
-    hits/misses), but peak memory is bounded by the iteration-block and
-    chunk sizes instead of the trace length: nests are walked one
-    iteration block at a time (blocks cut at iteration boundaries, where
-    miss-run coalescing provably breaks — the access ordinal changes), the
-    occurrence stream of each block is filtered through a carried
+    Peak memory is bounded by the iteration-block and chunk sizes instead
+    of the trace length: nests are walked one iteration block at a time
+    (blocks cut at iteration boundaries, where miss-run coalescing
+    provably breaks — the access ordinal changes), the occurrence stream
+    of each block is filtered through a carried
     :class:`~repro.trace.buffercache.LRUState`, and finished requests are
-    buffered only up to one chunk.
+    buffered only up to one chunk.  Any ``chunk_requests`` yields the same
+    request sequence and the same cache hits/misses.
 
     Every chunk except the last has exactly ``chunk_requests`` rows.
     ``stats``, when given, receives the cache's ``hits``/``misses``
@@ -520,6 +490,8 @@ def generate_trace_chunks(
                 continue
             keys = cells.arr[occ_cell] * stride + occ_line
             miss = state.filter(keys)
+            if not miss.any():
+                continue
             cols = _build_requests(
                 miss, occ_cell, occ_line, cells, lb, cap_req, names
             )
@@ -528,7 +500,7 @@ def generate_trace_chunks(
             parts.append(cols)
             buffered += len(cols)
             if buffered >= chunk_requests:
-                whole = _concat_columns(parts, names)
+                whole = RequestColumns.concat(parts, names)
                 pos = 0
                 while buffered - pos >= chunk_requests:
                     yield whole.slice(pos, pos + chunk_requests)
@@ -536,7 +508,7 @@ def generate_trace_chunks(
                 parts = [whole.slice(pos, buffered)] if pos < buffered else []
                 buffered -= pos
     if buffered:
-        yield _concat_columns(parts, names)
+        yield RequestColumns.concat(parts, names)
     if stats is not None:
         stats["hits"] = state.hits
         stats["misses"] = state.misses
@@ -589,39 +561,6 @@ def stream_trace(
     )
 
 
-def _concat_columns(
-    parts: list[RequestColumns], names: tuple[str, ...]
-) -> RequestColumns:
-    if len(parts) == 1:
-        return parts[0]
-    return RequestColumns(
-        nominal_time_s=np.concatenate([p.nominal_time_s for p in parts]),
-        array_id=np.concatenate([p.array_id for p in parts]),
-        offset=np.concatenate([p.offset for p in parts]),
-        nbytes=np.concatenate([p.nbytes for p in parts]),
-        is_write=np.concatenate([p.is_write for p in parts]),
-        nest=np.concatenate([p.nest for p in parts]),
-        iteration=np.concatenate([p.iteration for p in parts]),
-        array_names=names,
-        validate=False,
-    )
-
-
-def _empty_columns(array_names: tuple[str, ...]) -> RequestColumns:
-    empty = np.empty(0, dtype=np.int64)
-    return RequestColumns(
-        nominal_time_s=np.empty(0, dtype=np.float64),
-        array_id=empty,
-        offset=empty,
-        nbytes=empty,
-        is_write=np.empty(0, dtype=bool),
-        nest=empty,
-        iteration=empty,
-        array_names=array_names,
-        validate=False,
-    )
-
-
 def generate_trace_reference(
     program: Program,
     layout: SubsystemLayout,
@@ -632,11 +571,12 @@ def generate_trace_reference(
 ) -> Trace:
     """The naive per-line reference generator.
 
-    Retained verbatim as the oracle :func:`generate_trace` is proven
-    against (``tests/trace/test_generator_equivalence.py``): one Python
-    loop per outer iteration,
-    per-line LRU filtering through :meth:`BufferCache.access_extents`, one
-    :class:`IORequest` object per emitted chunk.
+    Retained verbatim as the oracle :func:`generate_trace_chunks` (and so
+    :func:`generate_trace`) is proven against
+    (``tests/trace/test_generator_equivalence.py``): one Python loop per
+    outer iteration, per-line LRU filtering through
+    :meth:`BufferCache.access_extents`, one :class:`IORequest` object per
+    emitted chunk.
     """
     opts = options or TraceOptions()
     if accesses is None:

@@ -51,10 +51,21 @@ _ORDER_TOL = 1e-12
 #: columns.  Requests parsed back from serialized traces (the paper's
 #: four-field text format) and requests ingested from external block-I/O
 #: traces (:mod:`repro.trace.ingest`, :mod:`repro.trace.synth`) carry no
-#: loop-nest provenance, so every reader — object-level parse, streamed
-#: chunked read, and ingest — fills both columns with this one value and
+#: loop-nest provenance, so every reader — the trace-file line parser,
+#: ingest and synthesis — fills both columns with this one value and
 #: whole-file vs streamed reads round-trip identically.
 UNKNOWN_POSITION = -1
+
+#: The per-request columns of :class:`RequestColumns`, in constructor order.
+_COLUMNS = (
+    "nominal_time_s",
+    "array_id",
+    "offset",
+    "nbytes",
+    "is_write",
+    "nest",
+    "iteration",
+)
 
 
 @dataclass(frozen=True)
@@ -106,18 +117,7 @@ class RequestColumns:
     it on the columnar hot paths.
     """
 
-    __slots__ = (
-        "nominal_time_s",
-        "array_id",
-        "offset",
-        "nbytes",
-        "is_write",
-        "nest",
-        "iteration",
-        "array_names",
-        "_objects",
-        "_total_bytes",
-    )
+    __slots__ = (*_COLUMNS, "array_names", "_objects", "_total_bytes")
 
     def __init__(
         self,
@@ -147,7 +147,7 @@ class RequestColumns:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_requests(cls, requests: Sequence[IORequest]) -> "RequestColumns":
-        """Build columns from an object stream (tests, trace-file parsing).
+        """Build columns from an object stream (tests, hand-built traces).
 
         The given tuple is kept as the pre-materialized object view, so
         ``Trace.requests`` round-trips the exact objects passed in.
@@ -173,11 +173,31 @@ class RequestColumns:
         cols._objects = reqs
         return cols
 
+    @classmethod
+    def concat(
+        cls, parts: Sequence["RequestColumns"], array_names: Sequence[str]
+    ) -> "RequestColumns":
+        """The rows of ``parts`` end to end — how every whole-trace entry
+        point joins its producer's chunk stream.
+
+        All parts must share the ``array_names`` id space and follow each
+        other in arrival order, as one producer's chunks do.  Each part
+        was validated when it was built, so the join is not re-validated;
+        a single part is returned as is, and no parts give an empty set.
+        """
+        if len(parts) == 1:
+            return parts[0]
+        columns = [
+            np.concatenate([getattr(p, name) for p in parts]) if parts else ()
+            for name in _COLUMNS
+        ]
+        return cls(*columns, array_names=array_names, validate=False)
+
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
         """Vectorized invariants — one pass, once per column set."""
         n = len(self.nominal_time_s)
-        for name in ("array_id", "offset", "nbytes", "is_write", "nest", "iteration"):
+        for name in _COLUMNS[1:]:
             if len(getattr(self, name)) != n:
                 raise TraceError(f"request column {name!r} length mismatch")
         if n == 0:

@@ -192,24 +192,11 @@ def synth_stream(config: SynthConfig) -> TraceStream:
 
 
 def synth_trace(config: SynthConfig) -> Trace:
-    """The workload materialized whole (differential tests, small runs)."""
-    cols = list(_chunks(config))
-    if len(cols) == 1:
-        columns = cols[0]
-    else:
-        columns = RequestColumns(
-            nominal_time_s=np.concatenate([c.nominal_time_s for c in cols]),
-            array_id=np.concatenate([c.array_id for c in cols]),
-            offset=np.concatenate([c.offset for c in cols]),
-            nbytes=np.concatenate([c.nbytes for c in cols]),
-            is_write=np.concatenate([c.is_write for c in cols]),
-            nest=np.concatenate([c.nest for c in cols]),
-            iteration=np.concatenate([c.iteration for c in cols]),
-            array_names=cols[0].array_names,
-        )
+    """The workload materialized whole (differential tests, small runs):
+    the stream's chunks joined end to end."""
     return Trace(
         program_name=f"synth-{config.model}",
         layout=synth_layout(config),
         total_compute_s=0.0,
-        columns=columns,
+        columns=RequestColumns.concat(list(_chunks(config)), ("synth",)),
     )

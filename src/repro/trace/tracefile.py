@@ -12,23 +12,34 @@ one request per line::
 Start blocks are global sector numbers assigned by the
 :class:`~repro.layout.files.SubsystemLayout` (each array's file owns a
 disjoint block range), so a reader holding the same layout can recover the
-(array, byte-offset) pair exactly — :func:`read_trace` does, enabling
-lossless round-trips (modulo directive records, which are an in-memory
-concept; the paper's simulator also consumes power calls out-of-band).
+(array, byte-offset) pair exactly, enabling lossless round-trips (modulo
+directive records, which are an in-memory concept; the paper's simulator
+also consumes power calls out-of-band).
+
+Reading has one header reader (the leading ``#`` lines) and one chunk
+parser (request lines to :class:`~repro.trace.request.RequestColumns`).
+The whole readers (:func:`parse_trace`, :func:`read_trace`) join the
+parser's chunks; the streamed ones (:func:`read_trace_chunks`,
+:func:`stream_trace_file`) yield them.  Every request line is checked as
+it is parsed, against the previous line across chunk boundaries too, and a
+bad one raises :class:`~repro.util.errors.TraceError` naming its line — so
+a whole read and a chunked read accept exactly the same files and produce
+the same requests.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from ..layout.files import SubsystemLayout
-from ..util.errors import TraceError
-from ..util.units import SECTOR_BYTES, ms_to_s, s_to_ms
-from .request import IORequest, RequestColumns, Trace, UNKNOWN_POSITION
+from ..util.errors import LayoutError, TraceError
+from ..util.units import ms_to_s, s_to_ms
+from .request import _ORDER_TOL, RequestColumns, Trace, UNKNOWN_POSITION
 
 __all__ = [
     "write_trace",
@@ -40,6 +51,7 @@ __all__ = [
 ]
 
 _HEADER_PREFIX = "# repro-trace v1 program="
+_COMPUTE_PREFIX = "# total_compute_ms="
 
 
 def format_trace(trace: Trace) -> str:
@@ -51,7 +63,7 @@ def format_trace(trace: Trace) -> str:
 
 def _write(trace: Trace, fh: TextIO) -> None:
     fh.write(f"{_HEADER_PREFIX}{trace.program_name}\n")
-    fh.write(f"# total_compute_ms={s_to_ms(trace.total_compute_s):.6f}\n")
+    fh.write(f"{_COMPUTE_PREFIX}{s_to_ms(trace.total_compute_s):.6f}\n")
     for r in trace.requests:
         entry = trace.layout.entry(r.array)
         block = entry.offset_to_block(r.offset)
@@ -65,52 +77,120 @@ def write_trace(trace: Trace, path: str | Path) -> None:
         _write(trace, fh)
 
 
-def parse_trace(text: str, layout: SubsystemLayout) -> Trace:
-    """Parse the text format back into a :class:`Trace` (requires the same
-    layout that produced it, to resolve block numbers to files)."""
+def _read_header(lines: Iterable[str]) -> tuple[str, float]:
+    """``(program name, total compute seconds)`` from the comment lines
+    before the first request line."""
     program_name = "trace"
     total_compute_s = 0.0
-    requests: list[IORequest] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            if line.startswith(_HEADER_PREFIX):
-                program_name = line[len(_HEADER_PREFIX):].strip()
-            elif line.startswith("# total_compute_ms="):
-                try:
-                    total_compute_s = ms_to_s(float(line.split("=", 1)[1]))
-                except ValueError as exc:
-                    raise TraceError(f"line {lineno}: {exc}") from exc
+        if not line.startswith("#"):
+            break
+        if line.startswith(_HEADER_PREFIX):
+            program_name = line[len(_HEADER_PREFIX):].strip()
+        elif line.startswith(_COMPUTE_PREFIX):
+            try:
+                total_compute_s = ms_to_s(float(line[len(_COMPUTE_PREFIX):]))
+            except ValueError as exc:
+                raise TraceError(
+                    f"line {lineno}: bad total_compute_ms header: {exc}"
+                ) from exc
+    return program_name, total_compute_s
+
+
+def _parse_chunks(
+    lines: Iterable[str], layout: SubsystemLayout, chunk_requests: int = 65536
+) -> Iterator[RequestColumns]:
+    """Parse request lines into chunks of ``chunk_requests`` rows (the
+    last may be shorter); comment and blank lines are skipped.
+
+    Each line must hold four fields: a finite, non-negative arrival no
+    earlier than the previous line's, a block inside some file of
+    ``layout``, a positive size whose extent ends inside that file, and
+    ``R`` or ``W``.  Array ids follow the layout's entry order, fixed
+    across chunks as the streamed replay's seek-continuity carry requires.
+    The ``nest``/``iteration`` columns are not part of the four-field
+    format and read back as :data:`~repro.trace.request.UNKNOWN_POSITION`.
+    """
+    if chunk_requests <= 0:
+        raise TraceError("chunk_requests must be positive")
+    names = tuple(e.array_name for e in layout.entries)
+    ids = {name: i for i, name in enumerate(names)}
+    rows: list[tuple[float, int, int, int, bool]] = []
+    prev = 0.0
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 4:
             raise TraceError(f"line {lineno}: expected 4 fields, got {len(parts)}")
         try:
-            arrival_ms = float(parts[0])
+            arrival_s = ms_to_s(float(parts[0]))
             block = int(parts[1])
             nbytes = int(parts[2])
         except ValueError as exc:
             raise TraceError(f"line {lineno}: {exc}") from exc
         if parts[3] not in ("R", "W"):
             raise TraceError(f"line {lineno}: bad request type {parts[3]!r}")
-        entry = layout.resolve_block(block)
-        offset = entry.block_to_offset(block)
-        requests.append(
-            IORequest(
-                nominal_time_s=ms_to_s(arrival_ms),
-                array=entry.array_name,
-                offset=offset,
-                nbytes=nbytes,
-                is_write=parts[3] == "W",
+        if not 0.0 <= arrival_s < math.inf:
+            raise TraceError(
+                f"line {lineno}: arrival {parts[0]} ms is not a finite "
+                "non-negative time"
             )
-        )
+        if arrival_s - prev < -_ORDER_TOL:
+            raise TraceError(
+                f"line {lineno}: arrival {parts[0]} ms precedes the previous "
+                "request's; requests must be ordered by arrival time"
+            )
+        if nbytes <= 0:
+            raise TraceError(
+                f"line {lineno}: request size must be positive, got {nbytes}"
+            )
+        try:
+            entry = layout.resolve_block(block)
+        except LayoutError as exc:
+            raise TraceError(f"line {lineno}: {exc}") from None
+        offset = entry.block_to_offset(block)
+        if offset + nbytes > entry.size_bytes:
+            raise TraceError(
+                f"line {lineno}: {nbytes} bytes at block {block} run past the "
+                f"end of file {entry.array_name!r} ({entry.size_bytes} bytes)"
+            )
+        rows.append((arrival_s, ids[entry.array_name], offset, nbytes, parts[3] == "W"))
+        prev = arrival_s
+        if len(rows) == chunk_requests:
+            yield _columns(rows, names)
+            rows = []
+    if rows:
+        yield _columns(rows, names)
+
+
+def _columns(rows: list[tuple], names: tuple[str, ...]) -> RequestColumns:
+    """One chunk's rows as columns; :func:`_parse_chunks` checked them."""
+    times, aids, offsets, sizes, writes = zip(*rows)
+    unknown = np.full(len(rows), UNKNOWN_POSITION, dtype=np.int64)
+    return RequestColumns(
+        times, aids, offsets, sizes, writes, unknown, unknown, names,
+        validate=False,
+    )
+
+
+def parse_trace(text: str, layout: SubsystemLayout) -> Trace:
+    """Parse the text format back into a :class:`Trace` (requires the same
+    layout that produced it, to resolve block numbers to files)."""
+    lines = text.splitlines()
+    program_name, total_compute_s = _read_header(lines)
     return Trace(
         program_name=program_name,
         layout=layout,
-        requests=tuple(requests),
         total_compute_s=total_compute_s,
+        columns=RequestColumns.concat(
+            list(_parse_chunks(lines, layout)),
+            tuple(e.array_name for e in layout.entries),
+        ),
     )
 
 
@@ -119,78 +199,14 @@ def read_trace(path: str | Path, layout: SubsystemLayout) -> Trace:
     return parse_trace(Path(path).read_text(encoding="utf-8"), layout)
 
 
-# ---------------------------------------------------------------------- #
-# Streaming reader — bounded-memory ingestion of large trace files.
-# ---------------------------------------------------------------------- #
 def read_trace_chunks(
     path: str | Path, layout: SubsystemLayout, chunk_requests: int = 65536
 ) -> Iterator[RequestColumns]:
-    """Read a trace file as successive :class:`RequestColumns` chunks.
-
-    Never holds more than one chunk of parsed requests (plus one file
-    line) in memory.  Array ids follow the *layout's* entry order — fixed
-    across chunks, as the streamed replay's seek-continuity carry
-    requires — rather than :func:`read_trace`'s first-appearance order;
-    the resolved per-request fields are identical either way.  The
-    ``nest``/``iteration`` columns are not part of the four-field format
-    and read back as :data:`~repro.trace.request.UNKNOWN_POSITION` — the
-    one shared "no provenance" sentinel, matching :func:`read_trace` and
-    the external-trace readers in :mod:`repro.trace.ingest`.
-    """
-    if chunk_requests <= 0:
-        raise TraceError("chunk_requests must be positive")
-    names = tuple(e.array_name for e in layout.entries)
-    ids = {name: i for i, name in enumerate(names)}
-
-    times: list[float] = []
-    aids: list[int] = []
-    offs: list[int] = []
-    sizes: list[int] = []
-    writes: list[bool] = []
-
-    def flush() -> RequestColumns:
-        n = len(times)
-        cols = RequestColumns(
-            nominal_time_s=np.asarray(times, dtype=np.float64),
-            array_id=np.asarray(aids, dtype=np.int64),
-            offset=np.asarray(offs, dtype=np.int64),
-            nbytes=np.asarray(sizes, dtype=np.int64),
-            is_write=np.asarray(writes, dtype=bool),
-            nest=np.full(n, UNKNOWN_POSITION, dtype=np.int64),
-            iteration=np.full(n, UNKNOWN_POSITION, dtype=np.int64),
-            array_names=names,
-        )
-        times.clear(); aids.clear(); offs.clear(); sizes.clear(); writes.clear()
-        return cols
-
+    """Read a trace file as successive :class:`RequestColumns` chunks,
+    never holding more than one chunk of parsed requests (plus one file
+    line) in memory.  The chunks join to :func:`read_trace`'s columns."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise TraceError(
-                    f"line {lineno}: expected 4 fields, got {len(parts)}"
-                )
-            try:
-                arrival_ms = float(parts[0])
-                block = int(parts[1])
-                nbytes = int(parts[2])
-            except ValueError as exc:
-                raise TraceError(f"line {lineno}: {exc}") from exc
-            if parts[3] not in ("R", "W"):
-                raise TraceError(f"line {lineno}: bad request type {parts[3]!r}")
-            entry = layout.resolve_block(block)
-            times.append(ms_to_s(arrival_ms))
-            aids.append(ids[entry.array_name])
-            offs.append(entry.block_to_offset(block))
-            sizes.append(nbytes)
-            writes.append(parts[3] == "W")
-            if len(times) >= chunk_requests:
-                yield flush()
-    if times:
-        yield flush()
+        yield from _parse_chunks(fh, layout, chunk_requests)
 
 
 def stream_trace_file(
@@ -205,21 +221,8 @@ def stream_trace_file(
     """
     from .stream import TraceStream
 
-    program_name = "trace"
-    total_compute_s = 0.0
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line.startswith("#"):
-                break
-            if line.startswith(_HEADER_PREFIX):
-                program_name = line[len(_HEADER_PREFIX):].strip()
-            elif line.startswith("# total_compute_ms="):
-                try:
-                    total_compute_s = ms_to_s(float(line.split("=", 1)[1]))
-                except ValueError as exc:
-                    raise TraceError(f"bad total_compute_ms header: {exc}") from exc
-
+        program_name, total_compute_s = _read_header(fh)
     return TraceStream(
         program_name=program_name,
         layout=layout,

@@ -1,19 +1,22 @@
 """Directives on boundary instants ⇔ engine equivalence.
 
-The segmented engine applies power directives as segment-boundary state
-edits on a per-disk mirror.  The placements most likely to expose a
-mirror/state-machine divergence are the boundary instants themselves:
-directives tied to a request's issue edge, landing exactly on a service
-completion, or chained onto a transition's end edge (entangled with the
-in-flight transition).  :func:`strategies.boundary_adjacent_traces`
-generates exactly those placements; every engine must stay bit-identical,
-with and without fault injection.
+The segmented engine serves quiescent runs of requests in vector windows
+and applies power directives between them through the same exact state
+machine (``Disk.serve``, ``apply_call``) that serves everything in the
+stepwise engine.  The placements most likely to expose a divergence
+between the vector windows and that state machine are the boundary
+instants themselves: directives tied to a request's issue edge, landing
+exactly on a service completion, or chained onto a transition's end edge
+(entangled with the in-flight transition).
+:func:`strategies.boundary_adjacent_traces` generates exactly those
+placements; every engine must stay bit-identical, with and without fault
+injection.
 
-Also here: targeted streams for the two reactive controllers the
-segmented engine serves itself — reactive DRPM with a wide window (its
-count-bounded windows and level shifts run on the scalar mirror) and
-reactive TPM on a short and a long stream, both of which must engage the
-fire-bounded vector windows between autonomous spin-downs.
+Also here: targeted streams for the two reactive controllers — reactive
+DRPM with a wide window, which every engine routes to the stepwise loop
+(its completion hook observes each sub-request), and reactive TPM on a
+short and a long stream, both of which must engage the fire-bounded
+vector windows between autonomous spin-downs.
 """
 
 import sys
@@ -89,8 +92,9 @@ def _uniform_trace(num_disks, num_requests, gap_s, burst_every=0, burst_gap_s=0.
 
 def test_drpm_vector_window_path_bit_identical():
     """A wide reactive-DRPM window (256 subs per disk) folds long runs of
-    responses and shifts levels at the boundaries on the scalar mirror;
-    it must reproduce the stepwise replay exactly."""
+    responses and shifts levels at the window boundaries; the segmented
+    and auto engines route it to the stepwise loop and must reproduce the
+    stepwise replay exactly."""
     drpm = DRPMParams(window_size=256)
     params = SubsystemParams(num_disks=4, drpm=drpm)
     trace = _uniform_trace(4, 2048, gap_s=0.004)

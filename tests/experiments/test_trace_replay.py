@@ -2,9 +2,13 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cache import ResultCache
+from repro.controllers.compiler_directed import CompilerDirected
+from repro.disksim.params import SubsystemParams
+from repro.disksim.simulator import simulate
 from repro.experiments.cli import build_parser, main
 from repro.experiments.runner import ExperimentContext
 from repro.experiments.trace_replay import (
@@ -151,6 +155,48 @@ def test_cache_round_trip_is_exact(tmp_path):
     for row in first.rows:
         for col in TRACE_REPLAY_SCHEMES:
             assert again.value(row, col) == first.value(row, col)
+
+
+class _Capture(ResultCache):
+    """Never hits; keeps every stored result in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored: list = []
+
+    def load(self, key):
+        return None
+
+    def store(self, key, payload):
+        self.stored.append(payload)
+
+
+@pytest.mark.parametrize("streamed", [False, True], ids=["whole", "streamed"])
+def test_degraded_schemes_equal_real_compiler_directed_replays(
+    streamed, assert_results_identical
+):
+    """CMTPM/CMDRPM are built from the Base result, not replayed; they
+    must still pass through the cache in scheme order and equal a real
+    compiler-directed replay with no directives, field by field."""
+    params = SubsystemParams(num_disks=4)
+    synth = SynthConfig(num_requests=600, num_disks=4, model="onoff", seed=3)
+    source = TraceSource(label="cm", synth=synth, streamed=streamed)
+    capture = _Capture()
+    run_trace_replay(
+        ExperimentContext(params=params, cache=capture), sources=(source,)
+    )
+    oracles = [] if streamed else ["ITPM", "IDRPM"]
+    assert [r.scheme for r in capture.stored] == [
+        "Base", "TPM", "DRPM", *oracles, "CMTPM", "CMDRPM",
+    ]
+    trace = source.load(params.num_disks)
+    for got, kind in zip(capture.stored[-2:], ("tpm", "drpm")):
+        real = simulate(trace, params, CompilerDirected(kind), open_loop=True)
+        assert_results_identical(got, real)
+        assert got == real
+        assert (got.engine, got.engine_forced) == (real.engine, real.engine_forced)
+        assert got.busy_columns == real.busy_columns == ()
+        assert np.array_equal(got.response_array, real.response_array)
 
 
 # --------------------------------------------------------------------- #

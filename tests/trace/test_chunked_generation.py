@@ -1,9 +1,11 @@
-"""Chunked/streaming trace generation ⇔ whole-trace equivalence.
+"""Chunked/streaming trace generation ⇔ the per-line reference walk.
 
-`generate_trace_chunks` must concatenate to exactly `generate_trace`'s
-columns — same requests, same buffer-cache hit/miss counters — for every
-chunk size and cache regime, because the streamed replay's bit-identity
-guarantee rests on the request sequence being chunking-invariant.
+`generate_trace_chunks` must concatenate to exactly
+`generate_trace_reference`'s requests — same requests, same buffer-cache
+hit/miss counters — for every chunk size and cache regime, because the
+streamed replay's bit-identity guarantee rests on the request sequence
+being chunking-invariant.  (`generate_trace` joins these same chunks, so
+it cannot serve as their oracle.)
 `stream_trace` must additionally be *re-iterable* (each pass regenerates
 the identical chunks from a fresh carried cache state), and the trace-file
 streaming reader must round-trip what `write_trace` wrote.
@@ -27,6 +29,7 @@ from repro.trace.generator import (
     TraceOptions,
     generate_trace,
     generate_trace_chunks,
+    generate_trace_reference,
     stream_trace,
 )
 from repro.trace.request import RequestColumns
@@ -79,6 +82,21 @@ def _assert_columns_identical(a: RequestColumns, b: RequestColumns) -> None:
         assert np.array_equal(fa, fb), f
 
 
+def _assert_matches_reference(got: RequestColumns, ref: RequestColumns) -> None:
+    """Every column bit-identical; array ids may be numbered differently
+    (the reference numbers arrays in order of first request), so names
+    are compared resolved."""
+    assert len(got) == len(ref)
+    for f in _COLUMN_FIELDS:
+        fa, fb = getattr(got, f), getattr(ref, f)
+        assert fa.dtype == fb.dtype, f
+        if f != "array_id":
+            assert np.array_equal(fa, fb), f
+    assert np.array_equal(
+        got.array_name_per_request(), ref.array_name_per_request()
+    )
+
+
 # --------------------------------------------------------------------- #
 # Property: chunked == whole for random programs × cache regimes × sizes.
 # --------------------------------------------------------------------- #
@@ -98,8 +116,8 @@ def test_chunked_generation_bit_identical(data):
     )
     chunk_requests = data.draw(st.sampled_from([1, 7, 64, 65536]))
 
-    whole_stats: dict = {}
-    whole = generate_trace(program, layout, opts, stats=whole_stats)
+    ref_stats: dict = {}
+    ref = generate_trace_reference(program, layout, opts, stats=ref_stats)
     chunk_stats: dict = {}
     chunks = list(
         generate_trace_chunks(
@@ -114,24 +132,26 @@ def test_chunked_generation_bit_identical(data):
         assert 0 < len(chunks[-1]) <= chunk_requests
     got = _concat(chunks)
     if got is None:
-        assert whole.num_requests == 0
+        assert ref.num_requests == 0
     else:
-        _assert_columns_identical(got, whole.columns)
-    assert chunk_stats == whole_stats  # cache hits/misses fold exactly
+        _assert_matches_reference(got, ref.columns)
+    assert chunk_stats == ref_stats  # cache hits/misses fold exactly
 
 
 @pytest.mark.parametrize("workload", all_workloads()[:2], ids=lambda w: w.name)
 def test_bundled_workload_chunked_identical(workload):
     """Two real Table 2 workloads through an awkward chunk size."""
     layout = default_layout(workload.program.arrays, num_disks=4)
-    whole = generate_trace(workload.program, layout, workload.trace_options)
+    ref = generate_trace_reference(
+        workload.program, layout, workload.trace_options
+    )
     got = _concat(
         generate_trace_chunks(
             workload.program, layout, workload.trace_options,
             chunk_requests=1000,
         )
     )
-    _assert_columns_identical(got, whole.columns)
+    _assert_matches_reference(got, ref.columns)
 
 
 # --------------------------------------------------------------------- #

@@ -1,10 +1,12 @@
 """Columnar trace pipeline ⇔ naive reference equivalence.
 
-The vectorized generator (`generate_trace`) must be *bit-identical* to the
-retained per-line reference walk (`generate_trace_reference`): same request
-stream, same buffer-cache hit/miss counters, and same scheme replay results
-— for random programs across all three batch-filter regimes and for every
-bundled Table 2 workload.
+The vectorized generator (`generate_trace`, the joined chunks of
+`generate_trace_chunks`) must be *bit-identical* to the retained per-line
+reference walk (`generate_trace_reference`): same request stream, same
+buffer-cache hit/miss counters, and same scheme replay results — for random
+programs across all three `LRUState` regimes and for every bundled Table 2
+workload.  `LRUState` itself is checked against the per-line `BufferCache`
+over random occurrence streams cut into random blocks.
 """
 
 import sys
@@ -21,7 +23,7 @@ from strategies import programs  # noqa: E402
 from repro.disksim.params import SubsystemParams
 from repro.experiments import schemes as schemes_mod
 from repro.layout.files import default_layout
-from repro.trace.buffercache import BufferCache, filter_occurrences
+from repro.trace.buffercache import BufferCache, LRUState
 from repro.trace.generator import (
     TraceOptions,
     generate_trace,
@@ -37,40 +39,57 @@ _SLOW_SETTINGS = settings(
 
 
 # --------------------------------------------------------------------- #
-# Batch cache filter vs the per-line LRU, all regimes.
+# Carried block filter vs the per-line LRU, all regimes.
 # --------------------------------------------------------------------- #
+def _filter_blocks(state: LRUState, keys: np.ndarray, cuts) -> np.ndarray:
+    """Miss masks of ``keys`` fed through ``state`` in blocks cut at
+    ``cuts``, joined end to end."""
+    bounds = sorted({0, keys.size, *(c for c in cuts if c <= keys.size)})
+    masks = [state.filter(keys[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return np.concatenate(masks) if masks else np.zeros(0, dtype=bool)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     keys=st.lists(st.integers(0, 9), max_size=80),
     capacity=st.integers(0, 12),
+    cuts=st.lists(st.integers(0, 80), max_size=6),
 )
-def test_filter_occurrences_matches_per_line_lru(keys, capacity):
-    """Random occurrence streams land in every regime (capacity 0, no
-    eviction possible, eviction pressure) and must reproduce the naive
-    per-line cache exactly — miss positions and both counters."""
+def test_lru_state_matches_per_line_lru(keys, capacity, cuts):
+    """Random occurrence streams, cut into random blocks, land in every
+    regime (capacity 0, no eviction possible within a block, eviction
+    pressure) and must reproduce the naive per-line cache exactly — miss
+    positions and both counters."""
     arr = np.asarray(keys, dtype=np.int64)
-    miss, hits, misses = filter_occurrences(arr, capacity)
+    state = LRUState(capacity)
+    miss = _filter_blocks(state, arr, cuts)
     lb = 8
     cache = BufferCache(capacity * lb, line_bytes=lb)
     expect = [bool(cache.access_extents("f", [k * lb], [lb])) for k in keys]
     assert miss.tolist() == expect
-    assert (cache.hits, cache.misses) == (hits, misses)
-    assert hits + misses == len(keys)
+    assert (cache.hits, cache.misses) == (state.hits, state.misses)
+    assert state.hits + state.misses == len(keys)
 
 
-def test_filter_occurrences_regimes_explicit():
+def test_lru_state_regimes_explicit():
     keys = np.array([0, 1, 2, 0, 1, 2], dtype=np.int64)
     # Caching disabled: every touch misses.
-    miss, hits, misses = filter_occurrences(keys, 0)
-    assert miss.all() and (hits, misses) == (0, 6)
-    # Working set fits: first occurrence misses, re-references hit.
-    miss, hits, misses = filter_occurrences(keys, 3)
+    state = LRUState(0)
+    assert _filter_blocks(state, keys, [3]).all()
+    assert (state.hits, state.misses) == (0, 6)
+    # Working set fits: first occurrences miss, re-references hit, and the
+    # resident lines carry across the cut.
+    state = LRUState(3)
+    miss = _filter_blocks(state, keys, [4])
     assert miss.tolist() == [True, True, True, False, False, False]
-    assert (hits, misses) == (3, 3)
-    # Eviction pressure (LRU of 2 over 3 lines): the classic thrash —
+    assert (state.hits, state.misses) == (3, 3)
+    assert state.occupancy_lines == 3
+    # Eviction pressure (LRU of 2 over 3 lines): the first block fits, the
+    # second replays from the carried order — the classic thrash, where
     # every touch evicts the line the next touch needs, so all miss.
-    miss, hits, misses = filter_occurrences(keys, 2)
-    assert miss.all() and (hits, misses) == (0, 6)
+    state = LRUState(2)
+    assert _filter_blocks(state, keys, [2]).all()
+    assert (state.hits, state.misses) == (0, 6)
 
 
 # --------------------------------------------------------------------- #

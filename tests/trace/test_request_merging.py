@@ -92,8 +92,8 @@ def test_parse_trace_never_crashes_uncontrolled(lines):
         pass
 
 
-def test_parse_trace_block_outside_files_is_layout_error():
-    from repro.util.errors import LayoutError
-
-    with pytest.raises(LayoutError):
+def test_parse_trace_block_outside_files_is_trace_error():
+    """A block no file owns is malformed input: a TraceError naming the
+    line, not the layout's position-less LayoutError."""
+    with pytest.raises(TraceError, match="line 1: block 999999 belongs to no file"):
         parse_trace("0.0 999999 512 R", _layout())

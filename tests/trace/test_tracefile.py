@@ -1,11 +1,22 @@
-"""Trace file round-trips in the paper's four-field format."""
+"""Trace file round-trips in the paper's four-field format, and the one
+line parser behind the whole and the chunked readers."""
 
+import numpy as np
 import pytest
 
+from repro.disksim.params import SubsystemParams
+from repro.disksim.simulator import simulate
 from repro.layout.files import default_layout
 from repro.trace.generator import generate_trace
-from repro.trace.request import IORequest, Trace
-from repro.trace.tracefile import format_trace, parse_trace, read_trace, write_trace
+from repro.trace.request import IORequest, RequestColumns, Trace
+from repro.trace.tracefile import (
+    format_trace,
+    parse_trace,
+    read_trace,
+    read_trace_chunks,
+    stream_trace_file,
+    write_trace,
+)
 from repro.util.errors import TraceError
 from repro.util.units import KB
 from repro.ir.builder import ProgramBuilder
@@ -92,6 +103,77 @@ def test_trace_ordering_enforced():
                 IORequest(1.0, "A", 0, 512, False),
             ),
         )
+
+
+# --------------------------------------------------------------------- #
+# Whole and chunked reads: one parser, one set of accepted files.
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("chunk_requests", [1, 7, 64])
+def test_chunked_read_equals_whole_read(tmp_path, chunk_requests):
+    trace = _trace()
+    path = tmp_path / "t.trace"
+    write_trace(trace, path)
+    whole = read_trace(path, trace.layout).columns
+    chunks = list(read_trace_chunks(path, trace.layout, chunk_requests))
+    assert all(len(c) == chunk_requests for c in chunks[:-1])
+    got = RequestColumns.concat(chunks, whole.array_names)
+    assert got.array_names == whole.array_names
+    for name in ("nominal_time_s", "array_id", "offset", "nbytes",
+                 "is_write", "nest", "iteration"):
+        a, b = getattr(got, name), getattr(whole, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+_HEADER = "# repro-trace v1 program=p\n# total_compute_ms=5.0\n"
+
+
+def test_backwards_arrival_across_chunks_is_rejected(tmp_path):
+    """Arrivals 2.0 then 1.0 ms, one request per chunk: each chunk alone
+    is ordered, so only an order check carried across chunks sees it."""
+    trace = _trace()
+    path = tmp_path / "back.trace"
+    path.write_text(_HEADER + "2.0 0 512 R\n1.0 0 512 R\n")
+    with pytest.raises(TraceError, match="line 4: .*ordered"):
+        list(read_trace_chunks(path, trace.layout, chunk_requests=1))
+    stream = stream_trace_file(path, trace.layout, chunk_requests=1)
+    params = SubsystemParams(num_disks=trace.layout.num_disks)
+    with pytest.raises(TraceError, match="line 4"):
+        simulate(stream, params, open_loop=True)
+
+
+def _bad_lines(layout):
+    a = layout.entry("A")
+    past_end = a.block_range[1] - 1
+    nowhere = layout.entries[-1].block_range[1] + 10
+    return {
+        "block-in-no-file": (f"0.5 {nowhere} 512 R", "belongs to no file"),
+        "zero-size": ("0.5 0 0 R", "size must be positive"),
+        "negative-size": ("0.5 0 -512 W", "size must be positive"),
+        "negative-arrival": ("-0.5 0 512 R", "non-negative"),
+        "extent-past-end": (f"0.5 {past_end} 65536 R", "past the end"),
+    }
+
+
+def _parse_whole(text, layout, path):
+    return parse_trace(text, layout)
+
+
+def _parse_chunked(text, layout, path):
+    path.write_text(text)
+    return list(read_trace_chunks(path, layout, chunk_requests=1))
+
+
+@pytest.mark.parametrize("reader", [_parse_whole, _parse_chunked],
+                         ids=["parse_trace", "read_trace_chunks"])
+@pytest.mark.parametrize("case", sorted(_bad_lines(_trace().layout)))
+def test_bad_request_line_names_its_line(tmp_path, reader, case):
+    """Each malformed request is a TraceError naming its line (line 4:
+    two header lines and one good request come first), in both reads."""
+    layout = _trace().layout
+    line, message = _bad_lines(layout)[case]
+    text = _HEADER + "0.0 0 512 R\n" + line + "\n"
+    with pytest.raises(TraceError, match=f"line 4: .*{message}"):
+        reader(text, layout, tmp_path / "bad.trace")
 
 
 # --------------------------------------------------------------------- #
