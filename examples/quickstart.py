@@ -17,8 +17,6 @@ from repro.layout import default_layout
 from repro.power import plan_power_calls
 from repro.trace import TraceOptions, directives_at_positions, generate_trace
 
-import numpy as np
-
 # ----------------------------------------------------------------------- #
 # 1. Write the program: sweep A, relax in memory for 3 s, sweep B.
 # ----------------------------------------------------------------------- #
@@ -64,7 +62,7 @@ print(f"Base:   {base.total_energy_j:8.1f} J   {base.execution_time_s:6.2f} s   
 # ----------------------------------------------------------------------- #
 measured = measured_timing(
     program,
-    np.array([r.nest for r in trace.requests]),
+    trace.request_nests,
     base.response_array,
 )
 plan = plan_power_calls(

@@ -16,8 +16,6 @@ per-disk state strip charts side by side.  The pictures make the paper's
 Run:  python examples/timeline_explorer.py
 """
 
-import numpy as np
-
 from repro.analysis import EstimationModel, compute_timing, measured_timing
 from repro.controllers import CompilerDirected, ReactiveDRPM
 from repro.disksim import (
@@ -55,7 +53,7 @@ print(render_timeline(drpm_rec, width=72, disks=(0, 3, 7)))
 # --- CMDRPM --------------------------------------------------------------- #
 measured = measured_timing(
     wl.program,
-    np.array([r.nest for r in trace.requests]),
+    trace.request_nests,
     base.response_array,
 )
 plan = plan_power_calls(

@@ -28,7 +28,7 @@ All IR/parameter types are frozen dataclasses of tuples, strings, numbers
 and enums, so their ``repr`` is deterministic across processes (no
 hash-randomized sets or dicts participate), making the key a true content
 address.  Entries are written atomically (temp file + ``os.replace``), so
-concurrent worker processes may share one cache directory.
+two processes (say, two CLI runs) may share one cache directory.
 
 Disable with ``REPRO_CACHE=0`` (or ``--no-cache`` on the experiment CLI);
 point elsewhere with ``REPRO_CACHE_DIR=/path``.
@@ -78,6 +78,7 @@ RESULT_SOURCES = (
     "experiments/schemes.py",
     "experiments/ablations.py",
     "experiments/pdc_experiment.py",
+    "experiments/trace_replay.py",
 )
 
 _PACKAGE_ROOT = Path(__file__).resolve().parent

@@ -139,11 +139,9 @@ AUTO_ROUTING: dict = {
 #: power calls a segmented replay applies between vector windows.
 #:
 #: The counters are a plain module-global dict — deliberately: they sit on
-#: the hottest loops and a registry indirection is measurable there.  The
-#: contract is single-process: pool workers each accumulate their own copy,
-#: and :func:`simulate` additionally mirrors per-replay deltas into
-#: ``repro.obs.metrics`` (prefix ``sim.coverage.``) when observability is
-#: enabled, which *is* drained and merged across workers.
+#: the hottest loops and a registry indirection is measurable there.  They
+#: count in the one process that runs the replays, observability on or
+#: off; run manifests record them through :func:`replay_coverage`.
 REPLAY_COVERAGE: dict[str, int] = {}
 
 
@@ -1278,7 +1276,6 @@ def simulate(
 
     observing = obs.enabled()
     rpm_counts: dict[int, int] | None = {} if observing else None
-    cov_before = dict(REPLAY_COVERAGE) if observing else None
     t_replay0 = time.perf_counter() if observing else 0.0
 
     # Per-kind sinks: a whole trace keeps every response (exact p95 and
@@ -1373,16 +1370,6 @@ def simulate(
         _metrics.inc("sim.replays", engine=engine_used, scheme=ctrl.name)
         if forced:
             _metrics.inc("sim.fallbacks", reason=forced)
-        # Mirror this replay's coverage delta into the registry, which is
-        # drained and merged across pool workers (the module-global dict
-        # deliberately is not — see ``REPLAY_COVERAGE``).
-        cov_delta = {
-            key: value - cov_before[key]
-            for key, value in REPLAY_COVERAGE.items()
-            if value != cov_before.get(key, 0)
-        }
-        if cov_delta:
-            _metrics.ingest_counters(cov_delta, prefix="sim.coverage.")
         _metrics.inc("sim.requests", num_requests)
         if streamed:
             # Retire the live-telemetry count: ``progress.requests`` minus

@@ -108,7 +108,7 @@ class SimulationResult:
     ``(starts, ends)`` pair (:attr:`busy_columns`) and one response array
     (:attr:`response_array`).  :attr:`busy_intervals` and
     :attr:`request_responses` are tuple views built from them on first
-    read and memoized; a pickle (cache entry, pool-worker return) carries
+    read and memoized; a pickle (a cache entry) carries
     the columns only.  Views passed to the constructor (e.g. by
     :func:`dataclasses.replace`) are converted to columns, so equal
     results have equal columns whichever way they were built.

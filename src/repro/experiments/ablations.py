@@ -84,7 +84,6 @@ def preactivation_ablation(
 
     ctx = ctx or ExperimentContext()
     names = list(benchmarks or WORKLOAD_NAMES)
-    ctx.prefetch_defaults(names)
     rep = ExperimentReport(
         experiment_id="ablation_preactivation",
         title="Ablation: Eq. (1) pre-activation (CMDRPM, normalized to Base)",
@@ -166,27 +165,16 @@ def transition_speed_ablation(
         )
         for per_step in per_step_s
     ]
-    executor = ctx.executor
-    if executor.serial:
-        suites = [
-            run_workload(
-                wl,
-                params=params,
-                schemes=schemes,
-                analysis=functools.partial(ctx.analysis, benchmark),
-                cache=ctx.result_cache,
-            )
-            for params in param_grid
-        ]
-    else:
-        from .parallel import SuiteSpec
-
-        suites = executor.run_suites(
-            [
-                SuiteSpec(benchmark, params=params, schemes=schemes)
-                for params in param_grid
-            ]
+    suites = [
+        run_workload(
+            wl,
+            params=params,
+            schemes=schemes,
+            analysis=functools.partial(ctx.analysis, benchmark),
+            cache=ctx.result_cache,
         )
+        for params in param_grid
+    ]
     for per_step, suite in zip(per_step_s, suites):
         rep.add_row(
             f"{per_step:.2f}s/step",

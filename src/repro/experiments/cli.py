@@ -4,7 +4,7 @@ Usage::
 
     repro-experiments table2
     repro-experiments fig3 fig4 table3
-    repro-experiments --jobs 4 all
+    repro-experiments all
     repro-experiments --no-cache fig5
     repro-experiments --obs --trace-out run.trace.json table2
 
@@ -12,8 +12,8 @@ Reports render as fixed-width text tables (the same renderings recorded in
 EXPERIMENTS.md).  All artifacts sharing the default configuration reuse one
 set of simulations; completed suite runs additionally persist under
 ``.repro-cache/`` (see :mod:`repro.cache`), so re-rendering is near-free —
-``--no-cache`` forces everything to be recomputed.  ``--jobs N`` (or
-``$REPRO_JOBS``) fans independent suite runs out over N worker processes.
+``--no-cache`` forces everything to be recomputed.  Everything runs in
+this one process.
 
 Observability (:mod:`repro.obs`) is off by default.  ``--obs`` (or
 ``REPRO_OBS=1``) records spans and metrics and writes a run manifest;
@@ -157,14 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments",
         nargs="+",
         help=f"artifact ids ({', '.join(EXPERIMENT_IDS)}) or 'all'",
-    )
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        help="worker processes for independent suite runs "
-        "(default: $REPRO_JOBS or 1; 0 = one per CPU)",
     )
     parser.add_argument(
         "--no-cache",
@@ -313,9 +305,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             logger.warning(
                 "--trace-in/--synth only affect the trace_replay experiment"
             )
-    ctx = ExperimentContext(
-        jobs=args.jobs, cache=cache, faults=faults, trace_sources=trace_sources,
-    )
+    ctx = ExperimentContext(cache=cache, faults=faults, trace_sources=trace_sources)
 
     reporter = None
     if args.progress is not None:
@@ -417,9 +407,6 @@ def _write_obs_artifacts(
     """Export the Chrome trace and the run manifest (``--obs`` epilogue)."""
     config = {
         "experiments": ids,
-        # The effective worker count (after $REPRO_JOBS and the CPU
-        # clamp), not the raw --jobs argument.
-        "jobs": ctx.executor.jobs,
         "cache": cache_stats["dir"] if cache_stats else None,
         "num_disks": ctx.params.num_disks,
         "faults": repr(ctx.faults) if ctx.faults is not None else None,

@@ -34,33 +34,14 @@ BENCHMARK = "swim"
 def sweep(
     ctx: ExperimentContext, stripe_sizes: Sequence[int] = DEFAULT_STRIPE_SIZES
 ):
-    """Run the swim suite at each stripe size; yields (size, suite).
-
-    The per-size configurations are independent, so they are prefetched
-    through the context's process pool when ``jobs > 1``.
-    """
+    """Run the swim suite at each stripe size; yields (size, suite)."""
     from ..layout.files import default_layout
-    from .parallel import SuiteSpec
 
     wl = ctx.workload(BENCHMARK)
-    layouts = {
-        size: default_layout(
+    for size in stripe_sizes:
+        layout = default_layout(
             wl.program.arrays, num_disks=ctx.params.num_disks, stripe_size=size
         )
-        for size in stripe_sizes
-    }
-    ctx.prefetch(
-        [
-            SuiteSpec(
-                BENCHMARK,
-                params=ctx.params,
-                layout=layout,
-                key=("stripe_size", size),
-            )
-            for size, layout in layouts.items()
-        ]
-    )
-    for size, layout in layouts.items():
         yield size, ctx.suite(
             BENCHMARK, layout=layout, key=("stripe_size", size)
         )

@@ -26,38 +26,15 @@ BENCHMARK = "swim"
 def sweep(
     ctx: ExperimentContext, factors: Sequence[int] = DEFAULT_STRIPE_FACTORS
 ):
-    """Run the swim suite at each disk count; yields (factor, suite).
-
-    The per-factor configurations are independent, so they are prefetched
-    through the context's process pool when ``jobs > 1``.
-    """
+    """Run the swim suite at each disk count; yields (factor, suite)."""
     from ..layout.files import default_layout
-    from .parallel import SuiteSpec
 
     wl = ctx.workload(BENCHMARK)
-    configs = {
-        factor: (
-            replace(ctx.params, num_disks=factor),
-            default_layout(wl.program.arrays, num_disks=factor),
-        )
-        for factor in factors
-    }
-    ctx.prefetch(
-        [
-            SuiteSpec(
-                BENCHMARK,
-                params=params,
-                layout=layout,
-                key=("stripe_factor", factor),
-            )
-            for factor, (params, layout) in configs.items()
-        ]
-    )
-    for factor, (params, layout) in configs.items():
+    for factor in factors:
         yield factor, ctx.suite(
             BENCHMARK,
-            params=params,
-            layout=layout,
+            params=replace(ctx.params, num_disks=factor),
+            layout=default_layout(wl.program.arrays, num_disks=factor),
             key=("stripe_factor", factor),
         )
 

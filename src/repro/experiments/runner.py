@@ -6,25 +6,20 @@ all derive from the default-parameter suite), so the context memoizes
 variant) — each benchmark is simulated once per configuration no matter how
 many reports are generated.
 
-Two further layers sit behind the in-memory memo:
+Behind the in-memory memo sits a **persistent result cache**
+(:class:`~repro.cache.ResultCache`, on by default under ``.repro-cache/``;
+disable with ``REPRO_CACHE=0`` or ``cache=False``) that survives across
+processes, so re-rendering artifacts after an unrelated edit is near-free.
 
-* a **persistent result cache** (:class:`~repro.cache.ResultCache`, on by
-  default under ``.repro-cache/``; disable with ``REPRO_CACHE=0`` or
-  ``cache=False``) that survives across processes, so re-rendering
-  artifacts after an unrelated edit is near-free;
-* a **process pool** (:class:`~repro.experiments.parallel.SuiteExecutor`,
-  worker count from ``jobs=`` or ``$REPRO_JOBS``) that :meth:`prefetch`
-  uses to fan independent suite configurations out across cores.  A suite
-  requested without a prefetch is computed in-process at any worker
-  count; with one worker (the default) everything runs serially and
-  behaviour is bit-identical to the serial engine.
+Everything runs in one process: :meth:`ExperimentContext.suite` is the one
+way a scheme suite is computed.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from ..analysis.access import NestAccess, analyze_program
 from ..analysis.cycles import ProgramTiming, compute_timing
@@ -32,9 +27,9 @@ from ..cache import ResultCache
 from ..disksim.params import SubsystemParams
 from ..faults import FaultConfig
 from ..layout.files import SubsystemLayout, default_layout
+from ..util.errors import ReproError
 from ..workloads.base import Workload
 from ..workloads.registry import WORKLOAD_NAMES, build_workload
-from .parallel import SuiteExecutor, SuiteSpec
 from .schemes import SCHEME_NAMES, SchemeSuite, run_schemes
 
 __all__ = ["ExperimentContext"]
@@ -45,8 +40,9 @@ class ExperimentContext:
     """Memoizing runner for the experiment modules."""
 
     params: SubsystemParams = field(default_factory=SubsystemParams)
-    #: Worker processes; ``None`` resolves ``$REPRO_JOBS`` (default 1).
-    jobs: int | None = None
+    #: Always 1: suites run in this process.  Kept only for callers that
+    #: still pass ``jobs=1``; any other value raises :class:`ReproError`.
+    jobs: int = 1
     #: ``None`` resolves the environment (on by default), ``False`` (or any
     #: falsy value) disables, or pass a :class:`ResultCache` directly.
     cache: "ResultCache | bool | None" = None
@@ -59,9 +55,12 @@ class ExperimentContext:
     _workloads: dict[str, Workload] = field(default_factory=dict)
     _suites: dict[tuple, SchemeSuite] = field(default_factory=dict)
     _analyses: dict[str, tuple] = field(default_factory=dict, repr=False)
-    _executor: SuiteExecutor | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        if self.jobs != 1:
+            raise ReproError(
+                f"suites run in one process; jobs must be 1, got {self.jobs!r}"
+            )
         if self.cache is None:
             self.cache = ResultCache.from_env()
         elif isinstance(self.cache, bool):
@@ -71,16 +70,6 @@ class ExperimentContext:
     @property
     def result_cache(self) -> ResultCache | None:
         return self.cache if isinstance(self.cache, ResultCache) else None
-
-    @property
-    def executor(self) -> SuiteExecutor:
-        if self._executor is None:
-            cache = self.result_cache
-            self._executor = SuiteExecutor(
-                jobs=self.jobs,
-                cache_root=cache.root if cache is not None else None,
-            )
-        return self._executor
 
     # ------------------------------------------------------------------ #
     def workload(self, name: str) -> Workload:
@@ -124,8 +113,7 @@ class ExperimentContext:
         ``key`` must uniquely tag any non-default ``params``/``layout``/
         ``faults`` combination (sweep modules pass e.g.
         ``("stripe_size", 32768)`` or ``("fault_severity", 0.1)``).
-        A suite not yet memoized (nor prefetched) is computed in-process,
-        whatever the worker count.
+        A suite not yet memoized is computed here, on first request.
         """
         cache_key = (name, key)
         if cache_key not in self._suites:
@@ -160,43 +148,12 @@ class ExperimentContext:
         return cache.memo(cache.derived_key(suite.fingerprint, name), compute)
 
     # ------------------------------------------------------------------ #
-    def prefetch(self, specs: Sequence[SuiteSpec]) -> None:
-        """Compute any not-yet-memoized suites, in parallel when ``jobs>1``.
-
-        Each spec's ``key`` must match the ``key`` later passed to
-        :meth:`suite` for the same configuration.  With one worker this is
-        a no-op — :meth:`suite` computes lazily, exactly as before.
-        """
-        missing = [s for s in specs if (s.workload, s.key) not in self._suites]
-        if not missing:
-            return
-        executor = self.executor
-        if executor.serial:
-            return
-        for spec, suite in zip(missing, executor.run_suites(missing)):
-            self._suites[(spec.workload, spec.key)] = suite
-
-    def prefetch_defaults(self, names: Sequence[str] | None = None) -> None:
-        """Prefetch the default-configuration suite of each benchmark."""
-        self.prefetch(
-            [
-                SuiteSpec(name, params=self.params, faults=self.faults)
-                for name in names or WORKLOAD_NAMES
-            ]
-        )
-
     def all_suites(self) -> dict[str, SchemeSuite]:
         """Default-configuration suites for the whole Table 2 benchmark set."""
-        self.prefetch_defaults()
         return {name: self.suite(name) for name in WORKLOAD_NAMES}
 
     # ------------------------------------------------------------------ #
     def cache_stats(self) -> dict | None:
-        """Persistent-cache hit/miss stats for reports and run manifests.
-
-        Only the parent process's lookups are counted here; worker-side
-        lookups surface through the observability metrics
-        (``cache.hits``/``cache.misses``) when ``--obs`` is on.
-        """
+        """Persistent-cache hit/miss stats for reports and run manifests."""
         cache = self.result_cache
         return cache.stats() if cache is not None else None

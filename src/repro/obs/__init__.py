@@ -9,8 +9,7 @@ suites):
   as Chrome trace-event JSON (Perfetto / ``chrome://tracing``);
 * **metrics** — the process-wide :data:`metrics` registry
   (:class:`~repro.obs.metrics.MetricsRegistry`) collects counters,
-  gauges, and histograms from the simulator, cache, controllers, and
-  parallel engine, and merges worker snapshots across process pools;
+  gauges, and histograms from the simulator, cache, and controllers;
 * **run manifests** — :mod:`repro.obs.manifest` emits one JSON record
   per engine invocation (versions, config fingerprint, phase timings,
   metric snapshot, cache/engine stats, host info).
@@ -21,7 +20,7 @@ an instrumented call site costs an attribute load and a no-op call, and
 a run records nothing (``tests/obs/test_integration.py``).  Switch on
 with:
 
-* ``REPRO_OBS=1`` in the environment (inherited by pool workers), or
+* ``REPRO_OBS=1`` in the environment, or
 * ``repro.obs.enable()`` in code, or
 * ``--obs`` / ``--trace-out PATH`` on the ``repro-experiments`` CLI.
 """

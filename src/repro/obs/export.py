@@ -169,14 +169,13 @@ def to_chrome_trace(
         )
     meta_events: list[dict] = []
     for pid in sorted({p for p, _ in seen_tracks}):
-        name = process_name if pid == recorder.pid else f"{process_name}-worker"
         meta_events.append(
             {
                 "name": "process_name",
                 "ph": "M",
                 "pid": pid,
                 "tid": 0,
-                "args": {"name": f"{name} (pid {pid})"},
+                "args": {"name": f"{process_name} (pid {pid})"},
             }
         )
     out = {

@@ -34,22 +34,15 @@ __all__ = [
 MANIFEST_SCHEMA = 1
 
 #: Environment variables that change engine behaviour, captured verbatim.
-_ENV_KEYS = ("REPRO_JOBS", "REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_OBS")
+_ENV_KEYS = ("REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_OBS")
 
 
 def _host_info() -> dict:
-    cpus: int | None
-    try:
-        from ..experiments.parallel import available_cpus
-
-        cpus = available_cpus()
-    except ImportError:  # pragma: no cover - parallel engine always present
-        cpus = os.cpu_count()
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
         "hostname": platform.node(),
-        "cpus_available": cpus,
+        "cpus_available": os.cpu_count(),
         "pid": os.getpid(),
     }
 

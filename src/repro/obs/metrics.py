@@ -1,14 +1,12 @@
-"""Metrics registry: counters, gauges, and histograms with worker merge.
+"""Metrics registry: counters, gauges, and histograms.
 
 The observability layer's second pillar.  The simulator, the result cache,
-the trace generator, the controllers' replay epilogue, and the parallel
-engine all register measurements here:
+the trace generator, and the controllers' replay epilogue all register
+measurements here:
 
 * ``cache.hits`` / ``cache.misses`` — persistent result-cache outcomes;
 * ``sim.replays{engine=...,scheme=...}`` — engine-selection counts,
-  including the forced-fallback reasons
-  (``sim.fallbacks{reason=...}``) and vector-guard bailouts ingested
-  from the replay coverage counters (``sim.coverage.*``);
+  including the forced-fallback reasons (``sim.fallbacks{reason=...}``);
 * ``sim.subrequests{rpm=...}`` — requests served per DRPM level;
 * ``trace.cache_hits`` / ``trace.cache_misses`` — buffer-cache behaviour
   during trace generation (hit ratio = hits / (hits + misses));
@@ -16,12 +14,9 @@ engine all register measurements here:
   histograms.
 
 Metric keys are flat strings — ``name`` or ``name{k=v,...}`` with labels
-sorted — so a snapshot is plain JSON and two snapshots merge by key.
-Counters and histograms **add** under merge; gauges are last-write-wins.
-That is exactly the contract the parallel engine needs: each
-``ProcessPoolExecutor`` worker drains its registry after a task and ships
-the snapshot back with the result, and the parent merges it, so a
-parallel run's metrics equal the serial run's.
+sorted — so a snapshot is plain JSON.  The registry lives in the one
+process that runs the experiments; its lock exists because
+:class:`~repro.obs.progress.ProgressReporter` samples it from a thread.
 
 The registry is **disabled by default**: every mutator starts with a
 single ``enabled`` test and returns, keeping the off cost of an
@@ -93,17 +88,6 @@ class Histogram:
             "buckets": list(self.buckets),
         }
 
-    def merge_dict(self, other: dict) -> None:
-        if tuple(other["bounds"]) != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        self.buckets = [a + b for a, b in zip(self.buckets, other["buckets"])]
-        self.count += other["count"]
-        self.sum += other["sum"]
-        if other["min"] is not None and other["min"] < self.min:
-            self.min = other["min"]
-        if other["max"] is not None and other["max"] > self.max:
-            self.max = other["max"]
-
 
 class MetricsRegistry:
     """Process-wide named counters/gauges/histograms.
@@ -159,22 +143,6 @@ class MetricsRegistry:
                 hist = self._histograms[key] = Histogram()
             hist.observe(value)
 
-    def ingest_counters(
-        self, counters: Mapping[str, float], prefix: str = ""
-    ) -> None:
-        """Absorb a plain ``{name: value}`` mapping as counters.
-
-        Used to fold externally-maintained counter dicts (the replay
-        engine's coverage counters, a cache's hit/miss attributes) into
-        the registry at snapshot points.
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            for name, value in counters.items():
-                key = prefix + name
-                self._counters[key] = self._counters.get(key, 0) + value
-
     # ------------------------------------------------------------------ #
     def counter(self, name: str, **labels: Any) -> float:
         """Current value of one counter (0 when never touched)."""
@@ -190,40 +158,6 @@ class MetricsRegistry:
                     k: h.to_dict() for k, h in self._histograms.items()
                 },
             }
-
-    def drain(self) -> dict:
-        """Snapshot, then reset — what a pool worker ships after a task."""
-        with self._lock:
-            snap = {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {
-                    k: h.to_dict() for k, h in self._histograms.items()
-                },
-            }
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-        return snap
-
-    def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a snapshot (e.g. from a worker process) into this registry.
-
-        Counters and histograms add; gauges are last-write-wins.  Merging
-        ignores the ``enabled`` gate — results from a worker that had
-        observability on must land even if the parent toggled since.
-        """
-        with self._lock:
-            for key, value in snapshot.get("counters", {}).items():
-                self._counters[key] = self._counters.get(key, 0) + value
-            self._gauges.update(snapshot.get("gauges", {}))
-            for key, hdict in snapshot.get("histograms", {}).items():
-                hist = self._histograms.get(key)
-                if hist is None:
-                    hist = self._histograms[key] = Histogram(
-                        tuple(hdict["bounds"])
-                    )
-                hist.merge_dict(hdict)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

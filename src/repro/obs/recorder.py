@@ -14,22 +14,21 @@ load and a dict build, far below the measurement floor of the bench
 smoke's 2 % regression gate.  When **on** (``REPRO_OBS=1`` or ``--obs``),
 a process-wide :class:`SpanRecorder` captures every finished span — name,
 wall-clock start, duration, nesting depth, attributes, pid/tid — in a flat
-list of plain dicts that pickles cheaply across process-pool workers and
-exports losslessly to Chrome trace-event JSON
+list of plain dicts that exports losslessly to Chrome trace-event JSON
 (:mod:`repro.obs.export`).
 
 Design notes:
 
-* Span *timestamps* come from ``time.time_ns()`` (wall clock, comparable
-  across processes, so worker spans land on the same Perfetto timeline);
-  *durations* come from ``time.perf_counter_ns()`` (monotonic).
+* Span *timestamps* come from ``time.time_ns()`` (wall clock, so spans
+  line up with the disk timeline tracks in Perfetto); *durations* come
+  from ``time.perf_counter_ns()`` (monotonic).
 * Nesting is tracked per thread with a ``threading.local`` stack; the
   finished record carries ``parent`` (enclosing span name) and ``depth``
   so tests and tools can validate nesting without re-deriving it from
   time containment.
 * Finished-span records append under a lock — the recorder is shared by
-  the rare in-process thread users (the engine itself is process-, not
-  thread-parallel).
+  the rare in-process thread users (the engine itself runs in one
+  thread).
 """
 
 from __future__ import annotations
@@ -84,9 +83,6 @@ class NullRecorder:
 
     def event(self, name: str, **attrs: Any) -> None:
         return None
-
-    def drain(self) -> list:
-        return []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NullRecorder()"
@@ -151,8 +147,8 @@ class SpanRecorder:
     """Process-wide collector of finished spans and instant events.
 
     Finished spans are plain dicts (``name``, ``ts_us``, ``dur_us``,
-    ``pid``, ``tid``, ``depth``, ``parent``, ``args``) so they can be
-    pickled from pool workers and serialized without translation.
+    ``pid``, ``tid``, ``depth``, ``parent``, ``args``) so they serialize
+    without translation.
     """
 
     enabled = True
@@ -167,9 +163,6 @@ class SpanRecorder:
         self.created_ns = clock()
         self.spans: list[dict] = []
         self.events: list[dict] = []
-        #: Index of the first span/event not yet returned by :meth:`drain`.
-        self._drained_spans = 0
-        self._drained_events = 0
 
     # ------------------------------------------------------------------ #
     def _stack(self) -> list:
@@ -215,26 +208,6 @@ class SpanRecorder:
         }
         with self._lock:
             self.spans.append(rec)
-
-    # ------------------------------------------------------------------ #
-    def absorb(self, spans: list[dict], events: list[dict] = ()) -> None:
-        """Merge span/event records from another recorder (pool worker)."""
-        with self._lock:
-            self.spans.extend(spans)
-            self.events.extend(events)
-
-    def drain(self) -> list[dict]:
-        """Spans finished since the last drain (pool workers ship these)."""
-        with self._lock:
-            out = self.spans[self._drained_spans:]
-            self._drained_spans = len(self.spans)
-            return out
-
-    def drain_events(self) -> list[dict]:
-        with self._lock:
-            out = self.events[self._drained_events:]
-            self._drained_events = len(self.events)
-            return out
 
     # ------------------------------------------------------------------ #
     def find(self, name: str) -> Iterator[dict]:

@@ -137,7 +137,7 @@ _LAZY = {
 class CompilerPlan:
     """Everything the compiler decided for one (program, layout, scheme).
 
-    A pickle (cache entry, pool-worker return) stores ``placements`` and
+    A pickle (a cache entry) stores ``placements`` and
     ``decisions`` as one structured array each instead of tens of
     thousands of small objects; an unpickled plan decodes a field on its
     first read.

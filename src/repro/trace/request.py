@@ -304,8 +304,8 @@ class RequestColumns:
     __hash__ = None  # type: ignore[assignment]
 
     def __getstate__(self):
-        # Drop the materialized-object cache: pickles (workers, the
-        # persistent trace cache) carry only the compact arrays.
+        # Drop the materialized-object cache: pickles (the persistent
+        # trace cache) carry only the compact arrays.
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..layout.files import SubsystemLayout
 from ..util.errors import LayoutError, TraceError
-from ..util.units import ms_to_s, s_to_ms
+from ..util.units import SECTOR_BYTES, ms_to_s, s_to_ms
 from .request import _ORDER_TOL, RequestColumns, Trace, UNKNOWN_POSITION
 
 __all__ = [
@@ -64,11 +64,30 @@ def format_trace(trace: Trace) -> str:
 def _write(trace: Trace, fh: TextIO) -> None:
     fh.write(f"{_HEADER_PREFIX}{trace.program_name}\n")
     fh.write(f"{_COMPUTE_PREFIX}{s_to_ms(trace.total_compute_s):.6f}\n")
-    for r in trace.requests:
-        entry = trace.layout.entry(r.array)
-        block = entry.offset_to_block(r.offset)
-        kind = "W" if r.is_write else "R"
-        fh.write(f"{s_to_ms(r.nominal_time_s):.6f} {block} {r.nbytes} {kind}\n")
+    cols = trace.columns
+    entries = {
+        int(i): trace.layout.entry(cols.array_names[i])
+        for i in np.unique(cols.array_id)
+    }
+    base = np.zeros(len(cols.array_names), dtype=np.int64)
+    size = np.zeros(len(cols.array_names), dtype=np.int64)
+    for i, entry in entries.items():
+        base[i], size[i] = entry.base_block, entry.size_bytes
+    bad = (cols.offset < 0) | (cols.offset >= size[cols.array_id])
+    if bad.any():
+        # The first out-of-file row raises the per-offset LayoutError.
+        i = int(np.argmax(bad))
+        entries[int(cols.array_id[i])].offset_to_block(int(cols.offset[i]))
+    blocks = base[cols.array_id] + cols.offset // SECTOR_BYTES
+    fh.writelines(
+        f"{t:.6f} {block} {nbytes} {'W' if w else 'R'}\n"
+        for t, block, nbytes, w in zip(
+            s_to_ms(cols.nominal_time_s).tolist(),
+            blocks.tolist(),
+            cols.nbytes.tolist(),
+            cols.is_write.tolist(),
+        )
+    )
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:

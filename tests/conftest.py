@@ -100,8 +100,8 @@ def small_trace_options() -> TraceOptions:
 
 def _assert_results_identical(a, b) -> None:
     """Field-by-field equality of two SimulationResults (no tolerance —
-    the cache and the parallel engine must be *bit*-identical to the
-    serial uncached path)."""
+    the cache and every replay engine must be *bit*-identical to the
+    uncached path)."""
     assert a.scheme == b.scheme
     assert a.program_name == b.program_name
     assert a.execution_time_s == b.execution_time_s

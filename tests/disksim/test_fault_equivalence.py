@@ -13,10 +13,13 @@ repo's core replay guarantees:
   replay-coverage counter where the clean replay puts it (same path, so
   same cost);
 * **seed determinism** — the same :class:`FaultConfig` yields the same
-  result in-process, across repeat runs, and across worker processes
-  (the parallel replay path), while different seeds genuinely differ.
+  result in-process, across repeat runs, and across interpreters with
+  different hash seeds (what a shared persistent cache relies on), while
+  different seeds genuinely differ.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,12 +39,13 @@ from repro.disksim.simulator import (
     reset_replay_coverage,
     simulate,
 )
-from repro.experiments.parallel import SuiteExecutor, SuiteSpec
+from repro.cache import ResultCache
 from repro.experiments.schemes import SCHEME_NAMES, run_schemes, run_workload
 from repro.faults import FaultConfig, FaultPlan, FaultRates
 from repro.layout.files import default_layout
 from repro.trace.generator import TraceOptions, generate_trace
 from repro.workloads import all_workloads
+from repro.workloads.registry import build_workload
 
 ENGINES = ("stepwise", "segmented", "auto")
 
@@ -151,25 +155,60 @@ def test_different_seed_different_draws(
     assert a.sub_errors != b.sub_errors
 
 
-def test_same_seed_same_result_across_processes():
-    """The worker-process path must reproduce the in-process faulted
-    suite exactly: every fault event is a pure function of (seed, kind,
-    index), never of process state."""
+_CHILD_SUITES = """
+import sys
+from repro.cache import ResultCache
+from repro.disksim.params import SubsystemParams
+from repro.experiments.schemes import run_workload
+from repro.faults import FaultConfig, FaultRates
+from repro.workloads.registry import build_workload
+
+cache_dir, faults, num_disks, schemes, names = sys.argv[1:]
+for name in names.split(","):
+    run_workload(
+        build_workload(name),
+        params=SubsystemParams(num_disks=int(num_disks)),
+        schemes=schemes.split(","),
+        cache=ResultCache(cache_dir),
+        faults=eval(faults),
+    )
+"""
+
+
+def test_same_seed_same_result_across_processes(tmp_path):
+    """A faulted suite computed by another interpreter, under another hash
+    seed, is the in-process suite exactly: every fault event is a pure
+    function of (seed, kind, index), never of process state.  The child
+    fills a persistent cache; this process must then hit every entry and
+    match an uncached in-process run."""
     faults = _faulty_config()
     params = SubsystemParams(num_disks=4)
     schemes = ("Base", "TPM", "DRPM", "IDRPM")
     names = ("wupwise", "mgrid")
-    specs = [
-        SuiteSpec(name, params=params, schemes=schemes, faults=faults)
-        for name in names
-    ]
-    serial = SuiteExecutor(jobs=1).run_suites(specs)
-    executor = SuiteExecutor(jobs=2, clamp_to_cpus=False)
-    assert not executor.serial
-    pooled = executor.run_suites(specs)
-    for ref, got in zip(serial, pooled):
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "1" if env.get("PYTHONHASHSEED") != "1" else "2"
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    subprocess.run(
+        [
+            sys.executable, "-c", _CHILD_SUITES, str(tmp_path), repr(faults),
+            str(params.num_disks), ",".join(schemes), ",".join(names),
+        ],
+        env=env,
+        check=True,
+    )
+    cache = ResultCache(tmp_path)
+    for name in names:
+        wl = build_workload(name)
+        cached = run_workload(
+            wl, params=params, schemes=schemes, cache=cache, faults=faults
+        )
+        ref = run_workload(wl, params=params, schemes=schemes, faults=faults)
         assert sum(d.num_request_errors for d in ref.base.disk_stats) > 0
-        _assert_suites_identical(ref, got)
+        _assert_suites_identical(ref, cached)
+    assert cache.misses == 0 and cache.hits > 0
 
 
 # --------------------------------------------------------------------- #

@@ -58,7 +58,7 @@ def _config(n: int = 3000) -> SynthConfig:
 
 @pytest.fixture(scope="module")
 def results() -> dict:
-    """One replay per result shape the cache and the pool carry."""
+    """One replay per result shape the cache carries."""
     cfg = _config()
     trace = synth_trace(cfg)
     params = SubsystemParams(num_disks=cfg.num_disks)

@@ -3,9 +3,7 @@
 Every artifact with a committed text file is rendered in one shared serial
 context (uncached, so the engines really run) and compared byte for byte,
 in the form the CLI prints it: each report's rendering followed by a blank
-line.  The sweep artifacts that fan out through the process pool are
-rendered again in a 2-worker context, with ``available_cpus`` patched so
-the pool runs even on a single-core host.
+line.
 
 The paper's shape claims (§5, §6 and the ablations) are then asserted on
 the same serial reports, so a deliberate result change that regenerates
@@ -28,9 +26,6 @@ ARTIFACTS = Path(__file__).resolve().parents[2] / "artifacts"
 #: Artifact ids with a committed rendering, in CLI order.
 PINNED = tuple(i for i in EXPERIMENT_IDS if (ARTIFACTS / f"{i}.txt").is_file())
 
-#: Artifacts whose suites are computed by the pool when ``jobs > 1``.
-POOLED = ("fig5", "fig6", "fig7", "fig8", "ablation_transition_speed")
-
 
 def _render(reports: list) -> str:
     return "".join(rep.render() + "\n" for rep in reports)
@@ -40,7 +35,7 @@ def _render(reports: list) -> str:
 def serial_reports():
     """``exp_id -> reports`` of one shared serial, uncached context; each
     artifact runs once and serves both its byte pin and its claims."""
-    ctx = ExperimentContext(jobs=1, cache=False)
+    ctx = ExperimentContext(cache=False)
     memo: dict[str, list] = {}
 
     def reports(exp_id: str) -> list:
@@ -51,31 +46,15 @@ def serial_reports():
     return reports
 
 
-@pytest.fixture(scope="module")
-def pooled_renderings():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("repro.experiments.parallel.available_cpus", lambda: 2)
-        ctx = ExperimentContext(jobs=2, cache=False)
-        assert ctx.executor.jobs == 2
-        return {exp_id: _render(run_experiment(exp_id, ctx)) for exp_id in POOLED}
-
-
 def test_every_committed_artifact_is_pinned():
     committed = {p.stem for p in ARTIFACTS.glob("*.txt")}
     assert committed == set(PINNED)
-    assert set(POOLED) <= committed
 
 
 @pytest.mark.parametrize("exp_id", PINNED)
 def test_serial_rendering_matches_committed(exp_id, serial_reports):
     want = (ARTIFACTS / f"{exp_id}.txt").read_bytes()
     assert _render(serial_reports(exp_id)).encode() == want
-
-
-@pytest.mark.parametrize("exp_id", POOLED)
-def test_pooled_rendering_matches_committed(exp_id, pooled_renderings):
-    want = (ARTIFACTS / f"{exp_id}.txt").read_bytes()
-    assert pooled_renderings[exp_id].encode() == want
 
 
 # --------------------------------------------------------------------- #

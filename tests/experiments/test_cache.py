@@ -135,8 +135,9 @@ def _copy_result_sources(dst: Path) -> Path:
 def test_one_byte_source_edit_changes_every_key(
     phase_program, phase_layout, small_trace_options, tmp_path, monkeypatch
 ):
-    """Keys derive from the code: one edited byte in the disk model, or in a
-    module that computes a derived (ablation or extension) replay, changes
+    """Keys derive from the code: one edited byte in the disk model, in a
+    module that computes a derived (ablation or extension) replay, or in
+    the trace-replay suite that builds its own cached payloads, changes
     the digest, and with it every suite, trace and derived key."""
     clean = _copy_result_sources(tmp_path / "clean")
     assert code_digest(clean) == code_digest()
@@ -158,6 +159,7 @@ def test_one_byte_source_edit_changes_every_key(
         "disksim/disk.py",
         "experiments/ablations.py",
         "experiments/pdc_experiment.py",
+        "experiments/trace_replay.py",
     ):
         edited = _copy_result_sources(tmp_path / module.replace("/", "-"))
         path = edited / module

@@ -38,7 +38,7 @@ TABLE2_DRPM_SUBREQUESTS = 52_416
 
 def test_table2_suites_stay_segmented_and_vectorized():
     reset_replay_coverage()
-    ExperimentContext(jobs=1, cache=False).all_suites()
+    ExperimentContext(cache=False).all_suites()
     cov = replay_coverage()
     assert cov["replays_segmented"] == 36
     assert cov["replays_stepwise"] == 6

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.experiments.cli import build_parser
 from repro.experiments.runner import ExperimentContext
+from repro.util.errors import ReproError
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +32,20 @@ def test_distinct_keys_are_distinct_runs(ctx):
 
 def test_workload_is_memoized(ctx):
     assert ctx.workload("swim") is ctx.workload("swim")
+
+
+def test_context_runs_in_one_process():
+    assert ExperimentContext(jobs=1, cache=False).jobs == 1
+    with pytest.raises(ReproError, match="jobs must be 1"):
+        ExperimentContext(jobs=2, cache=False)
+
+
+@pytest.mark.parametrize("flag", ["--jobs", "-j"])
+def test_cli_has_no_worker_count_option(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([flag, "2", "all"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_fig3_report_structure(ctx):

@@ -60,7 +60,7 @@ def _count_calls(monkeypatch, original, counts: dict, name: str) -> None:
 
 
 def test_warm_render_does_no_replay_or_planning(tmp_path, monkeypatch):
-    cold_ctx = ExperimentContext(jobs=1, cache=ResultCache(tmp_path))
+    cold_ctx = ExperimentContext(cache=ResultCache(tmp_path))
     cold = _render_all(cold_ctx)
     assert cold_ctx.result_cache.misses > 0
 
@@ -69,7 +69,7 @@ def test_warm_render_does_no_replay_or_planning(tmp_path, monkeypatch):
     _count_calls(monkeypatch, insertion.plan_power_calls, counts, "plan_power_calls")
     coverage = simulator.replay_coverage()
 
-    warm_ctx = ExperimentContext(jobs=1, cache=ResultCache(tmp_path))
+    warm_ctx = ExperimentContext(cache=ResultCache(tmp_path))
     warm = _render_all(warm_ctx)
 
     assert warm == cold
@@ -79,7 +79,7 @@ def test_warm_render_does_no_replay_or_planning(tmp_path, monkeypatch):
 
 
 def test_warm_render_builds_no_busy_interval(tmp_path, monkeypatch):
-    cold = _render_all(ExperimentContext(jobs=1, cache=ResultCache(tmp_path)))
+    cold = _render_all(ExperimentContext(cache=ResultCache(tmp_path)))
 
     built: list[tuple] = []
     original = BusyInterval.__new__
@@ -92,7 +92,7 @@ def test_warm_render_builds_no_busy_interval(tmp_path, monkeypatch):
     assert BusyInterval(0, 0.0, 1.0) and built  # the spy sees construction
     built.clear()
 
-    warm = _render_all(ExperimentContext(jobs=1, cache=ResultCache(tmp_path)))
+    warm = _render_all(ExperimentContext(cache=ResultCache(tmp_path)))
 
     assert warm == cold
     assert built == []

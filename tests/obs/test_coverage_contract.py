@@ -1,14 +1,10 @@
-"""The replay-coverage counter contract: one copy, mirrored once.
+"""The replay-coverage counter contract: one copy, in the module.
 
 ``REPLAY_COVERAGE`` is a plain module-global dict (a registry indirection
-is measurable on the replay hot loops).  Its contract is single-process:
-pool workers accumulate their own copy, and :func:`simulate` mirrors each
-replay's *delta* into ``repro.obs.metrics`` under ``sim.coverage.*`` when
-observability is enabled — the registry is what gets drained and merged
-across workers.  These tests pin the contract down: the mirror must equal
-the module counters exactly (ingesting totals instead of deltas, or
-ingesting a delta twice, double-counts across replays), and with
-observability off the module dict must remain the only copy.
+is measurable on the replay hot loops).  It counts in the one process that
+runs the replays, whether observability is on or off, and run manifests
+read it through :func:`replay_coverage`; the metrics registry keeps no
+second copy.  Routing fallbacks, by contrast, are registry counters.
 """
 
 from __future__ import annotations
@@ -53,20 +49,6 @@ def _run_mixed_replays():
     simulate(_trace(), params, ReactiveDRPM(params.drpm))
 
 
-def test_registry_mirror_equals_module_counters_after_many_replays():
-    obs.enable()
-    reset_replay_coverage()
-    _run_mixed_replays()
-    cov = replay_coverage()
-    assert cov["replays_segmented"] == 2
-    assert cov["replays_stepwise"] == 2
-    assert cov["subrequests_vector"] > 0
-    assert cov["subrequests_scalar"] > 0
-    assert cov["subrequests_stepwise"] > 0
-    for key, value in cov.items():
-        assert obs.metrics.counter("sim.coverage." + key) == value, key
-
-
 def test_fallback_reasons_mirrored_once():
     """The only routing fallback left is the reactive-controller one; it is
     counted once per forced replay, and no other reason is recorded."""
@@ -88,23 +70,5 @@ def test_module_counters_accumulate_without_observability():
     cov = replay_coverage()
     assert cov["replays_segmented"] >= 2
     assert cov["subrequests_stepwise"] > 0
-    # No registry copy exists: nothing was mirrored while disabled.
-    assert obs.metrics.counter("sim.coverage.replays_segmented") == 0
-
-
-def test_mirror_resumes_cleanly_after_module_reset():
-    """A mid-stream ``reset_replay_coverage()`` (a tool starting a fresh
-    measurement) must not corrupt the registry mirror: deltas are taken
-    per replay, so later replays keep mirroring their own work."""
-    obs.enable()
-    reset_replay_coverage()
-    params = SubsystemParams(num_disks=2)
-    simulate(_trace(), params)
-    first = replay_coverage()["subrequests_vector"]
-    reset_replay_coverage()
-    simulate(_trace(), params)
-    second = replay_coverage()["subrequests_vector"]
-    assert (
-        obs.metrics.counter("sim.coverage.subrequests_vector")
-        == first + second
-    )
+    # The module dict is the only copy: the disabled registry holds nothing.
+    assert obs.metrics.snapshot()["counters"] == {}

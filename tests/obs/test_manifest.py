@@ -57,13 +57,13 @@ def test_config_fingerprint_is_stable_and_order_free():
 
 
 def test_env_capture_tracks_engine_variables(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "4")
+    monkeypatch.setenv("REPRO_CACHE", "0")
     monkeypatch.setenv(obs.OBS_ENV_VAR, "1")
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     m = build_manifest("fig2")
-    assert m["env"]["REPRO_JOBS"] == "4"
+    assert m["env"]["REPRO_CACHE"] == "0"
     assert m["env"][obs.OBS_ENV_VAR] == "1"
-    assert "REPRO_CACHE" not in m["env"]
+    assert "REPRO_CACHE_DIR" not in m["env"]
 
 
 def test_write_load_round_trip(tmp_path):

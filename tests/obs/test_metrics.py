@@ -1,4 +1,5 @@
-"""Metrics registry: keys, histogram buckets, merge, and pool-worker drain."""
+"""Metrics registry: keys, the disabled gate, counters, gauges and
+histogram buckets."""
 
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ def test_disabled_registry_ignores_all_mutators():
     reg.inc("a")
     reg.set_gauge("g", 1.0)
     reg.observe("h", 0.5)
-    reg.ingest_counters({"x": 3})
     snap = reg.snapshot()
     assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
     assert reg.counter("a") == 0
@@ -91,99 +91,3 @@ def test_histogram_default_bounds_cover_replay_scales():
     (h,) = reg.snapshot()["histograms"].values()
     assert tuple(h["bounds"]) == DEFAULT_HISTOGRAM_BOUNDS
     assert sum(h["buckets"]) == 1
-
-
-def test_histogram_merge_requires_matching_bounds():
-    a = Histogram(bounds=(1.0,))
-    b = Histogram(bounds=(2.0,))
-    b.observe(0.5)
-    with pytest.raises(ValueError):
-        a.merge_dict(b.to_dict())
-
-
-# --------------------------------------------------------------------- #
-# Snapshot / drain / merge — the worker-shipping contract.
-# --------------------------------------------------------------------- #
-def test_drain_empties_the_registry():
-    reg = MetricsRegistry()
-    reg.enable()
-    reg.inc("c", 3)
-    reg.observe("h", 0.1)
-    snap = reg.drain()
-    assert snap["counters"] == {"c": 3}
-    assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-def test_merge_adds_counters_and_histograms():
-    parent = MetricsRegistry()
-    parent.enable()
-    parent.inc("cache.hits", 2)
-    parent.observe("wall", 0.2)
-    parent.set_gauge("jobs", 1)
-
-    worker = MetricsRegistry()
-    worker.enable()
-    worker.inc("cache.hits", 3)
-    worker.inc("cache.misses")
-    worker.observe("wall", 0.4)
-    worker.set_gauge("jobs", 4)
-
-    parent.merge(worker.drain())
-    snap = parent.snapshot()
-    assert snap["counters"] == {"cache.hits": 5, "cache.misses": 1}
-    assert snap["gauges"] == {"jobs": 4}
-    wall = snap["histograms"]["wall"]
-    assert wall["count"] == 2
-    assert wall["sum"] == pytest.approx(0.6)
-    assert wall["min"] == pytest.approx(0.2)
-    assert wall["max"] == pytest.approx(0.4)
-
-
-def test_merge_lands_even_when_parent_disabled():
-    parent = MetricsRegistry()  # disabled
-    worker = MetricsRegistry()
-    worker.enable()
-    worker.inc("late", 7)
-    parent.merge(worker.drain())
-    assert parent.counter("late") == 7
-
-
-def test_ingest_counters_with_prefix():
-    reg = MetricsRegistry()
-    reg.enable()
-    reg.ingest_counters({"replays_segmented": 4, "bailouts": 1}, prefix="sim.coverage.")
-    assert reg.counter("sim.coverage.replays_segmented") == 4
-    assert reg.counter("sim.coverage.bailouts") == 1
-
-
-# --------------------------------------------------------------------- #
-# Cross-process merge through the real pool executor.
-# --------------------------------------------------------------------- #
-def test_pool_workers_ship_metrics_to_parent():
-    from repro.experiments.parallel import SuiteExecutor, SuiteSpec
-
-    # Serial reference: what one process records for these two suites.
-    obs.enable()
-    serial = SuiteExecutor(jobs=1)
-    serial.run_suites([SuiteSpec("swim"), SuiteSpec("mesa")])
-    expected = {
-        k: v
-        for k, v in obs.metrics.drain()["counters"].items()
-        if k.startswith("sim.replays")
-    }
-    obs.disable(reset_metrics=True)
-
-    # Parallel run: workers record in their own processes; the executor
-    # merges their envelopes, so the parent sees the same counters.
-    obs.enable()
-    obs.metrics.inc("parent.preexisting", 5)  # must not double under fork
-    parallel = SuiteExecutor(jobs=2, clamp_to_cpus=False)
-    parallel.run_suites([SuiteSpec("swim"), SuiteSpec("mesa")])
-    snap = obs.metrics.snapshot()["counters"]
-    merged = {k: v for k, v in snap.items() if k.startswith("sim.replays")}
-    assert merged == expected
-    assert snap["parent.preexisting"] == 5
-
-    # Worker spans were absorbed onto the parent recorder too.
-    rec = obs.get_recorder()
-    assert sum(1 for s in rec.spans if s["name"] == "suite.run") == 2

@@ -15,7 +15,7 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.recorder import NULL_SPAN, SpanRecorder
+from repro.obs.recorder import NULL_SPAN
 
 
 # --------------------------------------------------------------------- #
@@ -108,30 +108,6 @@ def test_events_capture_instants():
     assert ev["name"] == "cache_probe"
     assert ev["args"] == {"outcome": "hit"}
     assert ev["ts_us"] > 0
-
-
-def test_drain_returns_only_new_spans():
-    rec = obs.enable()
-    with obs.span("one"):
-        pass
-    first = rec.drain()
-    assert [s["name"] for s in first] == ["one"]
-    with obs.span("two"):
-        pass
-    second = rec.drain()
-    assert [s["name"] for s in second] == ["two"]
-    assert rec.drain() == []
-
-
-def test_absorb_merges_foreign_records():
-    rec = obs.enable()
-    other = SpanRecorder()
-    with other.span("remote"):
-        pass
-    other.event("remote_event")
-    rec.absorb(other.drain(), other.drain_events())
-    assert [s["name"] for s in rec.spans] == ["remote"]
-    assert [e["name"] for e in rec.events] == ["remote_event"]
 
 
 # --------------------------------------------------------------------- #

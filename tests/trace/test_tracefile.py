@@ -17,8 +17,8 @@ from repro.trace.tracefile import (
     stream_trace_file,
     write_trace,
 )
-from repro.util.errors import TraceError
-from repro.util.units import KB
+from repro.util.errors import LayoutError, TraceError
+from repro.util.units import KB, s_to_ms
 from repro.ir.builder import ProgramBuilder
 
 
@@ -80,6 +80,52 @@ def test_block_numbers_are_global(tmp_path):
     b_blocks = trace.layout.entry("B").block_range
     assert any(a_blocks[0] <= b < a_blocks[1] for b in blocks)
     assert any(b_blocks[0] <= b < b_blocks[1] for b in blocks)
+
+
+def test_format_equals_per_request_rendering():
+    """The columnar writer prints exactly what a per-request loop over
+    ``IORequest`` objects and ``offset_to_block`` prints."""
+    trace = _trace()
+    expected = [
+        f"{s_to_ms(r.nominal_time_s):.6f} "
+        f"{trace.layout.entry(r.array).offset_to_block(r.offset)} "
+        f"{r.nbytes} {'W' if r.is_write else 'R'}"
+        for r in trace.requests
+    ]
+    lines = format_trace(trace).splitlines()
+    assert lines[2:] == expected
+
+
+def test_format_builds_no_request_objects(monkeypatch):
+    """Writing a generated trace reads its columns: no ``IORequest`` is
+    constructed."""
+    trace = _trace()
+    built = []
+    original = IORequest.__post_init__
+
+    def spy(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(IORequest, "__post_init__", spy)
+    text = format_trace(trace)
+    assert len(text.splitlines()) == trace.num_requests + 2
+    assert built == []
+
+
+def test_format_rejects_offset_outside_its_file():
+    trace = _trace()
+    size = trace.layout.entry("B").size_bytes
+    bad = Trace(
+        "t",
+        trace.layout,
+        (
+            IORequest(0.0, "A", 0, 512, False),
+            IORequest(1.0, "B", size, 512, True),
+        ),
+    )
+    with pytest.raises(LayoutError, match=f"offset {size} outside file 'B'"):
+        format_trace(bad)
 
 
 def test_parse_rejects_malformed():
