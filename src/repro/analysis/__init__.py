@@ -10,9 +10,15 @@ from .cycles import (
     measured_timing,
     scale_timing,
 )
-from .dap import ActiveInterval, DAPEntry, DiskAccessPattern, build_dap
+from .dap import DAPEntry, DiskAccessPattern, build_dap
 from .gapstats import GapStatistics, exploitable_fractions, gap_statistics
-from .idle import IdleGap, idle_gaps_from_intervals, total_idle_time
+from .idle import (
+    GAP_ROW,
+    IdleGap,
+    idle_gaps_from_intervals,
+    merge_intervals,
+    total_idle_time,
+)
 from .regions import FlatExtents, Region
 
 __all__ = [
@@ -27,15 +33,16 @@ __all__ = [
     "loop_body_cycles",
     "measured_timing",
     "scale_timing",
-    "ActiveInterval",
     "DAPEntry",
     "DiskAccessPattern",
     "build_dap",
     "GapStatistics",
     "exploitable_fractions",
     "gap_statistics",
+    "GAP_ROW",
     "IdleGap",
     "idle_gaps_from_intervals",
+    "merge_intervals",
     "total_idle_time",
     "FlatExtents",
     "Region",

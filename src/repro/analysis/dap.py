@@ -29,8 +29,9 @@ from ..layout.files import SubsystemLayout
 from ..util.errors import AnalysisError
 from .access import NestAccess, analyze_program
 from .cycles import ProgramTiming
+from .idle import merge_intervals
 
-__all__ = ["DAPEntry", "DiskAccessPattern", "build_dap", "ActiveInterval"]
+__all__ = ["DAPEntry", "DiskAccessPattern", "build_dap"]
 
 
 @dataclass(frozen=True)
@@ -47,23 +48,6 @@ class DAPEntry:
 
     def __str__(self) -> str:
         return f"< Nest {self.nest}, iteration {self.iteration}, {self.state} >"
-
-
-@dataclass(frozen=True)
-class ActiveInterval:
-    """A maximal timed active phase of one disk, with its iteration span."""
-
-    disk: int
-    start_s: float
-    end_s: float
-    nest_first: int
-    iter_first: int
-    nest_last: int
-    iter_last: int
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
 
 
 @dataclass(frozen=True)
@@ -141,8 +125,10 @@ class DiskAccessPattern:
         timing: ProgramTiming,
         merge_gap_s: float = 0.0,
         active_fractions: Sequence[float] | None = None,
-    ) -> list[list[ActiveInterval]]:
-        """Timed active phases per disk under a compute timeline.
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Timed active phases per disk under a compute timeline, as
+        merged ``(starts, ends)`` columns (:func:`~repro.analysis.idle.
+        merge_intervals`).
 
         ``merge_gap_s`` fuses active phases separated by gaps shorter than
         the threshold (a gap too short to exploit is effectively activity —
@@ -162,9 +148,10 @@ class DiskAccessPattern:
             )
         if active_fractions is not None and len(active_fractions) != self.num_nests:
             raise AnalysisError("active_fractions must have one entry per nest")
-        result: list[list[ActiveInterval]] = []
+        result: list[tuple[np.ndarray, np.ndarray]] = []
         for disk in range(self.num_disks):
-            intervals: list[ActiveInterval] = []
+            starts = [np.empty(0)]
+            ends = [np.empty(0)]
             for n, m in enumerate(self.activity):
                 col = m[:, disk]
                 if col.size == 0 or not col.any():
@@ -174,66 +161,30 @@ class DiskAccessPattern:
                 frac = min(1.0, max(0.0, frac))
                 dur = nt.seconds_per_iteration
                 # When the intra-iteration idle tail is too short to use,
-                # treat iterations as fully active (classic run semantics).
+                # treat iterations as fully active (classic run semantics);
+                # otherwise every active iteration is its own interval.
                 tail = (1.0 - frac) * dur
+                if tail > merge_gap_s:
+                    first = nt.start_s + np.flatnonzero(col) * dur
+                    starts.append(first)
+                    ends.append(first + frac * dur)
+                    continue
                 padded = np.concatenate(([False], col, [False]))
                 edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
-                starts, ends = edges[0::2], edges[1::2]
-                per_iteration = tail > merge_gap_s
-                for t0, t1 in zip(starts, ends):
-                    if per_iteration:
-                        for t in range(int(t0), int(t1)):
-                            intervals.append(
-                                ActiveInterval(
-                                    disk=disk,
-                                    start_s=nt.iteration_start_s(t),
-                                    end_s=nt.iteration_start_s(t) + frac * dur,
-                                    nest_first=n,
-                                    iter_first=int(self.outer_values[n][t]),
-                                    nest_last=n,
-                                    iter_last=int(self.outer_values[n][t]),
-                                )
-                            )
-                    else:
-                        end = nt.iteration_start_s(int(t1) - 1) + max(frac, 1e-9) * dur
-                        intervals.append(
-                            ActiveInterval(
-                                disk=disk,
-                                start_s=nt.iteration_start_s(int(t0)),
-                                end_s=min(end, nt.iteration_start_s(int(t1))),
-                                nest_first=n,
-                                iter_first=int(self.outer_values[n][t0]),
-                                nest_last=n,
-                                iter_last=int(self.outer_values[n][t1 - 1]),
-                            )
-                        )
-            result.append(_merge_intervals(intervals, merge_gap_s))
-        return result
-
-
-def _merge_intervals(
-    intervals: Sequence[ActiveInterval], merge_gap_s: float
-) -> list[ActiveInterval]:
-    """Fuse consecutive intervals separated by less than ``merge_gap_s``."""
-    if not intervals:
-        return []
-    ordered = sorted(intervals, key=lambda iv: iv.start_s)
-    out = [ordered[0]]
-    for iv in ordered[1:]:
-        prev = out[-1]
-        if iv.start_s - prev.end_s <= merge_gap_s:
-            out[-1] = ActiveInterval(
-                disk=prev.disk,
-                start_s=prev.start_s,
-                end_s=max(prev.end_s, iv.end_s),
-                nest_first=prev.nest_first,
-                iter_first=prev.iter_first,
-                nest_last=iv.nest_last,
-                iter_last=iv.iter_last,
+                t0, t1 = edges[0::2], edges[1::2]
+                starts.append(nt.start_s + t0 * dur)
+                ends.append(
+                    np.minimum(
+                        nt.start_s + (t1 - 1) * dur + max(frac, 1e-9) * dur,
+                        nt.start_s + t1 * dur,
+                    )
+                )
+            result.append(
+                merge_intervals(
+                    np.concatenate(starts), np.concatenate(ends), merge_gap_s, disk
+                )
             )
-        else:
-            out.append(iv)
-    return out
+        return result
 
 
 def build_dap(

@@ -11,13 +11,12 @@ break-evens) can actually exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ..disksim.powermodel import PowerModel
 from ..disksim.stats import SimulationResult
-from .idle import IdleGap
+from .idle import gap_durations
 
 __all__ = ["GapStatistics", "gap_statistics", "exploitable_fractions"]
 
@@ -34,10 +33,11 @@ class GapStatistics:
     max_s: float
 
     @staticmethod
-    def from_gaps(gaps: Sequence[IdleGap]) -> "GapStatistics":
-        if not gaps:
+    def from_gaps(gaps: np.ndarray) -> "GapStatistics":
+        """Summary of a gap table (:data:`~repro.analysis.idle.GAP_ROW`)."""
+        if not gaps.size:
             return GapStatistics(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        durs = np.asarray([g.duration_s for g in gaps])
+        durs = gap_durations(gaps)
         return GapStatistics(
             count=int(durs.size),
             total_s=float(durs.sum()),
@@ -55,10 +55,7 @@ def gap_statistics(
     (requires ``collect_busy_intervals=True``)."""
     from ..controllers.oracle import realized_idle_gaps
 
-    all_gaps: list[IdleGap] = []
-    for disk_gaps in realized_idle_gaps(base, min_gap_s):
-        all_gaps.extend(disk_gaps)
-    return GapStatistics.from_gaps(all_gaps)
+    return GapStatistics.from_gaps(realized_idle_gaps(base, min_gap_s))
 
 
 def exploitable_fractions(
@@ -77,10 +74,9 @@ def exploitable_fractions(
     from ..controllers.oracle import realized_idle_gaps
     from ..power.breakeven import drpm_breakeven_s, tpm_breakeven_s
 
-    gaps: list[IdleGap] = []
-    for disk_gaps in realized_idle_gaps(base, min_gap_s):
-        gaps.extend(disk_gaps)
-    total = sum(g.duration_s for g in gaps)
+    durs = gap_durations(realized_idle_gaps(base, min_gap_s))
+    # Sequential sums, in row order (``np.sum`` adds pairwise).
+    total = sum(durs.tolist())
     if total <= 0:
         return {"tpm": 0.0, "drpm_any": 0.0, "drpm_full": 0.0}
     tpm_thr = tpm_breakeven_s(pm)
@@ -88,7 +84,7 @@ def exploitable_fractions(
     full_thr = drpm_breakeven_s(pm, pm.levels[0])
 
     def frac(threshold: float) -> float:
-        return sum(g.duration_s for g in gaps if g.duration_s >= threshold) / total
+        return sum(durs[durs >= threshold].tolist()) / total
 
     return {
         "tpm": frac(tpm_thr),

@@ -19,13 +19,18 @@ from typing import Sequence
 
 import numpy as np
 
-from ..analysis.dap import ActiveInterval, _merge_intervals
-from ..analysis.idle import IdleGap, idle_gaps_from_intervals
+from ..analysis.idle import idle_gaps_from_intervals, merge_intervals
 from ..disksim.params import SubsystemParams
 from ..disksim.powermodel import PowerModel
 from ..disksim.stats import SimulationResult
 from ..ir.nodes import PowerAction, PowerCall
-from ..power.planner import GapDecision, GapMode, plan_gaps
+from ..power.planner import (
+    GAP_MODES,
+    GapMode,
+    acting,
+    min_useful_gap_s,
+    plan_gaps,
+)
 from ..util.errors import SimulationError
 from .base import Controller, TimedDirective
 
@@ -38,64 +43,9 @@ __all__ = [
 ]
 
 
-def _anon_interval(disk: int, start_s: float, end_s: float) -> ActiveInterval:
-    return ActiveInterval(
-        disk=disk,
-        start_s=start_s,
-        end_s=end_s,
-        nest_first=-1,
-        iter_first=-1,
-        nest_last=-1,
-        iter_last=-1,
-    )
-
-
-def _merge_busy_columns(
-    disk: int, starts: np.ndarray, ends: np.ndarray, merge_gap_s: float
-) -> list[ActiveInterval]:
-    """Fuse one disk's busy sub-requests into merged :class:`ActiveInterval`
-    runs, closing a run where the next start lies more than ``merge_gap_s``
-    past the run's furthest end (``_merge_intervals`` semantics).
-
-    For time-ordered starts, ends at or after their starts, and a
-    non-negative gap, the furthest end of the current run is the prefix
-    maximum of *all* ends so far — every run starts past the furthest end
-    before it — so run ``i`` breaks exactly where
-    ``starts[i] - maximum.accumulate(ends)[i - 1] > merge_gap_s``: the same
-    comparisons, on the same floats, as the sequential merge.  Any other
-    input takes the generic object path.  Only one object is built per
-    merged run; a Base replay produces tens of thousands of sub-requests
-    per disk.
-    """
-    n = starts.size
-    if n == 0:
-        return []
-    if not (
-        merge_gap_s >= 0
-        and bool(np.all(starts[1:] >= starts[:-1]))
-        and bool(np.all(ends >= starts))
-    ):
-        return _merge_intervals(
-            [
-                _anon_interval(disk, s, e)
-                for s, e in zip(starts.tolist(), ends.tolist())
-            ],
-            merge_gap_s,
-        )
-    reach = np.maximum.accumulate(ends)
-    breaks = np.flatnonzero(starts[1:] - reach[:-1] > merge_gap_s)
-    firsts = np.concatenate(([0], breaks + 1))
-    lasts = np.concatenate((breaks, [n - 1]))
-    return [
-        _anon_interval(disk, s, e)
-        for s, e in zip(starts[firsts].tolist(), reach[lasts].tolist())
-    ]
-
-
-def realized_idle_gaps(
-    base: SimulationResult, min_gap_s: float
-) -> list[list[IdleGap]]:
-    """Per-disk idle gaps realized in a Base replay.
+def realized_idle_gaps(base: SimulationResult, min_gap_s: float) -> np.ndarray:
+    """The gap table (:data:`~repro.analysis.idle.GAP_ROW`) realized in a
+    Base replay.
 
     Requires the base run to have been simulated with
     ``collect_busy_intervals=True``; busy intervals closer than
@@ -107,65 +57,46 @@ def realized_idle_gaps(
             "base result carries no busy intervals; re-run simulate() with "
             "collect_busy_intervals=True"
         )
-    horizon = base.execution_time_s
     none = np.empty(0)
-    out: list[list[IdleGap]] = []
-    for disk in range(base.num_disks):
-        starts, ends = columns[disk] if columns else (none, none)
-        merged = _merge_busy_columns(disk, starts, ends, min_gap_s)
-        out.append(
-            idle_gaps_from_intervals(merged, disk, horizon, min_gap_s=min_gap_s)
-        )
-    return out
+    merged = [
+        merge_intervals(*(columns[disk] if columns else (none, none)), min_gap_s, disk)
+        for disk in range(base.num_disks)
+    ]
+    return idle_gaps_from_intervals(merged, base.execution_time_s, min_gap_s)
 
 
 def oracle_decisions(
     base: SimulationResult, params: SubsystemParams, kind: str
-) -> list[GapDecision]:
-    """Optimal per-gap decisions over the realized gaps (all disks)."""
+) -> np.ndarray:
+    """Optimal decision rows over the realized gaps (all disks)."""
     pm = PowerModel(params.disk, params.drpm)
-    if kind == "tpm":
-        # Spin-down time alone: trailing gaps need no spin-up, and the
-        # planner rejects interior gaps that cannot fit the round trip.
-        min_gap = pm.spin_down_time_s
-    else:
-        min_gap = 2.0 * params.drpm.transition_time_per_step_s
-    decisions: list[GapDecision] = []
-    for gaps in realized_idle_gaps(base, min_gap):
-        decisions.extend(plan_gaps(gaps, pm, kind, safety_margin_s=0.0))
-    return decisions
+    gaps = realized_idle_gaps(base, min_useful_gap_s(pm, kind))
+    return plan_gaps(gaps, pm, kind, safety_margin_s=0.0)
 
 
 def decisions_to_directives(
-    decisions: Sequence[GapDecision], pm: PowerModel
+    decisions: np.ndarray, pm: PowerModel
 ) -> list[TimedDirective]:
-    """Turn planned gap decisions into absolute-time directives."""
+    """Turn planned decision rows into absolute-time directives."""
     out: list[TimedDirective] = []
-    for dec in decisions:
-        if not dec.acts:
-            continue
-        disk = dec.gap.disk
-        if dec.mode is GapMode.STANDBY:
-            out.append(
-                TimedDirective(dec.down_at_s, PowerCall(PowerAction.SPIN_DOWN, disk))
-            )
-            if dec.up_at_s is not None:
-                out.append(
-                    TimedDirective(dec.up_at_s, PowerCall(PowerAction.SPIN_UP, disk))
-                )
+    for (
+        disk, _start, _end, _trailing, mode, target_rpm, down_at, up_at,
+        has_up, _saving,
+    ) in decisions[acting(decisions)].tolist():
+        if GAP_MODES[mode] is GapMode.STANDBY:
+            out.append(TimedDirective(down_at, PowerCall(PowerAction.SPIN_DOWN, disk)))
+            if has_up:
+                out.append(TimedDirective(up_at, PowerCall(PowerAction.SPIN_UP, disk)))
         else:
-            assert dec.target_rpm is not None
             out.append(
                 TimedDirective(
-                    dec.down_at_s,
-                    PowerCall(PowerAction.SET_RPM, disk, rpm=dec.target_rpm),
+                    down_at, PowerCall(PowerAction.SET_RPM, disk, rpm=target_rpm)
                 )
             )
-            if dec.up_at_s is not None:
+            if has_up:
                 out.append(
                     TimedDirective(
-                        dec.up_at_s,
-                        PowerCall(PowerAction.SET_RPM, disk, rpm=pm.disk.rpm),
+                        up_at, PowerCall(PowerAction.SET_RPM, disk, rpm=pm.disk.rpm)
                     )
                 )
     out.sort(key=lambda d: d.time_s)
@@ -179,6 +110,7 @@ class _OracleBase(Controller):
 
     def __init__(self, base: SimulationResult, params: SubsystemParams):
         pm = PowerModel(params.disk, params.drpm)
+        #: One decision row per realized gap, disk-major.
         self.decisions = oracle_decisions(base, params, self.kind)
         self._directives = decisions_to_directives(self.decisions, pm)
 

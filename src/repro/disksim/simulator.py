@@ -201,6 +201,9 @@ class _PlanGeometry:
 
     Everything here is scheme-invariant, so one geometry serves all 7
     replays of a suite (the plan's ``_derived`` cache keeps it alive).
+    It holds the plan's columns, not the plan: a back reference would make
+    plan and geometry a cycle that only the cyclic collector frees, so a
+    dropped plan's list views would outlive it by a collection.
     The views are built in lazy groups — ``Disk.serve`` needs only the
     flat per-sub lists, the vector kernel the arrays (``counts``/
     ``nbytes_f``) and the per-request disk bitmasks — so a replay pays
@@ -208,7 +211,10 @@ class _PlanGeometry:
     """
 
     __slots__ = (
-        "_plan",
+        "_indptr",
+        "_sub_disk",
+        "_sub_nbytes",
+        "_sub_seek",
         "req_times",
         "indptr_l",
         "disk_l",
@@ -221,7 +227,10 @@ class _PlanGeometry:
     )
 
     def __init__(self, plan: ReplayPlan):
-        self._plan = plan
+        self._indptr = plan.indptr
+        self._sub_disk = plan.sub_disk
+        self._sub_nbytes = plan.sub_nbytes
+        self._sub_seek = plan.sub_seek
         self.req_times = plan.columns.nominal_time_s.tolist()
         self.indptr_l = plan.indptr.tolist()
         self.disk_l = None
@@ -239,36 +248,34 @@ class _PlanGeometry:
         if self.disk_l is None:
             from .replay import SEEK_CLASSES
 
-            plan = self._plan
-            self.disk_l = plan.sub_disk.tolist()
-            self.nb_l = plan.sub_nbytes.tolist()
+            self.disk_l = self._sub_disk.tolist()
+            self.nb_l = self._sub_nbytes.tolist()
             self.seek_name_l = [
-                SEEK_CLASSES[c] for c in plan.sub_seek.tolist()
+                SEEK_CLASSES[c] for c in self._sub_seek.tolist()
             ]
         return self.disk_l, self.nb_l, self.seek_name_l
 
     def nbytes_float(self) -> np.ndarray:
         """Per-sub byte counts as float64 (idempotent, cached)."""
         if self.nbytes_f is None:
-            self.nbytes_f = self._plan.sub_nbytes.astype(np.float64)
+            self.nbytes_f = self._sub_nbytes.astype(np.float64)
         return self.nbytes_f
 
     def vector_views(self) -> None:
         """Build the batch-kernel arrays (idempotent, cached)."""
         if self.counts is None:
-            self.counts = np.diff(self._plan.indptr)
-            plan = self._plan
-            self.single_sub = bool(plan.indptr[-1] == plan.num_requests)
+            indptr = self._indptr
+            self.counts = np.diff(indptr)
+            self.single_sub = bool(indptr[-1] == indptr.size - 1)
         self.nbytes_float()
 
     def request_masks(self) -> list:
         """Per-request touched-disk bitmasks (idempotent, cached)."""
         if self.reqmask is None:
-            plan = self._plan
-            if plan.num_requests:
-                bits = np.left_shift(np.int64(1), plan.sub_disk)
+            if self._indptr.size > 1:
+                bits = np.left_shift(np.int64(1), self._sub_disk)
                 self.reqmask = np.bitwise_or.reduceat(
-                    bits, plan.indptr[:-1]
+                    bits, self._indptr[:-1]
                 ).tolist()
             else:
                 self.reqmask = []

@@ -29,9 +29,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
+from typing import Sequence
 
 from ..controllers.oracle import oracle_decisions
-from ..power.planner import GapDecision
+from ..power.planner import GapDecision, decision_views
 from ..workloads.registry import WORKLOAD_NAMES
 from .report import ExperimentReport
 from .runner import ExperimentContext
@@ -77,7 +78,7 @@ class _DiskDecisions:
 
 
 def misprediction_pct(
-    oracle: list[GapDecision], compiler: list[GapDecision]
+    oracle: Sequence[GapDecision], compiler: Sequence[GapDecision]
 ) -> float:
     """Fraction (%) of oracle idleness periods where the compiler picked a
     different level (or none at all)."""
@@ -112,8 +113,8 @@ def run(ctx: ExperimentContext | None = None) -> ExperimentReport:
     for name in WORKLOAD_NAMES:
         suite = ctx.suite(name)
         wl = ctx.workload(name)
-        oracle = oracle_decisions(suite.base, ctx.params, "drpm")
-        compiler = list(suite.plans["CMDRPM"].decisions)
+        oracle = decision_views(oracle_decisions(suite.base, ctx.params, "drpm"))
+        compiler = suite.plans["CMDRPM"].decisions
         pct = misprediction_pct(oracle, compiler)
         rep.add_row(name, (pct, wl.paper.misprediction_pct))
     rep.notes.append(

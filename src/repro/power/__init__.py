@@ -13,7 +13,7 @@ from .insertion import (
     CompilerPlan,
     plan_power_calls,
 )
-from .planner import GapDecision, GapMode, plan_drpm_gap, plan_gaps, plan_tpm_gap
+from .planner import GapDecision, GapMode, decision_views, plan_gaps
 from .preactivation import place_at_or_after, place_before, preactivation_distance
 
 __all__ = [
@@ -29,9 +29,8 @@ __all__ = [
     "plan_power_calls",
     "GapDecision",
     "GapMode",
-    "plan_drpm_gap",
+    "decision_views",
     "plan_gaps",
-    "plan_tpm_gap",
     "place_at_or_after",
     "place_before",
     "preactivation_distance",

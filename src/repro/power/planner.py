@@ -1,40 +1,45 @@
 """Per-gap power-mode planning — the decision kernel shared by the oracle
 and compiler-directed schemes (paper §§3, 4.2).
 
-Given one idle gap, the planner picks the mode minimizing the energy spent
+For each idle gap, the planner picks the mode minimizing the energy spent
 inside the gap, subject to the disk being back at full capability before
 the gap ends (zero performance impact by construction):
 
 * **TPM planning** considers one alternative — spin down, standby, spin up
   in time — and takes it iff it beats idling (i.e. the gap exceeds the
   break-even length);
-* **DRPM planning** evaluates every supported RPM level vectorized and
-  takes the argmin of ``E_down(l) + P_idle(l) * residual + E_up(l)`` over
-  the levels whose round-trip fits the gap.
+* **DRPM planning** evaluates every supported RPM level and takes the
+  argmin of ``E_down(l) + P_idle(l) * residual + E_up(l)`` over the levels
+  whose round-trip fits the gap.
 
 For *trailing* gaps (no subsequent access) the return transition is
 dropped.  ITPM/IDRPM call this on **realized** gaps; CMTPM/CMDRPM on
 **estimated** gaps with a safety margin — the planner itself is identical,
 which is precisely the paper's oracle-versus-compiler framing.
+
+:func:`plan_gaps` evaluates a whole gap table
+(:data:`~repro.analysis.idle.GAP_ROW`) at once and returns one decision row
+(:data:`_DECISION_ROW`) per gap; :class:`GapDecision` is the object view of
+a row (:func:`decision_views`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from ..analysis.idle import IdleGap
+from ..analysis.idle import GAP_ROW, IdleGap, gap_durations
 from ..disksim.powermodel import PowerModel
 from ..util.errors import AnalysisError
 
 __all__ = [
     "GapMode",
     "GapDecision",
-    "plan_tpm_gap",
-    "plan_drpm_gap",
+    "acting",
+    "decision_views",
+    "min_useful_gap_s",
     "plan_gaps",
     "drpm_window_step",
 ]
@@ -46,6 +51,19 @@ class GapMode(str, Enum):
     NONE = "none"  # stay idle at full speed
     STANDBY = "standby"  # TPM: spin down
     RPM = "rpm"  # DRPM: descend to a lower level
+
+
+#: Mode codes of a decision row are indices into this tuple.
+GAP_MODES = tuple(GapMode)
+_NONE, _STANDBY, _RPM = range(len(GAP_MODES))
+
+#: Row layout of planned decisions: the gap's own columns, then the
+#: decision; ``-1`` stands for a ``None`` target RPM, and ``has_up`` for a
+#: non-``None`` ``up_at_s``.
+_DECISION_ROW = np.dtype(GAP_ROW.descr + [
+    ("mode", "i1"), ("target_rpm", "i8"), ("down_at_s", "f8"),
+    ("up_at_s", "f8"), ("has_up", "?"), ("est_saving_j", "f8"),
+])
 
 
 @dataclass(frozen=True)
@@ -99,213 +117,120 @@ def drpm_window_step(
     return None
 
 
-def plan_tpm_gap(
-    gap: IdleGap,
-    pm: PowerModel,
-    safety_margin_s: float = 0.0,
-    slack_margin_frac: float = 0.0,
-) -> GapDecision:
-    """Optimal TPM use of one gap (spin down or do nothing).
+def min_useful_gap_s(pm: PowerModel, kind: str) -> float:
+    """Gaps shorter than this can never be exploited by ``kind``; merging
+    activity across them keeps the gap tables compact.  For TPM the floor
+    is the spin-down time alone: *trailing* gaps need no spin-up, and the
+    planner itself rejects interior gaps that cannot fit the round trip."""
+    if kind == "tpm":
+        return pm.spin_down_time_s
+    return 2.0 * pm.drpm.transition_time_per_step_s
 
-    ``slack_margin_frac`` widens the pre-activation margin by that fraction
-    of the gap's residual slack (what remains after the round-trip and the
-    fixed margin): a robustness knob trading standby residency for
-    tolerance to late directives and slow spin-ups (:mod:`repro.faults`).
-    Zero (the default) is bit-identical to the fixed-margin planner.
-    """
-    if safety_margin_s < 0:
-        raise AnalysisError("safety margin must be >= 0")
-    if not 0.0 <= slack_margin_frac < 1.0:
-        raise AnalysisError("slack margin fraction must be in [0, 1)")
-    length = gap.duration_s
+
+def _plan_tpm(gaps: np.ndarray, pm: PowerModel, margin: float) -> tuple:
+    """Spin down or do nothing, elementwise: each row takes the operations
+    of the one-gap planner in the same order."""
+    length = gap_durations(gaps)
+    trailing = gaps["trailing"]
     t_down, t_up = pm.spin_down_time_s, pm.spin_up_time_s
-    idle_cost = pm.idle_power_w(pm.disk.rpm) * length
-    none = GapDecision(gap, GapMode.NONE, None, gap.start_s, None, 0.0)
-    if gap.trailing:
-        usable = length - t_down
-        if usable <= 0:
-            return none
-        cost = pm.spin_down_energy_j + pm.standby_power_w * usable
-        if cost >= idle_cost:
-            return none
-        return GapDecision(
-            gap, GapMode.STANDBY, None, gap.start_s, None, idle_cost - cost
-        )
-    margin = safety_margin_s
-    if slack_margin_frac:
-        slack = length - t_down - t_up - safety_margin_s
-        if slack > 0:
-            margin = safety_margin_s + slack_margin_frac * slack
-    usable = length - t_down - t_up - margin
-    if usable <= 0:
-        return none
-    cost = (
+    p_top = pm.idle_power_w(pm.disk.rpm)
+    idle_cost = p_top * length
+    usable = np.where(trailing, length - t_down, length - t_down - t_up - margin)
+    cost = np.where(
+        trailing,
+        pm.spin_down_energy_j + pm.standby_power_w * usable,
         pm.spin_down_energy_j
         + pm.spin_up_energy_j
         + pm.standby_power_w * usable
-        + pm.idle_power_w(pm.disk.rpm) * margin
+        + p_top * margin,
     )
-    if cost >= idle_cost:
-        return none
-    up_at = gap.end_s - t_up - margin
-    return GapDecision(
-        gap, GapMode.STANDBY, None, gap.start_s, up_at, idle_cost - cost
-    )
+    acts = (usable > 0) & (cost < idle_cost)
+    return acts, -1, gaps["end_s"] - t_up - margin, idle_cost - cost
 
 
-def plan_drpm_gap(
-    gap: IdleGap,
-    pm: PowerModel,
-    safety_margin_s: float = 0.0,
-    slack_margin_frac: float = 0.0,
-) -> GapDecision:
-    """Optimal DRPM use of one gap: the energy-minimizing reachable level.
-
-    Vectorized over all levels; the disk is assumed to enter the gap at
-    full speed (the planner's own up-transitions guarantee it for the
-    next gap).  ``slack_margin_frac`` reserves that fraction of each
-    level's residual slack as extra pre-activation margin (charged at top
-    idle power, like the fixed margin) — see :func:`plan_tpm_gap`.
-    """
-    if safety_margin_s < 0:
-        raise AnalysisError("safety margin must be >= 0")
-    if not 0.0 <= slack_margin_frac < 1.0:
-        raise AnalysisError("slack margin fraction must be in [0, 1)")
-    length = gap.duration_s
+def _plan_drpm(gaps: np.ndarray, pm: PowerModel, margin: float) -> tuple:
+    """The energy-minimizing reachable level per gap: one ``(num_gaps,
+    num_levels)`` cost matrix.  The disk is assumed to enter each gap at
+    full speed (the planner's own up-transitions guarantee it for the next
+    gap)."""
+    length = gap_durations(gaps)
+    trailing = gaps["trailing"]
     top = pm.disk.rpm
     levels = np.asarray(pm.levels)
-    per_step = pm.drpm.transition_time_per_step_s
-    steps = pm.steps_from_max.astype(float)
-    t_down = steps * per_step
-    t_up = np.zeros_like(t_down) if gap.trailing else t_down
-    margin = 0.0 if gap.trailing else safety_margin_s
-    usable = length - t_down - t_up - margin
+    t_down = pm.steps_from_max.astype(float) * pm.drpm.transition_time_per_step_s
     p_idle = pm.idle_power_per_level
     p_top = pm.idle_power_w(top)
-    if slack_margin_frac and not gap.trailing:
-        extra = slack_margin_frac * np.maximum(usable, 0.0)
-        usable = usable - extra
-    else:
-        extra = np.zeros_like(t_down)
-    # Transition segments draw the faster level's power == top level here.
-    cost = (
-        p_top * (t_down + t_up)
-        + p_idle * np.maximum(usable, 0.0)
-        + p_top * (margin + extra)
-    )
-    cost = np.where(usable >= 0, cost, np.inf)
-    idle_cost = p_top * length
-    best = int(np.argmin(cost))
-    best_rpm = int(levels[best])
-    if best_rpm == top or not np.isfinite(cost[best]) or cost[best] >= idle_cost:
-        return GapDecision(gap, GapMode.NONE, None, gap.start_s, None, 0.0)
-    up_at = (
-        None
-        if gap.trailing
-        else gap.end_s - float(t_up[best]) - margin - float(extra[best])
-    )
-    return GapDecision(
-        gap,
-        GapMode.RPM,
-        best_rpm,
-        gap.start_s,
-        up_at,
-        float(idle_cost - cost[best]),
-    )
-
-
-def _plan_drpm_gaps(
-    gaps: Sequence[IdleGap],
-    pm: PowerModel,
-    safety_margin_s: float,
-    slack_margin_frac: float = 0.0,
-) -> list[GapDecision]:
-    """Batch form of :func:`plan_drpm_gap` over a whole gap list.
-
-    One ``(num_gaps, num_levels)`` cost evaluation replaces the per-gap
-    small-array calls; every element is computed by the same operations in
-    the same order as the scalar planner, so the decisions are identical
-    bit for bit.
-    """
-    if not gaps:
-        return []
-    top = pm.disk.rpm
-    levels = pm.levels
-    per_step = pm.drpm.transition_time_per_step_s
-    steps = pm.steps_from_max.astype(float)
-    t_down = steps * per_step
-    p_idle = pm.idle_power_per_level
-    p_top = pm.idle_power_w(top)
-    length = np.array([g.duration_s for g in gaps], dtype=np.float64)
-    trailing = np.array([g.trailing for g in gaps], dtype=bool)
     t_up = np.where(trailing[:, None], 0.0, t_down[None, :])
-    margin = np.where(trailing, 0.0, safety_margin_s)
-    usable = length[:, None] - t_down[None, :] - t_up - margin[:, None]
-    if slack_margin_frac:
-        extra = np.where(
-            trailing[:, None],
-            0.0,
-            slack_margin_frac * np.maximum(usable, 0.0),
-        )
-        usable = usable - extra
-    else:
-        extra = np.zeros_like(usable)
+    margins = np.where(trailing, 0.0, margin)
+    usable = length[:, None] - t_down[None, :] - t_up - margins[:, None]
+    # Transition segments draw the faster level's power == top level here.
     cost = (
         p_top * (t_down[None, :] + t_up)
         + p_idle[None, :] * np.maximum(usable, 0.0)
-        + p_top * (margin[:, None] + extra)
+        + p_top * margins[:, None]
     )
     cost = np.where(usable >= 0, cost, np.inf)
     idle_cost = p_top * length
     best = np.argmin(cost, axis=1)
-    rows = np.arange(len(gaps))
+    rows = np.arange(length.size)
     cost_b = cost[rows, best]
-    t_up_b = t_up[rows, best]
-    extra_b = extra[rows, best]
-    acts = np.isfinite(cost_b) & (cost_b < idle_cost)
-
-    decisions: list[GapDecision] = []
-    append = decisions.append
-    for i, gap in enumerate(gaps):
-        best_rpm = int(levels[best[i]])
-        if best_rpm == top or not acts[i]:
-            append(GapDecision(gap, GapMode.NONE, None, gap.start_s, None, 0.0))
-            continue
-        up_at = (
-            None
-            if gap.trailing
-            else gap.end_s - float(t_up_b[i]) - safety_margin_s - float(extra_b[i])
-        )
-        append(
-            GapDecision(
-                gap,
-                GapMode.RPM,
-                best_rpm,
-                gap.start_s,
-                up_at,
-                float(idle_cost[i] - cost_b[i]),
-            )
-        )
-    return decisions
+    target = levels[best]
+    acts = np.isfinite(cost_b) & (cost_b < idle_cost) & (target != top)
+    return acts, target, gaps["end_s"] - t_up[rows, best] - margin, idle_cost - cost_b
 
 
 def plan_gaps(
-    gaps: Sequence[IdleGap],
+    gaps: np.ndarray,
     pm: PowerModel,
     kind: str,
     safety_margin_s: float = 0.0,
-    slack_margin_frac: float = 0.0,
-) -> list[GapDecision]:
-    """Plan a list of gaps with the TPM or DRPM policy (``kind``)."""
+) -> np.ndarray:
+    """Plan every gap of a gap table with the TPM or DRPM policy (``kind``).
+
+    Returns one :data:`_DECISION_ROW` per gap, in the table's order.  An
+    interior gap's wake-up completes ``safety_margin_s`` before the gap
+    ends; the margin is charged at top idle power.
+    """
     if safety_margin_s < 0:
         raise AnalysisError("safety margin must be >= 0")
-    if not 0.0 <= slack_margin_frac < 1.0:
-        raise AnalysisError("slack margin fraction must be in [0, 1)")
     if kind == "tpm":
-        return [
-            plan_tpm_gap(g, pm, safety_margin_s, slack_margin_frac)
-            for g in gaps
-        ]
-    if kind == "drpm":
-        return _plan_drpm_gaps(gaps, pm, safety_margin_s, slack_margin_frac)
-    raise AnalysisError(f"unknown planning kind {kind!r} (use 'tpm' or 'drpm')")
+        plan, code = _plan_tpm, _STANDBY
+    elif kind == "drpm":
+        plan, code = _plan_drpm, _RPM
+    else:
+        raise AnalysisError(f"unknown planning kind {kind!r} (use 'tpm' or 'drpm')")
+    rows = np.zeros(gaps.size, dtype=_DECISION_ROW)
+    for name in GAP_ROW.names:
+        rows[name] = gaps[name]
+    rows["down_at_s"] = gaps["start_s"]
+    acts, target, up_at, saving = plan(gaps, pm, safety_margin_s)
+    has_up = acts & ~gaps["trailing"]
+    rows["mode"] = np.where(acts, code, _NONE)
+    rows["target_rpm"] = np.where(acts, target, -1)
+    rows["up_at_s"] = np.where(has_up, up_at, 0.0)
+    rows["has_up"] = has_up
+    rows["est_saving_j"] = np.where(acts, saving, 0.0)
+    return rows
+
+
+def acting(decisions: np.ndarray) -> np.ndarray:
+    """Mask of the decision rows that act on their gap."""
+    return decisions["mode"] != _NONE
+
+
+def decision_views(decisions: np.ndarray) -> tuple[GapDecision, ...]:
+    """The :class:`GapDecision` objects of some decision rows."""
+    return tuple(
+        GapDecision(
+            IdleGap(disk, start, end, trailing),
+            GAP_MODES[mode],
+            None if target_rpm < 0 else target_rpm,
+            down_at,
+            up_at if has_up else None,
+            saving,
+        )
+        for (
+            disk, start, end, trailing, mode, target_rpm, down_at, up_at,
+            has_up, saving,
+        ) in decisions.tolist()
+    )

@@ -15,8 +15,8 @@ Two implementations of the one LRU policy live here:
   :func:`~repro.trace.generator.generate_trace_reference` and is the test
   oracle of the other one;
 * :class:`LRUState` — the filter the trace generator runs: integer line
-  keys of one occurrence-stream block at a time, vectorized whenever no
-  eviction can happen, with the recency order carried between blocks.
+  keys of one occurrence-stream block at a time, with the recency order
+  carried between blocks.
 """
 
 from __future__ import annotations
@@ -160,15 +160,9 @@ class LRUState:
     :class:`BufferCache` one line at a time — the equivalence tests check
     this over random streams cut at random points.
 
-    Three per-block regimes, fastest applicable wins:
-
-    * capacity 0 — caching disabled, every touch misses, no state;
-    * resident + new distinct lines fit in capacity — **no eviction can
-      occur during this block**, so misses are "first block occurrence of
-      a line not already resident" (vectorized), and the recency order is
-      patched afterwards by re-inserting the block's distinct lines in
-      last-touch order — exactly the order a serial replay leaves behind;
-    * otherwise — exact seeded LRU replay in a tight loop.
+    Capacity 0 disables caching (every touch misses, no state); otherwise
+    each block is an exact LRU replay in a tight loop, seeded with the
+    carried order.
     """
 
     __slots__ = ("capacity_lines", "hits", "misses", "_lru")
@@ -188,42 +182,9 @@ class LRUState:
     def filter(self, keys: np.ndarray) -> np.ndarray:
         """Filter one block of the occurrence stream; returns its miss mask
         and advances the carried cache state."""
-        n = int(keys.size)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        cap = self.capacity_lines
-        if cap == 0:
-            self.misses += n
-            return np.ones(n, dtype=bool)
-
-        lru = self._lru
-        order = np.argsort(keys, kind="stable")
-        sk = keys[order]
-        first_sorted = np.empty(n, dtype=bool)
-        first_sorted[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=first_sorted[1:])
-        # Stable sort keeps block order within a key, so group firsts/lasts
-        # are each key's first/last touch of the block.
-        first_pos = order[first_sorted]
-        new_flags = np.asarray(
-            [k not in lru for k in keys[first_pos].tolist()], dtype=bool
-        )
-        if len(lru) + int(new_flags.sum()) <= cap:
-            miss = np.zeros(n, dtype=bool)
-            new_pos = first_pos[new_flags]
-            miss[new_pos] = True
-            self.misses += int(new_pos.size)
-            self.hits += n - int(new_pos.size)
-            last_sorted = np.empty(n, dtype=bool)
-            last_sorted[-1] = True
-            np.not_equal(sk[1:], sk[:-1], out=last_sorted[:-1])
-            last_pos = np.sort(order[last_sorted])
-            for k in keys[last_pos].tolist():
-                if k in lru:
-                    lru.move_to_end(k)
-                else:
-                    lru[k] = None
-            return miss
+        if self.capacity_lines == 0:
+            self.misses += int(keys.size)
+            return np.ones(keys.size, dtype=bool)
         return self._replay(keys)
 
     def _replay(self, keys: np.ndarray) -> np.ndarray:

@@ -42,12 +42,13 @@ def test_active_intervals_timed(tiny_program, tiny_layout):
     dap = build_dap(tiny_program, tiny_layout)
     timing = compute_timing(tiny_program)
     per_disk = dap.active_intervals(timing)
-    iv0 = per_disk[0]
-    assert len(iv0) == 1
-    assert iv0[0].start_s == pytest.approx(0.0)
+    starts, ends = per_disk[0]
+    assert len(starts) == len(ends) == 1
+    assert starts[0] == pytest.approx(0.0)
     # Disk 0 is active for the first 8192 iterations of nest 0.
-    assert iv0[0].end_s == pytest.approx(timing.nest(0).iteration_start_s(8192))
-    assert per_disk[3] == []
+    assert ends[0] == pytest.approx(timing.nest(0).iteration_start_s(8192))
+    assert [len(c) for c in per_disk[3]] == [0, 0]
+    assert all(c.dtype == np.float64 for cols in per_disk for c in cols)
 
 
 def test_active_intervals_merge_gap(tiny_program, tiny_layout):
@@ -55,7 +56,7 @@ def test_active_intervals_merge_gap(tiny_program, tiny_layout):
     timing = compute_timing(tiny_program)
     merged = dap.active_intervals(timing, merge_gap_s=1e9)
     # With an enormous merge threshold every disk has at most one interval.
-    assert all(len(ivs) <= 1 for ivs in merged)
+    assert all(len(starts) <= 1 for starts, _ in merged)
 
 
 def test_active_fractions_split_iterations(tiny_program, tiny_layout):
@@ -65,8 +66,8 @@ def test_active_fractions_split_iterations(tiny_program, tiny_layout):
     frac = dap.active_intervals(timing, active_fractions=[0.25, 0.25])
     # With fraction 0.25 and zero merge threshold, each active iteration
     # becomes its own quarter-length interval.
-    total_full = sum(iv.duration_s for iv in full[0])
-    total_frac = sum(iv.duration_s for iv in frac[0])
+    total_full = float(np.sum(full[0][1] - full[0][0]))
+    total_frac = float(np.sum(frac[0][1] - frac[0][0]))
     assert total_frac == pytest.approx(0.25 * total_full, rel=1e-6)
     with pytest.raises(AnalysisError):
         dap.active_intervals(timing, active_fractions=[0.5])

@@ -1,5 +1,6 @@
 """Gap statistics: the quantitative form of §5.1's TPM explanation."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.gapstats import (
@@ -7,7 +8,7 @@ from repro.analysis.gapstats import (
     exploitable_fractions,
     gap_statistics,
 )
-from repro.analysis.idle import IdleGap
+from repro.analysis.idle import GAP_ROW
 from repro.disksim.params import SubsystemParams
 from repro.disksim.powermodel import PowerModel
 from repro.disksim.simulator import simulate
@@ -19,9 +20,9 @@ def _gaps(*durs):
     out = []
     t = 0.0
     for d in durs:
-        out.append(IdleGap(disk=0, start_s=t, end_s=t + d))
+        out.append((0, t, t + d, False))
         t += d + 1.0
-    return out
+    return np.array(out, dtype=GAP_ROW)
 
 
 def test_statistics_summary():
@@ -31,7 +32,7 @@ def test_statistics_summary():
     assert s.mean_s == pytest.approx(4.0)
     assert s.median_s == pytest.approx(2.5)
     assert s.max_s == pytest.approx(10.0)
-    empty = GapStatistics.from_gaps([])
+    empty = GapStatistics.from_gaps(_gaps())
     assert empty.count == 0 and empty.total_s == 0.0
 
 

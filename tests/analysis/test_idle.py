@@ -1,48 +1,59 @@
 """Idle-gap extraction."""
 
+import numpy as np
 import pytest
 
-from repro.analysis.dap import ActiveInterval
 from repro.analysis.idle import IdleGap, idle_gaps_from_intervals, total_idle_time
 from repro.util.errors import AnalysisError
 
 
-def _iv(disk, start, end):
-    return ActiveInterval(disk, start, end, 0, 0, 0, 0)
+def _cols(*pairs):
+    """One disk's ``(starts, ends)`` columns."""
+    return (
+        np.array([s for s, _ in pairs], dtype=float),
+        np.array([e for _, e in pairs], dtype=float),
+    )
 
 
 def test_gaps_complement_intervals():
-    gaps = idle_gaps_from_intervals(
-        [_iv(0, 1.0, 2.0), _iv(0, 4.0, 5.0)], disk=0, horizon_s=10.0
-    )
-    spans = [(g.start_s, g.end_s, g.trailing) for g in gaps]
+    gaps = idle_gaps_from_intervals([_cols((1.0, 2.0), (4.0, 5.0))], horizon_s=10.0)
+    spans = gaps[["start_s", "end_s", "trailing"]].tolist()
     assert spans == [(0.0, 1.0, False), (2.0, 4.0, False), (5.0, 10.0, True)]
+    assert gaps["disk"].tolist() == [0, 0, 0]
     assert total_idle_time(gaps) == pytest.approx(8.0)
 
 
 def test_min_gap_filters_short():
     gaps = idle_gaps_from_intervals(
-        [_iv(0, 1.0, 2.0), _iv(0, 2.5, 9.9)], disk=0, horizon_s=10.0, min_gap_s=0.6
+        [_cols((1.0, 2.0), (2.5, 9.9))], horizon_s=10.0, min_gap_s=0.6
     )
-    assert [(g.start_s, g.end_s) for g in gaps] == [(0.0, 1.0)]
+    assert gaps[["start_s", "end_s"]].tolist() == [(0.0, 1.0)]
 
 
 def test_idle_disk_is_one_trailing_gap():
-    gaps = idle_gaps_from_intervals([], disk=2, horizon_s=7.0)
-    assert len(gaps) == 1
-    assert gaps[0].trailing
-    assert gaps[0].duration_s == pytest.approx(7.0)
+    gaps = idle_gaps_from_intervals([_cols()] * 3, horizon_s=7.0)
+    assert gaps["disk"].tolist() == [0, 1, 2]
+    assert gaps["trailing"].all()
+    assert gaps["end_s"][2] - gaps["start_s"][2] == pytest.approx(7.0)
 
 
-def test_wrong_disk_rejected():
-    with pytest.raises(AnalysisError):
-        idle_gaps_from_intervals([_iv(1, 0, 1)], disk=0, horizon_s=5.0)
+def test_gaps_are_disk_major():
+    gaps = idle_gaps_from_intervals(
+        [_cols((1.0, 2.0)), _cols(), _cols((0.5, 3.0))], horizon_s=4.0
+    )
+    assert gaps[["disk", "start_s", "end_s", "trailing"]].tolist() == [
+        (0, 0.0, 1.0, False),
+        (0, 2.0, 4.0, True),
+        (1, 0.0, 4.0, True),
+        (2, 0.0, 0.5, False),
+        (2, 3.0, 4.0, True),
+    ]
 
 
 def test_unsorted_intervals_rejected():
-    with pytest.raises(AnalysisError):
+    with pytest.raises(AnalysisError, match="disk 1: active interval 1"):
         idle_gaps_from_intervals(
-            [_iv(0, 3.0, 4.0), _iv(0, 1.0, 2.0)], disk=0, horizon_s=5.0
+            [_cols(), _cols((3.0, 4.0), (1.0, 2.0))], horizon_s=5.0
         )
 
 

@@ -32,6 +32,16 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _session_result_cache(tmp_path_factory):
+    """Point the default result cache at a per-session temporary
+    directory: an ``ExperimentContext()`` built by a test never writes into
+    the working directory's ``.repro-cache/``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache")))
+        yield
+
+
 @pytest.fixture()
 def params() -> SubsystemParams:
     """Paper Table 1 parameters, 4 disks for speed."""

@@ -1,19 +1,25 @@
 """Controller interface defaults and oracle directive conversion."""
 
+import numpy as np
 import pytest
 
-from repro.analysis.idle import IdleGap
+from repro.analysis.idle import GAP_ROW
 from repro.controllers.base import Controller, TimedDirective
 from repro.controllers.oracle import decisions_to_directives
 from repro.disksim.params import DiskParams, DRPMParams
 from repro.disksim.powermodel import PowerModel
 from repro.ir.nodes import PowerAction
-from repro.power.planner import plan_drpm_gap, plan_tpm_gap
+from repro.power.planner import acting, plan_gaps
 
 
 @pytest.fixture()
 def pm():
     return PowerModel(DiskParams(), DRPMParams())
+
+
+def _gaps(*rows):
+    """A gap table of ``(disk, start_s, end_s, trailing)`` rows."""
+    return np.array(list(rows), dtype=GAP_ROW)
 
 
 def test_base_controller_is_inert(pm):
@@ -27,10 +33,9 @@ def test_base_controller_is_inert(pm):
 
 
 def test_decisions_to_directives_tpm(pm):
-    gap = IdleGap(disk=2, start_s=10.0, end_s=40.0)
-    dec = plan_tpm_gap(gap, pm)
-    assert dec.acts
-    directives = decisions_to_directives([dec], pm)
+    dec = plan_gaps(_gaps((2, 10.0, 40.0, False)), pm, "tpm")
+    assert acting(dec).all()
+    directives = decisions_to_directives(dec, pm)
     assert [d.call.action for d in directives] == [
         PowerAction.SPIN_DOWN,
         PowerAction.SPIN_UP,
@@ -41,28 +46,22 @@ def test_decisions_to_directives_tpm(pm):
 
 
 def test_decisions_to_directives_drpm_trailing(pm):
-    gap = IdleGap(disk=1, start_s=5.0, end_s=60.0, trailing=True)
-    dec = plan_drpm_gap(gap, pm)
-    directives = decisions_to_directives([dec], pm)
+    dec = plan_gaps(_gaps((1, 5.0, 60.0, True)), pm, "drpm")
+    directives = decisions_to_directives(dec, pm)
     assert len(directives) == 1  # no return transition for a trailing gap
     assert directives[0].call.action is PowerAction.SET_RPM
     assert directives[0].call.rpm == 3000
 
 
 def test_decisions_to_directives_skips_inert(pm):
-    gap = IdleGap(disk=0, start_s=0.0, end_s=0.01)
-    dec = plan_drpm_gap(gap, pm)
-    assert not dec.acts
-    assert decisions_to_directives([dec], pm) == []
+    dec = plan_gaps(_gaps((0, 0.0, 0.01, False)), pm, "drpm")
+    assert not acting(dec).any()
+    assert decisions_to_directives(dec, pm) == []
 
 
 def test_directives_sorted_across_disks(pm):
-    gaps = [
-        IdleGap(disk=0, start_s=50.0, end_s=80.0),
-        IdleGap(disk=1, start_s=10.0, end_s=40.0),
-    ]
-    decisions = [plan_drpm_gap(g, pm) for g in gaps]
-    directives = decisions_to_directives(decisions, pm)
+    gaps = _gaps((0, 50.0, 80.0, False), (1, 10.0, 40.0, False))
+    directives = decisions_to_directives(plan_gaps(gaps, pm, "drpm"), pm)
     times = [d.time_s for d in directives]
     assert times == sorted(times)
 

@@ -13,6 +13,7 @@ from repro.disksim.params import SubsystemParams
 from repro.disksim.simulator import simulate
 from repro.layout.files import FileEntry, SubsystemLayout
 from repro.layout.striping import Striping
+from repro.power.planner import decision_views
 from repro.trace.request import IORequest, Trace
 from repro.util.errors import SimulationError
 from repro.util.units import KB
@@ -57,10 +58,11 @@ def test_realized_gaps_structure(two_disk_params):
         _bursty_trace(lay), two_disk_params, collect_busy_intervals=True
     )
     gaps = realized_idle_gaps(base, 0.1)
-    assert len(gaps) == 2
-    for disk_gaps in gaps:
+    assert sorted(set(gaps["disk"].tolist())) == [0, 1]
+    for disk in (0, 1):
         # One interior gap (~8 s) per disk; possibly lead/trail slivers.
-        assert any(7.0 < g.duration_s < 9.0 for g in disk_gaps)
+        mine = gaps[gaps["disk"] == disk]
+        assert any(7.0 < d < 9.0 for d in (mine["end_s"] - mine["start_s"]).tolist())
 
 
 def test_idrpm_saves_energy_without_slowdown(two_disk_params):
@@ -98,7 +100,7 @@ def test_oracle_decisions_cover_all_disks(two_disk_params):
     lay = _layout()
     trace = _bursty_trace(lay)
     base = simulate(trace, two_disk_params, collect_busy_intervals=True)
-    decisions = oracle_decisions(base, two_disk_params, "drpm")
+    decisions = decision_views(oracle_decisions(base, two_disk_params, "drpm"))
     assert {d.gap.disk for d in decisions} == {0, 1}
     assert any(d.acts for d in decisions)
 

@@ -93,3 +93,27 @@ def test_mismatched_plan_rejected(mixed_trace, phase_program, phase_layout,
     params = SubsystemParams(num_disks=mixed_trace.layout.num_disks)
     with pytest.raises(SimulationError):
         simulate(mixed_trace, params, plan=plan)
+
+
+def test_dropped_plan_frees_its_derived_views_without_a_collection(mixed_trace):
+    """A replay caches list views on its plan; they must go when the plan
+    goes, by reference counting alone — a plan/view cycle would hold every
+    finished replay's per-sub-request lists until the next collection."""
+    import gc
+
+    from repro.disksim.simulator import _PlanGeometry
+
+    def live_geometries() -> int:
+        return sum(isinstance(o, _PlanGeometry) for o in gc.get_objects())
+
+    gc.collect()
+    before = live_geometries()
+    gc.disable()
+    try:
+        plan = ReplayPlan.for_trace(mixed_trace)
+        simulate(mixed_trace, SubsystemParams(num_disks=4), plan=plan)
+        assert live_geometries() == before + 1
+        del plan
+        assert live_geometries() == before
+    finally:
+        gc.enable()

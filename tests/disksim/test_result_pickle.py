@@ -1,9 +1,9 @@
 """Pickled results carry columns, not object graphs.
 
 A ``SimulationResult`` pickles its busy intervals and per-request
-responses as float64 columns and a ``CompilerPlan`` its placements and
-decisions as one structured array each; both rebuild the object views on
-first read.  Round trips must be exact, keep the benchmark's canonical
+responses as float64 columns and a ``CompilerPlan`` holds its placements
+and decisions as one structured array each; both build the object views
+on read.  Round trips must be exact, keep the benchmark's canonical
 digest, and unpickle in a bounded number of GC-tracked objects.
 """
 
@@ -16,6 +16,7 @@ import pickle
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis.idle import IdleGap
@@ -24,8 +25,13 @@ from repro.disksim.params import SubsystemParams
 from repro.disksim.simulator import simulate
 from repro.faults import FaultConfig, FaultRates
 from repro.ir.nodes import PowerAction, PowerCall
-from repro.power.insertion import CompilerPlan, plan_power_calls
-from repro.power.planner import GapDecision, GapMode
+from repro.power.insertion import (
+    _ACTIONS,
+    _PLACEMENT_ROW,
+    CompilerPlan,
+    plan_power_calls,
+)
+from repro.power.planner import _DECISION_ROW, GAP_MODES, GapDecision, GapMode
 from repro.trace.generator import CallPlacement
 from repro.trace.synth import SynthConfig, synth_stream, synth_trace
 
@@ -158,22 +164,50 @@ def test_unpickling_a_base_result_tracks_few_objects():
 # CompilerPlan
 # ---------------------------------------------------------------------- #
 def _with_every_variant(plan: CompilerPlan) -> CompilerPlan:
-    """``plan`` with placements and decisions covering every optional."""
+    """``plan`` with placement and decision rows covering every optional."""
+    placements = np.array(
+        [
+            (0, 3, 0.25, _ACTIONS.index(PowerAction.SPIN_DOWN), 2, -1, 5e3),
+            (1, 0, 0.0, _ACTIONS.index(PowerAction.SPIN_UP), 2, -1, 0.0),
+            (1, 7, 1e-6, _ACTIONS.index(PowerAction.SET_RPM), 3, 6000, 0.0),
+        ],
+        dtype=_PLACEMENT_ROW,
+    )
+    decisions = np.array(
+        [
+            (2, 1.5, 9.25, False, GAP_MODES.index(GapMode.STANDBY), -1,
+             1.5, 8.0, True, 12.5),
+            (3, 4.0, 20.0, True, GAP_MODES.index(GapMode.RPM), 6000,
+             4.0, 0.0, False, 3.0),
+            (2, 1.5, 9.25, False, GAP_MODES.index(GapMode.NONE), -1,
+             1.5, 0.0, False, 0.0),
+        ],
+        dtype=_DECISION_ROW,
+    )
+    return dataclasses.replace(
+        plan, placement_rows=placements, decision_rows=decisions
+    )
+
+
+def test_plan_views_cover_every_optional(phase_program, phase_layout):
+    plan = _with_every_variant(
+        plan_power_calls(phase_program, phase_layout, SubsystemParams(num_disks=4), "tpm")
+    )
     gap = IdleGap(2, 1.5, 9.25)
-    tail = IdleGap(3, 4.0, 20.0, trailing=True)
-    placements = (
+    assert plan.placements == (
         CallPlacement(
             0, 3, PowerCall(PowerAction.SPIN_DOWN, 2, overhead_cycles=5e3), 0.25
         ),
         CallPlacement(1, 0, PowerCall(PowerAction.SPIN_UP, 2)),
         CallPlacement(1, 7, PowerCall(PowerAction.SET_RPM, 3, rpm=6000), 1e-6),
     )
-    decisions = (
+    assert plan.decisions == (
         GapDecision(gap, GapMode.STANDBY, None, 1.5, 8.0, 12.5),
-        GapDecision(tail, GapMode.RPM, 6000, 4.0, None, 3.0),
+        GapDecision(IdleGap(3, 4.0, 20.0, trailing=True), GapMode.RPM, 6000, 4.0, None, 3.0),
         GapDecision(gap, GapMode.NONE, None, 1.5, None, 0.0),
     )
-    return dataclasses.replace(plan, placements=placements, decisions=decisions)
+    assert plan.acted_gaps == plan.decisions[:2]
+    assert plan.num_calls == 3
 
 
 def _typed(values) -> list:
@@ -200,23 +234,27 @@ def plans(phase_program, phase_layout) -> list[CompilerPlan]:
 
 
 def _same_plan(a: CompilerPlan, b: CompilerPlan) -> bool:
-    """Field equality; the DAP holds arrays, so it compares by pickle."""
-    return (a.kind, a.placements, a.decisions, a.estimated_timing) == (
-        b.kind, b.placements, b.decisions, b.estimated_timing
-    ) and pickle.dumps(a.dap) == pickle.dumps(b.dap)
+    """Field equality; rows and the DAP hold arrays, so they compare by
+    pickle."""
+    return (a.kind, a.estimated_timing) == (b.kind, b.estimated_timing) and all(
+        pickle.dumps(getattr(a, name)) == pickle.dumps(getattr(b, name))
+        for name in ("placement_rows", "decision_rows", "dap")
+    )
+
+
+_PLAN_FIELDS = {f.name for f in dataclasses.fields(CompilerPlan)}
 
 
 def test_compiler_plan_round_trip_is_lazy_and_exact(plans):
     for plan in plans:
         loaded = _round_trip(plan)
-        assert "placements" not in vars(loaded)
-        assert "decisions" not in vars(loaded)
+        assert set(vars(loaded)) == _PLAN_FIELDS
         assert loaded.num_calls == plan.num_calls
-        assert "placements" not in vars(loaded)  # counting decodes nothing
         assert _same_plan(loaded, plan)
         assert _typed(loaded.placements) == _typed(plan.placements)
         assert _typed(loaded.decisions) == _typed(plan.decisions)
-        # Decoded or not, a second round trip carries the same payload.
+        # Reading the views stores nothing: the next pickle is columnar.
+        assert set(vars(loaded)) == _PLAN_FIELDS
         again = _round_trip(loaded)
         assert _same_plan(again, plan)
         assert pickle.dumps(loaded, protocol=PROTOCOL) == pickle.dumps(
@@ -236,5 +274,6 @@ def test_unpickling_a_plan_builds_no_placement_objects(plans):
     before = _count_plan_objects()
     loaded = pickle.loads(blob)
     assert _count_plan_objects() == before
-    assert loaded.acted_gaps == plan.acted_gaps
+    views = loaded.acted_gaps
+    assert views == plan.acted_gaps
     assert _count_plan_objects() > before

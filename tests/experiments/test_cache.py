@@ -309,3 +309,15 @@ def test_memo_computes_once_through_load_and_store(tmp_path):
     assert cache.memo(key, compute) == {"answer": 42}
     assert computed == [1]
     assert cache.calls == [("load", key), ("store", key), ("load", key)]
+
+
+def test_default_context_cache_is_outside_the_working_directory():
+    """Tests build ``ExperimentContext()`` with the default cache; the
+    session fixture in ``tests/conftest.py`` keeps its entries out of the
+    working directory."""
+    from repro.experiments.runner import ExperimentContext
+
+    cache = ExperimentContext().result_cache
+    assert cache is None or not cache.root.resolve().is_relative_to(
+        Path.cwd().resolve()
+    )

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.idle import IdleGap
+from repro.analysis.idle import GAP_ROW
 from repro.disksim.params import DiskParams, DRPMParams
 from repro.disksim.powermodel import PowerModel
 from repro.power.breakeven import drpm_cycle_energy_j, tpm_breakeven_s
-from repro.power.planner import GapMode, plan_drpm_gap, plan_gaps, plan_tpm_gap
+from repro.power.planner import GapMode, decision_views, min_useful_gap_s, plan_gaps
 from repro.util.errors import AnalysisError
 
 
@@ -19,7 +19,21 @@ def pm():
 
 
 def _gap(duration, trailing=False, start=100.0):
-    return IdleGap(disk=0, start_s=start, end_s=start + duration, trailing=trailing)
+    return (0, start, start + duration, trailing)
+
+
+def _table(*gaps):
+    return np.array(list(gaps), dtype=GAP_ROW)
+
+
+def plan_tpm_gap(gap, pm, safety_margin_s=0.0):
+    (dec,) = decision_views(plan_gaps(_table(gap), pm, "tpm", safety_margin_s))
+    return dec
+
+
+def plan_drpm_gap(gap, pm, safety_margin_s=0.0):
+    (dec,) = decision_views(plan_gaps(_table(gap), pm, "drpm", safety_margin_s))
+    return dec
 
 
 # --------------------------------------------------------------------- #
@@ -110,13 +124,26 @@ def test_drpm_decision_beats_all_alternatives(pm):
 
 
 def test_plan_gaps_dispatch(pm):
-    gaps = [_gap(30.0), _gap(1.0)]
-    tpm = plan_gaps(gaps, pm, "tpm")
-    drpm = plan_gaps(gaps, pm, "drpm")
+    gaps = _table(_gap(30.0), _gap(1.0))
+    tpm = decision_views(plan_gaps(gaps, pm, "tpm"))
+    drpm = decision_views(plan_gaps(gaps, pm, "drpm"))
     assert tpm[0].acts and not tpm[1].acts
     assert drpm[0].acts and drpm[1].acts
     with pytest.raises(AnalysisError):
         plan_gaps(gaps, pm, "warp")
+
+
+def test_plan_gaps_keeps_row_order_and_empty_tables(pm):
+    gaps = _table((1, 0.0, 30.0, False), (0, 5.0, 6.0, False), (1, 40.0, 90.0, True))
+    rows = plan_gaps(gaps, pm, "tpm", 0.05)
+    assert rows[["disk", "start_s", "end_s", "trailing"]].tolist() == gaps.tolist()
+    assert rows["down_at_s"].tolist() == gaps["start_s"].tolist()
+    assert plan_gaps(_table(), pm, "drpm").size == 0
+
+
+def test_min_useful_gap(pm):
+    assert min_useful_gap_s(pm, "tpm") == pm.spin_down_time_s
+    assert min_useful_gap_s(pm, "drpm") == 2.0 * pm.drpm.transition_time_per_step_s
 
 
 @settings(max_examples=80, deadline=None)
@@ -125,8 +152,8 @@ def test_drpm_planner_never_loses_energy(duration, trailing):
     """Property: a planned gap never costs more than idling through it, and
     the transitions always fit inside the gap."""
     pm = PowerModel(DiskParams(), DRPMParams())
-    gap = _gap(duration, trailing=trailing)
-    dec = plan_drpm_gap(gap, pm)
+    dec = plan_drpm_gap(_gap(duration, trailing=trailing), pm)
+    gap = dec.gap
     if not dec.acts:
         return
     t_down = pm.transition_time_s(15000, dec.target_rpm)

@@ -4,7 +4,8 @@ The vectorized generator (`generate_trace`, the joined chunks of
 `generate_trace_chunks`) must be *bit-identical* to the retained per-line
 reference walk (`generate_trace_reference`): same request stream, same
 buffer-cache hit/miss counters, and same scheme replay results — for random
-programs across all three `LRUState` regimes and for every bundled Table 2
+programs with caching off, under eviction pressure and with a working set
+that fits, and for every bundled Table 2
 workload.  `LRUState` itself is checked against the per-line `BufferCache`
 over random occurrence streams cut into random blocks.
 """
@@ -39,7 +40,7 @@ _SLOW_SETTINGS = settings(
 
 
 # --------------------------------------------------------------------- #
-# Carried block filter vs the per-line LRU, all regimes.
+# Carried block filter vs the per-line LRU.
 # --------------------------------------------------------------------- #
 def _filter_blocks(state: LRUState, keys: np.ndarray, cuts) -> np.ndarray:
     """Miss masks of ``keys`` fed through ``state`` in blocks cut at
@@ -56,10 +57,9 @@ def _filter_blocks(state: LRUState, keys: np.ndarray, cuts) -> np.ndarray:
     cuts=st.lists(st.integers(0, 80), max_size=6),
 )
 def test_lru_state_matches_per_line_lru(keys, capacity, cuts):
-    """Random occurrence streams, cut into random blocks, land in every
-    regime (capacity 0, no eviction possible within a block, eviction
-    pressure) and must reproduce the naive per-line cache exactly — miss
-    positions and both counters."""
+    """Random occurrence streams, cut into random blocks (caching off, a
+    working set that fits, eviction pressure), must reproduce the naive
+    per-line cache exactly — miss positions and both counters."""
     arr = np.asarray(keys, dtype=np.int64)
     state = LRUState(capacity)
     miss = _filter_blocks(state, arr, cuts)
@@ -78,15 +78,15 @@ def test_lru_state_regimes_explicit():
     assert _filter_blocks(state, keys, [3]).all()
     assert (state.hits, state.misses) == (0, 6)
     # Working set fits: first occurrences miss, re-references hit, and the
-    # resident lines carry across the cut.
+    # resident lines carry across the cut into the second block's replay.
     state = LRUState(3)
     miss = _filter_blocks(state, keys, [4])
     assert miss.tolist() == [True, True, True, False, False, False]
     assert (state.hits, state.misses) == (3, 3)
     assert state.occupancy_lines == 3
-    # Eviction pressure (LRU of 2 over 3 lines): the first block fits, the
-    # second replays from the carried order — the classic thrash, where
-    # every touch evicts the line the next touch needs, so all miss.
+    # Eviction pressure (LRU of 2 over 3 lines): each block replays from
+    # the carried order — the classic thrash, where every touch evicts the
+    # line the next touch needs, so all miss.
     state = LRUState(2)
     assert _filter_blocks(state, keys, [2]).all()
     assert (state.hits, state.misses) == (0, 6)
@@ -100,8 +100,7 @@ def test_lru_state_regimes_explicit():
 def test_random_programs_bit_identical(data):
     program = data.draw(programs())
     line = data.draw(st.sampled_from([16, 64, 256]))
-    # 0 => disabled; tiny => eviction-pressure fallback; huge => the
-    # no-eviction vectorized fast path.
+    # 0 => disabled; tiny => eviction pressure; huge => nothing evicted.
     cap_lines = data.draw(st.sampled_from([0, 2, 4, 1 << 20]))
     max_req = data.draw(st.sampled_from([32, 128, 4096]))
     opts = TraceOptions(
