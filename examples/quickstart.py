@@ -14,8 +14,13 @@ from repro.controllers import CompilerDirected
 from repro.disksim import SubsystemParams, simulate
 from repro.ir import ProgramBuilder, format_program
 from repro.layout import default_layout
-from repro.power import plan_power_calls
-from repro.trace import TraceOptions, directives_at_positions, generate_trace
+from repro.power import acting, plan_power_calls
+from repro.trace import (
+    TraceOptions,
+    directives_at_positions,
+    generate_trace,
+    placement_calls,
+)
 
 # ----------------------------------------------------------------------- #
 # 1. Write the program: sweep A, relax in memory for 3 s, sweep B.
@@ -71,16 +76,19 @@ plan = plan_power_calls(
     measured=measured,
 )
 print(f"\nCompiler inserted {plan.num_calls} power-management calls "
-      f"covering {len(plan.acted_gaps)} idle gaps:")
-for p in plan.placements[:6]:
-    print(f"  nest {p.nest}, iteration {p.iteration}: {p.call}")
+      f"covering {acting(plan.decision_rows).sum()} idle gaps:")
+first = plan.placement_rows[:6]
+for (nest, iteration), call in zip(
+    first[["nest", "iteration"]].tolist(), placement_calls(first)
+):
+    print(f"  nest {nest}, iteration {iteration}: {call}")
 if plan.num_calls > 6:
     print(f"  ... and {plan.num_calls - 6} more")
 
 # ----------------------------------------------------------------------- #
 # 5. Replay with the calls embedded in the instruction stream (CMDRPM).
 # ----------------------------------------------------------------------- #
-directives = directives_at_positions(plan.placements, compute_timing(program))
+directives = directives_at_positions(plan.placement_rows, compute_timing(program))
 cm = simulate(trace.with_directives(directives), params, CompilerDirected("drpm"))
 print(f"\nCMDRPM: {cm.total_energy_j:8.1f} J   {cm.execution_time_s:6.2f} s")
 print(f"        energy  {100 * (1 - cm.total_energy_j / base.total_energy_j):.1f}% saved")

@@ -63,7 +63,7 @@ plan = plan_power_calls(
 cm_rec = TimelineRecorder()
 cm = simulate(
     trace.with_directives(
-        directives_at_positions(plan.placements, compute_timing(wl.program))
+        directives_at_positions(plan.placement_rows, compute_timing(wl.program))
     ),
     params,
     CompilerDirected("drpm"),

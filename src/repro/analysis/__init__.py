@@ -14,7 +14,6 @@ from .dap import DAPEntry, DiskAccessPattern, build_dap
 from .gapstats import GapStatistics, exploitable_fractions, gap_statistics
 from .idle import (
     GAP_ROW,
-    IdleGap,
     idle_gaps_from_intervals,
     merge_intervals,
     total_idle_time,
@@ -40,7 +39,6 @@ __all__ = [
     "exploitable_fractions",
     "gap_statistics",
     "GAP_ROW",
-    "IdleGap",
     "idle_gaps_from_intervals",
     "merge_intervals",
     "total_idle_time",

@@ -12,13 +12,13 @@ of ITPM/IDRPM vs CMTPM/CMDRPM.
 
 A disk's active intervals are a ``(starts, ends)`` pair of float64
 columns; a gap table is a structured array of :data:`GAP_ROW`, disk-major
-and in time order within a disk.  :class:`IdleGap` is the object view of
-one row (:func:`repro.power.planner.decision_views` builds them).
+and in time order within a disk.  The planner's decision rows extend these
+columns (:data:`repro.power.planner.DECISION_ROW`), so a gap has no other
+form from extraction to Table 3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ from ..util.errors import AnalysisError
 
 __all__ = [
     "GAP_ROW",
-    "IdleGap",
     "gap_durations",
     "idle_gaps_from_intervals",
     "merge_intervals",
@@ -40,26 +39,6 @@ __all__ = [
 GAP_ROW = np.dtype([
     ("disk", "i8"), ("start_s", "f8"), ("end_s", "f8"), ("trailing", "?"),
 ])
-
-
-@dataclass(frozen=True)
-class IdleGap:
-    """A maximal period during which one disk receives no requests."""
-
-    disk: int
-    start_s: float
-    end_s: float
-    trailing: bool = False
-
-    def __post_init__(self) -> None:
-        if self.end_s < self.start_s:
-            raise AnalysisError(
-                f"idle gap ends before it starts: [{self.start_s}, {self.end_s}]"
-            )
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
 
 
 def merge_intervals(

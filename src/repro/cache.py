@@ -41,6 +41,8 @@ import hashlib
 import logging
 import os
 import pickle
+import re
+import shutil
 import tempfile
 from pathlib import Path
 from typing import Any, Callable
@@ -89,6 +91,9 @@ _ENV_TOGGLE = "REPRO_CACHE"
 _ENV_DIR = "REPRO_CACHE_DIR"
 
 _FALSY = {"0", "false", "no", "off"}
+
+#: Name of a per-digest entry directory (the digest's first 16 hex digits).
+_DIGEST_DIR = re.compile(r"[0-9a-f]{16}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,12 +175,21 @@ class ResultCache:
     or an envelope written by other code (a different
     :func:`code_digest`) — so callers just recompute; ``store`` is
     atomic and best-effort (a read-only filesystem degrades to a no-op).
+
+    Entries live under ``root/<digest[:16]>/<key[:2]>/<key>.pkl``, one
+    directory per :func:`code_digest`.  Every key hashes the digest, so a
+    source edit orphans every older entry; the first ``store`` of each
+    cache object (and of each digest) therefore removes every sibling
+    digest directory (a directory named by 16 hex digits other than the
+    current digest's) and nothing else under ``root``.
     """
 
     def __init__(self, root: str | Path = DEFAULT_CACHE_DIR):
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
+        #: The digest prefix whose siblings :meth:`_prune` last removed.
+        self._pruned_for: str | None = None
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -189,7 +203,25 @@ class ResultCache:
 
     # ------------------------------------------------------------------ #
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+        return self.root / code_digest()[:16] / key[:2] / f"{key}.pkl"
+
+    def _prune(self) -> None:
+        """Remove the entry directories of other code digests, once per
+        digest."""
+        current = code_digest()[:16]
+        if self._pruned_for == current:
+            return
+        self._pruned_for = current
+        try:
+            stale = [
+                sub for sub in self.root.iterdir()
+                if sub.name != current and _DIGEST_DIR.fullmatch(sub.name)
+                and sub.is_dir()
+            ]
+        except OSError:
+            return
+        for sub in stale:
+            shutil.rmtree(sub, ignore_errors=True)
 
     def scheme_key(self, suite_fp: str, scheme: str) -> str:
         return fingerprint(suite_fp, f"scheme:{scheme}")
@@ -223,6 +255,7 @@ class ResultCache:
         return envelope.get("payload")
 
     def store(self, key: str, payload: Any) -> None:
+        self._prune()
         path = self._path(key)
         envelope = {"version": code_digest(), "payload": payload}
         try:
@@ -266,13 +299,12 @@ class ResultCache:
         :meth:`store` left behind (keeps the root directory)."""
         if not self.root.exists():
             return
-        for sub in self.root.iterdir():
-            if sub.is_dir():
-                for f in [*sub.glob("*.pkl"), *sub.glob("*.tmp")]:
-                    try:
-                        f.unlink()
-                    except OSError:
-                        pass
+        for pattern in ("*/*/*.pkl", "*/*/*.tmp"):
+            for f in self.root.glob(pattern):
+                try:
+                    f.unlink()
+                except OSError:
+                    pass
 
     # ------------------------------------------------------------------ #
     @property

@@ -2,8 +2,8 @@
 
 These schemes need no runtime controller at all: the power-management
 calls are *in the program* — the compiler pass
-(:func:`repro.power.insertion.plan_power_calls`) produced
-:class:`~repro.trace.generator.CallPlacement` records, the trace generator
+(:func:`repro.power.insertion.plan_power_calls`) produced placement rows
+(:data:`~repro.trace.generator.PLACEMENT_ROW`), the trace generator
 stamped them onto the instruction stream, and the simulator executes them
 as :class:`~repro.trace.request.DirectiveRecord` entries when the program
 reaches them.  The controller below is therefore just a named no-op whose

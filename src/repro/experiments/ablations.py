@@ -62,7 +62,9 @@ def _cm_run(
             measured=suite.measured,
             preactivate=preactivate,
         )
-        directives = directives_at_positions(plan.placements, ctx.analysis(name)[1])
+        directives = directives_at_positions(
+            plan.placement_rows, ctx.analysis(name)[1]
+        )
         result = simulate(
             suite.base_trace.with_directives(directives),
             ctx.params,

@@ -381,7 +381,9 @@ def _timeline_artifacts(ctx: ExperimentContext) -> tuple[list[dict], dict]:
     rec = TimelineRecorder()
     result = simulate(
         trace.with_directives(
-            directives_at_positions(plan.placements, compute_timing(wl.program))
+            directives_at_positions(
+                plan.placement_rows, compute_timing(wl.program)
+            )
         ),
         params,
         CompilerDirected("drpm"),

@@ -28,7 +28,7 @@ from ..power.codegen import render_plan
 from ..power.insertion import plan_power_calls
 from ..disksim.params import SubsystemParams
 from ..disksim.simulator import simulate
-from ..trace.generator import TraceOptions, generate_trace
+from ..trace.generator import TraceOptions, generate_trace, placement_calls
 from ..analysis.cycles import measured_timing
 from .report import ExperimentReport
 
@@ -104,16 +104,16 @@ def run() -> ExperimentReport:
         measured=meas,
     )
     rep.add_row("inserted calls", (str(plan.num_calls),))
-    for k, p in enumerate(plan.placements):
-        rep.add_row(
-            f"call {k}",
-            (f"{p.call} at nest {p.nest}, iteration {p.iteration}",),
-        )
+    rows = plan.placement_rows
+    for k, ((nest, iteration), call) in enumerate(
+        zip(rows[["nest", "iteration"]].tolist(), placement_calls(rows))
+    ):
+        rep.add_row(f"call {k}", (f"{call} at nest {nest}, iteration {iteration}",))
     rep.notes.append(
         "paper: 'for array U1, we access the first two disks (disk0 and "
         "disk1); and for array U2, we access only the third disk (disk2)' "
         "during nest 1 — visible in the DAP rows above; disk 3 holds the "
         "second nest's region and is pre-activated in the modified code"
     )
-    rep.notes.append("modified-code rendering:\n" + render_plan(program, plan.placements))
+    rep.notes.append("modified-code rendering:\n" + render_plan(program, rows))
     return rep

@@ -259,7 +259,7 @@ def _run_schemes(
             measured=measured,
         )
         replay_trace = trace.with_directives(
-            directives_at_positions(plan.placements, timing)
+            directives_at_positions(plan.placement_rows, timing)
         )
         return simulate_scheme(scheme, replay_trace), plan
 

@@ -29,10 +29,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Sequence
+
+import numpy as np
 
 from ..controllers.oracle import oracle_decisions
-from ..power.planner import GapDecision, decision_views
+from ..power.planner import acting
 from ..workloads.registry import WORKLOAD_NAMES
 from .report import ExperimentReport
 from .runner import ExperimentContext
@@ -40,65 +41,65 @@ from .runner import ExperimentContext
 __all__ = ["run", "misprediction_pct"]
 
 
-def _overlap(a: GapDecision, b: GapDecision) -> float:
-    lo = max(a.gap.start_s, b.gap.start_s)
-    hi = min(a.gap.end_s, b.gap.end_s)
-    return max(0.0, hi - lo)
+def _levels(decisions: np.ndarray) -> list[int]:
+    """Each row's chosen level: its target RPM when it acts, ``-1`` for
+    staying at full speed (a spin-down's target is ``-1`` too)."""
+    return np.where(acting(decisions), decisions["target_rpm"], -1).tolist()
 
 
 class _DiskDecisions:
     """One disk's compiler decisions sorted by gap start, with the prefix
     maximum of their gap ends, for overlap queries by bisection."""
 
-    def __init__(self, decisions: list[tuple[int, GapDecision]]):
-        decisions.sort(key=lambda item: item[1].gap.start_s)
-        self.order = [i for i, _ in decisions]
-        self.decisions = [d for _, d in decisions]
-        self.starts = [d.gap.start_s for d in self.decisions]
-        self.max_end = list(accumulate((d.gap.end_s for d in self.decisions), max))
+    def __init__(self, decisions: list[tuple[float, float, int, int]]):
+        # (start, end, level, plan index); a stable sort by start.
+        decisions.sort(key=lambda item: item[0])
+        self.starts = [d[0] for d in decisions]
+        self.ends = [d[1] for d in decisions]
+        self.levels = [d[2] for d in decisions]
+        self.order = [d[3] for d in decisions]
+        self.max_end = list(accumulate(self.ends, max))
 
-    def best_match(self, od: GapDecision) -> GapDecision | None:
-        """The decision overlapping ``od`` the most (the earliest in plan
-        order among equal overlaps), or ``None`` when none overlaps it."""
+    def best_match(self, start: float, end: float) -> int | None:
+        """The level of the decision overlapping ``[start, end]`` the most
+        (the earliest in plan order among equal overlaps), or ``None`` when
+        none overlaps it."""
         best = None
         best_ov = 0.0
         best_index = 0
-        # Only a decision starting before ``od`` ends and ending after it
+        # Only a decision starting before the gap ends and ending after it
         # starts can overlap it; the prefix maximum bounds the walk left.
-        i = bisect_left(self.starts, od.gap.end_s) - 1
-        while i >= 0 and self.max_end[i] > od.gap.start_s:
-            cd = self.decisions[i]
-            ov = _overlap(od, cd)
+        i = bisect_left(self.starts, end) - 1
+        while i >= 0 and self.max_end[i] > start:
+            ov = max(0.0, min(end, self.ends[i]) - max(start, self.starts[i]))
             if ov > best_ov or (
                 ov == best_ov and best is not None and self.order[i] < best_index
             ):
-                best, best_ov, best_index = cd, ov, self.order[i]
+                best, best_ov, best_index = self.levels[i], ov, self.order[i]
             i -= 1
         return best
 
 
-def misprediction_pct(
-    oracle: Sequence[GapDecision], compiler: Sequence[GapDecision]
-) -> float:
-    """Fraction (%) of oracle idleness periods where the compiler picked a
-    different level (or none at all)."""
-    grouped: dict[int, list[tuple[int, GapDecision]]] = {}
-    for i, d in enumerate(compiler):
-        grouped.setdefault(d.gap.disk, []).append((i, d))
+def misprediction_pct(oracle: np.ndarray, compiler: np.ndarray) -> float:
+    """Fraction (%) of oracle idleness periods (decision rows) where the
+    compiler's decision rows picked a different level (or none at all)."""
+    grouped: dict[int, list[tuple[float, float, int, int]]] = {}
+    for i, (disk, start, end, level) in enumerate(zip(
+        compiler["disk"].tolist(), compiler["start_s"].tolist(),
+        compiler["end_s"].tolist(), _levels(compiler),
+    )):
+        grouped.setdefault(disk, []).append((start, end, level, i))
     by_disk = {disk: _DiskDecisions(ds) for disk, ds in grouped.items()}
-    total = 0
     wrong = 0
-    for od in oracle:
-        total += 1
-        candidates = by_disk.get(od.gap.disk)
-        best = candidates.best_match(od) if candidates is not None else None
-        if best is None:
+    for disk, start, end, level in zip(
+        oracle["disk"].tolist(), oracle["start_s"].tolist(),
+        oracle["end_s"].tolist(), _levels(oracle),
+    ):
+        candidates = by_disk.get(disk)
+        best = candidates.best_match(start, end) if candidates is not None else None
+        if best != level:
             wrong += 1
-            continue
-        o_level = od.target_rpm if od.acts else None
-        c_level = best.target_rpm if best.acts else None
-        if o_level != c_level:
-            wrong += 1
+    total = len(oracle)
     return 100.0 * wrong / total if total else 0.0
 
 
@@ -113,9 +114,10 @@ def run(ctx: ExperimentContext | None = None) -> ExperimentReport:
     for name in WORKLOAD_NAMES:
         suite = ctx.suite(name)
         wl = ctx.workload(name)
-        oracle = decision_views(oracle_decisions(suite.base, ctx.params, "drpm"))
-        compiler = suite.plans["CMDRPM"].decisions
-        pct = misprediction_pct(oracle, compiler)
+        pct = misprediction_pct(
+            oracle_decisions(suite.base, ctx.params, "drpm"),
+            suite.plans["CMDRPM"].decision_rows,
+        )
         rep.add_row(name, (pct, wl.paper.misprediction_pct))
     rep.notes.append(
         "a period counts as mispredicted when the compiler chose a different "

@@ -13,8 +13,7 @@ from .insertion import (
     CompilerPlan,
     plan_power_calls,
 )
-from .planner import GapDecision, GapMode, decision_views, plan_gaps
-from .preactivation import place_at_or_after, place_before, preactivation_distance
+from .planner import DECISION_ROW, GapMode, acting, plan_gaps
 
 __all__ = [
     "insert_calls_into_nest",
@@ -27,11 +26,8 @@ __all__ = [
     "DEFAULT_CALL_OVERHEAD_CYCLES",
     "CompilerPlan",
     "plan_power_calls",
-    "GapDecision",
+    "DECISION_ROW",
     "GapMode",
-    "decision_views",
+    "acting",
     "plan_gaps",
-    "place_at_or_after",
-    "place_before",
-    "preactivation_distance",
 ]

@@ -2,20 +2,23 @@
 
 This is the third component of the paper's compiler strategy (§3): given
 the disk access pattern and the cycle estimates, decide per idle gap what
-each disk should do (via :mod:`repro.power.planner`), then insert
+each disk should do (:func:`repro.power.planner.plan_gaps`), then insert
 
 * ``spin_down(disk)`` / ``set_RPM(level, disk)`` at the iteration where the
   gap begins, and
-* the pre-activation ``spin_up(disk)`` / ``set_RPM(max, disk)`` *d*
-  iterations before the next active phase (Eq. 1, via
-  :mod:`repro.power.preactivation`),
+* the pre-activation ``spin_up(disk)`` / ``set_RPM(max, disk)`` early
+  enough that the disk is back at speed before the next active phase
+  (Eq. 1: the planner's ``up_at_s`` is the gap end less the wake-up time
+  and the safety margin, and the placement rounds it *at-or-before*, so
+  inside one nest the lead is exactly ``ceil(lead / (s + Tm))``
+  iterations),
 
-producing :class:`~repro.trace.generator.CallPlacement` records that the
-trace generator stamps onto the actual timeline.  All decisions here use
-the compiler's **estimated** timing; the placements' iteration anchors are
-exact (code position is not subject to timing error), so estimation error
-surfaces only as (a) occasionally mispredicted RPM levels — paper Table 3 —
-and (b) slightly early/late pre-activations.
+producing placement rows (:data:`~repro.trace.generator.PLACEMENT_ROW`)
+that the trace generator stamps onto the actual timeline.  All decisions
+here use the compiler's **estimated** timing; the placements' iteration
+anchors are exact (code position is not subject to timing error), so
+estimation error surfaces only as (a) occasionally mispredicted RPM levels
+— paper Table 3 — and (b) slightly early/late pre-activations.
 """
 
 from __future__ import annotations
@@ -38,20 +41,12 @@ from ..analysis.idle import idle_gaps_from_intervals
 from ..obs import metrics as _metrics
 from ..disksim.params import SubsystemParams
 from ..disksim.powermodel import PowerModel
-from ..ir.nodes import PowerAction, PowerCall
+from ..ir.nodes import PowerAction
 from ..ir.program import Program
 from ..layout.files import SubsystemLayout
-from ..trace.generator import CallPlacement
+from ..trace.generator import PLACEMENT_ROW
 from ..util.errors import AnalysisError
-from .planner import (
-    GAP_MODES,
-    GapDecision,
-    GapMode,
-    acting,
-    decision_views,
-    min_useful_gap_s,
-    plan_gaps,
-)
+from .planner import GAP_MODES, GapMode, acting, min_useful_gap_s, plan_gaps
 
 __all__ = ["CompilerPlan", "plan_power_calls", "DEFAULT_CALL_OVERHEAD_CYCLES"]
 
@@ -59,66 +54,39 @@ __all__ = ["CompilerPlan", "plan_power_calls", "DEFAULT_CALL_OVERHEAD_CYCLES"]
 #: cost at the 750 MHz clock.
 DEFAULT_CALL_OVERHEAD_CYCLES: float = 5_000.0
 
-
-#: Row layout of a plan's placements; ``-1`` stands for a ``None`` RPM.
-_PLACEMENT_ROW = np.dtype([
-    ("nest", "i8"), ("iteration", "i8"), ("fraction", "f8"),
-    ("action", "i1"), ("disk", "i8"), ("rpm", "i8"), ("overhead", "f8"),
-])
 _ACTIONS = tuple(PowerAction)
 _SPIN_DOWN, _SPIN_UP, _SET_RPM = (
     _ACTIONS.index(a)
     for a in (PowerAction.SPIN_DOWN, PowerAction.SPIN_UP, PowerAction.SET_RPM)
 )
+_STANDBY = GAP_MODES.index(GapMode.STANDBY)
 
 #: Seconds the compiler's wake-up completes before an estimated gap ends.
 _SAFETY_MARGIN_S = 0.05
-
-
-def _placement_views(rows: np.ndarray) -> tuple[CallPlacement, ...]:
-    return tuple(
-        CallPlacement(
-            nest, iteration,
-            PowerCall(_ACTIONS[action], disk, None if rpm < 0 else rpm, overhead),
-            fraction,
-        )
-        for nest, iteration, fraction, action, disk, rpm, overhead in rows.tolist()
-    )
 
 
 @dataclass(frozen=True)
 class CompilerPlan:
     """Everything the compiler decided for one (program, layout, scheme).
 
-    Placements and decisions live in structured arrays (one row each), so
-    a pickle (a cache entry) carries two arrays instead of tens of
-    thousands of small objects; :attr:`placements` and :attr:`decisions`
-    build object views from them on each read.
+    Placements and decisions are structured arrays, one row each, and are
+    the plan's only form: a pickle (a cache entry) carries two arrays
+    instead of tens of thousands of small objects.
     """
 
     kind: str  # "tpm" or "drpm"
-    #: One :data:`_PLACEMENT_ROW` per inserted call, in code order.
+    #: One :data:`~repro.trace.generator.PLACEMENT_ROW` per inserted call,
+    #: in code order.
     placement_rows: np.ndarray
-    #: One decision row per considered gap, disk-major (Table 3 input).
+    #: One :data:`~repro.power.planner.DECISION_ROW` per considered gap,
+    #: disk-major (Table 3 input).
     decision_rows: np.ndarray
     estimated_timing: ProgramTiming
     dap: DiskAccessPattern
 
     @property
-    def placements(self) -> tuple[CallPlacement, ...]:
-        return _placement_views(self.placement_rows)
-
-    @property
-    def decisions(self) -> tuple[GapDecision, ...]:
-        return decision_views(self.decision_rows)
-
-    @property
     def num_calls(self) -> int:
         return len(self.placement_rows)
-
-    @property
-    def acted_gaps(self) -> tuple[GapDecision, ...]:
-        return decision_views(self.decision_rows[acting(self.decision_rows)])
 
 
 def plan_power_calls(
@@ -217,45 +185,65 @@ def _plan_power_calls(
 
 def _locate(
     est: ProgramTiming,
-    t_est: float,
+    t_est: np.ndarray,
     fractions: Sequence[float] | None,
-    mode: str,
-) -> tuple[int, int, float]:
-    """Map an estimated-timeline instant to a strip-mined code position.
+    down: np.ndarray | bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map estimated-timeline instants to strip-mined code positions.
 
-    Returns ``(nest, ordinal, nominal_fraction)``.  Within an iteration the
-    estimated time splits into an I/O prefix (fraction ``f`` of the
-    duration, during which the body's accesses are in flight) and a compute
-    suffix; a code position can only fall in the suffix, so the estimated
-    in-iteration offset is re-normalized onto it.  ``mode="down"`` rounds
+    Returns the ``(nest, ordinal, nominal_fraction)`` columns.  Within an
+    iteration the estimated time splits into an I/O prefix (fraction ``f``
+    of the duration, during which the body's accesses are in flight) and a
+    compute suffix; a code position can only fall in the suffix, so the
+    estimated in-iteration offset is re-normalized onto it.  Where ``down``
+    (a mask, or one flag for every instant) the position rounds
     *at-or-after* (a spin-down must never precede the phase's last access);
-    ``mode="up"`` rounds *at-or-before* (a pre-activation may only fire
-    early).  This positioning generalizes Eq. (1): the iteration distance it
-    yields inside one nest is exactly ``ceil(lead / (s + Tm))``.
+    elsewhere *at-or-before* (a pre-activation may only fire early).  Each element takes the operations of a scalar
+    walk over the nests in the same order, so the columns are bit-identical
+    to it; ``x`` can be negative (an instant between two nests), so the
+    ordinal truncates toward zero like ``int``.
     """
-    if t_est <= 0:
-        return 0, 0, 0.0
-    for i, nt in enumerate(est.nests):
-        if t_est <= nt.end_s + 1e-12:
-            if nt.trip_count == 0 or nt.seconds_per_iteration <= 0:
-                return i, nt.trip_count, 0.0
-            x = (t_est - nt.start_s) / nt.seconds_per_iteration
-            ordinal = min(nt.trip_count - 1, int(x))
-            xi = x - ordinal
-            f = 1.0 if fractions is None else min(1.0, max(0.0, float(fractions[i])))
-            if f >= 1.0 - 1e-12:
-                if mode == "down":
-                    ordinal = min(nt.trip_count, ordinal + (1 if xi > 1e-9 else 0))
-                return i, ordinal, 0.0
-            frac = (xi - f) / (1.0 - f)
-            if mode == "down":
-                frac = max(frac, 1e-6)  # strictly after the iteration's I/O
-            frac = min(1.0, max(0.0, frac))
-            if frac >= 1.0 - 1e-9:
-                return i, min(nt.trip_count, ordinal + 1), 0.0
-            return i, ordinal, frac
-    last = est.nests[-1]
-    return last.nest_index, last.trip_count, 0.0
+    nests = est.nests
+    trips = np.array([nt.trip_count for nt in nests], dtype=np.int64)
+    per_iter = np.array([nt.seconds_per_iteration for nt in nests])
+    starts = np.array([nt.start_s for nt in nests])
+    io = np.array([
+        1.0 if fractions is None else min(1.0, max(0.0, float(fractions[i])))
+        for i in range(len(nests))
+    ])
+    # The first nest with ``t <= end_s + 1e-12``: a prefix maximum makes
+    # the bounds sorted without changing which nest is first.
+    bounds = np.maximum.accumulate(
+        np.array([nt.end_s + 1e-12 for nt in nests])
+    )
+    pos = np.searchsorted(bounds, t_est, side="left")
+    past = pos >= len(nests)
+    at = np.where(past, 0, pos)
+    trip, spi, f = trips[at], per_iter[at], io[at]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (t_est - starts[at]) / spi
+        ordinal = np.minimum(trip - 1, np.trunc(x))
+        xi = x - ordinal
+        frac = (xi - f) / (1.0 - f)
+    # Strictly after the iteration's I/O when rounding a spin-down.
+    frac = np.where(down, np.maximum(frac, 1e-6), frac)
+    frac = np.minimum(1.0, np.maximum(0.0, frac))
+    # An all-I/O iteration has no compute suffix: whole iterations only.
+    whole = f >= 1.0 - 1e-12
+    spill = ~whole & (frac >= 1.0 - 1e-9)
+    ordinal = np.where(
+        whole,
+        np.where(down, np.minimum(trip, ordinal + (xi > 1e-9)), ordinal),
+        np.where(spill, np.minimum(trip, ordinal + 1), ordinal),
+    )
+    degenerate = (trip == 0) | (spi <= 0)
+    ordinal = np.where(degenerate, trip, ordinal)
+    start = t_est <= 0
+    last = nests[-1]
+    nest = np.where(start, 0, np.where(past, last.nest_index, pos))
+    ordinal = np.where(start, 0, np.where(past, last.trip_count, ordinal))
+    frac = np.where(whole | spill | degenerate | start | past, 0.0, frac)
+    return nest, ordinal.astype(np.int64), frac
 
 
 def _placement_rows(
@@ -268,23 +256,21 @@ def _placement_rows(
 ) -> np.ndarray:
     """The down call (and, unless the gap is trailing, the wake-up call)
     of every acting decision, in code order (a stable sort, so calls at
-    one position keep decision order)."""
-    out = []
-    for (
-        disk, _start, end, _trailing, mode, target_rpm, down_at, up_at,
-        has_up, _saving,
-    ) in decisions[acting(decisions)].tolist():
-        if GAP_MODES[mode] is GapMode.STANDBY:
-            down, up, down_rpm, up_rpm = _SPIN_DOWN, _SPIN_UP, -1, -1
-        else:
-            down, up, down_rpm, up_rpm = _SET_RPM, _SET_RPM, target_rpm, pm.disk.rpm
-        out.append(
-            (*_locate(est, down_at, fractions, "down"), down, disk, down_rpm, overhead)
-        )
-        if has_up:
-            target = up_at if preactivate else end
-            out.append(
-                (*_locate(est, target, fractions, "up"), up, disk, up_rpm, overhead)
-            )
-    rows = np.array(out, dtype=_PLACEMENT_ROW)
+    one position keep decision order, each down call before its wake-up)."""
+    acts = decisions[acting(decisions)]
+    # Each acting decision's down row, then its wake-up row if it has one.
+    owner = np.repeat(np.arange(acts.size), 1 + acts["has_up"])
+    up = np.zeros(owner.size, dtype=bool)
+    up[1:] = owner[1:] == owner[:-1]
+    d = acts[owner]
+    standby = d["mode"] == _STANDBY
+    wake_s = d["up_at_s"] if preactivate else d["end_s"]
+    rows = np.zeros(owner.size, dtype=PLACEMENT_ROW)
+    rows["nest"], rows["iteration"], rows["fraction"] = _locate(
+        est, np.where(up, wake_s, d["down_at_s"]), fractions, ~up
+    )
+    rows["action"] = np.where(standby, np.where(up, _SPIN_UP, _SPIN_DOWN), _SET_RPM)
+    rows["disk"] = d["disk"]
+    rows["rpm"] = np.where(standby, -1, np.where(up, pm.disk.rpm, d["target_rpm"]))
+    rows["overhead"] = overhead
     return rows[np.lexsort((rows["fraction"], rows["iteration"], rows["nest"]))]

@@ -19,26 +19,32 @@ which is precisely the paper's oracle-versus-compiler framing.
 
 :func:`plan_gaps` evaluates a whole gap table
 (:data:`~repro.analysis.idle.GAP_ROW`) at once and returns one decision row
-(:data:`_DECISION_ROW`) per gap; :class:`GapDecision` is the object view of
-a row (:func:`decision_views`).
+(:data:`DECISION_ROW`) per gap.  Decision rows are the only form of a
+decision: the compiler places calls from them
+(:mod:`repro.power.insertion`), the oracles turn them into timed directives
+(:func:`repro.controllers.oracle.decisions_to_directives`), and Table 3
+compares them directly.
+
+Paper Eq. (1), the pre-activation distance, takes effect here: an interior
+gap's ``up_at_s`` is its end less the wake-up time and the safety margin,
+so the disk is back at speed before the next active phase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from ..analysis.idle import GAP_ROW, IdleGap, gap_durations
+from ..analysis.idle import GAP_ROW, gap_durations
 from ..disksim.powermodel import PowerModel
 from ..util.errors import AnalysisError
 
 __all__ = [
+    "DECISION_ROW",
+    "GAP_MODES",
     "GapMode",
-    "GapDecision",
     "acting",
-    "decision_views",
     "min_useful_gap_s",
     "plan_gaps",
     "drpm_window_step",
@@ -58,33 +64,17 @@ GAP_MODES = tuple(GapMode)
 _NONE, _STANDBY, _RPM = range(len(GAP_MODES))
 
 #: Row layout of planned decisions: the gap's own columns, then the
-#: decision; ``-1`` stands for a ``None`` target RPM, and ``has_up`` for a
-#: non-``None`` ``up_at_s``.
-_DECISION_ROW = np.dtype(GAP_ROW.descr + [
+#: decision.  ``mode`` indexes :data:`GAP_MODES`; ``target_rpm`` is the
+#: :attr:`GapMode.RPM` level (``-1`` otherwise); ``down_at_s`` is when the
+#: downward transition starts (the gap start); ``up_at_s`` is the latest
+#: start of the upward transition that completes before the gap ends (less
+#: any safety margin), valid where ``has_up`` (acting interior gaps) and
+#: ``0.0`` elsewhere; ``est_saving_j`` is the estimated energy saved versus
+#: idling through the gap.
+DECISION_ROW = np.dtype(GAP_ROW.descr + [
     ("mode", "i1"), ("target_rpm", "i8"), ("down_at_s", "f8"),
     ("up_at_s", "f8"), ("has_up", "?"), ("est_saving_j", "f8"),
 ])
-
-
-@dataclass(frozen=True)
-class GapDecision:
-    """The planned use of one idle gap on one disk."""
-
-    gap: IdleGap
-    mode: GapMode
-    #: Target level for :attr:`GapMode.RPM`; ``None`` otherwise.
-    target_rpm: int | None
-    #: When to start the downward transition (gap start).
-    down_at_s: float
-    #: Latest start of the upward transition so it completes before the gap
-    #: ends (minus any safety margin); ``None`` for trailing gaps or NONE.
-    up_at_s: float | None
-    #: Planner's estimate of energy saved versus idling through the gap.
-    est_saving_j: float
-
-    @property
-    def acts(self) -> bool:
-        return self.mode is not GapMode.NONE
 
 
 def drpm_window_step(
@@ -187,7 +177,7 @@ def plan_gaps(
 ) -> np.ndarray:
     """Plan every gap of a gap table with the TPM or DRPM policy (``kind``).
 
-    Returns one :data:`_DECISION_ROW` per gap, in the table's order.  An
+    Returns one :data:`DECISION_ROW` per gap, in the table's order.  An
     interior gap's wake-up completes ``safety_margin_s`` before the gap
     ends; the margin is charged at top idle power.
     """
@@ -199,7 +189,7 @@ def plan_gaps(
         plan, code = _plan_drpm, _RPM
     else:
         raise AnalysisError(f"unknown planning kind {kind!r} (use 'tpm' or 'drpm')")
-    rows = np.zeros(gaps.size, dtype=_DECISION_ROW)
+    rows = np.zeros(gaps.size, dtype=DECISION_ROW)
     for name in GAP_ROW.names:
         rows[name] = gaps[name]
     rows["down_at_s"] = gaps["start_s"]
@@ -216,21 +206,3 @@ def plan_gaps(
 def acting(decisions: np.ndarray) -> np.ndarray:
     """Mask of the decision rows that act on their gap."""
     return decisions["mode"] != _NONE
-
-
-def decision_views(decisions: np.ndarray) -> tuple[GapDecision, ...]:
-    """The :class:`GapDecision` objects of some decision rows."""
-    return tuple(
-        GapDecision(
-            IdleGap(disk, start, end, trailing),
-            GAP_MODES[mode],
-            None if target_rpm < 0 else target_rpm,
-            down_at,
-            up_at if has_up else None,
-            saving,
-        )
-        for (
-            disk, start, end, trailing, mode, target_rpm, down_at, up_at,
-            has_up, saving,
-        ) in decisions.tolist()
-    )

@@ -2,11 +2,12 @@
 
 from .buffercache import BufferCache
 from .generator import (
-    CallPlacement,
+    PLACEMENT_ROW,
     TraceOptions,
     directives_at_positions,
     generate_trace,
     generate_trace_reference,
+    placement_calls,
 )
 from .ingest import (
     IngestScan,
@@ -28,11 +29,12 @@ from .tracefile import format_trace, parse_trace, read_trace, write_trace
 
 __all__ = [
     "BufferCache",
-    "CallPlacement",
+    "PLACEMENT_ROW",
     "TraceOptions",
     "directives_at_positions",
     "generate_trace",
     "generate_trace_reference",
+    "placement_calls",
     "IngestScan",
     "device_layout",
     "ingest_fingerprint",

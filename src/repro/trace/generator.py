@@ -30,10 +30,10 @@ retained naive per-line walk (same requests, same hit/miss counters), which
 the equivalence test suite enforces.
 
 Directive attachment is separate: :func:`directives_at_positions` converts
-a power plan's (nest, iteration) placements to nominal times on the same
-timeline, and :meth:`Trace.with_directives` glues them on.  This lets one
-base trace be shared by every scheme (Base/TPM/DRPM/oracles see the same
-requests; only directive streams differ).
+a power plan's placement rows (:data:`PLACEMENT_ROW`) to nominal times on
+the same timeline, and :meth:`Trace.with_directives` glues them on.  This
+lets one base trace be shared by every scheme (Base/TPM/DRPM/oracles see
+the same requests; only directive streams differ).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .. import obs
 from ..analysis.access import NestAccess, analyze_program
 from ..analysis.cycles import ProgramTiming, compute_timing
 from ..obs import metrics as _metrics
-from ..ir.nodes import AccessMode, PowerCall
+from ..ir.nodes import AccessMode, PowerAction, PowerCall
 from ..ir.program import Program
 from ..layout.files import SubsystemLayout
 from ..util.errors import TraceError
@@ -61,7 +61,8 @@ __all__ = [
     "generate_trace_reference",
     "stream_trace",
     "directives_at_positions",
-    "CallPlacement",
+    "placement_calls",
+    "PLACEMENT_ROW",
     "TraceOptions",
 ]
 
@@ -81,22 +82,31 @@ class TraceOptions:
             raise TraceError("cache_line_bytes must be positive")
 
 
-@dataclass(frozen=True)
-class CallPlacement:
-    """A power call pinned to a loop position.
+#: Row layout of a power plan's call placements, one row per call.  The
+#: call executes at outer iteration ``iteration`` (ordinal) of nest
+#: ``nest``, ``fraction`` of the way through that iteration's body —
+#: fraction 0 is "immediately before the iteration", and any positive
+#: fraction is a strip-mined position *after* the iteration's array
+#: accesses (the generator stamps a nest iteration's I/O at its start).
+#: Ordinal ``trip_count`` (fraction 0) means "right after the nest
+#: finishes".  ``action`` indexes :class:`~repro.ir.nodes.PowerAction`;
+#: ``disk``, ``rpm`` (``-1`` for ``None``) and ``overhead`` (cycles) are
+#: the :class:`~repro.ir.nodes.PowerCall`'s other fields.
+PLACEMENT_ROW = np.dtype([
+    ("nest", "i8"), ("iteration", "i8"), ("fraction", "f8"),
+    ("action", "i1"), ("disk", "i8"), ("rpm", "i8"), ("overhead", "f8"),
+])
+_ACTIONS = tuple(PowerAction)
 
-    The call executes at outer iteration ``iteration`` (ordinal) of nest
-    ``nest``, ``fraction`` of the way through that iteration's body —
-    fraction 0 is "immediately before the iteration", and any positive
-    fraction is a strip-mined position *after* the iteration's array
-    accesses (the trace generator stamps a nest iteration's I/O at its
-    start).  Ordinal ``trip_count`` (fraction 0) means "right after the
-    nest finishes"."""
 
-    nest: int
-    iteration: int
-    call: PowerCall
-    fraction: float = 0.0
+def placement_calls(rows: np.ndarray) -> list[PowerCall]:
+    """The :class:`PowerCall` of each placement row, in row order."""
+    return [
+        PowerCall(_ACTIONS[action], disk, None if rpm < 0 else rpm, overhead)
+        for action, disk, rpm, overhead in rows[
+            ["action", "disk", "rpm", "overhead"]
+        ].tolist()
+    ]
 
 
 def _check_accesses(program: Program, accesses: Sequence[NestAccess]) -> None:
@@ -658,29 +668,51 @@ def generate_trace_reference(
 
 
 def directives_at_positions(
-    placements: Sequence[CallPlacement], timing: ProgramTiming
+    rows: np.ndarray, timing: ProgramTiming
 ) -> list[DirectiveRecord]:
-    """Convert loop-position call placements to timed directive records.
+    """Convert placement rows (:data:`PLACEMENT_ROW`) to timed directive
+    records, stably sorted by time.
 
     ``timing`` must be the *actual* timeline (the code executes when the
     program counter reaches the insertion point, regardless of what the
-    compiler estimated).
+    compiler estimated).  A row naming an unknown nest, an iteration
+    outside ``[0, trip_count]``, a fraction outside ``[0, 1]`` or a
+    positive fraction of the after-the-nest ordinal raises
+    :class:`TraceError` naming the row.
     """
-    out: list[DirectiveRecord] = []
-    for p in placements:
-        nt = timing.nest(p.nest)
-        if not 0 <= p.iteration <= nt.trip_count:
-            raise TraceError(
-                f"placement iteration {p.iteration} out of range for nest "
-                f"{p.nest} with {nt.trip_count} iterations"
-            )
-        if not 0.0 <= p.fraction <= 1.0:
-            raise TraceError(f"placement fraction {p.fraction} outside [0, 1]")
-        t = nt.iteration_start_s(p.iteration)
-        if p.fraction > 0.0:
-            if p.iteration >= nt.trip_count:
-                raise TraceError("fractional placement beyond the last iteration")
-            t += p.fraction * nt.seconds_per_iteration
-        out.append(DirectiveRecord(nominal_time_s=t, call=p.call))
-    out.sort(key=lambda d: d.nominal_time_s)
-    return out
+    nests = timing.nests
+    nest = rows["nest"]
+    iteration = rows["iteration"]
+    fraction = rows["fraction"]
+    _check_rows((nest < 0) | (nest >= len(nests)), lambda i: (
+        f"nest {nest[i]} out of range for {len(nests)} nests"
+    ))
+    trips = np.array([nt.trip_count for nt in nests], dtype=np.int64)[nest]
+    _check_rows((iteration < 0) | (iteration > trips), lambda i: (
+        f"iteration {iteration[i]} out of range for nest {nest[i]} with "
+        f"{trips[i]} iterations"
+    ))
+    _check_rows(~((fraction >= 0.0) & (fraction <= 1.0)), lambda i: (
+        f"fraction {fraction[i]} outside [0, 1]"
+    ))
+    fractional = fraction > 0.0
+    _check_rows(fractional & (iteration >= trips), lambda i: (
+        "fractional placement beyond the last iteration"
+    ))
+    per_iter = np.array([nt.seconds_per_iteration for nt in nests])[nest]
+    # ``NestTiming.iteration_start_s``, then the in-iteration offset.
+    t = np.array([nt.start_s for nt in nests])[nest] + iteration * per_iter
+    t = np.where(fractional, t + fraction * per_iter, t)
+    order = np.argsort(t, kind="stable")
+    return [
+        DirectiveRecord(nominal_time_s=time, call=call)
+        for time, call in zip(t[order].tolist(), placement_calls(rows[order]))
+    ]
+
+
+def _check_rows(bad: np.ndarray, describe) -> None:
+    """Raise :class:`TraceError` for the first placement row in ``bad``."""
+    hit = np.flatnonzero(bad)
+    if hit.size:
+        i = int(hit[0])
+        raise TraceError(f"placement row {i}: {describe(i)}")

@@ -10,8 +10,8 @@ an inner element iterator::
     for i_s in [0, N/F):  for i_e in [0, F):  S(F*i_s + i_e)
 
 so a power call can be placed between strips — i.e. at an iteration
-boundary that exists syntactically.  In this library the call-placement
-machinery (:class:`~repro.trace.generator.CallPlacement`) already addresses
+boundary that exists syntactically.  In this library a plan's placement
+rows (:data:`~repro.trace.generator.PLACEMENT_ROW`) already address
 iteration ordinals directly, so strip-mining is provided as the explicit IR
 transformation the paper describes (used by tests and examples to show the
 inserted-code form of a plan, and reusable as a building block for custom

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.analysis.idle import IdleGap, idle_gaps_from_intervals, total_idle_time
+from repro.analysis.idle import (
+    GAP_ROW,
+    gap_durations,
+    idle_gaps_from_intervals,
+    merge_intervals,
+    total_idle_time,
+)
 from repro.util.errors import AnalysisError
 
 
@@ -58,7 +64,9 @@ def test_unsorted_intervals_rejected():
 
 
 def test_gap_validation():
-    with pytest.raises(AnalysisError):
-        IdleGap(disk=0, start_s=2.0, end_s=1.0)
-    g = IdleGap(disk=0, start_s=1.0, end_s=3.5)
-    assert g.duration_s == pytest.approx(2.5)
+    """No gap can end before it starts: an active interval that does is
+    rejected where it enters, and a gap row lasts its end less its start."""
+    with pytest.raises(AnalysisError, match="disk 0: active interval 0 ends"):
+        merge_intervals(*_cols((2.0, 1.0)), 0.0)
+    gaps = np.array([(0, 1.0, 3.5, False)], dtype=GAP_ROW)
+    assert gap_durations(gaps).tolist() == [2.5]

@@ -13,7 +13,7 @@ from repro.disksim.params import SubsystemParams
 from repro.disksim.simulator import simulate
 from repro.layout.files import FileEntry, SubsystemLayout
 from repro.layout.striping import Striping
-from repro.power.planner import decision_views
+from repro.power.planner import acting
 from repro.trace.request import IORequest, Trace
 from repro.util.errors import SimulationError
 from repro.util.units import KB
@@ -100,9 +100,9 @@ def test_oracle_decisions_cover_all_disks(two_disk_params):
     lay = _layout()
     trace = _bursty_trace(lay)
     base = simulate(trace, two_disk_params, collect_busy_intervals=True)
-    decisions = decision_views(oracle_decisions(base, two_disk_params, "drpm"))
-    assert {d.gap.disk for d in decisions} == {0, 1}
-    assert any(d.acts for d in decisions)
+    decisions = oracle_decisions(base, two_disk_params, "drpm")
+    assert set(decisions["disk"].tolist()) == {0, 1}
+    assert acting(decisions).any()
 
 
 def test_idrpm_beats_any_single_fixed_level(two_disk_params):

@@ -1,9 +1,9 @@
 """Pickled results carry columns, not object graphs.
 
 A ``SimulationResult`` pickles its busy intervals and per-request
-responses as float64 columns and a ``CompilerPlan`` holds its placements
-and decisions as one structured array each; both build the object views
-on read.  Round trips must be exact, keep the benchmark's canonical
+responses as float64 columns and builds the object views on read; a
+``CompilerPlan`` holds its placements and decisions as one structured
+array each and nothing else.  Round trips must be exact, keep the benchmark's canonical
 digest, and unpickle in a bounded number of GC-tracked objects.
 """
 
@@ -19,20 +19,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.idle import IdleGap
 from repro.controllers.base import Controller
 from repro.disksim.params import SubsystemParams
 from repro.disksim.simulator import simulate
 from repro.faults import FaultConfig, FaultRates
 from repro.ir.nodes import PowerAction, PowerCall
-from repro.power.insertion import (
-    _ACTIONS,
-    _PLACEMENT_ROW,
-    CompilerPlan,
-    plan_power_calls,
-)
-from repro.power.planner import _DECISION_ROW, GAP_MODES, GapDecision, GapMode
-from repro.trace.generator import CallPlacement
+from repro.power.insertion import CompilerPlan, plan_power_calls
+from repro.power.planner import DECISION_ROW, GAP_MODES, GapMode, acting
+from repro.trace.generator import PLACEMENT_ROW, placement_calls
 from repro.trace.synth import SynthConfig, synth_stream, synth_trace
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "bench"
@@ -163,6 +157,9 @@ def test_unpickling_a_base_result_tracks_few_objects():
 # ---------------------------------------------------------------------- #
 # CompilerPlan
 # ---------------------------------------------------------------------- #
+_ACTIONS = tuple(PowerAction)
+
+
 def _with_every_variant(plan: CompilerPlan) -> CompilerPlan:
     """``plan`` with placement and decision rows covering every optional."""
     placements = np.array(
@@ -171,7 +168,7 @@ def _with_every_variant(plan: CompilerPlan) -> CompilerPlan:
             (1, 0, 0.0, _ACTIONS.index(PowerAction.SPIN_UP), 2, -1, 0.0),
             (1, 7, 1e-6, _ACTIONS.index(PowerAction.SET_RPM), 3, 6000, 0.0),
         ],
-        dtype=_PLACEMENT_ROW,
+        dtype=PLACEMENT_ROW,
     )
     decisions = np.array(
         [
@@ -182,7 +179,7 @@ def _with_every_variant(plan: CompilerPlan) -> CompilerPlan:
             (2, 1.5, 9.25, False, GAP_MODES.index(GapMode.NONE), -1,
              1.5, 0.0, False, 0.0),
         ],
-        dtype=_DECISION_ROW,
+        dtype=DECISION_ROW,
     )
     return dataclasses.replace(
         plan, placement_rows=placements, decision_rows=decisions
@@ -193,34 +190,22 @@ def test_plan_views_cover_every_optional(phase_program, phase_layout):
     plan = _with_every_variant(
         plan_power_calls(phase_program, phase_layout, SubsystemParams(num_disks=4), "tpm")
     )
-    gap = IdleGap(2, 1.5, 9.25)
-    assert plan.placements == (
-        CallPlacement(
-            0, 3, PowerCall(PowerAction.SPIN_DOWN, 2, overhead_cycles=5e3), 0.25
-        ),
-        CallPlacement(1, 0, PowerCall(PowerAction.SPIN_UP, 2)),
-        CallPlacement(1, 7, PowerCall(PowerAction.SET_RPM, 3, rpm=6000), 1e-6),
-    )
-    assert plan.decisions == (
-        GapDecision(gap, GapMode.STANDBY, None, 1.5, 8.0, 12.5),
-        GapDecision(IdleGap(3, 4.0, 20.0, trailing=True), GapMode.RPM, 6000, 4.0, None, 3.0),
-        GapDecision(gap, GapMode.NONE, None, 1.5, None, 0.0),
-    )
-    assert plan.acted_gaps == plan.decisions[:2]
+    assert placement_calls(plan.placement_rows) == [
+        PowerCall(PowerAction.SPIN_DOWN, 2, overhead_cycles=5e3),
+        PowerCall(PowerAction.SPIN_UP, 2),
+        PowerCall(PowerAction.SET_RPM, 3, rpm=6000),
+    ]
+    assert acting(plan.decision_rows).tolist() == [True, True, False]
     assert plan.num_calls == 3
 
 
 def _typed(values) -> list:
-    """Every leaf of the placements/decisions with its exact type."""
-    out = []
-    for v in values:
-        for f in dataclasses.fields(v):
-            leaf = getattr(v, f.name)
-            if dataclasses.is_dataclass(leaf):
-                out.extend(_typed([leaf]))
-            else:
-                out.append((f.name, type(leaf), leaf))
-    return out
+    """Every field of some power calls with its exact type."""
+    return [
+        (f.name, type(getattr(v, f.name)), getattr(v, f.name))
+        for v in values
+        for f in dataclasses.fields(v)
+    ]
 
 
 @pytest.fixture()
@@ -248,13 +233,18 @@ _PLAN_FIELDS = {f.name for f in dataclasses.fields(CompilerPlan)}
 def test_compiler_plan_round_trip_is_lazy_and_exact(plans):
     for plan in plans:
         loaded = _round_trip(plan)
-        assert set(vars(loaded)) == _PLAN_FIELDS
+        # Only the two row arrays, the timing and the DAP (plus the kind).
+        assert set(vars(loaded)) == _PLAN_FIELDS == {
+            "kind", "placement_rows", "decision_rows", "estimated_timing", "dap",
+        }
+        assert type(loaded.placement_rows) is type(loaded.decision_rows) is np.ndarray
+        assert loaded.placement_rows.dtype == PLACEMENT_ROW
+        assert loaded.decision_rows.dtype == DECISION_ROW
         assert loaded.num_calls == plan.num_calls
         assert _same_plan(loaded, plan)
-        assert _typed(loaded.placements) == _typed(plan.placements)
-        assert _typed(loaded.decisions) == _typed(plan.decisions)
-        # Reading the views stores nothing: the next pickle is columnar.
-        assert set(vars(loaded)) == _PLAN_FIELDS
+        assert _typed(placement_calls(loaded.placement_rows)) == _typed(
+            placement_calls(plan.placement_rows)
+        )
         again = _round_trip(loaded)
         assert _same_plan(again, plan)
         assert pickle.dumps(loaded, protocol=PROTOCOL) == pickle.dumps(
@@ -263,17 +253,16 @@ def test_compiler_plan_round_trip_is_lazy_and_exact(plans):
 
 
 def _count_plan_objects() -> int:
-    kinds = (CallPlacement, PowerCall, GapDecision, IdleGap)
-    return sum(isinstance(o, kinds) for o in gc.get_objects())
+    return sum(isinstance(o, PowerCall) for o in gc.get_objects())
 
 
 def test_unpickling_a_plan_builds_no_placement_objects(plans):
     plan = plans[1]
-    assert plan.num_calls and plan.decisions
+    assert plan.num_calls and plan.decision_rows.size
     blob = pickle.dumps(plan, protocol=PROTOCOL)
     before = _count_plan_objects()
     loaded = pickle.loads(blob)
     assert _count_plan_objects() == before
-    views = loaded.acted_gaps
-    assert views == plan.acted_gaps
-    assert _count_plan_objects() > before
+    calls = placement_calls(loaded.placement_rows)
+    assert calls == placement_calls(plan.placement_rows)
+    assert _count_plan_objects() == before + len(calls)

@@ -127,7 +127,9 @@ def test_recorder_through_scheme_suite(phase_program, phase_layout, small_trace_
     rec = TimelineRecorder()
     simulate(
         trace.with_directives(
-            directives_at_positions(plan.placements, compute_timing(phase_program))
+            directives_at_positions(
+                plan.placement_rows, compute_timing(phase_program)
+            )
         ),
         params,
         CompilerDirected("drpm"),

@@ -123,7 +123,7 @@ def _scheme_replay_specs(wl, suite, params, faults):
 
     def cm_trace(scheme):
         return trace.with_directives(
-            directives_at_positions(suite.plans[scheme].placements, timing)
+            directives_at_positions(suite.plans[scheme].placement_rows, timing)
         )
 
     return [
@@ -183,7 +183,7 @@ def test_sweep_surfaces_directive_and_fault_causes():
 
     trace = suite.base_trace.with_directives(
         directives_at_positions(
-            suite.plans["CMDRPM"].placements, compute_timing(wl.program)
+            suite.plans["CMDRPM"].placement_rows, compute_timing(wl.program)
         )
     )
     rec = TimelineRecorder()

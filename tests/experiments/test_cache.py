@@ -277,7 +277,31 @@ def test_clear_removes_stray_temp_files(tmp_path):
     stray.write_bytes(b"half a pickle")
     cache.clear()
     assert not stray.exists()
-    assert list(tmp_path.rglob("*")) == [cache._path(key).parent]
+    assert sorted(tmp_path.rglob("*")) == [
+        cache._path(key).parent.parent, cache._path(key).parent
+    ]
+
+
+def test_first_store_prunes_other_digests_only(tmp_path, monkeypatch):
+    """Entries live under their code digest's directory; the first store
+    under a new digest removes the old digest's entries (every key hashes
+    the digest, so no new code can read them), and nothing else."""
+    foreign = tmp_path / "notes.txt"
+    foreign.write_text("keep me")
+    other = tmp_path / "not-a-digest"
+    other.mkdir()
+    monkeypatch.setattr(cache_mod, "code_digest", lambda: "a" * 64)
+    cache = ResultCache(tmp_path)
+    cache.store(fingerprint("old"), 1)
+    old_path = cache._path(fingerprint("old"))
+    assert old_path.is_relative_to(tmp_path / ("a" * 16))
+    assert old_path.exists()
+    monkeypatch.setattr(cache_mod, "code_digest", lambda: "b" * 64)
+    cache.store(fingerprint("new"), 2)
+    assert not (tmp_path / ("a" * 16)).exists()
+    assert ResultCache(tmp_path).load(fingerprint("new")) == 2
+    assert foreign.read_text() == "keep me"
+    assert other.is_dir()
 
 
 def test_memo_computes_once_through_load_and_store(tmp_path):

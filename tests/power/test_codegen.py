@@ -1,12 +1,17 @@
 """Plan rendering and IR call insertion (paper Figure 2(d) form)."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import Loop, PowerAction, PowerCall
 from repro.power.codegen import insert_calls_into_nest, render_plan
-from repro.trace.generator import CallPlacement
 from repro.util.errors import TransformError
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from strategies import placement_rows  # noqa: E402
 
 
 def _prog():
@@ -28,12 +33,12 @@ def _call(disk=1, rpm=None):
 
 def test_render_plan_weaves_calls():
     prog = _prog()
-    placements = [
-        CallPlacement(0, 4, _call(rpm=3000)),
-        CallPlacement(0, 12, _call(disk=2, rpm=15000)),
-        CallPlacement(1, 0, _call()),
-    ]
-    text = render_plan(prog, placements)
+    rows = placement_rows(
+        (0, 4, _call(rpm=3000)),
+        (0, 12, _call(disk=2, rpm=15000)),
+        (1, 0, _call()),
+    )
+    text = render_plan(prog, rows)
     assert "set_RPM(3000, disk1)  # before iteration 4" in text
     assert "for i in [0, 4): ... body ..." in text
     assert "for i in [4, 12): ... body ..." in text
@@ -43,18 +48,18 @@ def test_render_plan_weaves_calls():
 
 def test_render_plan_fractional_position():
     prog = _prog()
-    text = render_plan(prog, [CallPlacement(0, 3, _call(rpm=4200), fraction=0.5)])
+    text = render_plan(prog, placement_rows((0, 3, _call(rpm=4200), 0.5)))
     assert "within iteration 3 (after its accesses)" in text
     assert "for i in [3, 4): ... body continues after the call ..." in text
 
 
 def test_render_plan_rejects_bad_nest():
     with pytest.raises(TransformError):
-        render_plan(_prog(), [CallPlacement(9, 0, _call())])
+        render_plan(_prog(), placement_rows((9, 0, _call())))
 
 
 def test_render_plan_without_calls_prints_nest():
-    text = render_plan(_prog(), [])
+    text = render_plan(_prog(), placement_rows())
     assert "for i in [0, 16):" in text
 
 
@@ -63,7 +68,7 @@ def test_insert_calls_peels_loops():
     nest = prog.nest(0)
     nodes = insert_calls_into_nest(
         nest,
-        [CallPlacement(0, 4, _call(rpm=3000)), CallPlacement(0, 12, _call(rpm=15000))],
+        placement_rows((0, 4, _call(rpm=3000)), (0, 12, _call(rpm=15000))),
     )
     kinds = [type(n).__name__ for n in nodes]
     assert kinds == ["Loop", "PowerCall", "Loop", "PowerCall", "Loop"]
@@ -76,14 +81,14 @@ def test_insert_calls_peels_loops():
 def test_insert_calls_at_edges_and_errors():
     prog = _prog()
     nest = prog.nest(0)
-    nodes = insert_calls_into_nest(nest, [CallPlacement(0, 0, _call())])
+    nodes = insert_calls_into_nest(nest, placement_rows((0, 0, _call())))
     assert isinstance(nodes[0], PowerCall)
-    nodes = insert_calls_into_nest(nest, [CallPlacement(0, 16, _call())])
+    nodes = insert_calls_into_nest(nest, placement_rows((0, 16, _call())))
     assert isinstance(nodes[-1], PowerCall)
     with pytest.raises(TransformError):
-        insert_calls_into_nest(nest, [CallPlacement(0, 17, _call())])
+        insert_calls_into_nest(nest, placement_rows((0, 17, _call())))
     with pytest.raises(TransformError):
-        insert_calls_into_nest(Loop("x", 1, 5, ()), [CallPlacement(0, 1, _call())])
+        insert_calls_into_nest(Loop("x", 1, 5, ()), placement_rows((0, 1, _call())))
 
 
 def test_render_real_plan_end_to_end(phase_program, phase_layout, small_trace_options):
@@ -108,5 +113,5 @@ def test_render_real_plan_end_to_end(phase_program, phase_layout, small_trace_op
         phase_program, phase_layout, params, "drpm",
         estimation=EstimationModel(relative_error=0.0), measured=meas,
     )
-    text = render_plan(phase_program, plan.placements)
+    text = render_plan(phase_program, plan.placement_rows)
     assert text.count("set_RPM") == plan.num_calls

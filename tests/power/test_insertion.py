@@ -8,6 +8,7 @@ from repro.disksim.params import SubsystemParams
 from repro.disksim.simulator import simulate
 from repro.ir.nodes import PowerAction
 from repro.power.insertion import plan_power_calls
+from repro.power.planner import acting
 from repro.trace.generator import TraceOptions, directives_at_positions, generate_trace
 from repro.util.errors import AnalysisError
 from repro.util.units import KB
@@ -54,20 +55,14 @@ def test_drpm_plan_finds_compute_gap(
         estimation=EstimationModel(relative_error=0.0),
         measured=meas,
     )
-    acted = plan.acted_gaps
-    assert len(acted) >= 4  # at least the big gap on each of 4 disks
-    downs = [
-        p for p in plan.placements
-        if p.call.action is PowerAction.SET_RPM and p.call.rpm != 15000
-    ]
-    ups = [
-        p for p in plan.placements
-        if p.call.action is PowerAction.SET_RPM and p.call.rpm == 15000
-    ]
-    assert downs and ups
+    assert acting(plan.decision_rows).sum() >= 4  # the big gap on each disk
+    rows = plan.placement_rows
+    set_rpm = rows["action"] == tuple(PowerAction).index(PowerAction.SET_RPM)
+    downs = rows[set_rpm & (rows["rpm"] != 15000)]
+    ups = rows[set_rpm & (rows["rpm"] == 15000)]
+    assert downs.size and ups.size
     # Pre-activations precede the matching phase end (nest 2 start).
-    for up in ups:
-        assert up.nest <= 3  # at or before the second sweep nest
+    assert (ups["nest"] <= 3).all()  # at or before the second sweep nest
 
 
 def test_tpm_plan_empty_for_short_gaps(
@@ -83,20 +78,21 @@ def test_tpm_plan_empty_for_short_gaps(
         estimation=EstimationModel(relative_error=0.0), measured=meas,
     )
     assert plan.num_calls == 0
-    assert all(not d.acts for d in plan.decisions)
+    assert not acting(plan.decision_rows).any()
 
 
 def test_placements_are_sorted_and_in_range(
     phase_program, phase_layout, small_params
 ):
     plan = plan_power_calls(phase_program, phase_layout, small_params, "drpm")
-    keys = [(p.nest, p.iteration, p.fraction) for p in plan.placements]
+    rows = plan.placement_rows
+    keys = rows[["nest", "iteration", "fraction"]].tolist()
     assert keys == sorted(keys)
-    for p in plan.placements:
-        assert 0 <= p.nest < len(phase_program.nests)
-        trips = phase_program.nests[p.nest].trip_count
-        assert 0 <= p.iteration <= trips
-        assert 0.0 <= p.fraction <= 1.0
+    for nest, iteration, fraction in keys:
+        assert 0 <= nest < len(phase_program.nests)
+        trips = phase_program.nests[nest].trip_count
+        assert 0 <= iteration <= trips
+        assert 0.0 <= fraction <= 1.0
 
 
 def test_cmdrpm_replay_saves_energy_without_penalty(
@@ -112,7 +108,7 @@ def test_cmdrpm_replay_saves_energy_without_penalty(
         estimation=EstimationModel(relative_error=0.0), measured=meas,
     )
     directives = directives_at_positions(
-        plan.placements, compute_timing(phase_program)
+        plan.placement_rows, compute_timing(phase_program)
     )
     cm = simulate(
         trace.with_directives(directives), small_params, CompilerDirected("drpm")
@@ -134,7 +130,7 @@ def test_estimation_error_degrades_but_stays_safe(
         estimation=EstimationModel(relative_error=0.3), measured=meas,
     )
     directives = directives_at_positions(
-        plan.placements, compute_timing(phase_program)
+        plan.placement_rows, compute_timing(phase_program)
     )
     cm = simulate(
         trace.with_directives(directives), small_params, CompilerDirected("drpm")
@@ -159,4 +155,6 @@ def test_measured_timeline_improves_gap_visibility(
         phase_program, phase_layout, small_params, "drpm", estimation=est,
         measured=meas,
     )
-    assert len(with_meas.acted_gaps) >= len(without.acted_gaps)
+    assert (
+        acting(with_meas.decision_rows).sum() >= acting(without.decision_rows).sum()
+    )

@@ -9,7 +9,13 @@ from repro.analysis.idle import GAP_ROW
 from repro.disksim.params import DiskParams, DRPMParams
 from repro.disksim.powermodel import PowerModel
 from repro.power.breakeven import drpm_cycle_energy_j, tpm_breakeven_s
-from repro.power.planner import GapMode, decision_views, min_useful_gap_s, plan_gaps
+from repro.power.planner import (
+    GAP_MODES,
+    GapMode,
+    acting,
+    min_useful_gap_s,
+    plan_gaps,
+)
 from repro.util.errors import AnalysisError
 
 
@@ -27,13 +33,21 @@ def _table(*gaps):
 
 
 def plan_tpm_gap(gap, pm, safety_margin_s=0.0):
-    (dec,) = decision_views(plan_gaps(_table(gap), pm, "tpm", safety_margin_s))
+    (dec,) = plan_gaps(_table(gap), pm, "tpm", safety_margin_s)
     return dec
 
 
 def plan_drpm_gap(gap, pm, safety_margin_s=0.0):
-    (dec,) = decision_views(plan_gaps(_table(gap), pm, "drpm", safety_margin_s))
+    (dec,) = plan_gaps(_table(gap), pm, "drpm", safety_margin_s)
     return dec
+
+
+def _mode(dec):
+    return GAP_MODES[dec["mode"]]
+
+
+def _acts(dec):
+    return _mode(dec) is not GapMode.NONE
 
 
 # --------------------------------------------------------------------- #
@@ -41,36 +55,36 @@ def plan_drpm_gap(gap, pm, safety_margin_s=0.0):
 # --------------------------------------------------------------------- #
 def test_tpm_short_gap_no_action(pm):
     dec = plan_tpm_gap(_gap(10.0), pm)
-    assert dec.mode is GapMode.NONE
-    assert not dec.acts
+    assert _mode(dec) is GapMode.NONE
+    assert not _acts(dec)
 
 
 def test_tpm_long_gap_spins_down(pm):
     dec = plan_tpm_gap(_gap(30.0), pm)
-    assert dec.mode is GapMode.STANDBY
-    assert dec.down_at_s == pytest.approx(100.0)
-    assert dec.up_at_s == pytest.approx(130.0 - pm.spin_up_time_s)
-    assert dec.est_saving_j > 0
+    assert _mode(dec) is GapMode.STANDBY
+    assert dec["down_at_s"] == pytest.approx(100.0)
+    assert dec["up_at_s"] == pytest.approx(130.0 - pm.spin_up_time_s)
+    assert dec["est_saving_j"] > 0
 
 
 def test_tpm_breakeven_boundary(pm):
     be = tpm_breakeven_s(pm)
-    assert not plan_tpm_gap(_gap(be - 0.01), pm).acts
-    assert plan_tpm_gap(_gap(be + 0.01), pm).acts
+    assert not _acts(plan_tpm_gap(_gap(be - 0.01), pm))
+    assert _acts(plan_tpm_gap(_gap(be + 0.01), pm))
 
 
 def test_tpm_trailing_gap_needs_no_spin_up(pm):
     dec = plan_tpm_gap(_gap(5.0, trailing=True), pm)
-    assert dec.mode is GapMode.STANDBY
-    assert dec.up_at_s is None
+    assert _mode(dec) is GapMode.STANDBY
+    assert not dec["has_up"]
     # Trailing break-even is much shorter (no 135 J spin-up to amortize).
-    assert not plan_tpm_gap(_gap(1.0, trailing=True), pm).acts
+    assert not _acts(plan_tpm_gap(_gap(1.0, trailing=True), pm))
 
 
 def test_tpm_safety_margin_shrinks_usable(pm):
     be = tpm_breakeven_s(pm)
     with_margin = plan_tpm_gap(_gap(be + 0.05), pm, safety_margin_s=1.0)
-    assert not with_margin.acts
+    assert not _acts(with_margin)
     with pytest.raises(AnalysisError):
         plan_tpm_gap(_gap(20.0), pm, safety_margin_s=-1.0)
 
@@ -79,27 +93,27 @@ def test_tpm_safety_margin_shrinks_usable(pm):
 # DRPM
 # --------------------------------------------------------------------- #
 def test_drpm_tiny_gap_no_action(pm):
-    assert not plan_drpm_gap(_gap(0.05), pm).acts
+    assert not _acts(plan_drpm_gap(_gap(0.05), pm))
 
 
 def test_drpm_long_gap_hits_bottom(pm):
     dec = plan_drpm_gap(_gap(60.0), pm)
-    assert dec.mode is GapMode.RPM
-    assert dec.target_rpm == 3000
-    assert dec.up_at_s == pytest.approx(
+    assert _mode(dec) is GapMode.RPM
+    assert dec["target_rpm"] == 3000
+    assert dec["up_at_s"] == pytest.approx(
         160.0 - pm.transition_time_s(3000, 15000)
     )
 
 
 def test_drpm_medium_gap_partial_descent(pm):
     dec = plan_drpm_gap(_gap(0.45), pm)
-    assert dec.acts
-    assert 3000 < dec.target_rpm < 15000
+    assert _acts(dec)
+    assert 3000 < dec["target_rpm"] < 15000
 
 
 def test_drpm_trailing_gap_no_return(pm):
     dec = plan_drpm_gap(_gap(60.0, trailing=True), pm)
-    assert dec.acts and dec.up_at_s is None
+    assert _acts(dec) and not dec["has_up"]
 
 
 def test_drpm_decision_beats_all_alternatives(pm):
@@ -113,22 +127,20 @@ def test_drpm_decision_beats_all_alternatives(pm):
             t_round = 2 * pm.transition_time_s(15000, rpm)
             if t_round <= dur:
                 costs[rpm] = drpm_cycle_energy_j(pm, dur, rpm)
-        if dec.acts:
+        if _acts(dec):
             best_alt = min(costs.values())
-            chosen = costs[dec.target_rpm]
+            chosen = costs[dec["target_rpm"]]
             assert chosen == pytest.approx(best_alt)
             assert chosen < idle_cost
-            assert dec.est_saving_j == pytest.approx(idle_cost - chosen, rel=1e-6)
+            assert dec["est_saving_j"] == pytest.approx(idle_cost - chosen, rel=1e-6)
         else:
             assert not costs or min(costs.values()) >= idle_cost
 
 
 def test_plan_gaps_dispatch(pm):
     gaps = _table(_gap(30.0), _gap(1.0))
-    tpm = decision_views(plan_gaps(gaps, pm, "tpm"))
-    drpm = decision_views(plan_gaps(gaps, pm, "drpm"))
-    assert tpm[0].acts and not tpm[1].acts
-    assert drpm[0].acts and drpm[1].acts
+    assert acting(plan_gaps(gaps, pm, "tpm")).tolist() == [True, False]
+    assert acting(plan_gaps(gaps, pm, "drpm")).tolist() == [True, True]
     with pytest.raises(AnalysisError):
         plan_gaps(gaps, pm, "warp")
 
@@ -153,22 +165,21 @@ def test_drpm_planner_never_loses_energy(duration, trailing):
     the transitions always fit inside the gap."""
     pm = PowerModel(DiskParams(), DRPMParams())
     dec = plan_drpm_gap(_gap(duration, trailing=trailing), pm)
-    gap = dec.gap
-    if not dec.acts:
+    if not _acts(dec):
         return
-    t_down = pm.transition_time_s(15000, dec.target_rpm)
+    t_down = pm.transition_time_s(15000, dec["target_rpm"])
     if trailing:
         assert t_down <= duration + 1e-9
-        spent = pm.transition_energy_j(15000, dec.target_rpm) + pm.idle_power_w(
-            dec.target_rpm
+        spent = pm.transition_energy_j(15000, dec["target_rpm"]) + pm.idle_power_w(
+            dec["target_rpm"]
         ) * (duration - t_down)
     else:
-        assert dec.up_at_s is not None
-        assert gap.start_s + t_down <= dec.up_at_s + 1e-9
-        assert dec.up_at_s + t_down <= gap.end_s + 1e-9
-        spent = drpm_cycle_energy_j(pm, duration, dec.target_rpm)
+        assert dec["has_up"]
+        assert dec["start_s"] + t_down <= dec["up_at_s"] + 1e-9
+        assert dec["up_at_s"] + t_down <= dec["end_s"] + 1e-9
+        spent = drpm_cycle_energy_j(pm, duration, dec["target_rpm"])
     assert spent <= pm.idle_power_w(15000) * duration + 1e-9
-    assert dec.est_saving_j >= -1e-9
+    assert dec["est_saving_j"] >= -1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,7 +187,7 @@ def test_drpm_planner_never_loses_energy(duration, trailing):
 def test_tpm_planner_never_loses_energy(duration, trailing):
     pm = PowerModel(DiskParams(), DRPMParams())
     dec = plan_tpm_gap(_gap(duration, trailing=trailing), pm)
-    if not dec.acts:
+    if not _acts(dec):
         return
     if trailing:
         spent = pm.spin_down_energy_j + pm.standby_power_w * (

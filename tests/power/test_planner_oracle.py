@@ -2,8 +2,9 @@
 float for float (compared through ``float.hex``).
 
 ``plan_tpm_gap`` and ``plan_drpm_gap`` below are those planners, kept as
-the test oracle: one :class:`IdleGap` in, one :class:`GapDecision` out, in
-scalar Python (TPM) or over one small level array (DRPM).
+the test oracle: one gap tuple ``(disk, start_s, end_s, trailing)`` in, one
+decision tuple in :data:`~repro.power.planner.DECISION_ROW` field order
+out, in scalar Python (TPM) or over one small level array (DRPM).
 """
 
 from __future__ import annotations
@@ -13,30 +14,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.idle import GAP_ROW, IdleGap
+from repro.analysis.idle import GAP_ROW
 from repro.disksim.params import DiskParams, DRPMParams
 from repro.disksim.powermodel import PowerModel
-from repro.power.planner import GapDecision, GapMode, decision_views, plan_gaps
+from repro.power.planner import GAP_MODES, GapMode, plan_gaps
 
 PM = PowerModel(DiskParams(), DRPMParams())
 
 
-def plan_tpm_gap(gap: IdleGap, pm: PowerModel, safety_margin_s: float) -> GapDecision:
+def _decision(gap, mode, target_rpm, up_at, saving) -> tuple:
+    """A decision tuple; ``None`` target and wake-up as the row spells them."""
+    return (
+        *gap, GAP_MODES.index(mode), -1 if target_rpm is None else target_rpm,
+        gap[1], 0.0 if up_at is None else up_at, up_at is not None, saving,
+    )
+
+
+def plan_tpm_gap(gap: tuple, pm: PowerModel, safety_margin_s: float) -> tuple:
     """Optimal TPM use of one gap (spin down or do nothing)."""
-    length = gap.duration_s
+    _disk, start, end, trailing = gap
+    length = end - start
     t_down, t_up = pm.spin_down_time_s, pm.spin_up_time_s
     idle_cost = pm.idle_power_w(pm.disk.rpm) * length
-    none = GapDecision(gap, GapMode.NONE, None, gap.start_s, None, 0.0)
-    if gap.trailing:
+    none = _decision(gap, GapMode.NONE, None, None, 0.0)
+    if trailing:
         usable = length - t_down
         if usable <= 0:
             return none
         cost = pm.spin_down_energy_j + pm.standby_power_w * usable
         if cost >= idle_cost:
             return none
-        return GapDecision(
-            gap, GapMode.STANDBY, None, gap.start_s, None, idle_cost - cost
-        )
+        return _decision(gap, GapMode.STANDBY, None, None, idle_cost - cost)
     margin = safety_margin_s
     usable = length - t_down - t_up - margin
     if usable <= 0:
@@ -49,22 +57,21 @@ def plan_tpm_gap(gap: IdleGap, pm: PowerModel, safety_margin_s: float) -> GapDec
     )
     if cost >= idle_cost:
         return none
-    up_at = gap.end_s - t_up - margin
-    return GapDecision(
-        gap, GapMode.STANDBY, None, gap.start_s, up_at, idle_cost - cost
-    )
+    up_at = end - t_up - margin
+    return _decision(gap, GapMode.STANDBY, None, up_at, idle_cost - cost)
 
 
-def plan_drpm_gap(gap: IdleGap, pm: PowerModel, safety_margin_s: float) -> GapDecision:
+def plan_drpm_gap(gap: tuple, pm: PowerModel, safety_margin_s: float) -> tuple:
     """Optimal DRPM use of one gap: the energy-minimizing reachable level."""
-    length = gap.duration_s
+    _disk, start, end, trailing = gap
+    length = end - start
     top = pm.disk.rpm
     levels = np.asarray(pm.levels)
     per_step = pm.drpm.transition_time_per_step_s
     steps = pm.steps_from_max.astype(float)
     t_down = steps * per_step
-    t_up = np.zeros_like(t_down) if gap.trailing else t_down
-    margin = 0.0 if gap.trailing else safety_margin_s
+    t_up = np.zeros_like(t_down) if trailing else t_down
+    margin = 0.0 if trailing else safety_margin_s
     usable = length - t_down - t_up - margin
     p_idle = pm.idle_power_per_level
     p_top = pm.idle_power_w(top)
@@ -78,36 +85,26 @@ def plan_drpm_gap(gap: IdleGap, pm: PowerModel, safety_margin_s: float) -> GapDe
     best = int(np.argmin(cost))
     best_rpm = int(levels[best])
     if best_rpm == top or not np.isfinite(cost[best]) or cost[best] >= idle_cost:
-        return GapDecision(gap, GapMode.NONE, None, gap.start_s, None, 0.0)
-    up_at = None if gap.trailing else gap.end_s - float(t_up[best]) - margin
-    return GapDecision(
-        gap, GapMode.RPM, best_rpm, gap.start_s, up_at,
-        float(idle_cost - cost[best]),
+        return _decision(gap, GapMode.NONE, None, None, 0.0)
+    up_at = None if trailing else end - float(t_up[best]) - margin
+    return _decision(
+        gap, GapMode.RPM, best_rpm, up_at, float(idle_cost - cost[best])
     )
 
 
 _REFERENCE = {"tpm": plan_tpm_gap, "drpm": plan_drpm_gap}
 
 
-def _hex(value):
-    return None if value is None else float(value).hex()
-
-
 def _exact(decisions) -> list[tuple]:
+    """Decision tuples with every float spelled by ``float.hex``."""
     return [
-        (
-            d.gap.disk, _hex(d.gap.start_s), _hex(d.gap.end_s), d.gap.trailing,
-            d.mode, d.target_rpm, _hex(d.down_at_s), _hex(d.up_at_s),
-            _hex(d.est_saving_j),
-        )
+        tuple(v.hex() if isinstance(v, float) else v for v in d)
         for d in decisions
     ]
 
 
-def _table(gaps: list[IdleGap]) -> np.ndarray:
-    return np.array(
-        [(g.disk, g.start_s, g.end_s, g.trailing) for g in gaps], dtype=GAP_ROW
-    )
+def _table(gaps: list[tuple]) -> np.ndarray:
+    return np.array(gaps, dtype=GAP_ROW)
 
 
 # Lengths straddle every threshold that matters: the DRPM per-step round
@@ -120,13 +117,13 @@ _length = st.one_of(
 
 
 @st.composite
-def _gaps(draw) -> list[IdleGap]:
+def _gaps(draw) -> list[tuple]:
     out = []
     for disk in range(draw(st.integers(1, 3))):
         t = draw(st.floats(0.0, 5.0))
         for _ in range(draw(st.integers(0, 6))):
             length = draw(_length)
-            out.append(IdleGap(disk, t, t + length, draw(st.booleans())))
+            out.append((disk, t, t + length, draw(st.booleans())))
             t += length + draw(st.floats(0.0, 2.0))
     return out
 
@@ -136,9 +133,7 @@ def _gaps(draw) -> list[IdleGap]:
 def test_batch_planner_equals_one_gap_planner(gaps, kind, margin):
     expected = [_REFERENCE[kind](g, PM, margin) for g in gaps]
     rows = plan_gaps(_table(gaps), PM, kind, margin)
-    assert _exact(decision_views(rows)) == _exact(expected)
-    # Row fields that the views normalize away stay consistent too.
-    assert rows["has_up"].tolist() == [d.up_at_s is not None for d in expected]
+    assert _exact(rows.tolist()) == _exact(expected)
 
 
 @pytest.mark.parametrize("kind", ["tpm", "drpm"])
@@ -146,14 +141,15 @@ def test_every_decision_branch_agrees(kind):
     """Fixed lengths that reach acting and idle decisions, trailing or
     not, agree too."""
     gaps = [
-        IdleGap(0, 0.0, length, trailing)
+        (0, 0.0, length, trailing)
         for length in (0.05, 0.4, 5.0, 30.0)
         for trailing in (False, True)
     ]
     decisions = [_REFERENCE[kind](g, PM, 0.05) for g in gaps]
-    assert {(d.acts, d.gap.trailing) for d in decisions} == {
+    none = GAP_MODES.index(GapMode.NONE)
+    assert {(d[4] != none, d[3]) for d in decisions} == {
         (False, False), (True, False), (False, True), (True, True)
     }
-    assert _exact(decision_views(plan_gaps(_table(gaps), PM, kind, 0.05))) == (
+    assert _exact(plan_gaps(_table(gaps), PM, kind, 0.05).tolist()) == (
         _exact(decisions)
     )

@@ -1,73 +1,63 @@
-"""Equation (1) pre-activation distance and placement helpers."""
+"""Paper Eq. (1), the pre-activation distance, as the placement applies it.
 
-import pytest
+The planner puts a wake-up ``lead`` seconds (the spin-up time ``Tsu``)
+ahead of the gap end, and :func:`repro.power.insertion._locate` rounds it
+*at-or-before* onto an iteration boundary, so inside one nest of
+``s + Tm`` seconds per iteration the call lands
+``d = ceil(Tsu / (s + Tm))`` iterations early.
+"""
 
-from repro.analysis.cycles import compute_timing
-from repro.ir.builder import ProgramBuilder
-from repro.power.preactivation import (
-    place_at_or_after,
-    place_before,
-    preactivation_distance,
-)
-from repro.util.errors import AnalysisError
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from repro.analysis.cycles import NestTiming, ProgramTiming
+from repro.power.insertion import _locate
 
 
-def _timing(trips=(10, 20), iter_cycles=(100, 50), clock=1000.0):
-    b = ProgramBuilder("p", clock_hz=clock)
-    A = b.array("A", (64, 4))
-    for k, (n, c) in enumerate(zip(trips, iter_cycles)):
-        with b.nest(f"i{k}", 0, n) as i:
-            b.stmt(reads=[A[i, 0]], cycles=c)
-    return compute_timing(b.build())
+def _timing(shapes) -> ProgramTiming:
+    """Back-to-back nests from ``(trip_count, seconds_per_iteration)``."""
+    nests = []
+    t = 0.0
+    for i, (trips, per_iter) in enumerate(shapes):
+        nt = NestTiming(i, trips, per_iter * 1e3, per_iter, t)
+        nests.append(nt)
+        t = nt.end_s
+    return ProgramTiming(tuple(nests), 1e3)
+
+
+def _distance(lead, s, tm=0.0):
+    """Iterations between a wake-up placed ``lead`` seconds before
+    iteration 20 of a 40-iteration nest and that iteration."""
+    est = _timing([(40, s + tm)])
+    end = 20 * (s + tm)
+    nest, ordinal, frac = _locate(est, np.array([end - lead]), None, False)
+    assert (int(nest[0]), float(frac[0])) == (0, 0.0)
+    return 20 - int(ordinal[0])
 
 
 def test_eq1_formula():
     # d = ceil(Tsu / (s + Tm)) — the paper's Equation (1).
-    assert preactivation_distance(10.9, 1.0, 0.0) == 11
-    assert preactivation_distance(10.9, 1.0, 0.1) == 10
-    assert preactivation_distance(0.0, 1.0) == 0
-    assert preactivation_distance(0.05, 0.1) == 1
-
-
-def test_eq1_validation():
-    with pytest.raises(AnalysisError):
-        preactivation_distance(-1.0, 1.0)
-    with pytest.raises(AnalysisError):
-        preactivation_distance(1.0, 0.0)
+    assert _distance(10.9, 1.0, 0.0) == 11
+    assert _distance(10.9, 1.0, 0.1) == 10
+    assert _distance(0.0, 1.0) == 0
+    assert _distance(0.05, 0.1) == 1
 
 
 def test_place_before_within_nest():
-    t = _timing()  # nest 0: 0.1 s/iter; nest 1: 0.05 s/iter
-    # 0.3 s of lead inside nest 1 = ceil(0.3/0.05) = 6 iterations.
-    nest, ordinal = place_before(t, 1, 10, lead_s=0.3)
-    assert (nest, ordinal) == (1, 4)
-
-
-def test_place_before_spills_into_previous_nest():
-    t = _timing()
-    # From nest 1 iteration 2 (0.1 s of its time), lead 0.5 s: 0.4 s spills
-    # into nest 0 => ceil(0.4/0.1) = 4 iterations before nest 0's end.
-    nest, ordinal = place_before(t, 1, 2, lead_s=0.5)
-    assert (nest, ordinal) == (0, 6)
-
-
-def test_place_before_clamps_at_program_start():
-    t = _timing()
-    assert place_before(t, 0, 1, lead_s=1e9) == (0, 0)
-
-
-def test_place_before_bad_nest():
-    t = _timing()
-    with pytest.raises(AnalysisError):
-        place_before(t, 5, 0, lead_s=0.1)
-
-
-def test_place_at_or_after_boundaries():
-    t = _timing()
-    assert place_at_or_after(t, 0.0) == (0, 0)
-    assert place_at_or_after(t, 0.25) == (0, 3)  # mid-iteration rounds up
-    assert place_at_or_after(t, 0.30) == (0, 3)  # exact boundary stays
-    assert place_at_or_after(t, 1.0) == (0, 10)  # nest 0 end
-    assert place_at_or_after(t, 1.05) == (1, 1)
-    # Past the program end clamps to the last position.
-    assert place_at_or_after(t, 99.0) == (1, 20)
+    # Binary-exact durations, so a lead of whole iterations lands exactly
+    # on a boundary (nest 1 starts at 1.25 s).
+    est = _timing([(10, 0.125), (20, 0.0625)])
+    # 0.375 s of lead inside nest 1 = ceil(0.375/0.0625) = 6 iterations.
+    nest, ordinal, frac = _locate(
+        est, np.array([1.25 + 10 * 0.0625 - 0.375]), None, False
+    )
+    assert (int(nest[0]), int(ordinal[0]), float(frac[0])) == (1, 4, 0.0)
+    # Any lead short of the nest's start: ceil(lead / s) iterations.
+    end = 1.25 + 15 * 0.0625
+    for lead in (0.01, 0.0625 + 1e-9, 0.15, 0.9):
+        nest, ordinal, frac = _locate(est, np.array([end - lead]), None, False)
+        assert (int(nest[0]), float(frac[0])) == (1, 0.0)
+        assert 15 - int(ordinal[0]) == math.ceil(lead / 0.0625), lead

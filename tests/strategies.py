@@ -15,13 +15,15 @@ and runtime-bounded) :mod:`repro.faults` regimes for the fault-equivalence
 property tests, and :func:`boundary_adjacent_traces`, synthetic traces
 whose directives hug the replay's boundary instants (service completions
 and transition edges) — the adversarial inputs for the segmented engine's
-directive-as-boundary-edit mirror.
+directive-as-boundary-edit mirror; and :func:`placement_rows`, which
+spells a plan's placement rows from readable tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from hypothesis import strategies as st
 
 from repro.disksim.params import SubsystemParams
@@ -32,6 +34,7 @@ from repro.ir.nodes import AccessMode, ArrayRef, Loop, PowerAction, PowerCall, S
 from repro.ir.program import Program
 from repro.layout.files import FileEntry, SubsystemLayout
 from repro.layout.striping import Striping
+from repro.trace.generator import PLACEMENT_ROW
 from repro.trace.request import DirectiveRecord, IORequest, Trace
 from repro.util.units import KB
 
@@ -43,7 +46,24 @@ __all__ = [
     "boundary_adjacent_traces",
     "ingest_records",
     "synth_configs",
+    "placement_rows",
 ]
+
+_ACTIONS = tuple(PowerAction)
+
+
+def placement_rows(*entries) -> np.ndarray:
+    """Placement rows (:data:`~repro.trace.generator.PLACEMENT_ROW`) from
+    ``(nest, iteration, call)`` or ``(nest, iteration, call, fraction)``
+    tuples, in the given order."""
+    rows = []
+    for nest, iteration, call, *fraction in entries:
+        rows.append((
+            nest, iteration, fraction[0] if fraction else 0.0,
+            _ACTIONS.index(call.action), call.disk,
+            -1 if call.rpm is None else call.rpm, call.overhead_cycles,
+        ))
+    return np.array(rows, dtype=PLACEMENT_ROW)
 
 
 @dataclass

@@ -1,5 +1,8 @@
 """Trace generation: request streams, caching, coalescing, directives."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.cycles import compute_timing
@@ -7,13 +10,16 @@ from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import PowerAction, PowerCall
 from repro.layout.files import default_layout
 from repro.trace.generator import (
-    CallPlacement,
     TraceOptions,
     directives_at_positions,
     generate_trace,
+    placement_calls,
 )
 from repro.util.errors import TraceError
 from repro.util.units import KB
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from strategies import placement_rows  # noqa: E402
 
 
 def _rows_program(rows=8, width=1024):
@@ -111,11 +117,11 @@ def test_directives_at_positions():
     timing = compute_timing(prog)
     call = PowerCall(PowerAction.SPIN_DOWN, 1)
     recs = directives_at_positions(
-        [
-            CallPlacement(0, 4, call),
-            CallPlacement(0, 2, call, fraction=0.5),
-            CallPlacement(0, 8, call),  # == trip count: right after the nest
-        ],
+        placement_rows(
+            (0, 4, call),
+            (0, 2, call, 0.5),
+            (0, 8, call),  # == trip count: right after the nest
+        ),
         timing,
     )
     times = [r.nominal_time_s for r in recs]
@@ -130,12 +136,52 @@ def test_directives_validate_positions():
     prog = _rows_program()
     timing = compute_timing(prog)
     call = PowerCall(PowerAction.SPIN_UP, 0)
-    with pytest.raises(TraceError):
-        directives_at_positions([CallPlacement(0, 9, call)], timing)
-    with pytest.raises(TraceError):
-        directives_at_positions([CallPlacement(0, 8, call, fraction=0.5)], timing)
-    with pytest.raises(TraceError):
-        directives_at_positions([CallPlacement(0, 1, call, fraction=1.5)], timing)
+    with pytest.raises(TraceError, match="row 0: iteration 9 out of range"):
+        directives_at_positions(placement_rows((0, 9, call)), timing)
+    with pytest.raises(TraceError, match="row 1: fractional placement beyond"):
+        directives_at_positions(
+            placement_rows((0, 1, call), (0, 8, call, 0.5)), timing
+        )
+    with pytest.raises(TraceError, match=r"row 0: fraction 1.5 outside \[0, 1\]"):
+        directives_at_positions(placement_rows((0, 1, call, 1.5)), timing)
+
+
+def _two_nest_program():
+    b = ProgramBuilder("two")
+    A = b.array("A", (8, 1024))
+    for name in ("i", "k"):
+        with b.nest(name, 0, 8) as i:
+            with b.loop("j", 0, 1024) as j:
+                b.stmt(reads=[A[i, j]], cycles=10)
+    return b.build()
+
+
+@pytest.mark.parametrize("nest", [-1, 2])
+def test_directives_reject_unknown_nest_naming_the_row(nest):
+    """A nest index is checked, not taken as a (wrapping) tuple index: -1
+    must not land in the last nest, and ``len(nests)`` must not escape as
+    a bare ``IndexError``."""
+    timing = compute_timing(_two_nest_program())
+    call = PowerCall(PowerAction.SPIN_UP, 0)
+    with pytest.raises(TraceError, match=f"row 1: nest {nest} out of range"):
+        directives_at_positions(
+            placement_rows((0, 1, call), (nest, 3, call)), timing
+        )
+
+
+def test_directives_keep_row_order_among_equal_times():
+    """The sort by time is stable, and each record carries its row's call."""
+    timing = compute_timing(_rows_program())
+    calls = [
+        PowerCall(PowerAction.SET_RPM, 2, rpm=6000, overhead_cycles=7.0),
+        PowerCall(PowerAction.SPIN_DOWN, 1),
+        PowerCall(PowerAction.SPIN_UP, 0),
+    ]
+    rows = placement_rows((0, 5, calls[0]), (0, 3, calls[1]), (0, 5, calls[2]))
+    assert placement_calls(rows) == calls
+    recs = directives_at_positions(rows, timing)
+    assert [r.call for r in recs] == [calls[1], calls[0], calls[2]]
+    assert directives_at_positions(rows[:0], timing) == []
 
 
 def test_merged_orders_directives_before_tied_requests():
@@ -144,7 +190,7 @@ def test_merged_orders_directives_before_tied_requests():
     trace = generate_trace(prog, lay)
     timing = compute_timing(prog)
     call = PowerCall(PowerAction.SPIN_UP, 0)
-    recs = directives_at_positions([CallPlacement(0, 3, call)], timing)
+    recs = directives_at_positions(placement_rows((0, 3, call)), timing)
     merged = list(trace.with_directives(recs).merged())
     idx = next(i for i, r in enumerate(merged) if hasattr(r, "call"))
     # The directive lands exactly at iteration 3's start, before its request.
