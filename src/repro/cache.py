@@ -95,6 +95,11 @@ _FALSY = {"0", "false", "no", "off"}
 #: Name of a per-digest entry directory (the digest's first 16 hex digits).
 _DIGEST_DIR = re.compile(r"[0-9a-f]{16}")
 
+#: An entry of the layout before per-digest directories,
+#: ``root/<key[:2]>/<key>.pkl`` (or the ``.tmp`` of its store).
+_LEGACY_DIR = re.compile(r"[0-9a-f]{2}")
+_LEGACY_FILE = re.compile(r"[0-9a-f]{64}\.(?:pkl|tmp)")
+
 
 @functools.lru_cache(maxsize=None)
 def code_digest(root: Path = _PACKAGE_ROOT) -> str:
@@ -181,7 +186,10 @@ class ResultCache:
     source edit orphans every older entry; the first ``store`` of each
     cache object (and of each digest) therefore removes every sibling
     digest directory (a directory named by 16 hex digits other than the
-    current digest's) and nothing else under ``root``.
+    current digest's), plus the entries of the layout before per-digest
+    directories (``root/<key[:2]>/<key>.pkl``, which nothing reads any
+    more) and each two-hex directory they leave empty; nothing else under
+    ``root``.
     """
 
     def __init__(self, root: str | Path = DEFAULT_CACHE_DIR):
@@ -205,9 +213,21 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / code_digest()[:16] / key[:2] / f"{key}.pkl"
 
+    def _legacy_entries(self) -> list[Path]:
+        """Entry files of the layout before per-digest directories."""
+        found = []
+        for sub in self.root.iterdir():
+            if _LEGACY_DIR.fullmatch(sub.name) and sub.is_dir():
+                found.extend(
+                    f for f in sub.iterdir()
+                    if f.name[:2] == sub.name
+                    and _LEGACY_FILE.fullmatch(f.name) and f.is_file()
+                )
+        return found
+
     def _prune(self) -> None:
-        """Remove the entry directories of other code digests, once per
-        digest."""
+        """Remove the entry directories of other code digests and the
+        legacy entries, once per digest."""
         current = code_digest()[:16]
         if self._pruned_for == current:
             return
@@ -218,10 +238,21 @@ class ResultCache:
                 if sub.name != current and _DIGEST_DIR.fullmatch(sub.name)
                 and sub.is_dir()
             ]
+            legacy = self._legacy_entries()
         except OSError:
             return
         for sub in stale:
             shutil.rmtree(sub, ignore_errors=True)
+        for f in legacy:
+            try:
+                f.unlink()
+            except OSError:
+                pass
+        for sub in {f.parent for f in legacy}:
+            try:
+                sub.rmdir()  # only succeeds once the directory is empty
+            except OSError:
+                pass
 
     def scheme_key(self, suite_fp: str, scheme: str) -> str:
         return fingerprint(suite_fp, f"scheme:{scheme}")
@@ -295,16 +326,21 @@ class ResultCache:
         return payload
 
     def clear(self) -> None:
-        """Remove every cached entry, and any temp file an interrupted
-        :meth:`store` left behind (keeps the root directory)."""
+        """Remove every cached entry, legacy ones included, and any temp
+        file an interrupted :meth:`store` left behind (keeps the root
+        directory)."""
         if not self.root.exists():
             return
-        for pattern in ("*/*/*.pkl", "*/*/*.tmp"):
-            for f in self.root.glob(pattern):
-                try:
-                    f.unlink()
-                except OSError:
-                    pass
+        stale = [
+            *self.root.glob("*/*/*.pkl"),
+            *self.root.glob("*/*/*.tmp"),
+            *self._legacy_entries(),
+        ]
+        for f in stale:
+            try:
+                f.unlink()
+            except OSError:
+                pass
 
     # ------------------------------------------------------------------ #
     @property

@@ -23,20 +23,20 @@ a vector window is served by the exact state machine (``Disk.serve``, or
 power call goes through :func:`apply_call`, so there is one scalar
 implementation of the disk.  At each quiescent run — requests with no
 trace directive between them — the driver probes the vectorized kernel
-(:func:`_run_vector`: service maxima as table lookups, the closed-loop
-``delay`` chain as a fixed-point scan, idle/active accrual in one fused
-fold, :func:`_fold_disks`).  A window covers only requests whose disks are
-all *plain*: no transition in flight, not in standby, no pending power
-call or spin-up chain, and no autonomous spin-down due.  A disk that is
-not plain is *hot*; requests touching it are served by ``Disk.serve``.
+(:func:`_run_vector`: service times as table lookups, one FIFO queue per
+disk, :class:`_Queues`, the closed-loop ``delay`` chain as a fixed-point
+scan, idle/active accrual in one fused fold, :func:`_fold_disks`).  A
+window covers only requests whose disks are all *plain*: no transition in
+flight, not in standby, no pending power call or spin-up chain, and no
+autonomous spin-down due.  A disk that is not plain is *hot*; requests
+touching it are served by ``Disk.serve``.
 
 A scalar run after a probe ends only where disk state can change: at the
 next timed directive, at the earliest end of a hot disk's in-flight
 transition, at the earliest instant an autonomous spin-down could fire,
-or right after the request that fires an overdue one.  Otherwise it runs
-to the next trace directive, so an open-loop replay whose arrivals queue
-(which the vector kernel's overlap guard bails on) probes once per
-quiescent run, not once per fixed number of requests.
+right after the request that fires an overdue one, or right after a
+fault-flagged request when a window fits before the next one.  Otherwise
+it runs to the next trace directive, not for a fixed number of requests.
 
 ``engine="stepwise"`` is the same driver with vector windows off: every
 sub-request runs through ``Disk.serve``.  It is the reference the
@@ -46,18 +46,24 @@ hook observes every sub-request.  Timeline recording is
 engine-independent: ``Disk`` emits the scalar segments, and the fused
 vector accounting emits each window's segments from the arrays it folds.
 
-Within a quiescent segment the synchronous model guarantees every
-sub-request starts exactly at its issue time: the app blocks until the
-*slowest* disk of request ``i`` completes, so
-``t_exec[i+1] = completion[i] + (nominal[i+1] - nominal[i]) >=
-completion[i] >= cursor`` of every disk.  Service start collapses to
-``t_exec``, completion to ``t_exec + max_d svc_d`` (rounding is monotone,
-so the max over per-disk completions equals the completion of the max
-service time), and the per-disk idle gap to ``t_exec - prev_completion``
-— the exact floating-point expressions ``Disk.serve`` evaluates,
-batched.  The rare rounding edge where a nominal-time regression (the
-trace order tolerance) makes ``t_exec`` land *before* the previous
-completion is detected per request and bailed to ``Disk.serve``.
+Every disk is a FIFO queue: a sub-request starts at the later of its
+issue time and the disk's previous completion, the Lindley recursion
+``c_j = max(a_j, c_{j-1}) + s_j`` that ``Disk.serve`` evaluates one
+request at a time.  Inside a busy period that is a strict left fold from
+the period's first arrival, so the kernel finds the period boundaries
+(guessed from the recursion's max-plus form, then checked exactly) and
+folds each period with ``np.add.accumulate``, bit for bit (:func:`_fifo`).
+Idle time accrues only between busy periods.  Open-loop replays, whose
+recorded arrivals routinely queue, therefore stay on the vector path.  In
+closed loop queueing is a rounding edge: the app blocks until the slowest
+disk of request ``i`` completes, so ``t_exec[i+1] = completion[i] +
+(nominal[i+1] - nominal[i]) >= completion[i]`` up to rounding, and with
+nothing queued a sub-request starts at its issue time and completes at
+``t_exec + svc``.  Where rounding (or a nominal-time regression within the
+trace order tolerance) puts an issue time an ulp before its disk's last
+completion, the side of that tie every later request lands on depends on
+the exact delay bits; the kernel then serves the rest of the window in
+stream order with ``Disk.serve``'s arithmetic (:func:`_chain`).
 """
 
 from __future__ import annotations
@@ -90,7 +96,6 @@ __all__ = [
     "apply_call",
     "replay_coverage",
     "reset_replay_coverage",
-    "VECTOR_MIN_REQUESTS",
     "VECTOR_MIN_SUBREQUESTS",
     "AUTO_ROUTING",
 ]
@@ -104,11 +109,6 @@ BusySink = tuple[list[array], list[array]]
 #: Clock used to charge directive call overhead (Tm), paper §4.1.
 _CLOCK_HZ = 750e6
 
-#: Minimum quiescent-run length (in requests) before the NumPy batch
-#: kernel is even considered; the binding gate is
-#: :data:`VECTOR_MIN_SUBREQUESTS` on the truncated window.
-VECTOR_MIN_REQUESTS = 64
-
 #: Minimum *sub-request* count (after hot/fault truncation) for the NumPy
 #: batch kernel.  The kernel carries ~0.2 ms of fixed array setup per
 #: window while ``Disk.serve`` costs about a microsecond per sub, so
@@ -118,11 +118,10 @@ VECTOR_MIN_SUBREQUESTS = 256
 
 #: The ``auto`` routing rule in manifest-ready form.  ``auto`` opens vector
 #: windows unless a reactive controller observes every sub-request; the
-#: vector-window gates ride along so a run manifest records the full
+#: vector-window gate rides along so a run manifest records the full
 #: routing policy that produced its numbers.
 AUTO_ROUTING: dict = {
     "rule": "segmented unless the controller is reactive",
-    "vector_min_requests": VECTOR_MIN_REQUESTS,
     "vector_min_subrequests": VECTOR_MIN_SUBREQUESTS,
 }
 
@@ -132,10 +131,12 @@ AUTO_ROUTING: dict = {
 #: the vector kernel, ``subrequests_scalar`` those a segmented replay
 #: served through ``Disk.serve`` between windows, and
 #: ``subrequests_stepwise`` every sub-request of a stepwise replay.
-#: ``bailouts`` counts vector windows that ended on the overlap (queueing)
-#: guard.  ``segments_fused`` counts vector windows, all of which run the
-#: fused SoA accounting batch (``segments_fused_multirpm``: the subset
-#: whose disks held mixed RPM levels).  ``directive_edits`` counts the
+#: ``bailouts`` stays 0: it counted windows that handed a queued request
+#: to ``Disk.serve``, which the queue-aware kernel never does, and it is
+#: kept while the benchmark reads it.  ``segments_fused`` counts vector
+#: windows, all of which run the fused SoA accounting batch
+#: (``segments_fused_multirpm``: the subset whose disks held mixed RPM
+#: levels).  ``directive_edits`` counts the
 #: power calls a segmented replay applies between vector windows.
 #:
 #: The counters are a plain module-global dict — deliberately: they sit on
@@ -305,8 +306,6 @@ class _ServiceTables:
         "base",
         "rate",
         "level_row",
-        "idle_w",
-        "active_w",
         "_geom",
         "_indptr",
         "_np",
@@ -317,8 +316,6 @@ class _ServiceTables:
         self.base = pm.service_seek_base_s
         self.rate = pm.service_rate_bps
         self.level_row = pm.level_index
-        self.idle_w = pm._idle_w_by_level
-        self.active_w = pm._active_w_by_level
         self._geom = (plan.sub_seek, geom.nbytes_float())
         self._indptr = plan.indptr
         self._np: dict[int, np.ndarray] = {}
@@ -335,7 +332,7 @@ class _ServiceTables:
     def max_row_np(self, li: int) -> np.ndarray:
         """Per-request max service time at one level, whole stream.
 
-        Cached so kernel re-entries after a directive or bailout never
+        Cached so kernel re-entries after a directive or window cut never
         recompute window maxima (max is order-independent, so the
         full-stream ``maximum.reduceat`` equals any windowed one).
         """
@@ -362,14 +359,396 @@ def _service_tables(plan: ReplayPlan, pm: PowerModel, geom: _PlanGeometry) -> _S
 # ---------------------------------------------------------------------- #
 # Vector kernel
 # ---------------------------------------------------------------------- #
+def _behind(comp: np.ndarray, heads: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Each grouped sub's predecessor completion on its disk (``seed``,
+    the disk's cursor, at a group head)."""
+    prev = np.empty_like(comp)
+    prev[1:] = comp[:-1]
+    prev[heads] = seed
+    return prev
+
+
+def _busy_periods(a0: np.ndarray, svc: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """Completions of a FIFO queue whose busy periods start where ``st``
+    is set.
+
+    A period is one left fold seeded with its first arrival ``a0``.  The
+    periods are bucketed by power-of-two length, so each bucket is one
+    zero-padded matrix (a row per period, the seed in column 0) run
+    through a single ``np.add.accumulate`` along its rows — a strictly
+    sequential fold, bit-equal to ``Disk.serve``'s ``start + svc`` chain —
+    with padding under twice the subs.
+    """
+    n = a0.size
+    starts = np.flatnonzero(st)
+    lens = np.diff(starts, append=n)
+    exps = np.frexp(lens - 1)[1]
+    comp = np.empty(n)
+    for e in np.unique(exps).tolist():
+        sel = exps == e
+        first = starts[sel]
+        glen = lens[sel]
+        width = int(glen.max()) + 1
+        mat = np.zeros((first.size, width))
+        mat[:, 0] = a0[first]
+        off = np.arange(int(glen.sum())) - np.repeat(np.cumsum(glen) - glen, glen)
+        src = np.repeat(first, glen) + off
+        flat = np.repeat(np.arange(first.size) * width + 1, glen) + off
+        cells = mat.ravel()
+        cells[flat] = svc[src]
+        np.add.accumulate(mat, axis=1, out=mat)
+        comp[src] = cells[flat]
+    return comp
+
+
+def _period_starts(
+    a: np.ndarray,
+    a0: np.ndarray,
+    svc: np.ndarray,
+    heads: np.ndarray,
+    queued: np.ndarray,
+) -> np.ndarray:
+    """Guess which subs start a busy period, from the max-plus form of the
+    Lindley recursion, ``c_j = S_j + max_{k<=j}(a0_k - S_{k-1})``.
+
+    Only the disks with a sub ``queued`` behind its predecessor's ``a +
+    svc`` completion can have a period longer than one sub; ``a0`` is the
+    arrival with each disk's first sub raised to its cursor.
+    """
+    n = a.size
+    st = np.ones(n, dtype=bool)
+    ends = np.append(heads[1:], n).tolist()
+    heads_l = heads.tolist()
+    for g in np.flatnonzero(np.logical_or.reduceat(queued, heads)).tolist():
+        lo = heads_l[g]
+        hi = ends[g]
+        s = svc[lo:hi]
+        tot = np.cumsum(s)
+        c = tot + np.maximum.accumulate(a0[lo:hi] - (tot - s))
+        st[lo + 1:hi] = a[lo + 1:hi] >= c[:-1]
+    return st
+
+
+def _fifo(
+    a: np.ndarray, svc: np.ndarray, heads: np.ndarray, seed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Per-disk FIFO service of subs grouped by disk (``heads``).
+
+    Each disk follows the Lindley recursion ``c_j = max(a_j, c_{j-1}) +
+    s_j`` from ``c_{-1} = seed``, its cursor: a disk with no transition in
+    flight has ``ready_s <= cursor_s``, so ``serve``'s start ``max(t,
+    cursor, ready)`` is ``max(t, cursor)``.  Returns ``(start, comp,
+    prev, bad)``: service starts, completions, each sub's predecessor
+    completion (:func:`_behind`), and ``None`` or the mask of subs whose
+    busy-period boundary failed its check.  ``start`` is ``a`` itself
+    when nothing queues, the common case, which costs one comparison.
+
+    Inside a busy period ``serve`` computes ``start = c_{j-1}``, a strict
+    left fold from the period's first arrival, so exact completions need
+    only the period boundaries.  They are guessed from the max-plus form
+    ``c_j ~ S_j + max_{k<=j}(a_k - S_{k-1})`` (``S``: the disk's prefix
+    sums of service times; :func:`_period_starts`), folded exactly
+    (:func:`_busy_periods`), and checked: ``a_j >= c_{j-1}`` where a
+    period starts, ``a_j <= c_{j-1}`` inside one.  The guess is off only
+    at near-ties, within the rounding of ``S``.  Every value before a
+    disk's first failed check is exact; the failed subs are returned in
+    ``bad``, and the caller serves the rest of the window in stream order
+    (:func:`_chain`).
+    """
+    comp = a + svc
+    prev = _behind(comp, heads, seed)
+    queued = a < prev
+    if not queued.any():
+        return a, comp, prev, None
+    a0 = a.copy()
+    a0[heads] = np.maximum(a[heads], seed)
+    st = _period_starts(a, a0, svc, heads, queued)
+    comp = _busy_periods(a0, svc, st)
+    prev = _behind(comp, heads, seed)
+    # A tie ``a_j == c_{j-1}`` starts service at the same instant on
+    # either side of a boundary, so it fits both.
+    bad = np.where(st, a < prev, a > prev)
+    bad[heads] = False
+    return np.maximum(a, prev), comp, prev, bad if bad.any() else None
+
+
+def _chain(
+    tn: list,
+    delay: float,
+    ptr: list,
+    grp: list,
+    svc: list,
+    cur: list,
+    tnext: float,
+    open_loop: bool,
+) -> tuple[list, list, list, float]:
+    """Serve requests in stream order, one sub at a time, with
+    ``Disk.serve``'s timing arithmetic on plain floats.
+
+    Request ``i`` (subs ``ptr[i]:ptr[i + 1]``) issues at ``tn[i] +
+    delay``; each sub starts at ``max(t, c)``, ``c`` its disk's last
+    completion (``cur[grp[j]]``, updated in place); the response is the
+    latest completion minus the issue time, and in closed loop it feeds
+    the delay.  Stops before the first request issued at or after
+    ``tnext``.  Returns the responses, sub starts and completions, and
+    the delay.
+    """
+    r_out: list = []
+    st_out: list = []
+    c_out: list = []
+    for i in range(len(tn)):
+        t = tn[i] + delay
+        if t >= tnext:
+            break
+        latest = t
+        for j in range(ptr[i], ptr[i + 1]):
+            g = grp[j]
+            c = cur[g]
+            start = t if t > c else c
+            c = start + svc[j]
+            cur[g] = c
+            st_out.append(start)
+            c_out.append(c)
+            if c > latest:
+                latest = c
+        r = latest - t
+        r_out.append(r)
+        if not open_loop:
+            delay += r
+    return r_out, st_out, c_out, delay
+
+
+class _Queues:
+    """A vector window's sub-requests as one FIFO queue per disk.
+
+    The subs are grouped by disk with one stable argsort (``order``), so
+    each disk's subs stay in stream order, which its queue requires.
+    Window-local grouping keeps the kernel O(window log window); a global
+    per-disk index would cost O(disks x requests) to build.  ``present``
+    lists the disks the window touches, ``heads``/``glen`` the start and
+    length of each one's group, ``seed`` their cursors and ``svc`` the
+    grouped service times.  ``counts`` holds each request's sub count and
+    ``ptr`` its first sub (both ``None`` when every request has one).
+    """
+
+    __slots__ = (
+        "order", "heads", "glen", "present", "seed", "svc", "svc_stream",
+        "counts", "ptr",
+    )
+
+    def __init__(
+        self,
+        sub_disk: np.ndarray,
+        counts: np.ndarray | None,
+        svc: np.ndarray,
+        disks: list[Disk],
+    ):
+        order = np.argsort(sub_disk, kind="stable")
+        bounds = np.searchsorted(
+            sub_disk[order], np.arange(len(disks) + 1, dtype=np.int64)
+        )
+        glen_all = np.diff(bounds)
+        present = np.flatnonzero(glen_all)
+        self.order = order
+        self.heads = bounds[present]
+        self.glen = glen_all[present]
+        self.present = present
+        self.seed = np.array([disks[d].cursor_s for d in present.tolist()])
+        self.svc_stream = svc
+        self.svc = svc[order]
+        self.counts = counts
+        self.ptr = None if counts is None else np.cumsum(counts) - counts
+
+    def arrivals(self, t_arr: np.ndarray) -> np.ndarray:
+        """Each sub's request issue time, grouped by disk."""
+        a = t_arr if self.counts is None else np.repeat(t_arr, self.counts)
+        return a[self.order]
+
+    def latest(self, comp: np.ndarray) -> np.ndarray:
+        """Each request's latest sub completion."""
+        stream = np.empty_like(comp)
+        stream[self.order] = comp
+        if self.ptr is None:
+            return stream
+        return np.maximum.reduceat(stream, self.ptr)
+
+    def first_request(self, mask: np.ndarray) -> int:
+        """The first request holding a sub of the grouped ``mask``."""
+        sub = int(self.order[mask].min())
+        if self.ptr is None:
+            return sub
+        return int(np.searchsorted(self.ptr, sub, side="right")) - 1
+
+    def solve(
+        self,
+        tn: np.ndarray,
+        delay: float,
+        m: np.ndarray,
+        tnext: float,
+        open_loop: bool,
+    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+        """Serve requests with nominal times ``tn`` and per-request maximum
+        service times ``m`` from ``delay`` on.
+
+        Returns ``(cut, resp, start, comp, prev, delay)``: the number of
+        requests served (all issued before ``tnext``), their responses,
+        the grouped subs' service starts, completions and predecessor
+        completions (exact for the subs of the first ``cut`` requests), and
+        the delay after them.
+        """
+        w = tn.size
+        w_ok = w
+        if open_loop:
+            # Arrivals come from the trace plus the frozen delay offset,
+            # and responses never feed back: one queue solve.
+            t_arr = tn + delay
+            a = self.arrivals(t_arr)
+            start, comp, prev, bad = _fifo(a, self.svc, self.heads, self.seed)
+            # A response is the latest sub completion minus the issue
+            # time; with nothing queued that is ``t + max svc`` (rounding
+            # is monotone), read from the per-request maxima.
+            latest = t_arr + m if start is a else self.latest(comp)
+            resp = latest - t_arr
+            pre = None
+        else:
+            # Closed-loop delay feedback: each response is rounded before
+            # it shifts the next issue time, so the chain is sequential by
+            # construction.  Solved bit-exactly without a per-request
+            # Python loop by fixed-point iteration: guess the responses,
+            # rebuild the delay prefix with ``np.add.accumulate`` (a
+            # sequential left fold, bit-equal to the scalar ``+=`` chain),
+            # recompute each response from its implied issue time, and
+            # repeat until the array stops changing — typically one extra
+            # pass, since a response only moves when an upstream rounding
+            # flip reaches it.  A fixpoint satisfies the scalar recurrence
+            # exactly, and every value before the first break depends only
+            # on earlier responses, so the surviving prefix is the scalar
+            # loop's prefix bit for bit.  The synchronous app blocks on
+            # each request, so the passes assume no queueing, and the
+            # settled issue times are then checked against every disk's
+            # queue.
+            acc = np.empty(w + 1)
+            acc[0] = delay
+            resp = m
+            for _ in range(8):
+                acc[1:] = resp
+                pre = np.add.accumulate(acc)
+                t_arr = tn + pre[:-1]
+                new_resp = (t_arr + m) - t_arr
+                if np.array_equal(new_resp, resp):
+                    break
+                resp = new_resp
+            else:
+                # Still moving after the last pass: the window ends before
+                # the first response that changed, and the driver
+                # re-enters the kernel for the rest.  Pass ``i`` settles
+                # response ``i``, so the prefix is never empty.
+                w_ok = int(np.flatnonzero(resp != acc[1:])[0])
+            start = a = self.arrivals(t_arr)
+            comp = a + self.svc
+            prev = _behind(comp, self.heads, self.seed)
+            bad = a < prev
+            if not bad.any():
+                bad = None
+        late = np.flatnonzero(t_arr[:w_ok] >= tnext)
+        cut = int(late[0]) if late.size else w_ok
+        q = cut if bad is None else min(cut, self.first_request(bad))
+        if q < cut:
+            # From request ``q`` on the arrays above are not the queues':
+            # a busy-period boundary failed its check (open loop), or a
+            # sub queues (closed loop).  A closed-loop sub queues only where
+            # rounding puts its issue time an ulp or so before its disk's
+            # last completion, and the side of that tie each later request
+            # lands on depends on the exact delay bits every earlier tie
+            # left, a chain no fixpoint settles in a few passes.  The rest
+            # of the window is served in stream order instead
+            # (:func:`_chain`), from the exact state at ``q``.
+            order = self.order
+            sq = q if self.ptr is None else int(self.ptr[q])
+            done = np.add.reduceat(order < sq, self.heads, dtype=np.int64)
+            cur = np.where(
+                done > 0, comp[self.heads + np.maximum(done, 1) - 1], self.seed
+            )
+            grp = np.empty(order.size, dtype=np.int64)
+            grp[order] = np.repeat(np.arange(self.heads.size), self.glen)
+            tail = np.arange(q, w + 1) if self.ptr is None else np.append(
+                self.ptr[q:], order.size
+            )
+            r_c, st_c, c_c, delay_c = _chain(
+                tn[q:].tolist(),
+                delay if pre is None else float(pre[q]),
+                (tail - sq).tolist(),
+                grp[sq:].tolist(),
+                self.svc_stream[sq:].tolist(),
+                cur.tolist(),
+                tnext,
+                open_loop,
+            )
+            cut = q + len(r_c)
+            start_st = np.empty_like(comp)
+            start_st[order] = start
+            comp_st = np.empty_like(comp)
+            comp_st[order] = comp
+            start_st[sq:sq + len(st_c)] = st_c
+            comp_st[sq:sq + len(c_c)] = c_c
+            start = start_st[order]
+            comp = comp_st[order]
+            prev = _behind(comp, self.heads, self.seed)
+            resp = np.concatenate((resp[:q], r_c))
+            if pre is not None:
+                delay = delay_c
+        elif pre is not None:
+            delay = float(pre[cut])
+        return cut, resp, start, comp, prev, delay
+
+    def commit(
+        self,
+        nsub: int,
+        start: np.ndarray,
+        comp: np.ndarray,
+        prev: np.ndarray,
+        nbytes: np.ndarray,
+        disks: list[Disk],
+        pm: PowerModel,
+        rpm_counts: dict[int, int] | None,
+        busy: BusySink | None,
+        recorder,
+    ) -> None:
+        """Accrue the window's first ``nsub`` subs (stream order; their
+        :meth:`solve` values) on their disks with :func:`_fold_disks`."""
+        order = self.order
+        svc = self.svc
+        glen = self.glen
+        pdisks = [disks[d] for d in self.present.tolist()]
+        if nsub < order.size:
+            # Each disk keeps a prefix of its group, whose values do not
+            # depend on the subs dropped after it.
+            keep = order < nsub
+            glen = np.add.reduceat(keep, self.heads, dtype=np.int64)
+            order = order[keep]
+            start = start[keep]
+            prev = prev[keep]
+            svc = svc[keep]
+            comp = comp[keep]
+            kept = glen > 0
+            if not kept.all():
+                glen = glen[kept]
+                pdisks = [d for d, kp in zip(pdisks, kept.tolist()) if kp]
+        _fold_disks(
+            pdisks, glen, start, prev, svc, comp, nbytes[order], pm,
+            rpm_counts, busy, recorder,
+        )
+
+
 def _fold_disks(
     pdisks: list[Disk],
     glen: np.ndarray,
     td_s: np.ndarray,
+    prev_s: np.ndarray,
     svc_s: np.ndarray,
     comp_s: np.ndarray,
     nbytes_s: np.ndarray,
-    tables: _ServiceTables,
+    pm: PowerModel,
     rpm_counts: dict[int, int] | None,
     busy: BusySink | None,
     recorder,
@@ -377,37 +756,36 @@ def _fold_disks(
     """Fused accounting of one vector window over the disks ``pdisks``.
 
     The per-sub arrays hold those disks' subs grouped by disk, in stream
-    order within each disk (``glen[p]`` subs for ``pdisks[p]``).  Every
+    order within each disk (``glen[p]`` subs for ``pdisks[p]``): service
+    starts ``td_s``, each sub's predecessor completion ``prev_s`` (the
+    disk's cursor at its first sub) and completions ``comp_s`` from
+    :func:`_fifo`.  Idle time ``td_s - prev_s`` is exactly ``0.0`` inside
+    a busy period, so it accrues only between periods.  Every
     per-disk accrual is a sequential left fold over that disk's subs, so
-    all five folds x all disks are packed into one zero-padded matrix —
-    one row per (disk, accumulator), seeded with the current totals in
-    column 0 — and run through a single ``np.add.accumulate`` along the
-    rows: padding zeros are bitwise no-ops on the non-negative
-    accumulators, so the row ends equal the scalar ``+=`` chains bit for
-    bit.  A disk's RPM is constant across the window (plain disks only
-    change level at directive boundaries, which close windows), so each
-    disk's idle/active power broadcasts along its row.
+    all five folds x all disks of similar load are packed into one
+    zero-padded matrix — one row per (disk, accumulator), seeded with the
+    current totals in column 0 — and run through a single
+    ``np.add.accumulate`` along the rows: padding zeros are bitwise no-ops
+    on the non-negative accumulators, so the row ends equal the scalar
+    ``+=`` chains bit for bit.  A disk's RPM is constant across the window
+    (plain disks only change level at directive boundaries, which close
+    windows), so each disk's idle/active power broadcasts along its row.
 
     Busy intervals (``busy`` given) are the per-disk slices of the
     service-start and completion arrays.  Timeline segments (``recorder``
     given) come from the same arrays: per sub, an idle segment from the
-    previous completion to the issue time, then a service segment whose
+    previous completion to the service start (empty inside a busy period,
+    and dropped by the recorder), then a service segment whose
     explicit duration is the *table* service time — ``(td + svc) - td``
     differs from ``svc`` in the last bits, and the fold accrued ``svc``.
     """
     P = len(pdisks)
-    n = td_s.size
     heads = np.zeros(P, dtype=np.int64)
     np.cumsum(glen[:-1], out=heads[1:])
-    prev_s = np.empty(n)
-    prev_s[1:] = comp_s[:-1]
-    prev_s[heads] = [d.cursor_s for d in pdisks]
     dur = td_s - prev_s
-    if float(dur.min()) < 0:
-        raise SimulationError("negative accounting duration in batch")
     rpm_p = [d.rpm for d in pdisks]
-    iw_p = [tables.idle_w[r] for r in rpm_p]
-    aw_p = [tables.active_w[r] for r in rpm_p]
+    iw_p = [pm._idle_w_by_level[r] for r in rpm_p]
+    aw_p = [pm._active_w_by_level[r] for r in rpm_p]
     seeds = np.empty(5 * P)
     for p, d in enumerate(pdisks):
         st = d.stats
@@ -416,26 +794,44 @@ def _fold_disks(
         seeds[2 * P + p] = st.time_s["active"]
         seeds[3 * P + p] = st.energy_j["active"]
         seeds[4 * P + p] = st.idle_time_by_rpm.get(rpm_p[p], 0.0)
-    stride = int(glen.max()) + 1
-    mat = np.zeros((5 * P, stride))
-    mat[:, 0] = seeds
-    # Scatter the two time lanes (disk p's i-th sub lands in column
-    # i + 1 of row p), then derive the energy and per-RPM lanes densely:
-    # each element of a per-disk power broadcast is the exact ``dur * w``
-    # product the scalar path computes, and padding stays zero.
-    pos = np.arange(n, dtype=np.int64) + np.repeat(
-        np.arange(P, dtype=np.int64) * stride - heads + 1, glen
-    )
-    flat = mat.ravel()
-    flat[pos] = dur
-    flat[pos + 2 * P * stride] = svc_s
-    idle = mat[:P, 1:]
-    act = mat[2 * P:3 * P, 1:]
-    np.multiply(idle, np.array(iw_p)[:, None], out=mat[P:2 * P, 1:])
-    np.multiply(act, np.array(aw_p)[:, None], out=mat[3 * P:4 * P, 1:])
-    mat[4 * P:, 1:] = idle
-    np.add.accumulate(mat, axis=1, out=mat)
-    finals = mat[:, -1]
+    iw_a = np.array(iw_p)
+    aw_a = np.array(aw_p)
+    finals = np.empty(5 * P)
+    # Disks are bucketed by power-of-two sub count, so a bucket's rows pad
+    # to under twice the subs of its shortest disk: one bucket, and one
+    # matrix, when the disks are evenly loaded.
+    exps = np.frexp(glen)[1]
+    for e in np.unique(exps).tolist():
+        sel = np.flatnonzero(exps == e)
+        B = sel.size
+        gl = glen[sel]
+        first = np.cumsum(gl) - gl
+        stride = int(gl.max()) + 1
+        lanes = (np.arange(5)[:, None] * P + sel).ravel()
+        mat = np.zeros((5 * B, stride))
+        mat[:, 0] = seeds[lanes]
+        # Scatter the two time lanes (a disk's i-th sub lands in column
+        # i + 1 of its row), then derive the energy and per-RPM lanes
+        # densely: each element of a per-disk power broadcast is the exact
+        # ``dur * w`` product the scalar path computes, and padding stays
+        # zero.
+        idx = np.arange(int(gl.sum()), dtype=np.int64)
+        pos = idx + np.repeat(np.arange(B, dtype=np.int64) * stride - first + 1, gl)
+        if B == P:
+            dur_b, svc_b = dur, svc_s
+        else:
+            src = idx + np.repeat(heads[sel] - first, gl)
+            dur_b, svc_b = dur[src], svc_s[src]
+        flat = mat.ravel()
+        flat[pos] = dur_b
+        flat[pos + 2 * B * stride] = svc_b
+        idle = mat[:B, 1:]
+        act = mat[2 * B:3 * B, 1:]
+        np.multiply(idle, iw_a[sel][:, None], out=mat[B:2 * B, 1:])
+        np.multiply(act, aw_a[sel][:, None], out=mat[3 * B:4 * B, 1:])
+        mat[4 * B:, 1:] = idle
+        np.add.accumulate(mat, axis=1, out=mat)
+        finals[lanes] = mat[:, -1]
     idle_t = finals[:P].tolist()
     idle_e = finals[P:2 * P].tolist()
     act_t = finals[2 * P:3 * P].tolist()
@@ -497,36 +893,39 @@ def _fold_disks(
         lo = hi
 
 
+
 def _run_vector(
     plan: ReplayPlan,
     geom: _PlanGeometry,
     tables: _ServiceTables,
+    pm: PowerModel,
     disks: list[Disk],
     ri: int,
     we: int,
     delay: float,
     tnext: float,
-    pc0: float,
     nonplain: int,
     responses: array | _ResponseFold,
     busy: BusySink | None,
     rpm_counts: dict[int, int] | None = None,
     recorder=None,
     open_loop: bool = False,
-) -> tuple[int, float, bool]:
+) -> tuple[int, float]:
     """Batch-replay requests ``[ri, we)``; all touched disks are plain.
 
-    Returns ``(next_request, delay, bailed)``; ``bailed`` means request
-    ``next_request`` overlaps a previous completion (rounding guard) and
-    must continue on ``Disk.serve``, which models queueing exactly.
-    A window may also end early without a bail (the delay fixpoint did
-    not settle, see below); the driver then re-enters the kernel.
-    ``busy`` (given iff busy intervals are collected) and ``recorder``
-    receive the window's intervals and timeline segments.
+    Every disk is a FIFO queue (:class:`_Queues`), so a request arriving
+    while its disk is still busy waits on the vector path exactly as it
+    does in ``Disk.serve``.  Returns ``(next_request, delay)``: the window
+    stops before the first request issued at or after ``tnext``, and may
+    end earlier when the closed-loop delay fixpoint does not settle; the
+    driver then re-enters the kernel.  ``busy`` (given iff busy intervals
+    are collected) and ``recorder`` receive the window's intervals and
+    timeline segments.
     """
     geom.vector_views()
     indptr_l = geom.indptr_l
     s0 = indptr_l[ri]
+    s1 = indptr_l[we]
     level_row = tables.level_row
     rpm_set = {
         d.rpm
@@ -539,143 +938,43 @@ def _run_vector(
         # level, so the per-sub service times and per-request maxima come
         # from full-stream rows cached across segments and replays.
         li = rows.pop()
-        svc_full = tables.row_np(li)
+        svc_win = tables.row_np(li)[s0:s1]
         m_win = tables.max_row_np(li)[ri:we]
     else:
-        s1 = indptr_l[we]
         per_disk_row = np.array([level_row[d.rpm] for d in disks], dtype=np.int64)
         sub_row = per_disk_row[plan.sub_disk[s0:s1]]
         svc_win = tables.base[sub_row, plan.sub_seek[s0:s1]] + geom.nbytes_f[s0:s1] / tables.rate[sub_row]
-        svc_full = None
         m_win = np.maximum.reduceat(svc_win, plan.indptr[ri:we] - s0)
 
-    w = we - ri
-    if w == 0:
-        return ri, delay, False
-    # Closed-loop delay feedback: each response is rounded before it
-    # shifts the next issue time, so the chain is sequential by
-    # construction.  Solved bit-exactly without a per-request Python
-    # loop by fixed-point iteration: guess the responses, rebuild the
-    # delay prefix with ``np.add.accumulate`` (a sequential left fold,
-    # bit-equal to the scalar ``+=`` chain), recompute each response
-    # from its implied issue time, and repeat until the array stops
-    # changing — typically one extra pass, since a response only moves
-    # when an upstream rounding flip reaches it.  A fixpoint satisfies
-    # the scalar recurrence exactly, and every value before the first
-    # break/bail depends only on earlier responses, so the surviving
-    # prefix is the scalar loop's prefix bit for bit.
-    tn_win = plan.columns.nominal_time_s[ri:we]
-    acc = np.empty(w + 1)
-    acc[0] = delay
-    w_ok = w
-    if open_loop:
-        # Open-loop: arrivals come from the trace plus the frozen delay
-        # offset; responses never feed back.  Accumulating exact zeros
-        # keeps ``pre``/``delay`` handling identical to the closed-loop
-        # path, and the overlap guard below still bails any request that
-        # arrives before a previous completion (queueing) to
-        # ``Disk.serve``, which models it exactly.
-        acc[1:] = 0.0
-        pre = np.add.accumulate(acc)
-        t_arr = tn_win + pre[:-1]
-        comp = t_arr + m_win
-        resp = comp - t_arr
-    else:
-        resp = m_win
-        for _ in range(8):
-            acc[1:] = resp
-            pre = np.add.accumulate(acc)
-            t_arr = tn_win + pre[:-1]
-            comp = t_arr + m_win
-            new_resp = comp - t_arr
-            if np.array_equal(new_resp, resp):
-                break
-            resp = new_resp
-        else:
-            # Still moving after the last pass.  Every response before
-            # the first one that changed was fed back unchanged, so that
-            # prefix (and its issue times) satisfies the recurrence
-            # exactly; the window ends there and the driver re-enters the
-            # kernel for the rest.  Pass ``i`` settles response ``i``, so
-            # the prefix is never empty.
-            w_ok = int(np.flatnonzero(resp != acc[1:])[0])
-    pcs = np.empty(w)
-    pcs[0] = pc0
-    pcs[1:] = comp[:-1]
-    stop = np.flatnonzero(((t_arr >= tnext) | (t_arr < pcs))[:w_ok])
-    if stop.size:
-        cut = int(stop[0])
-        # The driver checks the window boundary before the overlap
-        # guard: only a pure overlap violation bails.
-        bailed = bool(t_arr[cut] < tnext)
-    else:
-        cut = w_ok
-        bailed = False
+    queues = _Queues(
+        plan.sub_disk[s0:s1],
+        None if geom.single_sub else geom.counts[ri:we],
+        svc_win,
+        disks,
+    )
+    cut, resp, td_s, comp_s, prev_s, delay = queues.solve(
+        plan.columns.nominal_time_s[ri:we], delay, m_win, tnext, open_loop
+    )
     if cut == 0:
-        if bailed:
-            REPLAY_COVERAGE["bailouts"] += 1
-        return ri, delay, bailed
+        return ri, delay
     k = ri + cut
-    delay = float(pre[cut])
     fold = getattr(responses, "fold_array", None)
     if fold is None:
         responses.frombytes(resp[:cut].tobytes())
     else:
         fold(resp[:cut])
-    t_win = t_arr[:cut]
 
-    sk = indptr_l[k]
-    # Single-sub plans (every request maps to one disk) need no fan-out
-    # of issue times; ``t_win`` is read-only downstream so aliasing is
-    # safe.
-    rep_t = t_win if geom.single_sub else np.repeat(t_win, geom.counts[ri:k])
-    # Group the window's subs by disk with one stable argsort — stable
-    # keeps each disk's subs in stream order, which the per-disk
-    # completion chain requires.  Window-local grouping keeps the kernel
-    # O(window log window); a global per-disk index would cost
-    # O(disks x requests) to build.
-    wdisk = plan.sub_disk[s0:sk]
-    worder = np.argsort(wdisk, kind="stable")
-    wbounds = np.searchsorted(
-        wdisk[worder], np.arange(plan.num_disks + 1, dtype=np.int64)
+    wsubs = indptr_l[k] - s0
+    queues.commit(
+        wsubs, td_s, comp_s, prev_s, plan.sub_nbytes[s0:s1], disks, pm,
+        rpm_counts, busy, recorder,
     )
-    wsubs = sk - s0
-    glen_all = np.diff(wbounds)
-    present = np.flatnonzero(glen_all)
-    glen = glen_all[present]
-    widx = worder + s0
-    td_s = rep_t[worder]
-    svc_s = svc_full[widx] if svc_full is not None else svc_win[worder]
-    comp_s = td_s + svc_s
-    nbytes_s = plan.sub_nbytes[widx]
-    pdisks = [disks[d_id] for d_id in present.tolist()]
-    P = len(pdisks)
-    if 5 * P * (int(glen.max()) + 1) <= 24 * wsubs + 4096:
-        _fold_disks(
-            pdisks, glen, td_s, svc_s, comp_s, nbytes_s, tables,
-            rpm_counts, busy, recorder,
-        )
-    else:
-        # A skewed window (one disk holding most subs) would pad every
-        # row to the longest disk's length; fold one disk at a time so
-        # memory stays O(window).
-        lo = 0
-        for p, gl in enumerate(glen.tolist()):
-            hi = lo + gl
-            _fold_disks(
-                pdisks[p:p + 1], glen[p:p + 1], td_s[lo:hi], svc_s[lo:hi],
-                comp_s[lo:hi], nbytes_s[lo:hi], tables, rpm_counts, busy,
-                recorder,
-            )
-            lo = hi
     cov = REPLAY_COVERAGE
     cov["subrequests_vector"] += wsubs
     cov["segments_fused"] += 1
     if len(rpm_set) > 1:
         cov["segments_fused_multirpm"] += 1
-    if bailed:
-        cov["bailouts"] += 1
-    return k, delay, bailed
+    return k, delay
 
 
 # ---------------------------------------------------------------------- #
@@ -724,17 +1023,18 @@ def _replay(
     instead of pinning the bound in the past.  The window also ends at the
     first request touching a hot disk and at the next fault-flagged
     request.  After a probe, the scalar run ends at that bound, at the
-    earliest hot transition end, or right after the request that fires an
-    overdue disk, whichever comes first: only there can a later probe find
-    more plain disks than this one did.
+    earliest hot transition end, right after the request that fires an
+    overdue disk, or right after a flagged request that leaves room for a
+    window before the next one, whichever comes first: only there can a
+    later probe open a window this one could not.
 
     ``open_loop=True`` freezes the delay at ``delay0``: issue times come
     straight from the trace (recorded arrival times) instead of the
     closed-loop compute/IO feedback chain, and neither responses nor
     directive overheads shift later arrivals.  Queueing at a busy disk is
     still modeled exactly — :meth:`Disk.serve` starts each sub-request at
-    ``max(arrival, cursor, ready)``; the vector kernel's overlap guard
-    bails a queued arrival to it.
+    ``max(arrival, cursor, ready)``, and the vector kernel's per-disk
+    FIFO queues compute the same starts in batch.
 
     ``miss_keys`` (only supplied when a timeline recorder is attached)
     holds the ``(disk, realized_time)`` keys of fault-plan deadline
@@ -846,13 +1146,12 @@ def _replay(
                 drain(t0)
             stop = tnext
             due = 0
-            # The window must reach VECTOR_MIN_REQUESTS requests before the
-            # next trace directive and (checked in O(1) here, ahead of the
-            # per-disk scan) before the next timed one.
+            # The window must reach VECTOR_MIN_SUBREQUESTS sub-requests
+            # before the next trace directive (checked in O(1) here, ahead
+            # of the per-disk scan).
             if (
                 use_vector
-                and bound - ri >= VECTOR_MIN_REQUESTS
-                and req_times[ri + VECTOR_MIN_REQUESTS - 1] + delay < tnext
+                and indptr_l[bound] - indptr_l[ri] >= VECTOR_MIN_SUBREQUESTS
             ):
                 hot = 0
                 vnext = tnext
@@ -885,17 +1184,12 @@ def _replay(
                     stop = vnext
                 we = bound
                 if vnext is not inf:
-                    # The kernel stops at ``vnext`` itself; a probe answers
-                    # the dense case in O(1) before paying for the bisect.
-                    probe = ri + VECTOR_MIN_REQUESTS
-                    if req_times[probe - 1] + delay >= vnext:
-                        we = ri
-                    else:
-                        cut = bisect_left(req_times, vnext - delay, ri, bound) + 1
-                        if cut < we:
-                            we = cut
+                    # The kernel stops at ``vnext`` itself.
+                    cut = bisect_left(req_times, vnext - delay, ri, bound) + 1
+                    if cut < we:
+                        we = cut
                 hmask = hot | due
-                if hmask and we - ri >= VECTOR_MIN_REQUESTS:
+                if hmask and we > ri:
                     reqmask = geom.request_masks()
                     k = ri
                     while k < we and not reqmask[k] & hmask:
@@ -906,30 +1200,19 @@ def _replay(
                         fr_idx += 1
                     if fr_idx < fr_n and flagged[fr_idx] < we:
                         we = flagged[fr_idx]
-                if (
-                    we - ri >= VECTOR_MIN_REQUESTS
-                    and indptr_l[we] - indptr_l[ri] >= VECTOR_MIN_SUBREQUESTS
-                ):
+                if indptr_l[we] - indptr_l[ri] >= VECTOR_MIN_SUBREQUESTS:
                     if tables is None:
                         tables = _service_tables(plan, pm, geom)
-                    pc0 = 0.0
-                    for disk in disks:
-                        if not (hot >> disk.disk_id) & 1:
-                            c = disk.cursor_s
-                            r = disk.ready_s
-                            m = c if c >= r else r
-                            if m > pc0:
-                                pc0 = m
                     ri0 = ri
-                    ri, delay, bailed = _run_vector(
-                        plan, geom, tables, disks, ri, we, delay, vnext, pc0,
+                    ri, delay = _run_vector(
+                        plan, geom, tables, pm, disks, ri, we, delay, vnext,
                         hot, responses, busy, rpm_counts, tl_rec, open_loop,
                     )
                     # A window that stopped at ``vnext`` or an unsettled
-                    # delay fixpoint re-probes; one that bailed (its next
-                    # request queues) or reached a hot, overdue, or
-                    # flagged request hands over to ``Disk.serve``.
-                    if not bailed and ri0 < ri < we:
+                    # delay fixpoint re-probes; one that reached a hot,
+                    # overdue, or flagged request hands over to
+                    # ``Disk.serve``.
+                    if ri0 < ri < we:
                         continue
 
             if disk_l is None and ri < bound:
@@ -973,6 +1256,13 @@ def _replay(
                     delay += response
                 if due and reqmask[k - 1] & due:
                     break
+                if faulty and use_vector:
+                    # Only the flagged request needed ``serve_faulty``: end
+                    # the run if a window fits before the next flagged one.
+                    f = bisect_right(flagged, k - 1)
+                    nf = flagged[f] if f < fr_n and flagged[f] < bound else bound
+                    if indptr_l[nf] - indptr_l[k] >= VECTOR_MIN_SUBREQUESTS:
+                        break
             scalar_subs += indptr_l[k] - indptr_l[ri]
             ri = k
 

@@ -6,7 +6,11 @@ feedback.  Everything the closed-loop differential suites guarantee must
 hold here too: both engines (and auto's routing), whole and streamed
 replays at any chunking, ingested and synthetic and generated traces,
 clean and under seeded fault regimes, all produce bit-identical results —
-mirroring ``test_stream_equivalence.py``.
+mirroring ``test_stream_equivalence.py``.  Open-loop arrivals queue at
+busy disks, so the cases also check that the segmented replays served
+sub-requests on the vector kernel's per-disk queues: the small traces run
+with the vector gate lowered (:func:`_probe_every_run`), so each
+quiescent run opens a window however short it is.
 
 Also here: the acceptance-scale run — a 10⁶-request bursty synthetic
 stream replayed through every engine with identical ``DiskStats``.
@@ -14,6 +18,7 @@ stream replayed through every engine with identical ``DiskStats``.
 
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,8 +30,13 @@ from strategies import fault_configs, programs, synth_configs  # noqa: E402
 
 from repro.controllers.drpm import ReactiveDRPM
 from repro.controllers.tpm import ReactiveTPM
+from repro.disksim import simulator
 from repro.disksim.params import SubsystemParams
-from repro.disksim.simulator import simulate
+from repro.disksim.simulator import (
+    replay_coverage,
+    reset_replay_coverage,
+    simulate,
+)
 from repro.ir.nodes import PowerAction, PowerCall
 from repro.layout.files import default_layout
 from repro.trace.generator import generate_trace, stream_trace
@@ -64,6 +74,21 @@ def _replay(trace, params, scheme, engine, **kw):
     return simulate(trace, params, ctrl, engine=engine, open_loop=True, **kw)
 
 
+def _probe_every_run():
+    """Open every quiescent run to the vector kernel, however short, so
+    the small traces here exercise its queues and not only
+    ``Disk.serve``."""
+    return mock.patch.object(simulator, "VECTOR_MIN_SUBREQUESTS", 1)
+
+
+def _vector(run):
+    """``run()``'s result and the sub-requests it served on the vector
+    kernel."""
+    reset_replay_coverage()
+    result = run()
+    return result, replay_coverage()["subrequests_vector"]
+
+
 # --------------------------------------------------------------------- #
 # Ingested fixture: every engine, every scheme, whole and streamed.
 # --------------------------------------------------------------------- #
@@ -71,22 +96,30 @@ def _replay(trace, params, scheme, engine, **kw):
 def test_ingested_fixture_engines_identical(scheme, assert_results_identical):
     trace = ingest_trace(FIXTURE, num_disks=4)
     params = SubsystemParams(num_disks=4)
-    results = [_replay(trace, params, scheme, eng) for eng in ENGINES]
-    for other in results[1:]:
-        assert_results_identical(results[0], other)
+    with _probe_every_run():
+        runs = [
+            _vector(lambda: _replay(trace, params, scheme, eng))
+            for eng in ENGINES
+        ]
+    for other, _ in runs[1:]:
+        assert_results_identical(runs[0][0], other)
+    if scheme != "drpm":  # reactive DRPM replays stepwise
+        assert runs[1][1] > 0 and runs[2][1] > 0
 
 
 @pytest.mark.parametrize("chunk", [7, 64])
 def test_ingested_fixture_streamed_matches_whole(chunk):
     params = SubsystemParams(num_disks=4)
     whole = ingest_trace(FIXTURE, num_disks=4)
-    res_w = {eng: _replay(whole, params, "base", eng) for eng in ENGINES}
-    for eng in ENGINES:
-        stream = stream_ingest(FIXTURE, num_disks=4, chunk_requests=chunk)
-        res_s = _replay(stream, params, "base", eng)
-        assert res_s.execution_time_s == res_w[eng].execution_time_s
-        assert res_s.disk_stats == res_w[eng].disk_stats
-        assert res_s.num_requests == res_w[eng].num_requests
+    with _probe_every_run():
+        res_w = {eng: _replay(whole, params, "base", eng) for eng in ENGINES}
+        for eng in ENGINES:
+            stream = stream_ingest(FIXTURE, num_disks=4, chunk_requests=chunk)
+            res_s, vector = _vector(lambda: _replay(stream, params, "base", eng))
+            assert res_s.execution_time_s == res_w[eng].execution_time_s
+            assert res_s.disk_stats == res_w[eng].disk_stats
+            assert res_s.num_requests == res_w[eng].num_requests
+            assert (vector > 0) == (eng != "stepwise")
     assert res_w["stepwise"] == res_w["segmented"] == res_w["auto"]
 
 
@@ -100,15 +133,25 @@ def test_synth_engines_identical(config, data):
     params = SubsystemParams(num_disks=config.num_disks)
     scheme = data.draw(st.sampled_from(["base", "tpm", "drpm"]))
     trace = synth_trace(config)
-    results = [_replay(trace, params, scheme, eng) for eng in ENGINES]
+    with _probe_every_run():
+        runs = [
+            _vector(lambda: _replay(trace, params, scheme, eng))
+            for eng in ENGINES
+        ]
+        # Streamed (re-iterable) replay of the same config is
+        # bit-identical on stats and timing for every engine.
+        streamed = [
+            _replay(synth_stream(config), params, scheme, eng)
+            for eng in ENGINES
+        ]
+    results = [result for result, _ in runs]
     for other in results[1:]:
         assert_results_identical(results[0], other)
-    # Streamed (re-iterable) replay of the same config is bit-identical
-    # on stats and timing for every engine.
-    for eng in ENGINES:
-        res_s = _replay(synth_stream(config), params, scheme, eng)
+    for res_s in streamed:
         assert res_s.execution_time_s == results[0].execution_time_s
         assert res_s.disk_stats == results[0].disk_stats
+    if scheme == "base":
+        assert runs[1][1] > 0 and runs[2][1] > 0
 
 
 @_SLOW_SETTINGS
@@ -126,9 +169,15 @@ def test_synth_rechunked_stream_matches(config):
             cols.slice(lo, min(lo + 97, n)) for lo in range(0, n, 97)
         ),
     )
-    plain = simulate(stream, params, engine="segmented", open_loop=True)
-    resplit = simulate(rechunked, params, engine="segmented", open_loop=True)
+    with _probe_every_run():
+        plain, vector = _vector(
+            lambda: simulate(stream, params, engine="segmented", open_loop=True)
+        )
+        resplit = simulate(
+            rechunked, params, engine="segmented", open_loop=True
+        )
     assert plain == resplit
+    assert vector > 0
 
 
 # --------------------------------------------------------------------- #
@@ -143,20 +192,24 @@ def test_generated_trace_open_loop_engines_identical(data):
     layout = default_layout(program.arrays, num_disks=num_disks)
     params = SubsystemParams(num_disks=num_disks)
     trace = generate_trace(program, layout)
-    results = [
-        simulate(trace, params, engine=eng, open_loop=True)
-        for eng in ENGINES
-    ]
+    chunk = data.draw(st.sampled_from([1, 13, 256]))
+    with _probe_every_run():
+        runs = [
+            _vector(lambda: simulate(trace, params, engine=eng, open_loop=True))
+            for eng in ENGINES
+        ]
+        # And streamed: any chunking reproduces the whole-trace stats.
+        res_s = simulate(
+            stream_trace(program, layout, chunk_requests=chunk),
+            params,
+            engine="segmented",
+            open_loop=True,
+        )
+    results = [result for result, _ in runs]
     for other in results[1:]:
         assert_results_identical(results[0], other)
-    # And streamed: any chunking reproduces the whole-trace stats.
-    chunk = data.draw(st.sampled_from([1, 13, 256]))
-    res_s = simulate(
-        stream_trace(program, layout, chunk_requests=chunk),
-        params,
-        engine="segmented",
-        open_loop=True,
-    )
+    if results[0].num_requests:
+        assert runs[1][1] > 0 and runs[2][1] > 0
     assert res_s.execution_time_s == results[0].execution_time_s
     assert res_s.disk_stats == results[0].disk_stats
 
@@ -173,10 +226,13 @@ def test_open_loop_under_faults_engines_identical(data):
     params = SubsystemParams(num_disks=4)
     faults = data.draw(fault_configs(allow_null=False))
     trace = generate_trace(program, layout)
-    results = [
-        simulate(trace, params, engine=eng, open_loop=True, faults=faults)
-        for eng in ENGINES
-    ]
+    # No vector share is asserted: flagged requests run on ``serve_faulty``,
+    # so a trace whose requests are all flagged opens no window.
+    with _probe_every_run():
+        results = [
+            simulate(trace, params, engine=eng, open_loop=True, faults=faults)
+            for eng in ENGINES
+        ]
     for other in results[1:]:
         assert_results_identical(results[0], other)
 
@@ -206,8 +262,12 @@ def test_directives_clamp_to_cursor_open_loop(engine, assert_results_identical):
         DirectiveRecord(tmid + 1.0, PowerCall(PowerAction.SPIN_UP, 1)),
     ]
     with_d = trace.with_directives(directives)
-    res = simulate(with_d, params, engine=engine, open_loop=True)
+    with _probe_every_run():
+        res, vector = _vector(
+            lambda: simulate(with_d, params, engine=engine, open_loop=True)
+        )
     assert res.num_directives == len(directives)
+    assert (vector > 0) == (engine != "stepwise")
     ref = simulate(with_d, params, engine="stepwise", open_loop=True)
     assert_results_identical(res, ref)
 
@@ -238,14 +298,20 @@ def test_million_request_bursty_stream_engines_identical():
         seed=7,
     )
     params = SubsystemParams(num_disks=8)
-    results = {
-        eng: simulate(
-            synth_stream(config), params, engine=eng, open_loop=True
+    runs = {
+        eng: _vector(
+            lambda: simulate(
+                synth_stream(config), params, engine=eng, open_loop=True
+            )
         )
         for eng in ENGINES
     }
+    results = {eng: result for eng, (result, _) in runs.items()}
     ref = results["stepwise"]
     assert ref.num_requests == 1_000_000
+    # Its bursts queue, and the vector kernel serves every sub-request.
+    assert runs["segmented"][1] == 1_000_000
+    assert runs["auto"][1] == 1_000_000
     for other in (results["segmented"], results["auto"]):
         assert other.disk_stats == ref.disk_stats
         assert other.execution_time_s == ref.execution_time_s

@@ -304,6 +304,43 @@ def test_first_store_prunes_other_digests_only(tmp_path, monkeypatch):
     assert other.is_dir()
 
 
+def _legacy_entry(root, key, suffix=".pkl"):
+    """An entry in the layout before per-digest directories."""
+    path = root / key[:2] / f"{key}{suffix}"
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(b"old envelope")
+    return path
+
+
+def test_first_store_prunes_legacy_entries_only(tmp_path):
+    """Entries of the old ``root/<key[:2]>/<key>.pkl`` layout are gone
+    after one store, with the two-hex directories they leave empty; a
+    foreign file and a two-hex directory holding a non-key file stay."""
+    old = _legacy_entry(tmp_path, fingerprint("old"))
+    old_tmp = _legacy_entry(tmp_path, fingerprint("old-tmp"), ".tmp")
+    shared = _legacy_entry(tmp_path, "cd" + "0" * 62)
+    note = shared.parent / "readme.txt"
+    note.write_text("keep me")
+    foreign = tmp_path / "notes.txt"
+    foreign.write_text("keep me")
+    ResultCache(tmp_path).store(fingerprint("new"), 1)
+    assert not old.exists() and not old.parent.exists()
+    assert not old_tmp.exists() and not old_tmp.parent.exists()
+    assert not shared.exists()
+    assert note.read_text() == "keep me"
+    assert foreign.read_text() == "keep me"
+    assert ResultCache(tmp_path).load(fingerprint("new")) == 1
+
+
+def test_clear_removes_legacy_entries(tmp_path):
+    old = _legacy_entry(tmp_path, fingerprint("old"))
+    note = old.parent / "readme.txt"
+    note.write_text("keep me")
+    ResultCache(tmp_path).clear()
+    assert not old.exists()
+    assert note.read_text() == "keep me"
+
+
 def test_memo_computes_once_through_load_and_store(tmp_path):
     """memo() dispatches through load/store, so a subclass overriding them
     sees every probe; a hit never calls compute."""

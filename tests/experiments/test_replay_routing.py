@@ -21,15 +21,16 @@ from repro.disksim.simulator import (
 )
 from repro.experiments.runner import ExperimentContext
 from repro.experiments.scale import scale_cell
+from repro.faults.plan import FaultConfig, FaultRates
 from repro.trace.request import RequestColumns, Trace
 from repro.trace.synth import SynthConfig, synth_layout, synth_trace
 
 #: Vector-kernel sub-requests of the 36 segmented Table 2 replays, as
-#: measured when this floor was set.  It sits below the 141,610 an earlier
-#: driver reached: that one re-probed every 128 scalar requests, so after a
-#: closed-loop rounding bailout a reactive TPM replay found vector windows
-#: again, while a scalar run now lasts until disk state can change.
-TABLE2_VECTOR_SUBREQUESTS = 137_037
+#: measured when this floor was set.  A closed-loop issue time rounded an
+#: ulp before its disk's last completion queues, and the kernel's per-disk
+#: queues keep it on the vector path; the scalar sub-requests are served
+#: between directives and at hot disks.
+TABLE2_VECTOR_SUBREQUESTS = 214_078
 
 #: Sub-requests of the six reactive DRPM replays (one per workload), all
 #: served stepwise.
@@ -95,15 +96,37 @@ def _oracle_replay(trace, params, open_loop):
     return cov
 
 
-def test_open_loop_oracle_replay_bails_once_per_quiescent_run():
-    """Open-loop arrivals queue, so the vector kernel bails at the first
-    probe of each quiescent run.  The scalar run that follows must last
-    until disk state can change (here: the oracle's timed directives), not
-    re-probe every fixed number of requests (77 bailouts when a 128-request
-    cap did)."""
+def test_open_loop_oracle_replay_stays_vector():
+    """Open-loop arrivals queue, and the vector kernel serves them through
+    its per-disk queues: both bursts of the oracle replay run vector, with
+    no hand-over to ``Disk.serve``.  The 4 scalar sub-requests are each
+    disk's first after the gap: the oracle's spin-up ends exactly at its
+    arrival, so the probe before it finds the disk still in transition."""
     cov = _oracle_replay(_gapped_trace(), SubsystemParams(num_disks=4), True)
-    assert cov["bailouts"] == 2
-    assert cov["subrequests_scalar"] == 19_999
+    assert cov["bailouts"] == 0
+    assert cov["subrequests_vector"] == 19_996
+    assert cov["subrequests_scalar"] == 4
+
+
+def test_saturated_open_loop_base_replay_is_vector():
+    """A saturated synthetic Pareto trace (almost every sub-request waits
+    behind the previous one on its disk) replays open-loop at least 90 %
+    on the vector kernel, with no hand-over."""
+    config = SynthConfig(20_000, num_disks=4, model="pareto", seed=1)
+    trace = synth_trace(config)
+    reset_replay_coverage()
+    result = simulate(
+        trace, SubsystemParams(num_disks=4), open_loop=True,
+        collect_busy_intervals=True,
+    )
+    cov = replay_coverage()
+    queued = sum(
+        int((starts[1:] == ends[:-1]).sum())
+        for starts, ends in result.busy_columns
+    )
+    assert queued >= 0.9 * result.num_requests
+    assert cov["bailouts"] == 0
+    assert cov["subrequests_vector"] >= 0.9 * result.num_requests
 
 
 def test_closed_loop_replays_vectorize_after_power_events():
@@ -121,3 +144,18 @@ def test_closed_loop_replays_vectorize_after_power_events():
     cov = replay_coverage()
     assert result.total_spin_downs > 0
     assert cov["subrequests_vector"] > first_burst
+
+
+def test_sparse_request_faults_keep_the_replay_vector():
+    """Only fault-flagged requests need ``Disk.serve_faulty``: the scalar
+    run after one ends right after it when a window fits before the next,
+    so a closed-loop replay with rare transient errors stays vector
+    outside the flagged requests and the short stretches between them."""
+    trace = synth_trace(SynthConfig(20_000, num_disks=4, seed=3))
+    faults = FaultConfig(seed=5, rates=FaultRates(request_error_p=1e-3))
+    reset_replay_coverage()
+    result = simulate(trace, SubsystemParams(num_disks=4), faults=faults)
+    cov = replay_coverage()
+    assert sum(st.num_request_errors for st in result.disk_stats) > 0
+    assert cov["segments_fused"] > 1
+    assert cov["subrequests_vector"] >= 0.9 * result.num_requests
