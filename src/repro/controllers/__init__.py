@@ -1,6 +1,6 @@
 """Power-management controllers: Base, TPM, DRPM, oracles, compiler-directed."""
 
-from .base import Controller, TimedDirective
+from .base import Controller
 from .compiler_directed import CompilerDirected
 from .drpm import ReactiveDRPM
 from .oracle import (
@@ -14,7 +14,6 @@ from .tpm import AdaptiveTPM, ReactiveTPM
 
 __all__ = [
     "Controller",
-    "TimedDirective",
     "CompilerDirected",
     "ReactiveDRPM",
     "OracleDRPM",

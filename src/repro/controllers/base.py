@@ -5,6 +5,6 @@ consumes it, and keeping it beside the engine avoids an import cycle); the
 concrete policies live here in :mod:`repro.controllers`.
 """
 
-from ..disksim.interface import Controller, TimedDirective
+from ..disksim.interface import Controller
 
-__all__ = ["Controller", "TimedDirective"]
+__all__ = ["Controller"]

@@ -4,9 +4,9 @@ These schemes need no runtime controller at all: the power-management
 calls are *in the program* — the compiler pass
 (:func:`repro.power.insertion.plan_power_calls`) produced placement rows
 (:data:`~repro.trace.generator.PLACEMENT_ROW`), the trace generator
-stamped them onto the instruction stream, and the simulator executes them
-as :class:`~repro.trace.request.DirectiveRecord` entries when the program
-reaches them.  The controller below is therefore just a named no-op whose
+stamped them onto the instruction stream as directive rows
+(:data:`~repro.trace.request.DIRECTIVE_ROW`), and the simulator executes
+each row when the program reaches it.  The controller below is therefore just a named no-op whose
 presence keeps the eight-scheme comparison uniform.
 """
 

@@ -15,15 +15,12 @@ safety margin; emit the resulting transitions as absolute-time directives.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..analysis.idle import idle_gaps_from_intervals, merge_intervals
 from ..disksim.params import SubsystemParams
 from ..disksim.powermodel import PowerModel
 from ..disksim.stats import SimulationResult
-from ..ir.nodes import PowerAction, PowerCall
 from ..power.planner import (
     GAP_MODES,
     GapMode,
@@ -31,8 +28,9 @@ from ..power.planner import (
     min_useful_gap_s,
     plan_gaps,
 )
+from ..trace.request import ACT_SET_RPM, ACT_SPIN_DOWN, ACT_SPIN_UP, DIRECTIVE_ROW
 from ..util.errors import SimulationError
-from .base import Controller, TimedDirective
+from .base import Controller
 
 __all__ = [
     "realized_idle_gaps",
@@ -74,33 +72,28 @@ def oracle_decisions(
     return plan_gaps(gaps, pm, kind, safety_margin_s=0.0)
 
 
-def decisions_to_directives(
-    decisions: np.ndarray, pm: PowerModel
-) -> list[TimedDirective]:
-    """Turn planned decision rows into absolute-time directives."""
-    out: list[TimedDirective] = []
-    for (
-        disk, _start, _end, _trailing, mode, target_rpm, down_at, up_at,
-        has_up, _saving,
-    ) in decisions[acting(decisions)].tolist():
-        if GAP_MODES[mode] is GapMode.STANDBY:
-            out.append(TimedDirective(down_at, PowerCall(PowerAction.SPIN_DOWN, disk)))
-            if has_up:
-                out.append(TimedDirective(up_at, PowerCall(PowerAction.SPIN_UP, disk)))
-        else:
-            out.append(
-                TimedDirective(
-                    down_at, PowerCall(PowerAction.SET_RPM, disk, rpm=target_rpm)
-                )
-            )
-            if has_up:
-                out.append(
-                    TimedDirective(
-                        up_at, PowerCall(PowerAction.SET_RPM, disk, rpm=pm.disk.rpm)
-                    )
-                )
-    out.sort(key=lambda d: d.time_s)
-    return out
+def decisions_to_directives(decisions: np.ndarray, pm: PowerModel) -> np.ndarray:
+    """Turn planned decision rows into absolute-time directive rows
+    (:data:`~repro.trace.request.DIRECTIVE_ROW`).
+
+    Each acting decision gives its downward call, then its upward call if
+    it has one, in decision order; the simulator's stable sort by time
+    keeps that order among ties.
+    """
+    rows = decisions[acting(decisions)]
+    standby = rows["mode"] == GAP_MODES.index(GapMode.STANDBY)
+    out = np.zeros((rows.size, 2), DIRECTIVE_ROW)
+    out["time"] = np.stack([rows["down_at_s"], rows["up_at_s"]], axis=1)
+    out["action"] = np.where(
+        standby[:, None], [ACT_SPIN_DOWN, ACT_SPIN_UP], ACT_SET_RPM
+    )
+    out["disk"] = rows["disk"][:, None]
+    out["rpm"] = np.where(
+        standby[:, None], -1,
+        np.stack([rows["target_rpm"], np.full(rows.size, pm.disk.rpm)], axis=1),
+    )
+    has_call = np.stack([np.ones(rows.size, bool), rows["has_up"]], axis=1)
+    return out[has_call]
 
 
 class _OracleBase(Controller):
@@ -114,7 +107,7 @@ class _OracleBase(Controller):
         self.decisions = oracle_decisions(base, params, self.kind)
         self._directives = decisions_to_directives(self.decisions, pm)
 
-    def timed_directives(self) -> Sequence[TimedDirective]:
+    def timed_directives(self) -> np.ndarray:
         return self._directives
 
 

@@ -1,7 +1,7 @@
 """Trace-driven multi-disk power simulator (the paper's DiskSim stand-in)."""
 
 from .disk import STATE_NAMES, Disk, DiskStats
-from .interface import Controller, TimedDirective
+from .interface import Controller
 from .params import DiskParams, DRPMParams, SubsystemParams
 from .powermodel import PowerModel
 from .simulator import apply_call, simulate
@@ -13,7 +13,6 @@ __all__ = [
     "Disk",
     "DiskStats",
     "Controller",
-    "TimedDirective",
     "DiskParams",
     "DRPMParams",
     "SubsystemParams",

@@ -7,8 +7,9 @@ A scheme is the combination of
 * an optional **reactive hook** invoked at every sub-request completion
   (reactive DRPM's window heuristic lives here);
 * an optional stream of **timed directives** at absolute times (the oracle
-  schemes, which by definition know the realized timeline);
-* and — for the compiler-directed schemes — **directive records inside the
+  schemes, which by definition know the realized timeline), returned as
+  :data:`~repro.trace.request.DIRECTIVE_ROW` rows;
+* and — for the compiler-directed schemes — **directive rows inside the
   trace itself**, which need no controller at all (the calls are part of
   the program; the controller here is a no-op).
 
@@ -18,22 +19,13 @@ is what makes the paper's eight-scheme comparison a single code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import numpy as np
 
-from ..ir.nodes import PowerCall
+from ..trace.request import DIRECTIVE_ROW
 from .disk import Disk
 from .powermodel import PowerModel
 
-__all__ = ["TimedDirective", "Controller"]
-
-
-@dataclass(frozen=True)
-class TimedDirective:
-    """A power call applied at an absolute wall-clock time (oracle schemes)."""
-
-    time_s: float
-    call: PowerCall
+__all__ = ["Controller"]
 
 
 class Controller:
@@ -48,9 +40,10 @@ class Controller:
     def prepare(self, num_disks: int, power_model: PowerModel) -> None:
         """Called once before replay starts."""
 
-    def timed_directives(self) -> Sequence[TimedDirective]:
-        """Absolute-time directives to apply during replay (oracle schemes)."""
-        return ()
+    def timed_directives(self) -> np.ndarray:
+        """Absolute-time directive rows to apply during replay (oracle
+        schemes), in any order: the simulator sorts them stably by time."""
+        return np.empty(0, DIRECTIVE_ROW)
 
     def on_request_complete(
         self,

@@ -16,8 +16,9 @@ Execution time is the full compute timeline plus every blocking response;
 disk energy is integrated by the :class:`~repro.disksim.disk.Disk` state
 machines until the app finishes.
 
-One replay driver (:func:`_replay`) walks the merged request, trace
-directive, and timed (oracle) directive stream.  Every sub-request outside
+One replay driver (:func:`_replay`) walks the request stream merged with
+the trace and timed (oracle) directive rows
+(:data:`~repro.trace.request.DIRECTIVE_ROW`).  Every sub-request outside
 a vector window is served by the exact state machine (``Disk.serve``, or
 ``Disk.serve_faulty`` for a sub-request the fault plan flags), and every
 power call goes through :func:`apply_call`, so there is one scalar
@@ -38,7 +39,8 @@ right after the request that fires an overdue one, or right after a
 fault-flagged request when a window fits before the next one.  Otherwise
 it runs to the next trace directive, not for a fixed number of requests.
 
-``engine="stepwise"`` is the same driver with vector windows off: every
+``engine="segmented"`` (the default) runs the driver with vector windows
+on.  ``engine="stepwise"`` is the same driver with them off: every
 sub-request runs through ``Disk.serve``.  It is the reference the
 equivalence suites compare against, and the route for reactive
 controllers (reactive DRPM, adaptive TPM), whose ``on_request_complete``
@@ -73,15 +75,15 @@ import time
 from array import array
 from bisect import bisect_left, bisect_right
 from math import inf
-from typing import Sequence
 
 import numpy as np
 
 from .. import obs
 from ..obs import metrics as _metrics
-from .interface import Controller, TimedDirective
-from ..ir.nodes import PowerAction, PowerCall
-from ..trace.request import RequestColumns, Trace
+from .interface import Controller
+from ..trace.request import (
+    ACT_SET_RPM, ACT_SPIN_DOWN, ACT_SPIN_UP, RequestColumns, Trace, check_directives,
+)
 from ..trace.stream import TraceStream
 from ..util.errors import SimulationError
 from .disk import Disk, sequential_sum
@@ -97,7 +99,7 @@ __all__ = [
     "replay_coverage",
     "reset_replay_coverage",
     "VECTOR_MIN_SUBREQUESTS",
-    "AUTO_ROUTING",
+    "ROUTING",
 ]
 
 logger = logging.getLogger(__name__)
@@ -116,11 +118,11 @@ _CLOCK_HZ = 750e6
 #: requests by DRPM level directives) stay scalar.
 VECTOR_MIN_SUBREQUESTS = 256
 
-#: The ``auto`` routing rule in manifest-ready form.  ``auto`` opens vector
-#: windows unless a reactive controller observes every sub-request; the
-#: vector-window gate rides along so a run manifest records the full
-#: routing policy that produced its numbers.
-AUTO_ROUTING: dict = {
+#: The default engine's routing rule in manifest-ready form: a segmented
+#: replay opens vector windows unless a reactive controller observes every
+#: sub-request.  The vector-window gate rides along so a run manifest
+#: records the full routing policy that produced its numbers.
+ROUTING: dict = {
     "rule": "segmented unless the controller is reactive",
     "vector_min_subrequests": VECTOR_MIN_SUBREQUESTS,
 }
@@ -169,29 +171,28 @@ def replay_coverage() -> dict[str, int]:
     return dict(REPLAY_COVERAGE)
 
 def apply_call(
-    disk: Disk, t: float, call: PowerCall, cause: str = CAUSE_EXTERNAL
+    disk: Disk, t: float, action: int, rpm: int, cause: str = CAUSE_EXTERNAL
 ) -> None:
     """Apply one explicit power-management call to a disk at time ``t``.
 
-    ``SET_RPM`` is checked first: the DRPM-family schemes issue an order of
-    magnitude more calls than the TPM family, and all of theirs are RPM
-    shifts.
+    ``action`` and ``rpm`` are a directive row's columns
+    (:data:`~repro.trace.request.DIRECTIVE_ROW`).  ``SET_RPM`` is checked
+    first: the DRPM-family schemes issue an order of magnitude more calls
+    than the TPM family, and all of theirs are RPM shifts.
 
     ``cause`` tags the resulting transition segment in an attached
     timeline recorder (``"directive:<k>"``/``"oracle:<k>"`` from the
     replay engines, :data:`~repro.disksim.timeline.CAUSE_EXTERNAL` for
     direct callers); it is ignored when no recorder is attached.
     """
-    action = call.action
-    if action is PowerAction.SET_RPM:
-        assert call.rpm is not None
-        disk.set_rpm(t, call.rpm, cause)
-    elif action is PowerAction.SPIN_DOWN:
+    if action == ACT_SET_RPM:
+        disk.set_rpm(t, rpm, cause)
+    elif action == ACT_SPIN_DOWN:
         disk.spin_down(t, cause)
-    elif action is PowerAction.SPIN_UP:
+    elif action == ACT_SPIN_UP:
         disk.spin_up(t, cause)
-    else:  # pragma: no cover - enum is exhaustive
-        raise SimulationError(f"unknown power action {call.action}")
+    else:
+        raise SimulationError(f"unknown power action code {action}")
 
 
 # ---------------------------------------------------------------------- #
@@ -985,8 +986,8 @@ def _replay(
     disks: list[Disk],
     pm: PowerModel,
     on_complete,
-    timed: Sequence[TimedDirective],
-    directives: Sequence,
+    timed: tuple[list, list, list, list],
+    directives: np.ndarray,
     total_compute_s: float,
     responses: array | _ResponseFold,
     busy: BusySink | None,
@@ -1004,7 +1005,11 @@ def _replay(
 
     The request, trace-directive, and timed (oracle) streams are merged
     inline: all are sorted by time, and a trace directive executes ahead
-    of a request at the same nominal time.  Every sub-request outside a
+    of a request at the same nominal time.  ``directives`` is the chunk's
+    share of the trace's :data:`~repro.trace.request.DIRECTIVE_ROW` rows;
+    ``timed`` is the whole timed stream's ``(time, action, disk, rpm)``
+    columns as lists.  Each call reaches its disk through
+    :func:`apply_call`.  Every sub-request outside a
     vector window runs through ``Disk.serve`` (``serve_faulty`` when the
     fault plan flags it), with the striping fan-out and seek class read
     from the scheme-invariant plan's flat per-sub lists, so no
@@ -1048,7 +1053,6 @@ def _replay(
     is a single chunk with ``finalize=True``.  All other cross-chunk state
     lives in the ``Disk`` objects.
     """
-    num_disks = len(disks)
     geom = _geometry(plan)
     req_times = geom.req_times
     indptr_l = geom.indptr_l
@@ -1057,9 +1061,15 @@ def _replay(
     disk_l = nb_l = seek_name_l = None
     tables = None
     n = len(req_times)
-    num_dir_records = len(directives)
-    num_timed = len(timed)
-    timed_times = [td.time_s for td in timed]
+    # Directive columns are read once, as lists (the timed ones by
+    # ``simulate``, for the whole replay).
+    t_time, t_action, t_disk, t_rpm = timed
+    num_timed = len(t_time)
+    d_time, d_action, d_disk, d_rpm, d_over = (
+        directives[name].tolist()
+        for name in ("time", "action", "disk", "rpm", "overhead")
+    )
+    num_dir_records = len(d_time)
     serves = [d.serve for d in disks]
     # Fault threading: ``flags[ri]`` marks requests with at least one
     # faulty sub-request; those dispatch per-sub to ``serve_faulty`` and
@@ -1091,19 +1101,19 @@ def _replay(
     if tl_rec is not None:
         miss = miss_keys or frozenset()
 
-        def _dcause(k, record):
-            if (record.call.disk, record.nominal_time_s) in miss:
+        def _dcause(k):
+            if (d_disk[k], d_time[k]) in miss:
                 return f"deadline-miss:{k}"
             return f"directive:{k}"
 
-        def _tcause(k, td):
-            if (td.call.disk, td.time_s) in miss:
+        def _tcause(k):
+            if (t_disk[k], t_time[k]) in miss:
                 return f"deadline-miss:oracle:{k}"
             return f"oracle:{k}"
     delay = delay0
     num_directives = 0
     timed_idx = timed_idx0
-    tnext = timed_times[timed_idx] if timed_idx < num_timed else inf
+    tnext = t_time[timed_idx] if timed_idx < num_timed else inf
     scalar_subs = 0
 
     def drain(t: float) -> None:
@@ -1113,18 +1123,18 @@ def _replay(
         # if replay drifted past the planned instant (the disk was still
         # busy), the call takes effect as soon as the disk is available.
         nonlocal timed_idx, num_directives, tnext
-        while timed_idx < num_timed and timed_times[timed_idx] <= t:
-            td = timed[timed_idx]
-            target = disks[td.call.disk]
-            t_td = td.time_s
+        while timed_idx < num_timed and t_time[timed_idx] <= t:
+            k = timed_idx
+            target = disks[t_disk[k]]
+            t_td = t_time[k]
             c = target.cursor_s
             apply_call(
-                target, t_td if t_td > c else c, td.call,
-                CAUSE_EXTERNAL if _tcause is None else _tcause(timed_idx, td),
+                target, t_td if t_td > c else c, t_action[k], t_rpm[k],
+                CAUSE_EXTERNAL if _tcause is None else _tcause(k),
             )
             num_directives += 1
             timed_idx += 1
-        tnext = timed_times[timed_idx] if timed_idx < num_timed else inf
+        tnext = t_time[timed_idx] if timed_idx < num_timed else inf
 
     ri = 0
     di = 0
@@ -1133,7 +1143,7 @@ def _replay(
         # run first.  Nominal times are compared, so the bound is
         # delay-independent; the scan totals O(num_requests) per replay.
         if di < num_dir_records:
-            dnom = directives[di].nominal_time_s
+            dnom = d_time[di]
             bound = ri
             while bound < n and req_times[bound] < dnom:
                 bound += 1
@@ -1267,30 +1277,27 @@ def _replay(
             ri = k
 
         if di < num_dir_records:
-            rec = directives[di]
+            k = di
             di += 1
-            t_exec = rec.nominal_time_s + delay
+            t_exec = d_time[k] + delay
             if t_exec >= tnext:
                 drain(t_exec)
-            call = rec.call
-            if not 0 <= call.disk < num_disks:
-                raise SimulationError(
-                    f"directive {di - 1} targets unknown disk {call.disk}"
-                )
+            target = disks[d_disk[k]]
             if open_loop:
                 # The frozen delay can leave a directive's executed time
                 # behind a backlogged disk; it takes effect as soon as the
                 # disk is available, like a timed call.
-                c = disks[call.disk].cursor_s
+                c = target.cursor_s
                 if t_exec < c:
                     t_exec = c
             apply_call(
-                disks[call.disk], t_exec, call,
-                CAUSE_EXTERNAL if _dcause is None else _dcause(di - 1, rec),
+                target, t_exec, d_action[k], d_rpm[k],
+                CAUSE_EXTERNAL if _dcause is None else _dcause(k),
             )
             num_directives += 1
-            if call.overhead_cycles and not open_loop:
-                delay += call.overhead_cycles / _CLOCK_HZ
+            overhead = d_over[k]
+            if overhead and not open_loop:
+                delay += overhead / _CLOCK_HZ
         elif ri >= n:
             break
 
@@ -1340,19 +1347,19 @@ class _ResponseFold:
                 self.max = m
 
 
-def _stream_chunks(layout, directives: Sequence, columns):
+def _stream_chunks(layout, directives: np.ndarray, columns):
     """``(plan, directives, final)`` per chunk of a streamed replay.
 
     Each chunk gets its own :class:`ReplayPlan` with seek continuity
-    threaded via :class:`~repro.disksim.replay.SeekCarry`.  Directive
-    records are partitioned by the merged-stream tie rule: a chunk
-    executes every directive whose nominal time is at or before its last
-    request's nominal time and the final chunk takes all leftovers, so the
-    partition reproduces the whole-trace merge exactly.  Empty chunks are
-    skipped, except that an empty stream still yields one empty final
-    chunk.  One chunk of lookahead tells the last chunk apart.
+    threaded via :class:`~repro.disksim.replay.SeekCarry`.  Directive rows
+    are partitioned by the replay's tie rule: a chunk executes every
+    directive whose nominal time is at or before its last request's
+    nominal time and the final chunk takes all leftovers, so the partition
+    reproduces the whole-trace replay exactly.  Empty chunks are skipped,
+    except that an empty stream still yields one empty final chunk.  One
+    chunk of lookahead tells the last chunk apart.
     """
-    dir_times = [d.nominal_time_s for d in directives]
+    dir_times = directives["time"]
     carry = None
     dlo = 0
     cur = next(columns, None)
@@ -1364,11 +1371,11 @@ def _stream_chunks(layout, directives: Sequence, columns):
         if len(cur) or final:
             plan, carry = ReplayPlan.for_columns(cur, layout, carry)
             if final:
-                dhi = len(directives)
+                dhi = directives.size
             else:
-                dhi = bisect_right(
-                    dir_times, float(cur.nominal_time_s[-1]), dlo
-                )
+                dhi = int(np.searchsorted(
+                    dir_times, cur.nominal_time_s[-1], "right"
+                ))
             yield plan, directives[dlo:dhi], final
             dlo = dhi
         cur = nxt
@@ -1382,7 +1389,7 @@ def simulate(
     collect_busy_intervals: bool = False,
     recorder=None,
     plan: ReplayPlan | None = None,
-    engine: str = "auto",
+    engine: str = "segmented",
     faults=None,
     open_loop: bool = False,
 ) -> SimulationResult:
@@ -1446,26 +1453,28 @@ def simulate(
     (:class:`~repro.disksim.replay.ReplayPlan`); the suite engine builds one
     plan per trace and shares it across all scheme replays.
 
+    Before anything replays, the controller's timed rows are sorted
+    stably by time and checked like a trace's directive rows, and a row of
+    either stream naming a disk outside the array raises
+    :class:`SimulationError` with its index in the whole stream.
+
     ``engine`` selects the replay path.  There is one driver
-    (:func:`_replay`): ``"segmented"`` runs it with vector windows on,
-    ``"stepwise"`` with them off, so every sub-request goes through
-    ``Disk.serve`` (the reference the equivalence suites compare
-    against), and ``"auto"`` (default) is segmented whenever it applies.
-    Both are bit-identical — including any attached timeline recorder's
-    segment stream.  Any engine other than ``"stepwise"`` falls back to
-    stepwise replay for reactive controllers, whose
-    ``on_request_complete`` hook observes every sub-request
-    (``reactive-controller``: reactive DRPM and adaptive TPM).  Reactive
-    TPM has no hook — its autonomous spin-down lives in ``Disk`` — so it
-    replays segmented.  ``"auto"`` therefore means segmented unless the
-    controller is reactive.
+    (:func:`_replay`): ``"segmented"`` (the default) runs it with vector
+    windows on, ``"stepwise"`` with them off, so every sub-request goes
+    through ``Disk.serve`` (the reference the equivalence suites compare
+    against).  Both are bit-identical — including any attached timeline
+    recorder's segment stream.  A segmented replay falls back to stepwise
+    for reactive controllers, whose ``on_request_complete`` hook observes
+    every sub-request (``reactive-controller``: reactive DRPM and adaptive
+    TPM).  Reactive TPM has no hook — its autonomous spin-down lives in
+    ``Disk`` — so it replays segmented.
 
     No fallback is silent: each forced routing is logged (DEBUG) with its
     reason and recorded in ``SimulationResult.engine`` /
     ``SimulationResult.engine_forced``.
     """
     streamed = isinstance(trace, TraceStream)
-    if engine not in ("auto", "stepwise", "segmented"):
+    if engine not in ("segmented", "stepwise"):
         raise SimulationError(f"unknown replay engine {engine!r}")
     if streamed:
         if recorder is not None:
@@ -1523,13 +1532,16 @@ def simulate(
     # controllers that never override it saves one dispatch per sub-request.
     reactive = type(ctrl).on_request_complete is not Controller.on_request_complete
 
-    timed: Sequence[TimedDirective] = sorted(
-        ctrl.timed_directives(), key=lambda d: d.time_s
+    timed = check_directives(
+        ctrl.timed_directives(), "timed directive", sort=True
     )
-    for k, td in enumerate(timed):
-        if not 0 <= td.call.disk < params.num_disks:
+    directives = trace.directives
+    for what, rows in (("directive", directives), ("timed directive", timed)):
+        unknown = np.flatnonzero(rows["disk"] >= params.num_disks)
+        if unknown.size:
+            k = int(unknown[0])
             raise SimulationError(
-                f"timed directive {k} targets unknown disk {td.call.disk}"
+                f"{what} {k} targets unknown disk {rows['disk'][k]}"
             )
     # Deadline misses shift pre-activation directives *before* engine
     # dispatch: both engines replay the already-slipped streams, and the
@@ -1537,18 +1549,22 @@ def simulate(
     # there — the graceful-degradation semantics fall out of the ordinary
     # replay rules (low-RPM service for the DRPM family, a reactive
     # spin-up for the TPM family), with the directive honoured late.
-    directives = trace.directives
     trace_misses: tuple = ()
     timed_misses: tuple = ()
     if fault_plan is not None:
         top_rpm = params.disk.rpm
-        directives, trace_misses = fault_plan.delay_trace_directives(
-            directives, top_rpm
+        directives, trace_misses = fault_plan.delay_directives(
+            directives, top_rpm, "trace"
         )
-        timed, timed_misses = fault_plan.delay_timed_directives(timed, top_rpm)
-    # Deadline-miss attribution keys: slipped directives are rebuilt with
-    # their *realized* time, so ``(disk, realized_time)`` identifies them
-    # in either engine.  Only materialized when a recorder is attached.
+        timed, timed_misses = fault_plan.delay_directives(
+            timed, top_rpm, "timed"
+        )
+    timed_columns = tuple(
+        timed[name].tolist() for name in ("time", "action", "disk", "rpm")
+    )
+    # Deadline-miss attribution keys: a slipped directive's row carries its
+    # *realized* time, so ``(disk, realized_time)`` identifies it in
+    # either engine.  Only materialized when a recorder is attached.
     miss_keys: frozenset | None = None
     if recorder is not None and (trace_misses or timed_misses):
         miss_keys = frozenset(
@@ -1557,7 +1573,7 @@ def simulate(
 
     # ------------------------------------------------------------------ #
     # Engine selection.  Nothing here is silent: every routing away from
-    # the requested/auto engine is logged with its reason, recorded in the
+    # the requested engine is logged with its reason, recorded in the
     # result's ``engine_forced`` metadata, and counted in ``sim.fallbacks``.
     segmented = engine != "stepwise"
     forced = ""
@@ -1616,7 +1632,7 @@ def simulate(
             chunks = _stream_chunks(layout, directives, trace.iter_chunks())
         for plan_c, dirs_c, final in chunks:
             nd, end_time, delay, timed_idx = _replay(
-                plan_c, disks, pm, on_complete, timed, dirs_c,
+                plan_c, disks, pm, on_complete, timed_columns, dirs_c,
                 trace.total_compute_s, responses, busy,
                 rpm_counts, fault_plan, delay,
                 timed_idx, final, miss_keys, open_loop, segmented,

@@ -134,7 +134,7 @@ class SimulationResult:
     #: Metadata only — excluded from equality so the engines' bit-identical
     #: results still compare equal.
     engine: str = field(default="", compare=False)
-    #: Why the replay was routed away from the requested/auto engine
+    #: Why the replay was routed away from the requested engine
     #: (``"reactive-controller"``; empty when nothing was forced).
     engine_forced: str = field(default="", compare=False)
 

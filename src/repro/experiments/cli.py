@@ -40,7 +40,7 @@ from typing import Sequence
 from . import ablations, extensions, fig3, fig4, fig5_6, fig7_8, fig13, table1, table2, table3
 from .. import obs
 from ..cache import ResultCache
-from ..disksim.simulator import AUTO_ROUTING, replay_coverage
+from ..disksim.simulator import ROUTING, replay_coverage
 from ..obs.manifest import build_manifest, write_manifest
 from .runner import ExperimentContext
 
@@ -442,7 +442,7 @@ def _write_obs_artifacts(
         config=config,
         phases=phases,
         cache_stats=cache_stats,
-        engine_stats={"routing": dict(AUTO_ROUTING), **replay_coverage()},
+        engine_stats={"routing": dict(ROUTING), **replay_coverage()},
         metrics=obs.metrics.snapshot(),
         extra=extra,
     )

@@ -133,7 +133,7 @@ def run_schemes(
     schemes: Sequence[str] = SCHEME_NAMES,
     analysis: Analysis | None = None,
     cache: ResultCache | None = None,
-    engine: str = "auto",
+    engine: str = "segmented",
     faults=None,
 ) -> SchemeSuite:
     """Simulate ``program`` under each scheme in ``schemes``.
@@ -152,9 +152,8 @@ def run_schemes(
     so re-rendering artifacts is near-free when nothing relevant changed;
     the generated base trace is cached the same way (keyed by program IR,
     layout, trace options, and the code digest).
-    ``engine`` selects the replay engine (see
-    :func:`~repro.disksim.simulator.simulate`); the default picks the
-    segmented batch engine wherever it applies.
+    ``engine`` selects the replay engine, ``"segmented"`` (the default) or
+    ``"stepwise"`` (see :func:`~repro.disksim.simulator.simulate`).
     ``faults`` optionally applies a :class:`~repro.faults.FaultConfig` to
     every replay of the suite (the event schedule is scheme-invariant —
     the same sub-request error draws hit every scheme); the suite cache
@@ -294,7 +293,7 @@ def run_workload(
     schemes: Sequence[str] = SCHEME_NAMES,
     analysis: Analysis | None = None,
     cache: ResultCache | None = None,
-    engine: str = "auto",
+    engine: str = "segmented",
     faults=None,
 ) -> SchemeSuite:
     """Run one Table 2 benchmark under (by default) Table 1 parameters."""

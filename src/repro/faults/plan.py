@@ -27,8 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ir.nodes import PowerAction, PowerCall
-from ..trace.request import DirectiveRecord
+from ..trace.request import ACT_SET_RPM, ACT_SPIN_UP
 from ..util.errors import ConfigError
 from ..util.rng import derive_rng
 
@@ -164,15 +163,6 @@ def _stream(seed: int, key: str) -> np.random.Generator:
     return derive_rng(f"faults:{key}", seed=seed)
 
 
-def _is_preactivation(call: PowerCall, top_rpm: int) -> bool:
-    """Pre-activation directives: wake from standby, or ramp back to full
-    speed.  Down-directives carry no deadline — executing them late only
-    forgoes savings, which is not a fault mode worth modelling."""
-    if call.action is PowerAction.SPIN_UP:
-        return True
-    return call.action is PowerAction.SET_RPM and call.rpm == top_rpm
-
-
 class FaultPlan:
     """One fault regime materialized against one concrete replay.
 
@@ -263,66 +253,44 @@ class FaultPlan:
         return fault
 
     # ------------------------------------------------------------------ #
-    def delay_trace_directives(
-        self, directives: Sequence[DirectiveRecord], top_rpm: int
-    ) -> tuple[tuple[DirectiveRecord, ...], tuple[tuple[int, float, float], ...]]:
-        """Apply deadline misses to a trace-embedded directive stream.
+    def delay_directives(
+        self, rows: np.ndarray, top_rpm: int, kind: str
+    ) -> tuple[np.ndarray, tuple[tuple[int, float, float], ...]]:
+        """Apply deadline misses to a directive stream
+        (:data:`~repro.trace.request.DIRECTIVE_ROW`, ordered by time).
 
-        Returns the (re-sorted) delayed stream plus one
+        ``kind`` is ``"trace"`` for the trace-embedded stream (nominal
+        times) or ``"timed"`` for an oracle's absolute-time stream; each
+        kind draws from its own RNG stream.  Only pre-activation
+        directives can miss: a wake from standby, or a ramp back to full
+        speed (``top_rpm``).  Down-directives carry no deadline — executing
+        them late only forgoes savings, which is not a fault mode worth
+        modelling.
+
+        Returns the shifted stream, re-sorted stably (a slipped directive
+        may now execute after later rows; ties keep stream order), plus one
         ``(disk, t_planned, t_actual)`` window per missed deadline — the
         windows drive both the per-disk miss counters and the
         degraded-serve accounting.
         """
         rates = self.config.rates
-        if rates.deadline_miss_p <= 0.0 or not directives:
-            return tuple(directives), ()
-        rng = _stream(self.config.seed, "deadline-trace")
-        return self._delay(
-            directives, top_rpm, rng,
-            time_of=lambda d: d.nominal_time_s,
-            rebuild=lambda d, t: DirectiveRecord(t, d.call),
-        )
-
-    def delay_timed_directives(
-        self, timed: Sequence, top_rpm: int
-    ) -> tuple[tuple, tuple[tuple[int, float, float], ...]]:
-        """Apply deadline misses to an oracle (absolute-time) stream."""
-        rates = self.config.rates
-        if rates.deadline_miss_p <= 0.0 or not timed:
-            return tuple(timed), ()
-        from ..disksim.interface import TimedDirective
-
-        rng = _stream(self.config.seed, "deadline-timed")
-        return self._delay(
-            timed, top_rpm, rng,
-            time_of=lambda d: d.time_s,
-            rebuild=lambda d, t: TimedDirective(t, d.call),
-        )
-
-    def _delay(self, records, top_rpm, rng, time_of, rebuild):
-        rates = self.config.rates
-        m = len(records)
+        m = rows.size
+        if rates.deadline_miss_p <= 0.0 or not m:
+            return rows, ()
+        rng = _stream(self.config.seed, f"deadline-{kind}")
         gate = rng.random(m)
         amount = rng.random(m)
-        out = []
-        misses: list[tuple[int, float, float]] = []
-        for i, rec in enumerate(records):
-            call = rec.call
-            if (
-                _is_preactivation(call, top_rpm)
-                and float(gate[i]) < rates.deadline_miss_p
-            ):
-                t0 = time_of(rec)
-                t1 = t0 + float(amount[i]) * rates.deadline_miss_max_s
-                out.append(rebuild(rec, t1))
-                misses.append((call.disk, t0, t1))
-            else:
-                out.append(rec)
-        # Stable re-sort: a slipped directive may now execute after later
-        # records; ties keep program order, exactly like the merged-stream
-        # tie rule.
-        out.sort(key=time_of)
-        return tuple(out), tuple(misses)
+        action = rows["action"]
+        preactivation = (action == ACT_SPIN_UP) | (
+            (action == ACT_SET_RPM) & (rows["rpm"] == top_rpm)
+        )
+        hit = np.flatnonzero(preactivation & (gate < rates.deadline_miss_p))
+        t0 = rows["time"][hit]
+        t1 = t0 + amount[hit] * rates.deadline_miss_max_s
+        out = rows.copy()
+        out["time"][hit] = t1
+        misses = tuple(zip(rows["disk"][hit].tolist(), t0.tolist(), t1.tolist()))
+        return out[np.argsort(out["time"], kind="stable")], misses
 
     # ------------------------------------------------------------------ #
     @staticmethod

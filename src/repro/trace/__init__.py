@@ -18,8 +18,8 @@ from .ingest import (
     stream_ingest,
 )
 from .request import (
+    DIRECTIVE_ROW,
     UNKNOWN_POSITION,
-    DirectiveRecord,
     IORequest,
     RequestColumns,
     Trace,
@@ -44,7 +44,7 @@ __all__ = [
     "SynthConfig",
     "synth_stream",
     "synth_trace",
-    "DirectiveRecord",
+    "DIRECTIVE_ROW",
     "IORequest",
     "RequestColumns",
     "Trace",

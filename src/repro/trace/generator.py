@@ -30,8 +30,9 @@ retained naive per-line walk (same requests, same hit/miss counters), which
 the equivalence test suite enforces.
 
 Directive attachment is separate: :func:`directives_at_positions` converts
-a power plan's placement rows (:data:`PLACEMENT_ROW`) to nominal times on
-the same timeline, and :meth:`Trace.with_directives` glues them on.  This
+a power plan's placement rows (:data:`PLACEMENT_ROW`) to directive rows at
+nominal times on the same timeline, and :meth:`Trace.with_directives`
+glues them on.  This
 lets one base trace be shared by every scheme (Base/TPM/DRPM/oracles see
 the same requests; only directive streams differ).
 """
@@ -53,7 +54,7 @@ from ..layout.files import SubsystemLayout
 from ..util.errors import TraceError
 from ..util.units import KB
 from .buffercache import BufferCache, LRUState
-from .request import DirectiveRecord, IORequest, RequestColumns, Trace
+from .request import DIRECTIVE_ROW, IORequest, RequestColumns, Trace
 
 __all__ = [
     "generate_trace",
@@ -155,7 +156,6 @@ def generate_trace(
         return Trace(
             program_name=program.name,
             layout=layout,
-            directives=(),
             total_compute_s=timing.total_seconds,
             columns=columns,
         )
@@ -567,7 +567,6 @@ def stream_trace(
         layout=layout,
         total_compute_s=timing.total_seconds,
         chunks=chunks,
-        directives=(),
     )
 
 
@@ -662,16 +661,16 @@ def generate_trace_reference(
         program_name=program.name,
         layout=layout,
         requests=tuple(requests),
-        directives=(),
         total_compute_s=timing.total_seconds,
     )
 
 
 def directives_at_positions(
     rows: np.ndarray, timing: ProgramTiming
-) -> list[DirectiveRecord]:
-    """Convert placement rows (:data:`PLACEMENT_ROW`) to timed directive
-    records, stably sorted by time.
+) -> np.ndarray:
+    """Convert placement rows (:data:`PLACEMENT_ROW`) to a trace's
+    directive rows (:data:`~repro.trace.request.DIRECTIVE_ROW`), stably
+    sorted by nominal time.
 
     ``timing`` must be the *actual* timeline (the code executes when the
     program counter reaches the insertion point, regardless of what the
@@ -704,10 +703,12 @@ def directives_at_positions(
     t = np.array([nt.start_s for nt in nests])[nest] + iteration * per_iter
     t = np.where(fractional, t + fraction * per_iter, t)
     order = np.argsort(t, kind="stable")
-    return [
-        DirectiveRecord(nominal_time_s=time, call=call)
-        for time, call in zip(t[order].tolist(), placement_calls(rows[order]))
-    ]
+    out = np.empty(order.size, DIRECTIVE_ROW)
+    out["time"] = t[order]
+    placed = rows[order]
+    for name in ("action", "disk", "rpm", "overhead"):
+        out[name] = placed[name]
+    return out
 
 
 def _check_rows(bad: np.ndarray, describe) -> None:

@@ -635,7 +635,6 @@ def stream_ingest(
             source, start, scan.num_records, fmt, layout, num_devices,
             chunk_requests,
         ),
-        directives=(),
     )
 
 

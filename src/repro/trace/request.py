@@ -6,14 +6,15 @@ two record kinds:
 * :class:`IORequest` — one blocking disk access, in the paper's four-field
   format (arrival time, start block, size, read/write) plus provenance
   (which array / nest / iteration produced it, used by reports and tests);
-* :class:`DirectiveRecord` — a compiler-inserted power-management call
-  (paper §3), pinned to its position in the instruction stream.
+* a directive — one :data:`DIRECTIVE_ROW` per compiler-inserted
+  power-management call (paper §3), pinned to its position in the
+  instruction stream.
 
-``nominal_time_s`` is the record's timestamp on the *unperturbed* timeline
-(no power-management slowdowns): the compute time accumulated before the
-record executes.  At replay, the simulator shifts nominal times by the
-slowdown accumulated so far — which is exactly how code inserted at a loop
-position behaves on a real machine.
+A request's ``nominal_time_s`` and a directive's ``time`` are timestamps on
+the *unperturbed* timeline (no power-management slowdowns): the compute
+time accumulated before the record executes.  At replay, the simulator
+shifts nominal times by the slowdown accumulated so far — which is exactly
+how code inserted at a loop position behaves on a real machine.
 
 Storage is **columnar**: a :class:`Trace` holds one :class:`RequestColumns`
 — parallel NumPy arrays of times/offsets/sizes/flags — and materializes
@@ -27,17 +28,21 @@ set instead of re-validating the whole request tuple per scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..ir.nodes import PowerCall
+from ..ir.nodes import PowerAction
 from ..layout.files import SubsystemLayout
 from ..util.errors import TraceError
 
 __all__ = [
     "IORequest",
-    "DirectiveRecord",
+    "DIRECTIVE_ROW",
+    "ACT_SPIN_DOWN",
+    "ACT_SPIN_UP",
+    "ACT_SET_RPM",
+    "check_directives",
     "RequestColumns",
     "Trace",
     "UNKNOWN_POSITION",
@@ -93,16 +98,59 @@ class IORequest:
         return "write" if self.is_write else "read"
 
 
-@dataclass(frozen=True)
-class DirectiveRecord:
-    """A power-management call at its program position."""
+#: Row layout of a directive stream, one row per power-management call in
+#: execution order.  ``time`` is the call's nominal time for a trace
+#: directive (the replay shifts it by the accumulated delay) and its
+#: absolute time for a timed (oracle) directive.  The other columns are the
+#: call columns of :data:`~repro.trace.generator.PLACEMENT_ROW`: ``action``
+#: indexes :class:`~repro.ir.nodes.PowerAction`, ``rpm`` is the ``set_RPM``
+#: level (``-1`` for none) and ``overhead`` the call's cost in cycles.
+DIRECTIVE_ROW = np.dtype([
+    ("time", "f8"), ("action", "i1"), ("disk", "i8"), ("rpm", "i8"),
+    ("overhead", "f8"),
+])
+_ACTIONS = tuple(PowerAction)
+#: The ``action`` codes of :data:`DIRECTIVE_ROW`.
+ACT_SPIN_DOWN, ACT_SPIN_UP, ACT_SET_RPM = (
+    _ACTIONS.index(a)
+    for a in (PowerAction.SPIN_DOWN, PowerAction.SPIN_UP, PowerAction.SET_RPM)
+)
 
-    nominal_time_s: float
-    call: PowerCall
 
-    def __post_init__(self) -> None:
-        if self.nominal_time_s < 0:
-            raise TraceError(f"negative directive time {self.nominal_time_s}")
+def check_directives(
+    rows: np.ndarray, what: str = "directive", sort: bool = False
+) -> np.ndarray:
+    """Validate a directive stream and return it.
+
+    ``rows`` must be a 1-D :data:`DIRECTIVE_ROW` array ordered by time;
+    ``sort=True`` first sorts it stably by time (and returns the sorted
+    copy).  A non-finite or negative time, an unknown action code, a
+    negative disk, a ``set_RPM`` without a positive level, a level on
+    ``spin_down`` or ``spin_up``, or a time before the previous row's
+    raises :class:`TraceError` naming the first offending row (``what``
+    ``k``).
+    """
+    if not isinstance(rows, np.ndarray) or rows.dtype != DIRECTIVE_ROW or rows.ndim != 1:
+        raise TraceError(f"{what}s must be a 1-D DIRECTIVE_ROW array")
+    if sort:
+        rows = rows[np.argsort(rows["time"], kind="stable")]
+    t, action, rpm = rows["time"], rows["action"], rows["rpm"]
+    set_rpm = action == ACT_SET_RPM
+    for bad, problem in (
+        (~(np.isfinite(t) & (t >= 0.0)), "time {time} is not finite and non-negative"),
+        ((action < 0) | (action >= len(_ACTIONS)), "action code {action} out of range"),
+        (rows["disk"] < 0, "negative disk {disk}"),
+        (set_rpm & (rpm <= 0), "set_RPM needs a positive rpm level, got {rpm}"),
+        (~set_rpm & (rpm != -1), "spin_down/spin_up take no rpm level, got {rpm}"),
+        (np.diff(t, prepend=0.0) < 0.0,
+         "time {time} precedes the previous row's; rows must be ordered by time"),
+    ):
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            i = int(hit[0])
+            row = dict(zip(DIRECTIVE_ROW.names, rows[i].tolist()))
+            raise TraceError(f"{what} {i}: {problem.format(**row)}")
+    return rows
 
 
 class RequestColumns:
@@ -326,7 +374,9 @@ class Trace:
 
     Construct either from an :class:`IORequest` sequence (tests, parsers) or
     from pre-validated ``columns`` (the generator and ``with_directives`` —
-    the columnar path never touches per-request objects).
+    the columnar path never touches per-request objects).  ``directives``
+    is a :data:`DIRECTIVE_ROW` array (none when omitted), validated by
+    :func:`check_directives`.
     """
 
     __slots__ = ("program_name", "layout", "directives", "total_compute_s", "columns")
@@ -336,7 +386,7 @@ class Trace:
         program_name: str,
         layout: SubsystemLayout,
         requests: Sequence[IORequest] = (),
-        directives: Sequence[DirectiveRecord] = (),
+        directives: np.ndarray | None = None,
         total_compute_s: float = 0.0,
         *,
         columns: RequestColumns | None = None,
@@ -350,13 +400,11 @@ class Trace:
         self.program_name = program_name
         self.layout = layout
         self.total_compute_s = total_compute_s
-        directives = tuple(directives)
-        prev = 0.0
-        for d in directives:
-            if d.nominal_time_s < prev - _ORDER_TOL:
-                raise TraceError("directives must be ordered by nominal time")
-            prev = d.nominal_time_s
-        self.directives = directives
+        self.directives = (
+            np.empty(0, DIRECTIVE_ROW)
+            if directives is None
+            else check_directives(directives)
+        )
 
     # ------------------------------------------------------------------ #
     @property
@@ -383,33 +431,15 @@ class Trace:
         """Owning nest of every request, no objects involved."""
         return self.columns.nest
 
-    def merged(self) -> Iterator[IORequest | DirectiveRecord]:
-        """All records in replay order.
-
-        Ties at the same nominal time execute the directive first — the
-        compiler inserts calls *before* the iteration whose accesses follow.
-        """
-        ri, di = 0, 0
-        reqs, dirs = self.requests, self.directives
-        while ri < len(reqs) and di < len(dirs):
-            if dirs[di].nominal_time_s <= reqs[ri].nominal_time_s:
-                yield dirs[di]
-                di += 1
-            else:
-                yield reqs[ri]
-                ri += 1
-        yield from dirs[di:]
-        yield from reqs[ri:]
-
-    def with_directives(self, directives: Sequence[DirectiveRecord]) -> "Trace":
-        """A copy carrying a (sorted) directive stream — how the per-scheme
-        planners attach their calls to a shared base trace.  The request
-        columns are shared, not copied or re-validated."""
-        ordered = tuple(sorted(directives, key=lambda d: d.nominal_time_s))
+    def with_directives(self, directives: np.ndarray) -> "Trace":
+        """A copy carrying a directive stream (:data:`DIRECTIVE_ROW`,
+        ordered by time) — how the per-scheme planners attach their calls
+        to a shared base trace.  The request columns are shared, not
+        copied or re-validated."""
         return Trace(
             program_name=self.program_name,
             layout=self.layout,
-            directives=ordered,
+            directives=directives,
             total_compute_s=self.total_compute_s,
             columns=self.columns,
         )
@@ -424,7 +454,7 @@ class Trace:
             self.program_name == other.program_name
             and self.layout == other.layout
             and self.total_compute_s == other.total_compute_s
-            and self.directives == other.directives
+            and np.array_equal(self.directives, other.directives)
             and self.columns == other.columns
         )
 

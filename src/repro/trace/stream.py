@@ -2,7 +2,7 @@
 
 :class:`TraceStream` is the bounded-memory counterpart of
 :class:`~repro.trace.request.Trace`.  It carries the same replay metadata
-(program name, layout, total compute time, a sorted directive stream) but
+(program name, layout, total compute time, a directive stream) but
 instead of one whole-trace :class:`~repro.trace.request.RequestColumns` it
 yields the request stream as successive column chunks — so a 10⁷-request
 replay never materializes the full trace.
@@ -19,10 +19,12 @@ equivalence tests).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from ..util.errors import TraceError
-from .request import _ORDER_TOL, DirectiveRecord, RequestColumns
+from .request import DIRECTIVE_ROW, RequestColumns, check_directives
 
 __all__ = ["TraceStream"]
 
@@ -35,7 +37,9 @@ class TraceStream:
     :meth:`iter_chunks` call restarts the stream) or a plain iterable
     (single use).  Chunk times must be globally non-decreasing, i.e. the
     concatenation must be a valid request stream; the simulator validates
-    nothing here and replays chunks in arrival order.
+    nothing here and replays chunks in arrival order.  ``directives`` is
+    the whole stream's :data:`~repro.trace.request.DIRECTIVE_ROW` array,
+    validated like a :class:`~repro.trace.request.Trace`'s.
     """
 
     __slots__ = (
@@ -53,7 +57,7 @@ class TraceStream:
         layout,
         total_compute_s: float,
         chunks: Callable[[], Iterable[RequestColumns]] | Iterable[RequestColumns],
-        directives: Sequence[DirectiveRecord] = (),
+        directives: np.ndarray | None = None,
     ):
         self.program_name = program_name
         self.layout = layout
@@ -64,13 +68,11 @@ class TraceStream:
         else:
             self._factory = None
             self._once = chunks
-        directives = tuple(directives)
-        prev = 0.0
-        for d in directives:
-            if d.nominal_time_s < prev - _ORDER_TOL:
-                raise TraceError("directives must be ordered by nominal time")
-            prev = d.nominal_time_s
-        self.directives = directives
+        self.directives = (
+            np.empty(0, DIRECTIVE_ROW)
+            if directives is None
+            else check_directives(directives)
+        )
 
     # ------------------------------------------------------------------ #
     def iter_chunks(self) -> Iterator[RequestColumns]:
@@ -86,18 +88,13 @@ class TraceStream:
         once, self._once = self._once, None
         return iter(once)
 
-    def with_directives(self, directives: Sequence[DirectiveRecord]) -> "TraceStream":
-        """A copy carrying a (sorted) directive stream, sharing the chunk
-        factory — the streamed analogue of :meth:`Trace.with_directives`."""
-        ordered = tuple(sorted(directives, key=lambda d: d.nominal_time_s))
-        out = TraceStream.__new__(TraceStream)
-        out.program_name = self.program_name
-        out.layout = self.layout
-        out.total_compute_s = self.total_compute_s
-        out._factory = self._factory
-        out._once = self._once
-        out.directives = ordered
-        return out
+    def with_directives(self, directives: np.ndarray) -> "TraceStream":
+        """A copy carrying a directive stream, sharing the chunk factory —
+        the streamed analogue of :meth:`Trace.with_directives`."""
+        return TraceStream(
+            self.program_name, self.layout, self.total_compute_s,
+            self._factory or self._once, directives,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

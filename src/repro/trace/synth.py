@@ -187,7 +187,6 @@ def synth_stream(config: SynthConfig) -> TraceStream:
         layout=synth_layout(config),
         total_compute_s=0.0,
         chunks=lambda: _chunks(config),
-        directives=(),
     )
 
 

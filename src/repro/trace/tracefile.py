@@ -247,5 +247,4 @@ def stream_trace_file(
         layout=layout,
         total_compute_s=total_compute_s,
         chunks=lambda: read_trace_chunks(path, layout, chunk_requests),
-        directives=(),
     )

@@ -19,7 +19,7 @@ def _layout():
 
 def _periodic_trace(lay, period_s, n):
     reqs = tuple(IORequest(i * period_s, "A", 0, 8 * KB, False) for i in range(n))
-    return Trace("t", lay, reqs, (), n * period_s)
+    return Trace("t", lay, reqs, None, n * period_s)
 
 
 def test_validation():
@@ -66,7 +66,7 @@ def test_per_disk_learning_is_independent():
     reqs = tuple(
         IORequest(i * 20.0, "HOT", 0, 8 * KB, False) for i in range(20)
     ) + (IORequest(400.0, "COLD", 0, 8 * KB, False),)
-    trace = Trace("t", lay, tuple(sorted(reqs, key=lambda r: r.nominal_time_s)), (), 401.0)
+    trace = Trace("t", lay, tuple(sorted(reqs, key=lambda r: r.nominal_time_s)), None, 401.0)
     ctrl = AdaptiveTPM(initial_threshold_s=2.0)
     res = simulate(trace, p, ctrl)
     # Disk 0 learns to stop thrashing; disk 1 spins down once, profitably.

@@ -23,7 +23,7 @@ def _uniform_trace(lay, n, spacing=0.05, nbytes=8 * KB):
         IORequest(i * spacing, "A", (i * nbytes) % (4096 * KB), nbytes, False)
         for i in range(n)
     )
-    return Trace("t", lay, reqs, (), n * spacing)
+    return Trace("t", lay, reqs, None, n * spacing)
 
 
 def test_ratchets_down_under_steady_load():
@@ -85,7 +85,7 @@ def test_slowdown_penalty_shows_in_execution_time():
 def test_no_requests_no_actions():
     lay = _layout()
     p = SubsystemParams(num_disks=1)
-    res = simulate(Trace("t", lay, (), (), 10.0), p, ReactiveDRPM(DRPMParams()))
+    res = simulate(Trace("t", lay, (), None, 10.0), p, ReactiveDRPM(DRPMParams()))
     assert res.total_rpm_shifts == 0
     assert res.disk_stats[0].idle_time_by_rpm.get(15000, 0) == pytest.approx(10.0)
 

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from repro.analysis.idle import GAP_ROW
-from repro.controllers.base import Controller, TimedDirective
+from repro.controllers.base import Controller
 from repro.controllers.oracle import decisions_to_directives
 from repro.disksim.params import DiskParams, DRPMParams
 from repro.disksim.powermodel import PowerModel
-from repro.ir.nodes import PowerAction
 from repro.power.planner import acting, plan_gaps
+from repro.trace.request import (
+    ACT_SET_RPM,
+    ACT_SPIN_DOWN,
+    ACT_SPIN_UP,
+    DIRECTIVE_ROW,
+    check_directives,
+)
 
 
 @pytest.fixture()
@@ -26,7 +32,8 @@ def test_base_controller_is_inert(pm):
     c = Controller()
     assert c.name == "Base"
     assert c.auto_spindown_threshold_s is None
-    assert list(c.timed_directives()) == []
+    timed = c.timed_directives()
+    assert timed.dtype == DIRECTIVE_ROW and timed.size == 0
     # The hook is a no-op and must accept the full signature.
     c.prepare(4, pm)
     c.on_request_complete(None, 0.0, 0.0, 1.0, 4096, "seq")  # type: ignore[arg-type]
@@ -36,39 +43,47 @@ def test_decisions_to_directives_tpm(pm):
     dec = plan_gaps(_gaps((2, 10.0, 40.0, False)), pm, "tpm")
     assert acting(dec).all()
     directives = decisions_to_directives(dec, pm)
-    assert [d.call.action for d in directives] == [
-        PowerAction.SPIN_DOWN,
-        PowerAction.SPIN_UP,
-    ]
-    assert directives[0].time_s == pytest.approx(10.0)
-    assert directives[1].time_s == pytest.approx(40.0 - pm.spin_up_time_s)
-    assert all(d.call.disk == 2 for d in directives)
+    assert directives["action"].tolist() == [ACT_SPIN_DOWN, ACT_SPIN_UP]
+    assert directives["time"][0] == pytest.approx(10.0)
+    assert directives["time"][1] == pytest.approx(40.0 - pm.spin_up_time_s)
+    assert directives["disk"].tolist() == [2, 2]
+    assert directives["rpm"].tolist() == [-1, -1]
 
 
 def test_decisions_to_directives_drpm_trailing(pm):
     dec = plan_gaps(_gaps((1, 5.0, 60.0, True)), pm, "drpm")
     directives = decisions_to_directives(dec, pm)
-    assert len(directives) == 1  # no return transition for a trailing gap
-    assert directives[0].call.action is PowerAction.SET_RPM
-    assert directives[0].call.rpm == 3000
+    assert directives.size == 1  # no return transition for a trailing gap
+    assert directives["action"][0] == ACT_SET_RPM
+    assert directives["rpm"][0] == 3000
 
 
 def test_decisions_to_directives_skips_inert(pm):
     dec = plan_gaps(_gaps((0, 0.0, 0.01, False)), pm, "drpm")
     assert not acting(dec).any()
-    assert decisions_to_directives(dec, pm) == []
+    directives = decisions_to_directives(dec, pm)
+    assert directives.dtype == DIRECTIVE_ROW and directives.size == 0
 
 
 def test_directives_sorted_across_disks(pm):
+    """The rows come down-then-up per decision, in decision (disk-major)
+    order; the simulator's one stable sort orders them across disks."""
     gaps = _gaps((0, 50.0, 80.0, False), (1, 10.0, 40.0, False))
     directives = decisions_to_directives(plan_gaps(gaps, pm, "drpm"), pm)
-    times = [d.time_s for d in directives]
+    assert directives["disk"].tolist() == [0, 0, 1, 1]
+    assert directives["rpm"][1] == directives["rpm"][3] == pm.disk.rpm
+    ordered = directives[np.argsort(directives["time"], kind="stable")]
+    assert ordered["disk"].tolist() == [1, 1, 0, 0]
+    times = ordered["time"].tolist()
     assert times == sorted(times)
 
 
-def test_timed_directive_is_frozen():
-    from repro.ir.nodes import PowerCall
-
-    td = TimedDirective(1.0, PowerCall(PowerAction.SPIN_UP, 0))
-    with pytest.raises(Exception):
-        td.time_s = 2.0  # type: ignore[misc]
+def test_oracle_directives_are_valid_rows(pm):
+    """Sorted by time, an oracle's rows pass the directive validator."""
+    gaps = _gaps(
+        (0, 50.0, 80.0, False), (1, 10.0, 40.0, False), (2, 5.0, 60.0, True)
+    )
+    for kind in ("tpm", "drpm"):
+        rows = decisions_to_directives(plan_gaps(gaps, pm, kind), pm)
+        assert rows.dtype == DIRECTIVE_ROW and rows.size
+        check_directives(rows[np.argsort(rows["time"], kind="stable")])

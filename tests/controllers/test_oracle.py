@@ -37,7 +37,7 @@ def _bursty_trace(lay, gap_s=8.0):
         for k in range(16):
             reqs.append(IORequest(t, "A", k * 64 * KB, 8 * KB, False))
         t += gap_s
-    return Trace("t", lay, tuple(reqs), (), t - gap_s + 0.2)
+    return Trace("t", lay, tuple(reqs), None, t - gap_s + 0.2)
 
 
 @pytest.fixture()

@@ -27,12 +27,12 @@ def test_no_spindown_when_gaps_below_threshold(params):
     # Requests every 1 s; threshold 2 s: never idle long enough.
     reqs = [IORequest(float(t), "A", 0, 8 * KB, False) for t in range(5)]
     p = SubsystemParams(num_disks=2, tpm_idleness_threshold_s=2.0)
-    res = simulate(Trace("t", lay, tuple(reqs), (), 5.0), p, ReactiveTPM(2.0))
+    res = simulate(Trace("t", lay, tuple(reqs), None, 5.0), p, ReactiveTPM(2.0))
     # Disk 0 (hit every second) never idles past the threshold; disk 1 is
     # never accessed at all, so it legitimately spins down.
     assert res.disk_stats[0].num_spin_downs == 0
     assert res.disk_stats[1].num_spin_downs == 1
-    base = simulate(Trace("t", lay, tuple(reqs), (), 5.0), p)
+    base = simulate(Trace("t", lay, tuple(reqs), None, 5.0), p)
     assert res.execution_time_s == pytest.approx(base.execution_time_s)
 
 
@@ -44,8 +44,8 @@ def test_spindown_and_penalty_on_long_gap():
     )
     p = SubsystemParams(num_disks=2, tpm_idleness_threshold_s=2.0)
     ctrl = ReactiveTPM(2.0)
-    res = simulate(Trace("t", lay, reqs, (), 31.0), p, ctrl)
-    base = simulate(Trace("t", lay, reqs, (), 31.0), p)
+    res = simulate(Trace("t", lay, reqs, None, 31.0), p, ctrl)
+    base = simulate(Trace("t", lay, reqs, None, 31.0), p)
     # The disk holding A's first stripe spun down after 2 s idle; disk 1
     # (never accessed) also spun down.
     assert res.total_spin_downs == 2
@@ -63,8 +63,8 @@ def test_energy_saved_when_gap_exceeds_breakeven():
         IORequest(gap, "A", 0, 8 * KB, False),
     )
     p = SubsystemParams(num_disks=2, tpm_idleness_threshold_s=2.0)
-    res = simulate(Trace("t", lay, reqs, (), gap + 1), p, ReactiveTPM(2.0))
-    base = simulate(Trace("t", lay, reqs, (), gap + 1), p)
+    res = simulate(Trace("t", lay, reqs, None, gap + 1), p, ReactiveTPM(2.0))
+    base = simulate(Trace("t", lay, reqs, None, gap + 1), p)
     assert res.total_energy_j < base.total_energy_j
 
 
@@ -75,6 +75,6 @@ def test_default_threshold_never_fires_on_paper_workloads():
     reqs = tuple(IORequest(t * 5.0, "A", 0, 8 * KB, False) for t in range(4))
     p = SubsystemParams(num_disks=2)  # threshold = break-even ~15.2 s
     res = simulate(
-        Trace("t", lay, reqs, (), 16.0), p, ReactiveTPM(p.effective_tpm_threshold_s)
+        Trace("t", lay, reqs, None, 16.0), p, ReactiveTPM(p.effective_tpm_threshold_s)
     )
     assert res.disk_stats[0].num_spin_downs == 0

@@ -4,7 +4,7 @@ The deterministic fault layer (:mod:`repro.faults`) must preserve the
 repo's core replay guarantees:
 
 * **engine equivalence under faults** — for random programs × random
-  fault regimes, the stepwise, segmented and auto engines produce
+  fault regimes, the stepwise and segmented engines produce
   bit-identical :class:`SimulationResult`\\ s (same times, energy, retry
   and miss counters, response streams, busy intervals);
 * **zero-rate byte-identity** — an all-zero-rate :class:`FaultPlan` is
@@ -47,7 +47,7 @@ from repro.trace.generator import TraceOptions, generate_trace
 from repro.workloads import all_workloads
 from repro.workloads.registry import build_workload
 
-ENGINES = ("stepwise", "segmented", "auto")
+ENGINES = ("stepwise", "segmented")
 
 _SLOW_SETTINGS = settings(
     max_examples=20,
@@ -83,7 +83,6 @@ def test_random_faulty_replays_bit_identical(data):
         for eng in ENGINES
     }
     _assert_suites_identical(suites["stepwise"], suites["segmented"])
-    _assert_suites_identical(suites["stepwise"], suites["auto"])
 
 
 # --------------------------------------------------------------------- #

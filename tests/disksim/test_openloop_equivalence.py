@@ -1,9 +1,9 @@
-"""Open-loop replay equivalence: stepwise ⇔ segmented ⇔ auto.
+"""Open-loop replay equivalence: stepwise ⇔ segmented.
 
 Open-loop mode (``simulate(..., open_loop=True)``) issues requests at
 their trace arrival times instead of compounding the closed-loop delay
 feedback.  Everything the closed-loop differential suites guarantee must
-hold here too: both engines (and auto's routing), whole and streamed
+hold here too: both engines, whole and streamed
 replays at any chunking, ingested and synthetic and generated traces,
 clean and under seeded fault regimes, all produce bit-identical results —
 mirroring ``test_stream_equivalence.py``.  Open-loop arrivals queue at
@@ -26,7 +26,12 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from conftest import _assert_results_identical  # noqa: E402
-from strategies import fault_configs, programs, synth_configs  # noqa: E402
+from strategies import (  # noqa: E402
+    directive_rows,
+    fault_configs,
+    programs,
+    synth_configs,
+)
 
 from repro.controllers.drpm import ReactiveDRPM
 from repro.controllers.tpm import ReactiveTPM
@@ -41,11 +46,10 @@ from repro.ir.nodes import PowerAction, PowerCall
 from repro.layout.files import default_layout
 from repro.trace.generator import generate_trace, stream_trace
 from repro.trace.ingest import ingest_trace, stream_ingest
-from repro.trace.request import DirectiveRecord
 from repro.trace.stream import TraceStream
 from repro.trace.synth import SynthConfig, synth_stream, synth_trace
 
-ENGINES = ("stepwise", "segmented", "auto")
+ENGINES = ("stepwise", "segmented")
 
 FIXTURE = (
     Path(__file__).resolve().parent.parent
@@ -104,7 +108,7 @@ def test_ingested_fixture_engines_identical(scheme, assert_results_identical):
     for other, _ in runs[1:]:
         assert_results_identical(runs[0][0], other)
     if scheme != "drpm":  # reactive DRPM replays stepwise
-        assert runs[1][1] > 0 and runs[2][1] > 0
+        assert runs[1][1] > 0
 
 
 @pytest.mark.parametrize("chunk", [7, 64])
@@ -120,7 +124,7 @@ def test_ingested_fixture_streamed_matches_whole(chunk):
             assert res_s.disk_stats == res_w[eng].disk_stats
             assert res_s.num_requests == res_w[eng].num_requests
             assert (vector > 0) == (eng != "stepwise")
-    assert res_w["stepwise"] == res_w["segmented"] == res_w["auto"]
+    assert res_w["stepwise"] == res_w["segmented"]
 
 
 # --------------------------------------------------------------------- #
@@ -151,7 +155,7 @@ def test_synth_engines_identical(config, data):
         assert res_s.execution_time_s == results[0].execution_time_s
         assert res_s.disk_stats == results[0].disk_stats
     if scheme == "base":
-        assert runs[1][1] > 0 and runs[2][1] > 0
+        assert runs[1][1] > 0
 
 
 @_SLOW_SETTINGS
@@ -209,7 +213,7 @@ def test_generated_trace_open_loop_engines_identical(data):
     for other in results[1:]:
         assert_results_identical(results[0], other)
     if results[0].num_requests:
-        assert runs[1][1] > 0 and runs[2][1] > 0
+        assert runs[1][1] > 0
     assert res_s.execution_time_s == results[0].execution_time_s
     assert res_s.disk_stats == results[0].disk_stats
 
@@ -253,14 +257,14 @@ def test_directives_clamp_to_cursor_open_loop(engine, assert_results_identical):
     params = SubsystemParams(num_disks=2)
     tmid = float(trace.columns.nominal_time_s[200])
     levels = params.drpm.levels
-    directives = [
-        DirectiveRecord(tmid, PowerCall(PowerAction.SET_RPM, 0, rpm=levels[0])),
-        DirectiveRecord(
+    directives = directive_rows(
+        (tmid, PowerCall(PowerAction.SET_RPM, 0, rpm=levels[0])),
+        (tmid, PowerCall(PowerAction.SPIN_DOWN, 1)),
+        (
             tmid + 0.5, PowerCall(PowerAction.SET_RPM, 0, rpm=levels[-1])
         ),
-        DirectiveRecord(tmid, PowerCall(PowerAction.SPIN_DOWN, 1)),
-        DirectiveRecord(tmid + 1.0, PowerCall(PowerAction.SPIN_UP, 1)),
-    ]
+        (tmid + 1.0, PowerCall(PowerAction.SPIN_UP, 1)),
+    )
     with_d = trace.with_directives(directives)
     with _probe_every_run():
         res, vector = _vector(
@@ -311,9 +315,8 @@ def test_million_request_bursty_stream_engines_identical():
     assert ref.num_requests == 1_000_000
     # Its bursts queue, and the vector kernel serves every sub-request.
     assert runs["segmented"][1] == 1_000_000
-    assert runs["auto"][1] == 1_000_000
-    for other in (results["segmented"], results["auto"]):
-        assert other.disk_stats == ref.disk_stats
-        assert other.execution_time_s == ref.execution_time_s
-        assert other.responses.count == ref.responses.count
-        assert other.responses.max_s == ref.responses.max_s
+    seg = results["segmented"]
+    assert seg.disk_stats == ref.disk_stats
+    assert seg.execution_time_s == ref.execution_time_s
+    assert seg.responses.count == ref.responses.count
+    assert seg.responses.max_s == ref.responses.max_s

@@ -1,6 +1,7 @@
 """ReplayPlan: the precomputed striping fast path must reproduce the old
 per-replay computation exactly, on a mixed read/write trace."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.cycles import EstimationModel
@@ -9,6 +10,7 @@ from repro.disksim.params import SubsystemParams
 from repro.disksim.replay import ReplayPlan
 from repro.disksim.simulator import simulate
 from repro.trace.generator import generate_trace
+from repro.trace.request import DIRECTIVE_ROW
 from repro.util.errors import SimulationError
 
 
@@ -82,7 +84,7 @@ def test_plan_shared_across_directive_bearing_traces(mixed_trace):
     """with_directives() shares the request columns, so one plan serves
     every scheme replay of a suite."""
     plan = ReplayPlan.for_trace(mixed_trace)
-    derived = mixed_trace.with_directives(())
+    derived = mixed_trace.with_directives(np.empty(0, DIRECTIVE_ROW))
     assert plan.matches(derived)
 
 

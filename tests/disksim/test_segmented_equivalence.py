@@ -4,8 +4,7 @@ The segmented replay engine (`simulate(..., engine="segmented")`) must be
 *bit-identical* to the per-sub-request reference state machine — same
 execution time, energy accounting, per-disk stats, response stream, and
 busy intervals — for random programs and for every bundled Table 2
-workload under all seven schemes.  The `auto` engine must agree with both
-(it only chooses between them).
+workload under all seven schemes.
 """
 
 import sys
@@ -34,7 +33,7 @@ from repro.trace.generator import TraceOptions, generate_trace
 from repro.util.errors import SimulationError
 from repro.workloads import all_workloads
 
-ENGINES = ("stepwise", "segmented", "auto")
+ENGINES = ("stepwise", "segmented")
 
 _SLOW_SETTINGS = settings(
     max_examples=30,
@@ -80,9 +79,6 @@ def test_random_programs_bit_identical(data):
     _assert_suites_identical(
         suites["stepwise"], suites["segmented"], _assert_results_identical
     )
-    _assert_suites_identical(
-        suites["stepwise"], suites["auto"], _assert_results_identical
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -96,9 +92,6 @@ def test_bundled_workload_schemes_bit_identical(
     assert set(suites["stepwise"].results) == set(SCHEME_NAMES)
     _assert_suites_identical(
         suites["stepwise"], suites["segmented"], assert_results_identical
-    )
-    _assert_suites_identical(
-        suites["stepwise"], suites["auto"], assert_results_identical
     )
 
 
@@ -141,24 +134,25 @@ def test_reactive_tpm_runs_segmented_with_spindowns(
     # The phase program's compute gap exceeds the threshold, so the
     # autonomous path must actually fire.
     assert results["stepwise"].total_spin_downs > 0
-    for eng in ("segmented", "auto"):
-        assert results[eng].total_spin_downs == results["stepwise"].total_spin_downs
-        assert results[eng].execution_time_s == results["stepwise"].execution_time_s
-        assert results[eng].disk_stats == results["stepwise"].disk_stats
+    seg, ref = results["segmented"], results["stepwise"]
+    assert seg.total_spin_downs == ref.total_spin_downs
+    assert seg.execution_time_s == ref.execution_time_s
+    assert seg.disk_stats == ref.disk_stats
 
 
 def test_auto_keeps_directive_dense_replays_segmented():
-    """Under ``auto``, a directive-dense replay (CMDRPM: compiler-inserted
-    level shifts around every exploited gap) stays on the segmented engine:
+    """Under the default engine, a directive-dense replay (CMDRPM:
+    compiler-inserted level shifts around every exploited gap) stays on
+    the segmented engine:
     its power calls apply between vector windows, so the quiescent runs
     between them still reach the vector kernel.  Reactive DRPM, whose
     completion hook observes every sub-request, routes stepwise."""
     workload = all_workloads()[0]
     reset_replay_coverage()
-    run_workload(workload, schemes=("Base",), engine="auto")
+    run_workload(workload, schemes=("Base",))
     base = replay_coverage()
     reset_replay_coverage()
-    run_workload(workload, schemes=("Base", "CMDRPM", "DRPM"), engine="auto")
+    run_workload(workload, schemes=("Base", "CMDRPM", "DRPM"))
     cov = replay_coverage()
     assert cov["replays_segmented"] == 2
     assert cov["replays_stepwise"] == 1
@@ -182,11 +176,11 @@ def test_shared_plan_consistent_across_engines(
     ref = simulate(
         trace, params, collect_busy_intervals=True, plan=plan, engine="stepwise"
     )
-    for eng in ("segmented", "auto"):
-        out = simulate(
-            trace, params, collect_busy_intervals=True, plan=plan, engine=eng
-        )
-        assert out.execution_time_s == ref.execution_time_s
-        assert out.request_responses == ref.request_responses
-        assert out.busy_intervals == ref.busy_intervals
-        assert out.disk_stats == ref.disk_stats
+    out = simulate(
+        trace, params, collect_busy_intervals=True, plan=plan,
+        engine="segmented",
+    )
+    assert out.execution_time_s == ref.execution_time_s
+    assert out.request_responses == ref.request_responses
+    assert out.busy_intervals == ref.busy_intervals
+    assert out.disk_stats == ref.disk_stats

@@ -1,8 +1,11 @@
 """Replay engine: synchronous app model, striped fan-out, directives."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.controllers.base import Controller, TimedDirective
+from repro.controllers.base import Controller
 from repro.controllers.drpm import ReactiveDRPM
 from repro.disksim.params import SubsystemParams
 from repro.disksim.powermodel import PowerModel
@@ -13,9 +16,20 @@ from repro.layout.files import default_layout
 from repro.layout.striping import Striping
 from repro.layout.files import FileEntry, SubsystemLayout
 from repro.trace.generator import generate_trace
-from repro.trace.request import DirectiveRecord, IORequest, Trace
+from repro.trace.request import (
+    ACT_SET_RPM,
+    ACT_SPIN_DOWN,
+    ACT_SPIN_UP,
+    IORequest,
+    RequestColumns,
+    Trace,
+)
+from repro.trace.stream import TraceStream
 from repro.util.errors import SimulationError
 from repro.util.units import KB
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from strategies import directive_rows  # noqa: E402
 
 
 def _layout(num_disks=4, stripe=64 * KB, size=1024 * KB):
@@ -24,7 +38,7 @@ def _layout(num_disks=4, stripe=64 * KB, size=1024 * KB):
 
 
 def _trace(requests, layout, compute=10.0):
-    return Trace("t", layout, tuple(requests), (), total_compute_s=compute)
+    return Trace("t", layout, tuple(requests), None, total_compute_s=compute)
 
 
 def _req(t, offset, nbytes, write=False):
@@ -96,9 +110,11 @@ def test_delays_propagate_to_execution_time(params):
 def test_trace_directives_execute_at_program_position(params):
     lay = _layout()
     pm = PowerModel(params.disk, params.drpm)
-    down = DirectiveRecord(2.0, PowerCall(PowerAction.SET_RPM, 0, rpm=3000))
-    up = DirectiveRecord(8.0, PowerCall(PowerAction.SET_RPM, 0, rpm=15000))
-    trace = Trace("t", lay, (_req(0.0, 0, 8 * KB),), (down, up), total_compute_s=10.0)
+    rows = directive_rows(
+        (2.0, PowerCall(PowerAction.SET_RPM, 0, rpm=3000)),
+        (8.0, PowerCall(PowerAction.SET_RPM, 0, rpm=15000)),
+    )
+    trace = Trace("t", lay, (_req(0.0, 0, 8 * KB),), rows, total_compute_s=10.0)
     res = simulate(trace, params)
     assert res.num_directives == 2
     assert res.disk_stats[0].num_rpm_shifts == 2
@@ -110,16 +126,45 @@ def test_trace_directives_execute_at_program_position(params):
 def test_directive_overhead_charged(params):
     lay = _layout()
     call = PowerCall(PowerAction.SPIN_DOWN, 0, overhead_cycles=750e6)  # 1 s at 750 MHz
-    trace = Trace("t", lay, (), (DirectiveRecord(1.0, call),), total_compute_s=10.0)
+    trace = Trace("t", lay, (), directive_rows((1.0, call)), total_compute_s=10.0)
     res = simulate(trace, params)
     assert res.execution_time_s == pytest.approx(11.0)
 
 
 def test_directive_unknown_disk_rejected(params):
     lay = _layout()
-    bad = DirectiveRecord(1.0, PowerCall(PowerAction.SPIN_DOWN, 9))
+    bad = directive_rows((1.0, PowerCall(PowerAction.SPIN_DOWN, 9)))
     with pytest.raises(SimulationError, match="directive 0 targets unknown disk 9"):
-        simulate(Trace("t", lay, (), (bad,), total_compute_s=5.0), params)
+        simulate(Trace("t", lay, (), bad, total_compute_s=5.0), params)
+
+
+@pytest.mark.parametrize("engine", ["stepwise", "segmented"])
+def test_streamed_directive_unknown_disk_rejected_before_replay(params, engine):
+    """A streamed replay names the directive by its index in the whole
+    stream, as the whole-trace replay does, and raises before it pulls a
+    single chunk."""
+    lay = _layout()
+    requests = [_req(float(t), 0, 8 * KB) for t in range(4)]
+    rows = directive_rows(
+        (0.5, PowerCall(PowerAction.SPIN_DOWN, 0)),
+        (1.5, PowerCall(PowerAction.SPIN_UP, 0)),
+        (2.5, PowerCall(PowerAction.SPIN_DOWN, 9)),
+    )
+    whole = Trace("t", lay, tuple(requests), rows, total_compute_s=5.0)
+    message = "directive 2 targets unknown disk 9"
+    with pytest.raises(SimulationError, match=message):
+        simulate(whole, params, engine=engine)
+    pulled = []
+
+    def chunks():
+        pulled.append(True)
+        cols = RequestColumns.from_requests(requests)
+        return iter((cols.slice(0, 2), cols.slice(2, 4)))
+
+    stream = TraceStream("t", lay, 5.0, chunks, directives=rows)
+    with pytest.raises(SimulationError, match=message):
+        simulate(stream, params, engine=engine)
+    assert pulled == []
 
 
 @pytest.mark.parametrize("engine", ["stepwise", "segmented"])
@@ -130,10 +175,10 @@ def test_timed_directive_unknown_disk_rejected(engine):
         name = "oracle"
 
         def timed_directives(self):
-            return [
-                TimedDirective(0.5, PowerCall(PowerAction.SPIN_DOWN, 5)),
-                TimedDirective(0.2, PowerCall(PowerAction.SPIN_DOWN, 1)),
-            ]
+            return directive_rows(
+                (0.5, PowerCall(PowerAction.SPIN_DOWN, 5)),
+                (0.2, PowerCall(PowerAction.SPIN_DOWN, 1)),
+            )
 
     trace = _trace([_req(0.1, 0, 8 * KB), _req(1.0, 0, 8 * KB)], lay)
     # Named by its index in time order, the ``oracle:<k>`` numbering.
@@ -150,10 +195,10 @@ def test_oracle_timed_directives(params):
         name = "oracle"
 
         def timed_directives(self):
-            return [
-                TimedDirective(1.0, PowerCall(PowerAction.SET_RPM, 1, rpm=3000)),
-                TimedDirective(6.0, PowerCall(PowerAction.SET_RPM, 1, rpm=15000)),
-            ]
+            return directive_rows(
+                (1.0, PowerCall(PowerAction.SET_RPM, 1, rpm=3000)),
+                (6.0, PowerCall(PowerAction.SET_RPM, 1, rpm=15000)),
+            )
 
     res = simulate(_trace([_req(0.5, 0, 8 * KB), _req(8.0, 0, 8 * KB)], lay), params, Oracle())
     assert res.scheme == "oracle"
@@ -180,15 +225,17 @@ def test_apply_call_dispatch(params, power_model):
     from repro.disksim.disk import Disk
 
     d = Disk(0, power_model)
-    apply_call(d, 0.0, PowerCall(PowerAction.SPIN_DOWN, 0))
+    apply_call(d, 0.0, ACT_SPIN_DOWN, -1)
     d.advance(5.0)
     assert d.standby
-    apply_call(d, 5.0, PowerCall(PowerAction.SPIN_UP, 0))
+    apply_call(d, 5.0, ACT_SPIN_UP, -1)
     d.advance(20.0)
     assert not d.standby
-    apply_call(d, 20.0, PowerCall(PowerAction.SET_RPM, 0, rpm=3000))
+    apply_call(d, 20.0, ACT_SET_RPM, 3000)
     d.advance(25.0)
     assert d.rpm == 3000
+    with pytest.raises(SimulationError, match="unknown power action code 7"):
+        apply_call(d, 25.0, 7, -1)
 
 
 def test_determinism(params):

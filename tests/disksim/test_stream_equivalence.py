@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from strategies import programs  # noqa: E402
+from strategies import directive_rows, programs  # noqa: E402
 
 from repro.controllers.tpm import ReactiveTPM
 from repro.disksim.params import SubsystemParams
@@ -33,7 +33,6 @@ from repro.disksim.timeline import TimelineRecorder
 from repro.ir.nodes import PowerAction, PowerCall
 from repro.layout.files import default_layout
 from repro.trace.generator import TraceOptions, generate_trace, stream_trace
-from repro.trace.request import DirectiveRecord
 from repro.trace.stream import TraceStream
 from repro.util.errors import SimulationError, TraceError
 
@@ -135,17 +134,17 @@ def test_streamed_directives_match_whole(phase_program, phase_layout):
     tmid = float(whole.columns.nominal_time_s[len(whole.columns) // 2])
     tend = float(whole.columns.nominal_time_s[-1])
     levels = params.drpm.levels
-    directives = [
-        DirectiveRecord(0.0, PowerCall(PowerAction.SET_RPM, 1, rpm=levels[0])),
-        DirectiveRecord(
+    directives = directive_rows(
+        (0.0, PowerCall(PowerAction.SET_RPM, 1, rpm=levels[0])),
+        (
             tmid, PowerCall(PowerAction.SET_RPM, 2, rpm=levels[len(levels) // 2])
         ),
-        DirectiveRecord(tmid, PowerCall(PowerAction.SPIN_DOWN, 3)),
-        DirectiveRecord(tend, PowerCall(PowerAction.SPIN_UP, 3)),
-        DirectiveRecord(
+        (tmid, PowerCall(PowerAction.SPIN_DOWN, 3)),
+        (tend, PowerCall(PowerAction.SPIN_UP, 3)),
+        (
             tend + 1.0, PowerCall(PowerAction.SET_RPM, 1, rpm=levels[-1])
         ),
-    ]
+    )
     whole_d = whole.with_directives(directives)
     stream_d = stream_trace(
         phase_program, phase_layout, TraceOptions(), chunk_requests=512
@@ -345,8 +344,8 @@ def _boundary_directives(data, whole, chunk_requests, levels):
             call = PowerCall(PowerAction.SPIN_DOWN, disk)
         else:
             call = PowerCall(PowerAction.SPIN_UP, disk)
-        directives.append(DirectiveRecord(t, call))
-    return sorted(directives, key=lambda d: d.nominal_time_s)
+        directives.append((t, call))
+    return directive_rows(*sorted(directives, key=lambda d: d[0]))
 
 
 @_SLOW_SETTINGS
@@ -430,13 +429,10 @@ def test_mixed_rpm_vector_windows_use_fused_batch():
     levels = cell.params.drpm.levels
     trace = cell.trace()
     tmid = trace.requests[10_000].nominal_time_s
-    directives = [
-        DirectiveRecord(0.0, PowerCall(PowerAction.SET_RPM, d, rpm=levels[0]))
-        for d in range(4)
-    ] + [
-        DirectiveRecord(tmid, PowerCall(PowerAction.SET_RPM, d, rpm=levels[0]))
-        for d in range(4)
-    ]
+    directives = directive_rows(
+        *((0.0, PowerCall(PowerAction.SET_RPM, d, rpm=levels[0])) for d in range(4)),
+        *((tmid, PowerCall(PowerAction.SET_RPM, d, rpm=levels[0])) for d in range(4)),
+    )
     with_d = trace.with_directives(directives)
 
     reset_replay_coverage()

@@ -27,7 +27,7 @@ def _run(params, controller=None):
         IORequest(2.0, "A", 64 * KB, 8 * KB, False),
     )
     rec = TimelineRecorder()
-    res = simulate(Trace("t", lay, reqs, (), 5.0), params, controller, recorder=rec)
+    res = simulate(Trace("t", lay, reqs, None, 5.0), params, controller, recorder=rec)
     return rec, res
 
 
@@ -73,14 +73,15 @@ def test_render_shows_states(params):
 
 def test_render_marks_low_rpm_and_standby(params):
     """A CMDRPM-like scenario shows reduced-rpm buckets."""
-    from repro.controllers.base import Controller, TimedDirective
-    from repro.ir.nodes import PowerAction, PowerCall
+    import numpy as np
+
+    from repro.controllers.base import Controller
+    from repro.trace.request import ACT_SET_RPM, DIRECTIVE_ROW
 
     class Down(Controller):
         def timed_directives(self):
-            return [
-                TimedDirective(0.5, PowerCall(PowerAction.SET_RPM, 1, rpm=3000))
-            ]
+            # (time, action, disk, rpm, overhead)
+            return np.array([(0.5, ACT_SET_RPM, 1, 3000, 0.0)], DIRECTIVE_ROW)
 
     p = SubsystemParams(num_disks=2)
     rec, _ = _run(p, Down())

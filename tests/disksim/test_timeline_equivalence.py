@@ -1,7 +1,7 @@
 """Timelines are an engine-independent artifact.
 
 The tentpole invariant: a :class:`TimelineRecorder` attached to any engine
-(``stepwise`` / ``segmented`` / ``auto``) produces **bit-identical**
+(``stepwise`` / ``segmented``) produces **bit-identical**
 ``Segment`` streams — states, boundaries, powers, RPMs, *and decision
 causes* — because every emission sits at a stats-accrual site and the
 accruals themselves are engine-identical.  On top of the timeline, the
@@ -49,7 +49,7 @@ from repro.experiments.schemes import SCHEME_NAMES, run_workload
 from repro.faults import FaultConfig, FaultRates
 from repro.workloads import WORKLOAD_NAMES, build_workload
 
-ENGINES = ("stepwise", "segmented", "auto")
+ENGINES = ("stepwise", "segmented")
 
 _SLOW_SETTINGS = settings(
     max_examples=25,
@@ -86,7 +86,6 @@ def test_boundary_adjacent_segments_bit_identical(data):
         _check_ledger(rec, result, params)
         streams[eng] = _segments(rec)
     assert streams["segmented"] == streams["stepwise"]
-    assert streams["auto"] == streams["stepwise"]
 
 
 # --------------------------------------------------------------------- #
@@ -168,7 +167,6 @@ def test_table2_sweep_segments_bit_identical(workload, faults):
             workload,
             scheme,
         )
-        assert streams["auto"] == streams["stepwise"], (workload, scheme)
 
 
 # --------------------------------------------------------------------- #
@@ -226,7 +224,7 @@ def _big_uniform_trace(num_requests=600, num_disks=4):
         IORequest(0.01 * i, "A", (i % 16) * 64 * KB, 8 * KB, False)
         for i in range(num_requests)
     )
-    return Trace("big", layout, reqs, (), 0.01 * num_requests + 1.0)
+    return Trace("big", layout, reqs, None, 0.01 * num_requests + 1.0)
 
 
 def test_recorder_disabled_keeps_fused_vector_path():
@@ -277,7 +275,7 @@ def _skewed_trace(num_requests=2048, num_disks=64):
         )
         for i in range(num_requests)
     )
-    return Trace("skewed", layout, reqs, (), 0.01 * num_requests + 1.0)
+    return Trace("skewed", layout, reqs, None, 0.01 * num_requests + 1.0)
 
 
 def test_skewed_window_folds_per_disk_bit_identical(assert_results_identical):
@@ -299,6 +297,5 @@ def test_skewed_window_folds_per_disk_bit_identical(assert_results_identical):
         streams[eng] = _segments(rec)
         if eng == "segmented":
             assert REPLAY_COVERAGE["segments_fused"] >= 1
-    for eng in ("segmented", "auto"):
-        assert_results_identical(results[eng], results["stepwise"])
-        assert streams[eng] == streams["stepwise"]
+    assert_results_identical(results["segmented"], results["stepwise"])
+    assert streams["segmented"] == streams["stepwise"]

@@ -1,6 +1,9 @@
 """Unit tests for the fault-regime layer: rates validation, the severity
 shorthand, the CLI spec parser, and FaultPlan's deterministic draws."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.disksim.replay import ReplayPlan
@@ -13,8 +16,10 @@ from repro.faults import (
 )
 from repro.ir.nodes import PowerAction, PowerCall
 from repro.trace.generator import generate_trace
-from repro.trace.request import DirectiveRecord
 from repro.util.errors import ConfigError
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from strategies import directive_rows  # noqa: E402
 
 
 # --------------------------------------------------------------------- #
@@ -152,38 +157,51 @@ _TOP = 12000
 
 
 def _directives():
-    return (
-        DirectiveRecord(1.0, PowerCall(PowerAction.SPIN_UP, disk=0)),
-        DirectiveRecord(2.0, PowerCall(PowerAction.SPIN_DOWN, disk=1)),
-        DirectiveRecord(3.0, PowerCall(PowerAction.SET_RPM, disk=2, rpm=_TOP)),
-        DirectiveRecord(4.0, PowerCall(PowerAction.SET_RPM, disk=3, rpm=3000)),
+    return directive_rows(
+        (1.0, PowerCall(PowerAction.SPIN_UP, disk=0)),
+        (2.0, PowerCall(PowerAction.SPIN_DOWN, disk=1)),
+        (3.0, PowerCall(PowerAction.SET_RPM, disk=2, rpm=_TOP)),
+        (4.0, PowerCall(PowerAction.SET_RPM, disk=3, rpm=3000)),
     )
 
 
 def test_zero_miss_rate_returns_stream_unchanged(replay_plan):
     plan = FaultPlan(FaultConfig(seed=1), replay_plan)
-    out, misses = plan.delay_trace_directives(_directives(), _TOP)
-    assert out == _directives()
+    out, misses = plan.delay_directives(_directives(), _TOP, "trace")
+    assert out.tolist() == _directives().tolist()
     assert misses == ()
 
 
 def test_certain_miss_delays_only_preactivation(replay_plan):
     rates = FaultRates(deadline_miss_p=1.0, deadline_miss_max_s=5.0)
     plan = FaultPlan(FaultConfig(seed=1, rates=rates), replay_plan)
-    out, misses = plan.delay_trace_directives(_directives(), _TOP)
+    out, misses = plan.delay_directives(_directives(), _TOP, "trace")
     # Exactly the spin_up and the ramp-to-top carry deadlines.
     assert {m[0] for m in misses} == {0, 2}
-    by_disk = {d.call.disk: d for d in out}
-    assert by_disk[0].nominal_time_s >= 1.0
-    assert by_disk[2].nominal_time_s >= 3.0
+    by_disk = dict(zip(out["disk"].tolist(), out["time"].tolist()))
+    assert by_disk[0] >= 1.0
+    assert by_disk[2] >= 3.0
     # Down-directives never slip.
-    assert by_disk[1].nominal_time_s == 2.0
-    assert by_disk[3].nominal_time_s == 4.0
+    assert by_disk[1] == 2.0
+    assert by_disk[3] == 4.0
     for disk, t0, t1 in misses:
         assert t1 >= t0 and t1 - t0 <= rates.deadline_miss_max_s
-    # The delayed stream stays time-sorted.
-    times = [d.nominal_time_s for d in out]
+        assert by_disk[disk] == t1
+    # The delayed stream stays time-sorted, and the input is untouched.
+    times = out["time"].tolist()
     assert times == sorted(times)
+    assert _directives()["time"].tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_trace_and_timed_streams_draw_independently(replay_plan):
+    """Each kind of stream has its own RNG stream: the same rows slip by
+    different amounts as trace and as timed directives."""
+    rates = FaultRates(deadline_miss_p=1.0, deadline_miss_max_s=5.0)
+    plan = FaultPlan(FaultConfig(seed=1, rates=rates), replay_plan)
+    _, trace_misses = plan.delay_directives(_directives(), _TOP, "trace")
+    _, timed_misses = plan.delay_directives(_directives(), _TOP, "timed")
+    assert [m[:2] for m in trace_misses] == [m[:2] for m in timed_misses]
+    assert trace_misses != timed_misses
 
 
 def test_degraded_counts_cover_window_subrequests(replay_plan):

@@ -33,7 +33,7 @@ def _trace(num_requests=96, gap_s=1.0):
         IORequest(float(i) * gap_s, "A", (i % 16) * 64 * KB, 8 * KB, False)
         for i in range(num_requests)
     )
-    return Trace("t", layout, reqs, (), float(num_requests) * gap_s + 3.0)
+    return Trace("t", layout, reqs, None, float(num_requests) * gap_s + 3.0)
 
 
 def _run_mixed_replays():

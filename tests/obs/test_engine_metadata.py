@@ -35,7 +35,7 @@ def _trace(num_disks=2, num_requests=48):
         IORequest(float(i), "A", (i % 16) * 64 * KB, 8 * KB, False)
         for i in range(num_requests)
     )
-    return Trace("t", layout, reqs, (), float(num_requests) + 3.0)
+    return Trace("t", layout, reqs, None, float(num_requests) + 3.0)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro import obs
 from repro.analysis.cycles import EstimationModel
 from repro.disksim.params import SubsystemParams
-from repro.disksim.simulator import AUTO_ROUTING
+from repro.disksim.simulator import ROUTING
 from repro.experiments import cli
 from repro.experiments.schemes import SCHEME_NAMES, run_schemes
 from repro.obs.export import load_and_validate as load_trace
@@ -147,8 +147,8 @@ def test_cli_obs_manifest_captures_suite_metrics(tmp_path, capsys):
     assert any(k.startswith("cache.misses") for k in counters)
     # The routing policy that produced these numbers rides along with the
     # coverage counters: the engine-level rule plus every in-kernel
-    # vector/scalar gate (AUTO_ROUTING).
+    # vector/scalar gate (ROUTING).
     routing = manifest["engine"]["routing"]
-    assert routing == AUTO_ROUTING
+    assert routing == ROUTING
     assert routing["vector_min_subrequests"] > 0
     assert manifest["engine"]["replays_segmented"] > 0

@@ -20,8 +20,8 @@ from repro.obs.metrics import (
 def test_metric_key_sorts_labels():
     assert metric_key("sim.replays") == "sim.replays"
     assert (
-        metric_key("sim.replays", {"scheme": "Base", "engine": "auto"})
-        == "sim.replays{engine=auto,scheme=Base}"
+        metric_key("sim.replays", {"scheme": "Base", "engine": "segmented"})
+        == "sim.replays{engine=segmented,scheme=Base}"
     )
 
 

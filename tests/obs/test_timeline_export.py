@@ -32,7 +32,7 @@ def _recorded_replay(num_disks=2, n=24):
     )
     rec = TimelineRecorder()
     simulate(
-        Trace("t", layout, reqs, (), float(n) + 3.0),
+        Trace("t", layout, reqs, None, float(n) + 3.0),
         SubsystemParams(num_disks=num_disks),
         recorder=rec,
     )

@@ -15,8 +15,9 @@ and runtime-bounded) :mod:`repro.faults` regimes for the fault-equivalence
 property tests, and :func:`boundary_adjacent_traces`, synthetic traces
 whose directives hug the replay's boundary instants (service completions
 and transition edges) — the adversarial inputs for the segmented engine's
-directive-as-boundary-edit mirror; and :func:`placement_rows`, which
-spells a plan's placement rows from readable tuples.
+directive-as-boundary-edit mirror; and :func:`placement_rows` and
+:func:`directive_rows`, which spell a plan's placement rows and a
+directive stream's rows from readable tuples.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.ir.program import Program
 from repro.layout.files import FileEntry, SubsystemLayout
 from repro.layout.striping import Striping
 from repro.trace.generator import PLACEMENT_ROW
-from repro.trace.request import DirectiveRecord, IORequest, Trace
+from repro.trace.request import DIRECTIVE_ROW, IORequest, Trace
 from repro.util.units import KB
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "ingest_records",
     "synth_configs",
     "placement_rows",
+    "directive_rows",
 ]
 
 _ACTIONS = tuple(PowerAction)
@@ -64,6 +66,21 @@ def placement_rows(*entries) -> np.ndarray:
             -1 if call.rpm is None else call.rpm, call.overhead_cycles,
         ))
     return np.array(rows, dtype=PLACEMENT_ROW)
+
+
+def directive_rows(*entries) -> np.ndarray:
+    """Directive rows (:data:`~repro.trace.request.DIRECTIVE_ROW`) from
+    ``(time, call)`` tuples, in the given order."""
+    return np.array(
+        [
+            (
+                t, _ACTIONS.index(call.action), call.disk,
+                -1 if call.rpm is None else call.rpm, call.overhead_cycles,
+            )
+            for t, call in entries
+        ],
+        dtype=DIRECTIVE_ROW,
+    )
 
 
 @dataclass
@@ -290,26 +307,20 @@ def boundary_adjacent_traces(draw):
                 st.sampled_from([PowerAction.SPIN_DOWN, PowerAction.SPIN_UP])
             )
             records.append(
-                DirectiveRecord(
-                    t0, PowerCall(first, disk, overhead_cycles=overhead)
-                )
+                (t0, PowerCall(first, disk, overhead_cycles=overhead))
             )
             if first is PowerAction.SPIN_DOWN and draw(st.booleans()):
                 t1 = t0 + down_s + draw(edge_eps)
-                records.append(
-                    DirectiveRecord(t1, PowerCall(PowerAction.SPIN_UP, disk))
-                )
+                records.append((t1, PowerCall(PowerAction.SPIN_UP, disk)))
         else:
             rpm = draw(st.sampled_from(levels))
-            records.append(
-                DirectiveRecord(
-                    t0,
-                    PowerCall(
-                        PowerAction.SET_RPM, disk, rpm=rpm,
-                        overhead_cycles=overhead,
-                    ),
-                )
-            )
+            records.append((
+                t0,
+                PowerCall(
+                    PowerAction.SET_RPM, disk, rpm=rpm,
+                    overhead_cycles=overhead,
+                ),
+            ))
             if draw(st.booleans()):
                 steps = params.drpm.steps_between(params.drpm.max_rpm, rpm)
                 # A zero-step call at t = 0 must not chain to a
@@ -317,13 +328,11 @@ def boundary_adjacent_traces(draw):
                 t1 = max(t0 + steps * step_s + draw(edge_eps), 0.0)
                 rpm2 = draw(st.sampled_from(levels))
                 records.append(
-                    DirectiveRecord(
-                        t1, PowerCall(PowerAction.SET_RPM, disk, rpm=rpm2)
-                    )
+                    (t1, PowerCall(PowerAction.SET_RPM, disk, rpm=rpm2))
                 )
-    records.sort(key=lambda d: d.nominal_time_s)
+    records.sort(key=lambda d: d[0])
     end = times[-1] + down_s + params.disk.spin_up_time_s + 5.0
-    trace = Trace("adjacency", layout, reqs, tuple(records), end)
+    trace = Trace("adjacency", layout, reqs, directive_rows(*records), end)
     return trace, params
 
 

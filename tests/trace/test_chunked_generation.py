@@ -20,9 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from strategies import programs  # noqa: E402
+from strategies import directive_rows, programs  # noqa: E402
 
 from repro.disksim.params import SubsystemParams
+from repro.ir.nodes import PowerAction, PowerCall
 from repro.disksim.simulator import simulate
 from repro.layout.files import default_layout
 from repro.trace.generator import (
@@ -195,19 +196,11 @@ def test_with_directives_rejects_unordered_construction(tiny_layout):
     with pytest.raises(TraceError, match="ordered"):
         TraceStream(
             "p", tiny_layout, 0.0, chunks=lambda: iter(()),
-            directives=_two_directives(reverse=True),
+            directives=directive_rows(
+                (1.5, PowerCall(PowerAction.SPIN_UP, disk=0)),
+                (0.5, PowerCall(PowerAction.SPIN_DOWN, disk=0)),
+            ),
         )
-
-
-def _two_directives(reverse: bool = False):
-    from repro.ir.nodes import PowerAction, PowerCall
-    from repro.trace.request import DirectiveRecord
-
-    records = (
-        DirectiveRecord(0.5, PowerCall(PowerAction.SPIN_DOWN, disk=0)),
-        DirectiveRecord(1.5, PowerCall(PowerAction.SPIN_UP, disk=0)),
-    )
-    return records[::-1] if reverse else records
 
 
 # --------------------------------------------------------------------- #

@@ -1,16 +1,21 @@
 """Columnar request storage: sharing, laziness, validation, round trips."""
 
 import pickle
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.layout.files import FileEntry, SubsystemLayout
 from repro.layout.striping import Striping
-from repro.trace.request import DirectiveRecord, IORequest, RequestColumns, Trace
+from repro.trace.request import IORequest, RequestColumns, Trace
 from repro.ir.nodes import PowerAction, PowerCall
 from repro.util.errors import TraceError
 from repro.util.units import KB
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from strategies import directive_rows  # noqa: E402
 
 
 def _layout():
@@ -32,16 +37,18 @@ def _requests():
 
 
 def _trace():
-    return Trace("t", _layout(), _requests(), (), 5.0)
+    return Trace("t", _layout(), _requests(), None, 5.0)
 
 
-def _directive(t):
-    return DirectiveRecord(t, PowerCall(PowerAction.SPIN_DOWN, 0))
+def _directives(*times):
+    return directive_rows(
+        *((t, PowerCall(PowerAction.SPIN_DOWN, 0)) for t in times)
+    )
 
 
 def test_object_round_trip_and_columns():
     reqs = _requests()
-    tr = Trace("t", _layout(), reqs, (), 5.0)
+    tr = Trace("t", _layout(), reqs, None, 5.0)
     assert tr.requests == reqs
     assert tr.num_requests == 3
     cols = tr.columns
@@ -56,16 +63,15 @@ def test_object_round_trip_and_columns():
 
 def test_with_directives_shares_columns_and_objects():
     tr = _trace()
-    derived = tr.with_directives([_directive(0.25)])
+    derived = tr.with_directives(_directives(0.25))
     assert derived.columns is tr.columns
     # Materialization is cached on the shared columns: every copy sees the
     # exact same object tuple, built at most once.
     assert derived.requests is tr.requests
-    assert derived.directives == (_directive(0.25),)
-    assert tr.directives == ()
-    # Unsorted input is sorted on attach.
-    d2 = tr.with_directives([_directive(2.0), _directive(0.5)])
-    assert [d.nominal_time_s for d in d2.directives] == [0.5, 2.0]
+    assert derived.directives.tolist() == _directives(0.25).tolist()
+    assert tr.directives.size == 0
+    assert derived != tr
+    assert derived == tr.with_directives(_directives(0.25))
 
 
 def test_total_bytes_cached():
@@ -128,7 +134,7 @@ def test_requests_and_columns_are_mutually_exclusive():
             "t",
             _layout(),
             _requests(),
-            (),
+            None,
             5.0,
             columns=RequestColumns.from_requests(_requests()),
         )
@@ -183,4 +189,4 @@ def test_pickle_drops_materialized_objects():
 
 def test_directive_ordering_still_validated():
     with pytest.raises(TraceError):
-        Trace("t", _layout(), _requests(), (_directive(1.0), _directive(0.0)), 5.0)
+        Trace("t", _layout(), _requests(), _directives(1.0, 0.0), 5.0)

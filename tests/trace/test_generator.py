@@ -15,11 +15,12 @@ from repro.trace.generator import (
     generate_trace,
     placement_calls,
 )
+from repro.trace.request import DIRECTIVE_ROW
 from repro.util.errors import TraceError
 from repro.util.units import KB
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from strategies import placement_rows  # noqa: E402
+from strategies import directive_rows, placement_rows  # noqa: E402
 
 
 def _rows_program(rows=8, width=1024):
@@ -124,7 +125,8 @@ def test_directives_at_positions():
         ),
         timing,
     )
-    times = [r.nominal_time_s for r in recs]
+    assert recs.dtype == DIRECTIVE_ROW
+    times = recs["time"].tolist()
     assert times == sorted(times)
     assert times[0] == pytest.approx(
         timing.nest(0).iteration_start_s(2) + 0.5 * timing.nest(0).seconds_per_iteration
@@ -170,7 +172,8 @@ def test_directives_reject_unknown_nest_naming_the_row(nest):
 
 
 def test_directives_keep_row_order_among_equal_times():
-    """The sort by time is stable, and each record carries its row's call."""
+    """The sort by time is stable, and each row carries its placement's
+    call."""
     timing = compute_timing(_rows_program())
     calls = [
         PowerCall(PowerAction.SET_RPM, 2, rpm=6000, overhead_cycles=7.0),
@@ -180,18 +183,9 @@ def test_directives_keep_row_order_among_equal_times():
     rows = placement_rows((0, 5, calls[0]), (0, 3, calls[1]), (0, 5, calls[2]))
     assert placement_calls(rows) == calls
     recs = directives_at_positions(rows, timing)
-    assert [r.call for r in recs] == [calls[1], calls[0], calls[2]]
-    assert directives_at_positions(rows[:0], timing) == []
-
-
-def test_merged_orders_directives_before_tied_requests():
-    prog = _rows_program()
-    lay = default_layout(prog.arrays, num_disks=4)
-    trace = generate_trace(prog, lay)
-    timing = compute_timing(prog)
-    call = PowerCall(PowerAction.SPIN_UP, 0)
-    recs = directives_at_positions(placement_rows((0, 3, call)), timing)
-    merged = list(trace.with_directives(recs).merged())
-    idx = next(i for i, r in enumerate(merged) if hasattr(r, "call"))
-    # The directive lands exactly at iteration 3's start, before its request.
-    assert merged[idx + 1].iteration == 3
+    t3 = timing.nest(0).iteration_start_s(3)
+    t5 = timing.nest(0).iteration_start_s(5)
+    expected = directive_rows((t3, calls[1]), (t5, calls[0]), (t5, calls[2]))
+    assert recs.tolist() == expected.tolist()
+    empty = directives_at_positions(rows[:0], timing)
+    assert empty.dtype == DIRECTIVE_ROW and empty.size == 0

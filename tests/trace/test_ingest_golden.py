@@ -133,7 +133,7 @@ def test_malformed_fixture_raises_with_line_number():
         ingest_trace(MALFORMED, num_disks=4)
 
 
-@pytest.mark.parametrize("engine", ["stepwise", "segmented", "auto"])
+@pytest.mark.parametrize("engine", ["stepwise", "segmented"])
 def test_scheme_replay_results_pinned(engine):
     """Open-loop scheme replays of the fixture are pinned to the exact
     float — identically on every engine."""
