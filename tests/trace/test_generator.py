@@ -3,9 +3,12 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis.cycles import compute_timing
+from repro.disksim.params import SubsystemParams
+from repro.disksim.simulator import simulate
 from repro.ir.builder import ProgramBuilder
 from repro.ir.nodes import PowerAction, PowerCall
 from repro.layout.files import default_layout
@@ -169,6 +172,34 @@ def test_directives_reject_unknown_nest_naming_the_row(nest):
         directives_at_positions(
             placement_rows((0, 1, call), (nest, 3, call)), timing
         )
+
+
+def test_merged_orders_directives_before_tied_requests():
+    """A directive placed at iteration 3's start replays before the
+    request issued at that same nominal time: a spin-down there makes
+    iteration 3's request wait for the spin-up, where the same call one ulp
+    later leaves it to iteration 4's."""
+    prog = _rows_program()
+    lay = default_layout(prog.arrays, num_disks=4)
+    trace = generate_trace(prog, lay)
+    timing = compute_timing(prog)
+    call = PowerCall(PowerAction.SPIN_DOWN, 0)
+    recs = directives_at_positions(placement_rows((0, 3, call)), timing)
+    t3 = timing.nest(0).iteration_start_s(3)
+    assert recs["time"].tolist() == [t3]
+    assert trace.requests[3].iteration == 3
+    assert trace.requests[3].nominal_time_s == t3
+    later = recs.copy()
+    later["time"] = np.nextafter(t3, np.inf)
+    params = SubsystemParams(num_disks=4)
+    for engine in ("stepwise", "segmented"):
+        tied = simulate(trace.with_directives(recs), params, engine=engine)
+        after = simulate(trace.with_directives(later), params, engine=engine)
+        fast = tied.request_responses[0]
+        slow = [i for i, r in enumerate(tied.request_responses) if r > 10 * fast]
+        assert slow == [3]
+        slow = [i for i, r in enumerate(after.request_responses) if r > 10 * fast]
+        assert slow == [4]
 
 
 def test_directives_keep_row_order_among_equal_times():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.disksim.params import SubsystemParams
 from repro.disksim.simulator import simulate
+from repro.disksim.timeline import TimelineRecorder
 from repro.ir.nodes import PowerAction, PowerCall
 from repro.layout.files import FileEntry, SubsystemLayout
 from repro.layout.striping import Striping
@@ -38,6 +39,36 @@ def _dirs(*times, disk=0):
     return directive_rows(
         *((t, PowerCall(PowerAction.SPIN_DOWN, disk)) for t in times)
     )
+
+
+def test_merged_orders_by_time():
+    """The replay walks requests and directives in one time order: with
+    requests at 1 and 3 and spin-downs at 0.5, 2 and 4 on their disk, the
+    disk's timeline reads spin-down, serve, spin-down, serve, spin-down
+    under both engines."""
+    trace = Trace(
+        "t",
+        _layout(),
+        (_req(1.0), _req(3.0)),
+        _dirs(0.5, 2.0, 4.0),
+        total_compute_s=5.0,
+    )
+    for engine in ("stepwise", "segmented"):
+        rec = TimelineRecorder()
+        params = SubsystemParams(num_disks=trace.layout.num_disks)
+        result = simulate(trace, params, recorder=rec, engine=engine)
+        assert result.num_directives == 3
+        kinds = []
+        for seg in rec.segments(0):
+            if seg.cause.startswith("directive:"):
+                kind = seg.cause
+            elif seg.state == "active":
+                kind = "R"
+            else:
+                continue
+            if not kinds or kinds[-1] != kind:
+                kinds.append(kind)
+        assert kinds == ["directive:0", "R", "directive:1", "R", "directive:2"]
 
 
 def _tie_run(tie_time, engine, streamed):
