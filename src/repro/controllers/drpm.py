@@ -27,6 +27,7 @@ from __future__ import annotations
 from ..disksim.disk import Disk
 from ..disksim.params import DRPMParams
 from ..disksim.powermodel import PowerModel
+from ..disksim.replay import SEEK_CODES
 from ..disksim.timeline import CAUSE_DRPM_WINDOW
 from ..power.planner import drpm_window_step
 from .base import Controller
@@ -47,10 +48,10 @@ class ReactiveDRPM(Controller):
         #: Previous window's mean normalized response per disk (None until
         #: the first window completes).
         self._prev_mean: list[float | None] = []
-        #: Full-speed service time per (nbytes, seek class) — requests take
-        #: only a handful of distinct sizes, so memoizing the baseline
+        #: Full-speed service time per (nbytes, seek-class code) — requests
+        #: take only a handful of distinct sizes, so memoizing the baseline
         #: avoids recomputing it for every completion in the window.
-        self._baseline: dict[tuple[int, str], float] = {}
+        self._baseline: dict[tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------ #
     def prepare(self, num_disks: int, power_model: PowerModel) -> None:
@@ -67,7 +68,7 @@ class ReactiveDRPM(Controller):
         t_start: float,
         t_complete: float,
         nbytes: int,
-        seek: str = "full",
+        seek: int = SEEK_CODES["full"],
     ) -> None:
         pm = self._pm
         assert pm is not None, "controller used before prepare()"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from ..disksim.disk import Disk
 from ..disksim.powermodel import PowerModel
+from ..disksim.replay import SEEK_CODES
 from .base import Controller
 
 __all__ = ["ReactiveTPM", "AdaptiveTPM"]
@@ -84,7 +85,7 @@ class AdaptiveTPM(Controller):
         t_start: float,
         t_complete: float,
         nbytes: int,
-        seek: str = "full",
+        seek: int = SEEK_CODES["full"],
     ) -> None:
         pm = self._pm
         assert pm is not None, "controller used before prepare()"

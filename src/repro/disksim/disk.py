@@ -28,6 +28,7 @@ import numpy as np
 
 from ..util.errors import ConfigError, SimulationError
 from .powermodel import PowerModel
+from .replay import SEEK_CODES
 from .timeline import (
     CAUSE_EXTERNAL,
     CAUSE_SPINUP_FAULT,
@@ -137,12 +138,10 @@ class Disk:
         "faults",
         "_spinup_seq",
         "_spinup_chain",
-        "_lvl_rpm",
-        "_lvl_latency",
+        "_lvl_seek_base",
         "_lvl_rate",
         "_lvl_active_w",
         "_lvl_idle_w",
-        "_seek_s",
     )
 
     def __init__(
@@ -201,14 +200,10 @@ class Disk:
         #: ``(duration_s, power_w, ends_in_standby)`` triples drained by
         #: ``_complete_transition`` ahead of any deferred power call.
         self._spinup_chain: list[tuple[float, float, bool]] = []
-        #: Per-level constants memoized for the current RPM (``serve``'s
-        #: fast path re-derives them only when the level changes).
-        self._lvl_rpm: int = -1
-        self._lvl_latency = 0.0
-        self._lvl_rate = 1.0
-        self._lvl_active_w = 0.0
-        self._lvl_idle_w = 0.0
-        self._seek_s = power_model._seek_time_by_class
+        #: The current level's row of the power model's service table
+        #: (seek-class code -> seek + latency, and the media rate) and its
+        #: powers; refreshed whenever ``rpm`` changes.
+        self._refresh_level_consts(self.rpm)
 
     # ------------------------------------------------------------------ #
     def _emit(
@@ -284,6 +279,7 @@ class Disk:
         self._accrue_transition(end)
         if self._transition_target_rpm is not None:
             self.rpm = self._transition_target_rpm
+            self._refresh_level_consts(self.rpm)
         if self._transition_to_standby and not self.standby:
             self._standby_since_s = end
         self.standby = self._transition_to_standby
@@ -332,11 +328,8 @@ class Disk:
                 stats.add("standby", dur, self.pm.standby_power_w)
                 self._emit("standby", cursor, t, self.pm.standby_power_w, 0)
             else:
-                pm = self.pm
                 rpm = self.rpm
-                power = pm._idle_w_by_level.get(rpm)
-                if power is None:  # pragma: no cover - non-level RPM
-                    power = pm.idle_power_w(rpm)
+                power = self._lvl_idle_w
                 stats.time_s["idle"] += dur
                 stats.energy_j["idle"] += dur * power
                 by_rpm = stats.idle_time_by_rpm
@@ -458,12 +451,7 @@ class Disk:
     def _start_rpm_shift(
         self, t: float, target_rpm: int, cause: str = CAUSE_EXTERNAL
     ) -> None:
-        pair = self.pm._transition_by_pair.get((self.rpm, target_rpm))
-        if pair is not None:
-            dur, power = pair
-        else:  # pragma: no cover - replay RPMs are always known levels
-            dur = self.pm.transition_time_s(self.rpm, target_rpm)
-            power = self.pm.transition_power_w(self.rpm, target_rpm)
+        dur, power = self.pm._transition_by_pair[(self.rpm, target_rpm)]
         self.stats.num_rpm_shifts += 1
         self._begin_transition(
             t, dur, power, "rpm_shift", target_rpm=target_rpm, cause=cause
@@ -489,33 +477,31 @@ class Disk:
     # Request service
     # ------------------------------------------------------------------ #
     def _refresh_level_consts(self, rpm: int) -> None:
-        """Memoize the per-level constants ``serve``'s fast path reads.
-
-        The values are taken from the power model's own per-level caches,
-        so the fast path stays bit-identical to the general computation.
-        """
+        """Load level ``rpm``'s row of the power model's service table and
+        its powers — the constants ``serve`` reads."""
         pm = self.pm
-        consts = pm._service_consts_by_level.get(rpm)
-        if consts is not None:
-            self._lvl_latency, self._lvl_rate = consts
-            self._lvl_active_w = pm._active_w_by_level[rpm]
-            self._lvl_idle_w = pm._idle_w_by_level[rpm]
-        else:  # pragma: no cover - replay RPMs are always known levels
-            self._lvl_latency = pm.rotational_latency_s(rpm)
-            self._lvl_rate = pm.transfer_rate_bps(rpm)
-            self._lvl_active_w = pm.active_power_w(rpm)
-            self._lvl_idle_w = pm.idle_power_w(rpm)
-        self._lvl_rpm = rpm
+        self._lvl_seek_base, self._lvl_rate = pm._service_rows[rpm]
+        self._lvl_active_w = pm._active_w_by_level[rpm]
+        self._lvl_idle_w = pm._idle_w_by_level[rpm]
 
-    def serve(self, t_issue: float, nbytes: int, seek: str = "full") -> float:
+    def serve(
+        self, t_issue: float, nbytes: int, seek: int = SEEK_CODES["full"]
+    ) -> float:
         """Service a sub-request issued at ``t_issue``; return completion time.
 
-        The request waits for any in-flight transition; a disk found in
+        ``seek`` is the sub-request's seek-class code
+        (:data:`~repro.disksim.replay.SEEK_CLASSES` order); an unknown
+        code raises :class:`ConfigError` before any state changes.  The
+        request waits for any in-flight transition; a disk found in
         standby pays the full spin-up penalty first (the reactive TPM cost
         that pre-activation exists to avoid).
         """
         if nbytes <= 0:
             raise SimulationError(f"request size must be positive, got {nbytes}")
+        try:
+            seek_base = self._lvl_seek_base[seek]
+        except KeyError:
+            raise ConfigError(f"unknown seek class code {seek!r}") from None
         # Fast path for the dominant replay case: the disk is plainly
         # spinning (no transition in flight, not in standby) and no
         # autonomous spin-down is due before this request, so the
@@ -535,8 +521,6 @@ class Disk:
             )
         ):
             rpm = self.rpm
-            if rpm != self._lvl_rpm:
-                self._refresh_level_consts(rpm)
             if t > cursor:
                 dur = t - cursor
                 idle_power = self._lvl_idle_w
@@ -556,18 +540,13 @@ class Disk:
             start = t if t > ready else ready
         else:
             start = self._wait_until_serviceable(t_issue)
+            # The wait may have completed an RPM shift.
             rpm = self.rpm
-            if rpm != self._lvl_rpm:
-                self._refresh_level_consts(rpm)
-        # Completion epilogue, shared by both paths.  Inlined
-        # service_time_s/active_power_w: same cached per-level constants,
-        # same arithmetic, minus ~three calls per request.  The replay's
-        # vector kernel performs exactly these updates in batch.
-        try:
-            seek_s = self._seek_s[seek]
-        except KeyError:
-            raise ConfigError(f"unknown seek class {seek!r}") from None
-        svc = seek_s + self._lvl_latency + nbytes / self._lvl_rate
+            seek_base = self._lvl_seek_base[seek]
+        # Completion epilogue, shared by both paths: the current level's
+        # row of the shared service table, the same entries and arithmetic
+        # the replay's vector kernel applies in batch.
+        svc = seek_base + nbytes / self._lvl_rate
         active_power = self._lvl_active_w
         stats = self.stats
         stats.time_s["active"] += svc
@@ -635,7 +614,7 @@ class Disk:
         return start
 
     def serve_faulty(
-        self, t_issue: float, nbytes: int, seek: str, errors: int
+        self, t_issue: float, nbytes: int, seek: int, errors: int
     ) -> float:
         """Service a sub-request whose fault plan drew ``errors`` transient
         failures: each failed attempt is re-served after an exponential

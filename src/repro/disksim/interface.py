@@ -24,6 +24,7 @@ import numpy as np
 from ..trace.request import DIRECTIVE_ROW
 from .disk import Disk
 from .powermodel import PowerModel
+from .replay import SEEK_CODES
 
 __all__ = ["Controller"]
 
@@ -52,10 +53,12 @@ class Controller:
         t_start: float,
         t_complete: float,
         nbytes: int,
-        seek: str = "full",
+        seek: int = SEEK_CODES["full"],
     ) -> None:
         """Reactive hook, invoked after each sub-request completes.
 
-        ``seek`` is the request's seek class ("seq"/"stream"/"full"), so
-        the controller can normalize like against like.
+        ``seek`` is the sub-request's seek-class code (an index into
+        :data:`~repro.disksim.replay.SEEK_CLASSES`, as ``Disk.serve`` took
+        it), so the controller can normalize like against like, e.g. with
+        ``PowerModel.service_time_s(nbytes, rpm, seek)``.
         """

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..util.errors import ConfigError
 from .params import DiskParams, DRPMParams
+from .replay import SEEK_CODES
 
 __all__ = ["PowerModel"]
 
@@ -105,45 +106,6 @@ class PowerModel:
             raise ConfigError(f"transfer rate undefined at rpm={rpm}")
         return self.disk.transfer_rate_bps * (rpm / self.disk.rpm)
 
-    def seek_time_s(self, seek: str) -> float:
-        """Positioning time for a seek class: ``"seq"`` (exact stream
-        continuation, no repositioning), ``"stream"`` (resuming a recently
-        served file after a brief interruption: short seek), or ``"full"``
-        (unrelated target: average seek)."""
-        if seek == "seq":
-            return 0.0
-        if seek == "stream":
-            return self.disk.short_seek_s
-        if seek == "full":
-            return self.disk.avg_seek_s
-        raise ConfigError(f"unknown seek class {seek!r}")
-
-    @cached_property
-    def _seek_time_by_class(self) -> dict[str, float]:
-        return {
-            "seq": 0.0,
-            "stream": self.disk.short_seek_s,
-            "full": self.disk.avg_seek_s,
-        }
-
-    @cached_property
-    def _service_consts_by_level(self) -> dict[int, tuple[float, float]]:
-        """(rotational latency, media rate) per supported integer level.
-
-        The cached values repeat the slow path's arithmetic exactly, so the
-        fast path below is bit-identical to the general computation.
-        """
-        return {
-            int(r): (
-                self.rotational_latency_s(int(r)),
-                self.transfer_rate_bps(int(r)),
-            )
-            for r in self.levels
-        }
-
-    #: Seek classes in table order (`service_seek_base_s` columns).
-    SEEK_CLASSES: tuple[str, ...] = ("seq", "stream", "full")
-
     @cached_property
     def level_index(self) -> dict[int, int]:
         """Row index of each supported RPM level in the service tables."""
@@ -151,53 +113,65 @@ class PowerModel:
 
     @cached_property
     def service_seek_base_s(self) -> np.ndarray:
-        """``(num_levels, 3)`` table of ``seek_time + rotational latency``
-        per (RPM level, seek class), seek classes in :attr:`SEEK_CLASSES`
-        order.
+        """``(num_levels, len(SEEK_CLASSES))`` table of ``seek time +
+        rotational latency`` per (RPM level, seek-class code).
 
-        Entry ``[li, sc]`` is the exact float ``seek_s + latency`` the
-        scalar fast path computes first, so
-        ``table[li, sc] + nbytes / service_rate_bps[li]`` reproduces
-        :meth:`service_time_s` bit for bit (same operand association).
+        The seek times in code order are none for ``seq`` (exact stream
+        continuation), the short seek for ``stream`` (resuming a recently
+        served file after a brief interruption) and the average seek for
+        ``full`` (unrelated target).  With :attr:`service_rate_bps`, this
+        is the one definition of service time: a sub-request of ``nbytes``
+        at row ``li`` and code ``sc`` takes
+        ``table[li, sc] + nbytes / service_rate_bps[li]``, whether the
+        vector kernel, :class:`~repro.disksim.disk.Disk` or
+        :meth:`service_time_s` evaluates it.
         """
-        seeks = self._seek_time_by_class
-        out = np.empty((len(self.levels), len(self.SEEK_CLASSES)), dtype=np.float64)
+        seeks = (0.0, self.disk.short_seek_s, self.disk.avg_seek_s)
+        out = np.empty((len(self.levels), len(seeks)), dtype=np.float64)
         for li, rpm in enumerate(self.levels):
-            latency, _rate = self._service_consts_by_level[int(rpm)]
-            for sc, name in enumerate(self.SEEK_CLASSES):
-                out[li, sc] = seeks[name] + latency
+            latency = self.rotational_latency_s(int(rpm))
+            for sc, seek_s in enumerate(seeks):
+                out[li, sc] = seek_s + latency
         return out
 
     @cached_property
     def service_rate_bps(self) -> np.ndarray:
         """Media transfer rate per supported level (table-order rows)."""
         return np.array(
-            [self._service_consts_by_level[int(r)][1] for r in self.levels],
+            [self.transfer_rate_bps(int(r)) for r in self.levels],
             dtype=np.float64,
         )
 
-    def service_time_s(self, nbytes: int, rpm: float, seek: str = "full") -> float:
-        """Service time of one request at a level: seek (by class) plus
-        average rotational latency plus media transfer."""
+    @cached_property
+    def _service_rows(self) -> dict[int, tuple[dict[int, float], float]]:
+        """Scalar view of the service table per supported level:
+        ``rpm -> ({code: seek + latency}, rate)``.  A code outside the
+        table is a missing key, never another class's column."""
+        return {
+            int(r): (dict(enumerate(base)), rate)
+            for r, base, rate in zip(
+                self.levels,
+                self.service_seek_base_s.tolist(),
+                self.service_rate_bps.tolist(),
+            )
+        }
+
+    def service_time_s(
+        self, nbytes: int, rpm: int, seek: int = SEEK_CODES["full"]
+    ) -> float:
+        """Service time of one request at a level: seek (by class code)
+        plus average rotational latency plus media transfer."""
         if nbytes < 0:
             raise ConfigError(f"negative request size {nbytes}")
-        if type(rpm) is int:
-            consts = self._service_consts_by_level.get(rpm)
-            if consts is not None:
-                seek_s = self._seek_time_by_class.get(seek)
-                if seek_s is None:
-                    raise ConfigError(f"unknown seek class {seek!r}")
-                latency, rate = consts
-                return seek_s + latency + nbytes / rate
-        return (
-            self.seek_time_s(seek)
-            + self.rotational_latency_s(rpm)
-            + nbytes / self.transfer_rate_bps(rpm)
-        )
-
-    def service_energy_j(self, nbytes: int, rpm: float, seek: str = "full") -> float:
-        """Energy of one request's service period at a level."""
-        return self.service_time_s(nbytes, rpm, seek) * self.active_power_w(rpm)
+        row = self._service_rows.get(rpm)
+        if row is None:
+            raise ConfigError(f"rpm {rpm} is not a supported level")
+        base, rate = row
+        try:
+            seek_base = base[seek]
+        except KeyError:
+            raise ConfigError(f"unknown seek class code {seek!r}") from None
+        return seek_base + nbytes / rate
 
     # ------------------------------------------------------------------ #
     # RPM transitions

@@ -9,26 +9,32 @@ from a request and the layout is invariant across the 7 replays:
   bytes land on each (``layout.striping(array).per_disk_bytes(...)``,
   already sorted by disk id);
 * the seek class of every sub-request — a request that exactly continues
-  the last request on a disk needs no repositioning (``"seq"``); one that
+  the last request on a disk needs no repositioning (``seq``); one that
   resumes a file the disk recently streamed pays only a short seek
-  (``"stream"``); anything else pays the full average seek (``"full"``).
+  (``stream``); anything else pays the full average seek (``full``).
   The classification depends only on the order of requests per disk, which
   is identical in every replay.
+
+A seek class is its ``int8`` code (:data:`SEEK_CLASSES` order) end to end:
+``sub_seek`` holds codes, the replay driver hands them to ``Disk.serve``
+and to a reactive controller's ``on_request_complete`` as Python ints, and
+both the vector kernel and ``Disk`` read the service time from the same
+table, ``PowerModel.service_seek_base_s[level, code] + nbytes /
+PowerModel.service_rate_bps[level]``.  The names in :data:`SEEK_CLASSES`
+are for display and tests.
 
 :class:`ReplayPlan` computes all of it once per trace — **columnar**, as
 CSR-style NumPy arrays over the flat sub-request stream:
 
 * ``indptr[i]:indptr[i+1]`` delimits request ``i``'s sub-requests;
 * ``sub_disk`` / ``sub_nbytes`` / ``sub_seek`` are the per-sub-request
-  target disk, byte count, and integer seek-class code
-  (:data:`SEEK_CLASSES` order).
+  target disk, byte count, and seek-class code.
 
 Construction is fully vectorized: the striping fan-out is the closed-form
 per-phase stripe count (the array form of ``Striping.per_disk_bytes``),
 and the seek classes come from two stable argsorts (previous sub-request
 on the same disk → ``seq``; previous sub-request of the same (disk, array)
-→ ``stream``) instead of per-request dict updates.  The tuple-of-tuples
-view consumed by the stepwise simulator loop is materialized lazily.
+→ ``stream``) instead of per-request dict updates.
 
 The suite engine builds one plan and passes it to every
 :func:`~repro.disksim.simulator.simulate` call; ``simulate`` builds a plan
@@ -45,8 +51,8 @@ from ..util.errors import SimulationError
 
 __all__ = ["ReplayPlan", "SeekCarry", "SEEK_CLASSES", "SEEK_CODES"]
 
-#: Seek classes in code order; matches ``PowerModel.SEEK_CLASSES`` (the
-#: rows of its per-level service-time table are indexed by these codes).
+#: Seek classes in code order: the columns of ``PowerModel``'s per-level
+#: service-time table are indexed by these codes.
 SEEK_CLASSES: tuple[str, ...] = ("seq", "stream", "full")
 SEEK_CODES: dict[str, int] = {name: i for i, name in enumerate(SEEK_CLASSES)}
 
@@ -77,11 +83,9 @@ class SeekCarry:
 class ReplayPlan:
     """Columnar per-request hot-loop inputs, computed once per stream.
 
-    ``entries[i]`` (lazy) corresponds to request ``i`` of the trace's
-    columns and is a tuple of ``(disk_id, nbytes, seek)`` sub-requests
-    sorted by disk id, where ``seek`` is the precomputed seek class
-    (``"seq"``/``"stream"``/``"full"``) — the view the stepwise simulator
-    loop consumes.  The replay driver reads the flat arrays directly.
+    Request ``i`` of the trace's columns owns sub-requests
+    ``indptr[i]:indptr[i+1]``, sorted by disk id; the replay driver reads
+    the flat arrays directly.
     """
 
     __slots__ = (
@@ -91,7 +95,6 @@ class ReplayPlan:
         "sub_disk",
         "sub_nbytes",
         "sub_seek",
-        "_entries",
         "_derived",
     )
 
@@ -110,7 +113,6 @@ class ReplayPlan:
         self.sub_disk = sub_disk
         self.sub_nbytes = sub_nbytes
         self.sub_seek = sub_seek
-        self._entries: tuple | None = None
         #: Cache of derived artifacts (list views, per-power-model service
         #: tables) shared by every replay using this plan.
         self._derived: dict = {}
@@ -372,24 +374,6 @@ class ReplayPlan:
     @property
     def num_subrequests(self) -> int:
         return int(self.sub_disk.size)
-
-    @property
-    def entries(self) -> tuple:
-        """Tuple-of-tuples view for the stepwise loop, built lazily."""
-        if self._entries is None:
-            names = SEEK_CLASSES
-            ind = self.indptr.tolist()
-            d = self.sub_disk.tolist()
-            nb = self.sub_nbytes.tolist()
-            sk = self.sub_seek.tolist()
-            self._entries = tuple(
-                tuple(
-                    (d[j], nb[j], names[sk[j]])
-                    for j in range(ind[i], ind[i + 1])
-                )
-                for i in range(len(ind) - 1)
-            )
-        return self._entries
 
     def matches(self, trace: Trace) -> bool:
         """Whether this plan was built for ``trace``'s request stream.

@@ -221,7 +221,7 @@ class _PlanGeometry:
         "indptr_l",
         "disk_l",
         "nb_l",
-        "seek_name_l",
+        "seek_l",
         "counts",
         "single_sub",
         "nbytes_f",
@@ -237,7 +237,7 @@ class _PlanGeometry:
         self.indptr_l = plan.indptr.tolist()
         self.disk_l = None
         self.nb_l = None
-        self.seek_name_l = None
+        self.seek_l = None
         self.counts = None
         self.single_sub = False
         self.nbytes_f = None
@@ -248,14 +248,10 @@ class _PlanGeometry:
         Lazy so an all-vector replay never pays the O(subs) ``tolist``
         conversions."""
         if self.disk_l is None:
-            from .replay import SEEK_CLASSES
-
             self.disk_l = self._sub_disk.tolist()
             self.nb_l = self._sub_nbytes.tolist()
-            self.seek_name_l = [
-                SEEK_CLASSES[c] for c in self._sub_seek.tolist()
-            ]
-        return self.disk_l, self.nb_l, self.seek_name_l
+            self.seek_l = self._sub_seek.tolist()
+        return self.disk_l, self.nb_l, self.seek_l
 
     def nbytes_float(self) -> np.ndarray:
         """Per-sub byte counts as float64 (idempotent, cached)."""
@@ -295,10 +291,10 @@ def _geometry(plan: ReplayPlan) -> _PlanGeometry:
 class _ServiceTables:
     """Per-sub-request service times at each RPM level, built lazily.
 
-    Row ``level_row[rpm]`` of the underlying table is
-    ``fl(seek_s + latency) + nbytes / rate`` per sub-request — operand
-    association identical to ``PowerModel.service_time_s``'s fast path,
-    so every entry is bit-equal to the scalar computation.  Cached on the
+    Row ``level_row[rpm]`` is ``service_seek_base_s[li, code] + nbytes /
+    service_rate_bps[li]`` per sub-request: the power model's one service
+    table, which ``Disk.serve`` and ``PowerModel.service_time_s`` read
+    entry by entry, so every value is bit-equal to theirs.  Cached on the
     plan keyed by (hashable, frozen) power model, so the rows are shared
     across every replay of a suite.
     """
@@ -906,7 +902,7 @@ def _run_vector(
     delay: float,
     tnext: float,
     nonplain: int,
-    responses: array | _ResponseFold,
+    responses: array,
     busy: BusySink | None,
     rpm_counts: dict[int, int] | None = None,
     recorder=None,
@@ -959,11 +955,7 @@ def _run_vector(
     if cut == 0:
         return ri, delay
     k = ri + cut
-    fold = getattr(responses, "fold_array", None)
-    if fold is None:
-        responses.frombytes(resp[:cut].tobytes())
-    else:
-        fold(resp[:cut])
+    responses.frombytes(resp[:cut].tobytes())
 
     wsubs = indptr_l[k] - s0
     queues.commit(
@@ -989,7 +981,7 @@ def _replay(
     timed: tuple[list, list, list, list],
     directives: np.ndarray,
     total_compute_s: float,
-    responses: array | _ResponseFold,
+    responses: array,
     busy: BusySink | None,
     rpm_counts: dict[int, int] | None,
     fault_plan,
@@ -1011,8 +1003,8 @@ def _replay(
     columns as lists.  Each call reaches its disk through
     :func:`apply_call`.  Every sub-request outside a
     vector window runs through ``Disk.serve`` (``serve_faulty`` when the
-    fault plan flags it), with the striping fan-out and seek class read
-    from the scheme-invariant plan's flat per-sub lists, so no
+    fault plan flags it), with the striping fan-out and seek-class code
+    read from the scheme-invariant plan's flat per-sub lists, so no
     ``IORequest`` objects are ever materialized.  ``on_complete`` (the
     reactive controller hook, stepwise only) sees every completion.
 
@@ -1058,7 +1050,7 @@ def _replay(
     indptr_l = geom.indptr_l
     # Built on first use: an all-vector replay never pays the O(subs)
     # ``tolist`` views, a stepwise one never the service tables.
-    disk_l = nb_l = seek_name_l = None
+    disk_l = nb_l = seek_l = None
     tables = None
     n = len(req_times)
     # Directive columns are read once, as lists (the timed ones by
@@ -1226,7 +1218,7 @@ def _replay(
                         continue
 
             if disk_l is None and ri < bound:
-                disk_l, nb_l, seek_name_l = geom.scalar_views()
+                disk_l, nb_l, seek_l = geom.scalar_views()
             if due:
                 reqmask = geom.request_masks()
             k = ri
@@ -1240,10 +1232,10 @@ def _replay(
                     disk_id = disk_l[j]
                     if faulty and (errs := sub_errors.get(j, 0)):
                         done = disks[disk_id].serve_faulty(
-                            t, nb_l[j], seek_name_l[j], errs
+                            t, nb_l[j], seek_l[j], errs
                         )
                     else:
-                        done = serves[disk_id](t, nb_l[j], seek_name_l[j])
+                        done = serves[disk_id](t, nb_l[j], seek_l[j])
                     if rpm_counts is not None:
                         r = disks[disk_id].rpm
                         rpm_counts[r] = rpm_counts.get(r, 0) + 1
@@ -1255,7 +1247,7 @@ def _replay(
                             busy_ends[disk_id](done)
                         if on_complete is not None:
                             on_complete(
-                                disk, t, start, done, nb_l[j], seek_name_l[j]
+                                disk, t, start, done, nb_l[j], seek_l[j]
                             )
                     if done > completion:
                         completion = done
@@ -1312,39 +1304,6 @@ def _replay(
     else:
         cov["subrequests_stepwise"] += scalar_subs
     return num_directives, end_time, delay, timed_idx
-
-
-class _ResponseFold:
-    """Response sink folding count/total/max on the fly.
-
-    Stands in for the per-request response column during streamed replay:
-    the driver's scalar path ``append``s floats (the ``+=`` fold is the
-    scalar chain itself) and the vector kernel hands whole windows to
-    :meth:`fold_array` (``sequential_sum`` is bit-equal to that chain;
-    max is an order-independent exact selection), so no response column
-    is ever materialized.
-    """
-
-    __slots__ = ("count", "total", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-
-    def append(self, r: float) -> None:
-        self.count += 1
-        self.total += r
-        if r > self.max:
-            self.max = r
-
-    def fold_array(self, arr: np.ndarray) -> None:
-        if arr.size:
-            self.count += int(arr.size)
-            self.total = sequential_sum(self.total, arr)
-            m = float(arr.max())
-            if m > self.max:
-                self.max = m
 
 
 def _stream_chunks(layout, directives: np.ndarray, columns):
@@ -1591,15 +1550,16 @@ def simulate(
     rpm_counts: dict[int, int] | None = {} if observing else None
     t_replay0 = time.perf_counter() if observing else 0.0
 
-    # Per-kind sinks: a whole trace keeps every response (exact p95 and
-    # ``request_responses``) in an unboxed column; a stream folds them as
-    # it goes.
-    responses: array | _ResponseFold
+    # Responses land in one unboxed column.  A whole trace keeps it (exact
+    # p95 and ``request_responses``); a stream folds each chunk's column
+    # into a running count, total and max, then reuses it.
+    responses = array("d")
+    resp_count = 0
+    resp_total = 0.0
+    resp_max = 0.0
     if streamed:
-        responses = _ResponseFold()
         span_attrs: dict = {"streamed": True}
     else:
-        responses = array("d")
         span_attrs = {
             "requests": plan.num_requests,
             "subrequests": plan.num_subrequests,
@@ -1641,6 +1601,16 @@ def simulate(
             num_requests += plan_c.num_requests
             num_chunks += 1
             if streamed:
+                # The same left fold, in the same order, as appending
+                # every response to one column: ``sequential_sum`` is the
+                # ``+=`` chain, and max is an exact selection.
+                chunk = np.frombuffer(responses, dtype=float)
+                if chunk.size:
+                    resp_count += chunk.size
+                    resp_total = sequential_sum(resp_total, chunk)
+                    resp_max = max(resp_max, float(chunk.max()))
+                del chunk  # an exported buffer blocks the resize below
+                del responses[:]
                 if observing:
                     # Live-telemetry feed: a ProgressReporter samples
                     # these between chunks (requests replayed so far,
@@ -1649,14 +1619,13 @@ def simulate(
                     _metrics.inc("progress.requests", plan_c.num_requests)
                     _metrics.inc("progress.chunks")
                     _metrics.set_gauge("progress.sim_time_s", round(end_time, 6))
-                # Break the plan <-> _PlanGeometry reference cycle so the
-                # chunk's plan, geometry lists, and service tables are
-                # freed by refcounting the moment ``plan_c`` rebinds.  Left
-                # to the cyclic GC, dozens of chunks' worth of O(chunk)
-                # derived state pile up between gen-2 collections and the
-                # streamed peak grows with trace length instead of staying
-                # bounded.  Only per-chunk plans built here are cleared: a
-                # caller's plan keeps its derived state for the next replay.
+                # Free this chunk's derived state (geometry lists and
+                # service tables, O(chunk) each) now: ``plan_c`` stays
+                # bound until the generator yields the next chunk, whose
+                # plan is built first, so without this two chunks' worth
+                # would be alive at once.  Only per-chunk plans built here
+                # are cleared: a caller's plan keeps its derived state for
+                # the next replay.
                 plan_c._derived.clear()
         if streamed:
             sp.set(
@@ -1729,9 +1698,7 @@ def simulate(
     for disk in disks:
         disk.finalize(end_time)
     if streamed:
-        summary = ResponseSummary.from_running(
-            responses.count, responses.total, responses.max
-        )
+        summary = ResponseSummary.from_running(resp_count, resp_total, resp_max)
         per_request = None
     else:
         per_request = np.frombuffer(responses, dtype=float)

@@ -8,6 +8,7 @@ from repro.controllers.base import Controller
 from repro.controllers.oracle import decisions_to_directives
 from repro.disksim.params import DiskParams, DRPMParams
 from repro.disksim.powermodel import PowerModel
+from repro.disksim.replay import SEEK_CODES
 from repro.power.planner import acting, plan_gaps
 from repro.trace.request import (
     ACT_SET_RPM,
@@ -36,7 +37,7 @@ def test_base_controller_is_inert(pm):
     assert timed.dtype == DIRECTIVE_ROW and timed.size == 0
     # The hook is a no-op and must accept the full signature.
     c.prepare(4, pm)
-    c.on_request_complete(None, 0.0, 0.0, 1.0, 4096, "seq")  # type: ignore[arg-type]
+    c.on_request_complete(None, 0.0, 0.0, 1.0, 4096, SEEK_CODES["seq"])  # type: ignore[arg-type]
 
 
 def test_decisions_to_directives_tpm(pm):

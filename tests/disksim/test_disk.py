@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.disksim.disk import Disk
 from repro.disksim.params import DiskParams, DRPMParams
 from repro.disksim.powermodel import PowerModel
+from repro.disksim.replay import SEEK_CODES
 from repro.util.errors import SimulationError
 
 
@@ -56,9 +57,11 @@ def test_serve_rejects_bad_size(pm):
 
 def test_serve_seek_classes(pm):
     d = Disk(0, pm)
-    t1 = d.serve(0.0, 4096, seek="full")
-    t2 = d.serve(t1, 4096, seek="seq")
-    assert (t2 - t1) == pytest.approx(pm.service_time_s(4096, 15000, "seq"))
+    t1 = d.serve(0.0, 4096, seek=SEEK_CODES["full"])
+    t2 = d.serve(t1, 4096, seek=SEEK_CODES["seq"])
+    assert (t2 - t1) == pytest.approx(
+        pm.service_time_s(4096, 15000, SEEK_CODES["seq"])
+    )
 
 
 def test_queueing_back_to_back(pm):

@@ -9,6 +9,7 @@ machine property is checked in isolation from the replay engines.
 import pytest
 
 from repro.disksim.disk import Disk
+from repro.disksim.replay import SEEK_CODES
 from repro.faults import FaultConfig, FaultRates, SpinUpFault
 from repro.util.errors import SimulationError
 
@@ -104,7 +105,7 @@ def test_serve_faulty_retries_with_backoff(power_model):
     disk = Disk(0, power_model, faults=plan)
     ref = Disk(0, power_model)
     clean_done = ref.serve(1.0, 4096)
-    done = disk.serve_faulty(1.0, 4096, "full", errors=2)
+    done = disk.serve_faulty(1.0, 4096, SEEK_CODES["full"], errors=2)
     svc = clean_done - 1.0
     # attempt0 ends at clean_done; retry 1 at +0.01, retry 2 at +0.02.
     assert done == pytest.approx(clean_done + 0.01 + svc + 0.02 + svc)
@@ -121,7 +122,7 @@ def test_serve_faulty_times_out(power_model):
     disk = Disk(0, power_model, faults=plan)
     ref = Disk(0, power_model)
     clean_done = ref.serve(1.0, 4096)
-    done = disk.serve_faulty(1.0, 4096, "full", errors=3)
+    done = disk.serve_faulty(1.0, 4096, SEEK_CODES["full"], errors=3)
     # The first retry would already start past the (zero) timeout: the
     # chain is abandoned at the first attempt's completion.
     assert done == clean_done

@@ -5,6 +5,7 @@ import pytest
 
 from repro.disksim.params import DiskParams, DRPMParams
 from repro.disksim.powermodel import PowerModel
+from repro.disksim.replay import SEEK_CODES
 from repro.util.errors import ConfigError
 
 
@@ -46,27 +47,24 @@ def test_transfer_rate_scales_linear(pm):
 
 
 def test_service_time_components(pm):
-    full = pm.service_time_s(0, 15000, "full")
+    full = pm.service_time_s(0, 15000, SEEK_CODES["full"])
     assert full == pytest.approx(3.4e-3 + 2.0e-3)
-    stream = pm.service_time_s(0, 15000, "stream")
+    stream = pm.service_time_s(0, 15000, SEEK_CODES["stream"])
     assert stream == pytest.approx(pm.disk.short_seek_s + 2.0e-3)
-    seq = pm.service_time_s(0, 15000, "seq")
+    seq = pm.service_time_s(0, 15000, SEEK_CODES["seq"])
     assert seq == pytest.approx(2.0e-3)
     with pytest.raises(ConfigError):
-        pm.service_time_s(64, 15000, "warp")
+        pm.service_time_s(64, 15000, len(SEEK_CODES))
     with pytest.raises(ConfigError):
         pm.service_time_s(-1, 15000)
+    with pytest.raises(ConfigError):
+        pm.service_time_s(64, 15100)  # not a supported level
 
 
 def test_service_slower_at_lower_rpm(pm):
     fast = pm.service_time_s(65536, 15000)
     slow = pm.service_time_s(65536, 3000)
     assert slow > 2 * fast
-
-
-def test_service_energy(pm):
-    t = pm.service_time_s(4096, 15000)
-    assert pm.service_energy_j(4096, 15000) == pytest.approx(t * 13.5)
 
 
 def test_transition_time_and_energy(pm):

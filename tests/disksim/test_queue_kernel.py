@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 from repro.disksim.disk import Disk
 from repro.disksim.params import SubsystemParams
 from repro.disksim.powermodel import PowerModel
-from repro.disksim.replay import SEEK_CLASSES
+from repro.disksim.replay import SEEK_CLASSES, SEEK_CODES
 from repro.disksim import simulator
 from repro.disksim.simulator import _Queues
 
@@ -102,7 +102,11 @@ def queue_columns(draw):
         width = draw(st.integers(1, num_disks))
         targets = sorted(draw(st.permutations(range(num_disks)))[:width])
         subs = [
-            (d, draw(st.integers(1, 1 << 20)), draw(st.sampled_from(SEEK_CLASSES)))
+            (
+                d,
+                draw(st.integers(1, 1 << 20)),
+                draw(st.sampled_from(range(len(SEEK_CLASSES)))),
+            )
             for d in targets
         ]
         if not open_loop:
@@ -174,7 +178,7 @@ def _kernel(num_disks, cursors, open_loop, times, requests):
         counts = np.array([len(subs) for subs in window])
         sub_disk = np.array([d for d, _, _ in flat], dtype=np.int64)
         nbytes = np.array([b for _, b, _ in flat], dtype=np.int64)
-        seek = np.array([SEEK_CLASSES.index(s) for _, _, s in flat])
+        seek = np.array([s for _, _, s in flat])
         svc = (
             _PM.service_seek_base_s[_LEVEL][seek]
             + nbytes.astype(np.float64) / _PM.service_rate_bps[_LEVEL]
@@ -236,7 +240,8 @@ def test_queue_kernel_matches_serve(guess, case):
 def test_saturated_disk_is_one_busy_period():
     """Every arrival at time zero: one busy period, each start the
     previous completion, and no idle time at all."""
-    case = (1, [0.0], True, [0.0] * 300, [[(0, 4096, "full")]] * 300)
+    sub = (0, 4096, SEEK_CODES["full"])
+    case = (1, [0.0], True, [0.0] * 300, [[sub]] * 300)
     ref, ref_resp, ref_busy, _ = _reference(*case)
     got, resp, busy, _ = _kernel(*case)
     assert _hex(busy[1][0]) == _hex(ref_busy[1][0])

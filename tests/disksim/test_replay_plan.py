@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.cycles import EstimationModel
 from repro.controllers.drpm import ReactiveDRPM
 from repro.disksim.params import SubsystemParams
-from repro.disksim.replay import ReplayPlan
+from repro.disksim.replay import SEEK_CLASSES, ReplayPlan
 from repro.disksim.simulator import simulate
 from repro.trace.generator import generate_trace
 from repro.trace.request import DIRECTIVE_ROW
@@ -25,25 +25,32 @@ def mixed_trace(tiny_program, tiny_layout, small_trace_options):
 
 
 def test_plan_matches_per_replay_computation(mixed_trace):
-    """Regression: every precomputed entry equals what the old hot loop
-    recomputed per replay — the striping fan-out via
-    layout.striping(...).per_disk_bytes(...) and the seek class via the
-    per-disk stream-tracking state machine."""
+    """Regression: every request's slice of the CSR columns equals what a
+    per-request replay loop computes — the striping fan-out via
+    layout.striping(...).per_disk_bytes(...) and the seek-class code via
+    the per-disk stream-tracking state machine."""
     plan = ReplayPlan.for_trace(mixed_trace)
     layout = mixed_trace.layout
     assert plan.columns is mixed_trace.columns
-    assert len(plan.entries) == len(mixed_trace.requests)
+    assert plan.num_requests == len(mixed_trace.requests)
+    assert plan.sub_seek.dtype == np.int8
+    indptr = plan.indptr.tolist()
+    sub_disk = plan.sub_disk.tolist()
+    sub_nbytes = plan.sub_nbytes.tolist()
+    sub_seek = plan.sub_seek.tolist()
     num_disks = layout.num_disks
     last_array = [None] * num_disks
     last_offset = [-1] * num_disks
     stream_ends = [dict() for _ in range(num_disks)]
     seen_seeks = set()
-    for req, entry in zip(mixed_trace.requests, plan.entries):
+    for i, req in enumerate(mixed_trace.requests):
+        subs = range(indptr[i], indptr[i + 1])
         old = layout.striping(req.array).per_disk_bytes(req.offset, req.nbytes)
-        assert [(d, n) for d, n, _ in entry] == sorted(old.items())
-        assert sum(n for _, n, _ in entry) == req.nbytes
+        assert [(sub_disk[j], sub_nbytes[j]) for j in subs] == sorted(old.items())
+        assert sum(sub_nbytes[j] for j in subs) == req.nbytes
         end = req.offset + req.nbytes
-        for disk_id, _, seek in entry:
+        for j in subs:
+            disk_id = sub_disk[j]
             if (
                 last_offset[disk_id] == req.offset
                 and last_array[disk_id] == req.array
@@ -53,11 +60,12 @@ def test_plan_matches_per_replay_computation(mixed_trace):
                 expect = "stream"
             else:
                 expect = "full"
-            assert seek == expect
-            seen_seeks.add(seek)
+            assert SEEK_CLASSES[sub_seek[j]] == expect
+            seen_seeks.add(expect)
             last_array[disk_id] = req.array
             last_offset[disk_id] = end
             stream_ends[disk_id][req.array] = end
+    assert indptr[-1] == len(sub_disk)
     assert "full" in seen_seeks  # the trace must exercise real seeks
 
 

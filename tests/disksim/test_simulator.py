@@ -9,7 +9,7 @@ from repro.controllers.base import Controller
 from repro.controllers.drpm import ReactiveDRPM
 from repro.disksim.params import SubsystemParams
 from repro.disksim.powermodel import PowerModel
-from repro.disksim.replay import ReplayPlan
+from repro.disksim.replay import SEEK_CODES, ReplayPlan
 from repro.disksim.simulator import apply_call, simulate
 from repro.ir.nodes import PowerAction, PowerCall
 from repro.layout.files import default_layout
@@ -79,8 +79,12 @@ def test_sequential_stream_skips_seek(params):
     pm = PowerModel(params.disk, params.drpm)
     reqs = [_req(0.0, 0, 8 * KB), _req(1.0, 8 * KB, 8 * KB)]
     res = simulate(_trace(reqs, lay), params)
-    assert res.request_responses[0] == pytest.approx(pm.service_time_s(8 * KB, 15000, "full"))
-    assert res.request_responses[1] == pytest.approx(pm.service_time_s(8 * KB, 15000, "seq"))
+    assert res.request_responses[0] == pytest.approx(
+        pm.service_time_s(8 * KB, 15000, SEEK_CODES["full"])
+    )
+    assert res.request_responses[1] == pytest.approx(
+        pm.service_time_s(8 * KB, 15000, SEEK_CODES["seq"])
+    )
 
 
 def test_stream_resume_pays_short_seek(params):
@@ -94,7 +98,7 @@ def test_stream_resume_pays_short_seek(params):
     ]
     res = simulate(_trace(reqs, lay), params)
     assert res.request_responses[1] == pytest.approx(
-        pm.service_time_s(8 * KB, 15000, "full")
+        pm.service_time_s(8 * KB, 15000, SEEK_CODES["full"])
     )
 
 
