@@ -36,7 +36,16 @@ __all__ = ["ReactiveDRPM"]
 
 
 class ReactiveDRPM(Controller):
-    """Per-disk n-request response-time window heuristic."""
+    """Per-disk n-request response-time window heuristic.
+
+    ``on_request_complete`` applies it one completion at a time, on the
+    stepwise route (closed loop, or with directive rows or a fault plan).
+    An open-loop replay with neither runs on the vector kernel
+    (:func:`repro.disksim.simulator._run_drpm`), which reads the window
+    state below at each chunk's entry, applies the same
+    :func:`~repro.power.planner.drpm_window_step` per window, and writes
+    the state back, so both routes leave identical disks and controller.
+    """
 
     name = "DRPM"
 

@@ -622,7 +622,14 @@ class Disk:
         timeout — then the request completes failed (timeout counted) at
         the last attempt's end.  Every attempt runs the exact ``serve``
         state machine, so both replay engines produce identical timelines.
+        A disk built without a fault plan raises :class:`SimulationError`
+        before any state changes.
         """
+        if self.faults is None:
+            raise SimulationError(
+                f"disk {self.disk_id}: serve_faulty needs a fault plan "
+                "(the disk was built without one)"
+            )
         rates = self.faults.config.rates
         stats = self.stats
         done = self.serve(t_issue, nbytes, seek)

@@ -43,10 +43,15 @@ it runs to the next trace directive, not for a fixed number of requests.
 on.  ``engine="stepwise"`` is the same driver with them off: every
 sub-request runs through ``Disk.serve``.  It is the reference the
 equivalence suites compare against, and the route for reactive
-controllers (reactive DRPM, adaptive TPM), whose ``on_request_complete``
-hook observes every sub-request.  Timeline recording is
-engine-independent: ``Disk`` emits the scalar segments, and the fused
-vector accounting emits each window's segments from the arrays it folds.
+controllers (adaptive TPM, closed-loop reactive DRPM), whose
+``on_request_complete`` hook observes every sub-request.  Open-loop
+reactive DRPM with no directive rows and no fault plan stays segmented:
+each disk is then an independent queue whose level changes only at its
+own window boundaries, and :func:`_run_drpm` solves each chunk per disk
+with the controller's decisions as barriers in the queues.  Timeline
+recording is engine-independent: ``Disk`` emits the scalar segments, and
+the fused vector accounting emits each window's segments from the arrays
+it folds.
 
 Every disk is a FIFO queue: a sub-request starts at the later of its
 issue time and the disk's previous completion, the Lindley recursion
@@ -54,18 +59,20 @@ issue time and the disk's previous completion, the Lindley recursion
 request at a time.  Inside a busy period that is a strict left fold from
 the period's first arrival, so the kernel finds the period boundaries
 (guessed from the recursion's max-plus form, then checked exactly) and
-folds each period with ``np.add.accumulate``, bit for bit (:func:`_fifo`).
-Idle time accrues only between busy periods.  Open-loop replays, whose
-recorded arrivals routinely queue, therefore stay on the vector path.  In
-closed loop queueing is a rounding edge: the app blocks until the slowest
-disk of request ``i`` completes, so ``t_exec[i+1] = completion[i] +
-(nominal[i+1] - nominal[i]) >= completion[i]`` up to rounding, and with
-nothing queued a sub-request starts at its issue time and completes at
-``t_exec + svc``.  Where rounding (or a nominal-time regression within the
-trace order tolerance) puts an issue time an ulp before its disk's last
-completion, the side of that tie every later request lands on depends on
-the exact delay bits; the kernel then serves the rest of the window in
-stream order with ``Disk.serve``'s arithmetic (:func:`_chain`).
+folds each period with ``np.add.accumulate``, bit for bit (:func:`_fifo`);
+a disk whose guessed boundary fails its check is served on from there in
+order (:func:`_lindley`).  Idle time accrues only between busy periods.
+Open-loop replays, whose recorded arrivals routinely queue, therefore
+stay on the vector path.  In closed loop queueing is a rounding edge: the
+app blocks until the slowest disk of request ``i`` completes, so
+``t_exec[i+1] = completion[i] + (nominal[i+1] - nominal[i]) >=
+completion[i]`` up to rounding, and with nothing queued a sub-request
+starts at its issue time and completes at ``t_exec + svc``.  Where
+rounding (or a nominal-time regression within the trace order tolerance)
+puts an issue time an ulp before its disk's last completion, the side of
+that tie every later request lands on depends on the exact delay bits;
+the kernel then serves the rest of the window in stream order with
+``Disk.serve``'s arithmetic (:func:`_chain`).
 """
 
 from __future__ import annotations
@@ -81,13 +88,14 @@ import numpy as np
 from .. import obs
 from ..obs import metrics as _metrics
 from .interface import Controller
+from ..power.planner import drpm_window_step
 from ..trace.request import (
     ACT_SET_RPM, ACT_SPIN_DOWN, ACT_SPIN_UP, RequestColumns, Trace, check_directives,
 )
 from ..trace.stream import TraceStream
 from ..util.errors import SimulationError
 from .disk import Disk, sequential_sum
-from .timeline import CAUSE_EXTERNAL
+from .timeline import CAUSE_DRPM_WINDOW, CAUSE_EXTERNAL
 from .params import SubsystemParams
 from .powermodel import PowerModel
 from .replay import ReplayPlan
@@ -120,10 +128,15 @@ VECTOR_MIN_SUBREQUESTS = 256
 
 #: The default engine's routing rule in manifest-ready form: a segmented
 #: replay opens vector windows unless a reactive controller observes every
-#: sub-request.  The vector-window gate rides along so a run manifest
-#: records the full routing policy that produced its numbers.
+#: sub-request, except open-loop reactive DRPM with no directive rows and
+#: no fault plan, which the vector kernel solves per disk.  The
+#: vector-window gate rides along so a run manifest records the full
+#: routing policy that produced its numbers.
 ROUTING: dict = {
-    "rule": "segmented unless the controller is reactive",
+    "rule": (
+        "segmented unless the controller is reactive; open-loop reactive "
+        "DRPM without directive rows or faults stays segmented"
+    ),
     "vector_min_subrequests": VECTOR_MIN_SUBREQUESTS,
 }
 
@@ -206,13 +219,14 @@ class _PlanGeometry:
     It holds the plan's columns, not the plan: a back reference would make
     plan and geometry a cycle that only the cyclic collector frees, so a
     dropped plan's list views would outlive it by a collection.
-    The views are built in lazy groups — ``Disk.serve`` needs only the
-    flat per-sub lists, the vector kernel the arrays (``counts``/
-    ``nbytes_f``) and the per-request disk bitmasks — so a replay pays
-    only for the path it takes.
+    The views are built in lazy groups — the driver's per-request scans
+    need the per-request lists, ``Disk.serve`` the flat per-sub lists, the
+    vector kernel the arrays (``counts``/``nbytes_f``) and the per-request
+    disk bitmasks — so a replay pays only for the path it takes.
     """
 
     __slots__ = (
+        "_times",
         "_indptr",
         "_sub_disk",
         "_sub_nbytes",
@@ -233,8 +247,9 @@ class _PlanGeometry:
         self._sub_disk = plan.sub_disk
         self._sub_nbytes = plan.sub_nbytes
         self._sub_seek = plan.sub_seek
-        self.req_times = plan.columns.nominal_time_s.tolist()
-        self.indptr_l = plan.indptr.tolist()
+        self._times = plan.columns.nominal_time_s
+        self.req_times = None
+        self.indptr_l = None
         self.disk_l = None
         self.nb_l = None
         self.seek_l = None
@@ -242,6 +257,16 @@ class _PlanGeometry:
         self.single_sub = False
         self.nbytes_f = None
         self.reqmask = None
+
+    def request_lists(self) -> tuple[list, list]:
+        """Per-request nominal times and CSR offsets as Python lists, for
+        the driver's per-request scans (idempotent, cached).  Lazy so a
+        replay that only opens vector windows, which read boundary
+        scalars, never pays the O(requests) ``tolist`` conversions."""
+        if self.req_times is None:
+            self.req_times = self._times.tolist()
+            self.indptr_l = self._indptr.tolist()
+        return self.req_times, self.indptr_l
 
     def scalar_views(self) -> tuple[list, list, list]:
         """Per-sub Python lists for ``Disk.serve`` (idempotent, cached).
@@ -449,8 +474,7 @@ def _fifo(
     period starts, ``a_j <= c_{j-1}`` inside one.  The guess is off only
     at near-ties, within the rounding of ``S``.  Every value before a
     disk's first failed check is exact; the failed subs are returned in
-    ``bad``, and the caller serves the rest of the window in stream order
-    (:func:`_chain`).
+    ``bad``, and :func:`_lindley` serves each such disk on in order.
     """
     comp = a + svc
     prev = _behind(comp, heads, seed)
@@ -469,6 +493,38 @@ def _fifo(
     return np.maximum(a, prev), comp, prev, bad if bad.any() else None
 
 
+def _lindley(
+    a: np.ndarray, svc: np.ndarray, heads: np.ndarray, seed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact per-disk FIFO service of subs grouped by disk, the open-loop
+    queue solve: :func:`_fifo`, with each disk whose busy-period check
+    failed served on from its first failed sub with ``Disk.serve``'s
+    arithmetic (the disks are independent when no delay feeds back).
+    Returns ``(start, comp, prev)``."""
+    start, comp, prev, bad = _fifo(a, svc, heads, seed)
+    if bad is None:
+        return start, comp, prev
+    ends = np.append(heads[1:], a.size).tolist()
+    where = np.flatnonzero(bad)
+    groups, first = np.unique(
+        np.searchsorted(heads, where, side="right") - 1, return_index=True
+    )
+    for g, lo in zip(groups.tolist(), where[first].tolist()):
+        hi = ends[g]
+        c = float(comp[lo - 1])
+        st_l = []
+        c_l = []
+        for t, s in zip(a[lo:hi].tolist(), svc[lo:hi].tolist()):
+            if c > t:
+                t = c
+            c = t + s
+            st_l.append(t)
+            c_l.append(c)
+        start[lo:hi] = st_l
+        comp[lo:hi] = c_l
+    return start, comp, _behind(comp, heads, seed)
+
+
 def _chain(
     tn: list,
     delay: float,
@@ -477,18 +533,16 @@ def _chain(
     svc: list,
     cur: list,
     tnext: float,
-    open_loop: bool,
 ) -> tuple[list, list, list, float]:
-    """Serve requests in stream order, one sub at a time, with
-    ``Disk.serve``'s timing arithmetic on plain floats.
+    """Serve closed-loop requests in stream order, one sub at a time,
+    with ``Disk.serve``'s timing arithmetic on plain floats.
 
     Request ``i`` (subs ``ptr[i]:ptr[i + 1]``) issues at ``tn[i] +
     delay``; each sub starts at ``max(t, c)``, ``c`` its disk's last
     completion (``cur[grp[j]]``, updated in place); the response is the
-    latest completion minus the issue time, and in closed loop it feeds
-    the delay.  Stops before the first request issued at or after
-    ``tnext``.  Returns the responses, sub starts and completions, and
-    the delay.
+    latest completion minus the issue time, and it feeds the delay.
+    Stops before the first request issued at or after ``tnext``.  Returns
+    the responses, sub starts and completions, and the delay.
     """
     r_out: list = []
     st_out: list = []
@@ -510,9 +564,24 @@ def _chain(
                 latest = c
         r = latest - t
         r_out.append(r)
-        if not open_loop:
-            delay += r
+        delay += r
     return r_out, st_out, c_out, delay
+
+
+def _by_disk(
+    sub_disk: np.ndarray, num_disks: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group subs by disk with one stable argsort, so each disk's subs
+    stay in stream order: ``(order, heads, glen, present)``, the grouping
+    permutation, and the start and length of each touched disk's group
+    and its id."""
+    order = np.argsort(sub_disk, kind="stable")
+    bounds = np.searchsorted(
+        sub_disk[order], np.arange(num_disks + 1, dtype=np.int64)
+    )
+    glen_all = np.diff(bounds)
+    present = np.flatnonzero(glen_all)
+    return order, bounds[present], glen_all[present], present
 
 
 class _Queues:
@@ -540,19 +609,12 @@ class _Queues:
         svc: np.ndarray,
         disks: list[Disk],
     ):
-        order = np.argsort(sub_disk, kind="stable")
-        bounds = np.searchsorted(
-            sub_disk[order], np.arange(len(disks) + 1, dtype=np.int64)
+        self.order, self.heads, self.glen, self.present = _by_disk(
+            sub_disk, len(disks)
         )
-        glen_all = np.diff(bounds)
-        present = np.flatnonzero(glen_all)
-        self.order = order
-        self.heads = bounds[present]
-        self.glen = glen_all[present]
-        self.present = present
-        self.seed = np.array([disks[d].cursor_s for d in present.tolist()])
+        self.seed = np.array([disks[d].cursor_s for d in self.present.tolist()])
         self.svc_stream = svc
-        self.svc = svc[order]
+        self.svc = svc[self.order]
         self.counts = counts
         self.ptr = None if counts is None else np.cumsum(counts) - counts
 
@@ -600,7 +662,8 @@ class _Queues:
             # and responses never feed back: one queue solve.
             t_arr = tn + delay
             a = self.arrivals(t_arr)
-            start, comp, prev, bad = _fifo(a, self.svc, self.heads, self.seed)
+            start, comp, prev = _lindley(a, self.svc, self.heads, self.seed)
+            bad = None
             # A response is the latest sub completion minus the issue
             # time; with nothing queued that is ``t + max svc`` (rounding
             # is monotone), read from the per-request maxima.
@@ -652,10 +715,9 @@ class _Queues:
         q = cut if bad is None else min(cut, self.first_request(bad))
         if q < cut:
             # From request ``q`` on the arrays above are not the queues':
-            # a busy-period boundary failed its check (open loop), or a
-            # sub queues (closed loop).  A closed-loop sub queues only where
-            # rounding puts its issue time an ulp or so before its disk's
-            # last completion, and the side of that tie each later request
+            # a sub queues.  A closed-loop sub queues only where rounding
+            # puts its issue time an ulp or so before its disk's last
+            # completion, and the side of that tie each later request
             # lands on depends on the exact delay bits every earlier tie
             # left, a chain no fixpoint settles in a few passes.  The rest
             # of the window is served in stream order instead
@@ -671,15 +733,14 @@ class _Queues:
             tail = np.arange(q, w + 1) if self.ptr is None else np.append(
                 self.ptr[q:], order.size
             )
-            r_c, st_c, c_c, delay_c = _chain(
+            r_c, st_c, c_c, delay = _chain(
                 tn[q:].tolist(),
-                delay if pre is None else float(pre[q]),
+                float(pre[q]),
                 (tail - sq).tolist(),
                 grp[sq:].tolist(),
                 self.svc_stream[sq:].tolist(),
                 cur.tolist(),
                 tnext,
-                open_loop,
             )
             cut = q + len(r_c)
             start_st = np.empty_like(comp)
@@ -692,8 +753,6 @@ class _Queues:
             comp = comp_st[order]
             prev = _behind(comp, self.heads, self.seed)
             resp = np.concatenate((resp[:q], r_c))
-            if pre is not None:
-                delay = delay_c
         elif pre is not None:
             delay = float(pre[cut])
         return cut, resp, start, comp, prev, delay
@@ -731,8 +790,12 @@ class _Queues:
             if not kept.all():
                 glen = glen[kept]
                 pdisks = [d for d, kp in zip(pdisks, kept.tolist()) if kp]
+        level = pm.level_index
+        li_s = np.repeat(
+            np.array([level[d.rpm] for d in pdisks], dtype=np.int64), glen
+        )
         _fold_disks(
-            pdisks, glen, start, prev, svc, comp, nbytes[order], pm,
+            pdisks, glen, start, prev, svc, comp, nbytes[order], li_s, pm,
             rpm_counts, busy, recorder,
         )
 
@@ -745,28 +808,27 @@ def _fold_disks(
     svc_s: np.ndarray,
     comp_s: np.ndarray,
     nbytes_s: np.ndarray,
+    li_s: np.ndarray,
     pm: PowerModel,
     rpm_counts: dict[int, int] | None,
     busy: BusySink | None,
     recorder,
+    shifts: dict[int, list] | None = None,
 ) -> None:
     """Fused accounting of one vector window over the disks ``pdisks``.
 
     The per-sub arrays hold those disks' subs grouped by disk, in stream
     order within each disk (``glen[p]`` subs for ``pdisks[p]``): service
     starts ``td_s``, each sub's predecessor completion ``prev_s`` (the
-    disk's cursor at its first sub) and completions ``comp_s`` from
-    :func:`_fifo`.  Idle time ``td_s - prev_s`` is exactly ``0.0`` inside
-    a busy period, so it accrues only between periods.  Every
-    per-disk accrual is a sequential left fold over that disk's subs, so
-    all five folds x all disks of similar load are packed into one
-    zero-padded matrix — one row per (disk, accumulator), seeded with the
-    current totals in column 0 — and run through a single
-    ``np.add.accumulate`` along the rows: padding zeros are bitwise no-ops
-    on the non-negative accumulators, so the row ends equal the scalar
-    ``+=`` chains bit for bit.  A disk's RPM is constant across the window
-    (plain disks only change level at directive boundaries, which close
-    windows), so each disk's idle/active power broadcasts along its row.
+    disk's cursor at its first sub), completions ``comp_s`` from
+    :func:`_fifo` and RPM level rows ``li_s`` (``pm.level_index``; a
+    reactive DRPM disk changes level mid-window, :func:`_run_drpm`).
+    Idle time ``td_s - prev_s`` is exactly ``0.0`` inside a busy period,
+    so it accrues only between periods.  Every accrual is a sequential
+    left fold per disk — idle and active time and energy, and idle time
+    at each level the window touches — and all of them run in one
+    :func:`_fold_lanes`, bit for bit the scalar ``+=`` chains.  The
+    disks' ``rpm`` is the caller's to set.
 
     Busy intervals (``busy`` given) are the per-disk slices of the
     service-start and completion arrays.  Timeline segments (``recorder``
@@ -775,81 +837,62 @@ def _fold_disks(
     and dropped by the recorder), then a service segment whose
     explicit duration is the *table* service time — ``(td + svc) - td``
     differs from ``svc`` in the last bits, and the fold accrued ``svc``.
+    ``shifts`` maps a sub to the ``(state, start, end, power, rpm,
+    cause)`` transition segments recorded ahead of it.
     """
     P = len(pdisks)
     heads = np.zeros(P, dtype=np.int64)
     np.cumsum(glen[:-1], out=heads[1:])
     dur = td_s - prev_s
-    rpm_p = [d.rpm for d in pdisks]
-    iw_p = [pm._idle_w_by_level[r] for r in rpm_p]
-    aw_p = [pm._active_w_by_level[r] for r in rpm_p]
-    seeds = np.empty(5 * P)
+    levels = pm.levels
+    iw_s = np.array([pm._idle_w_by_level[r] for r in levels])[li_s]
+    aw_s = np.array([pm._active_w_by_level[r] for r in levels])[li_s]
+    seeds = np.empty((4, P))
     for p, d in enumerate(pdisks):
         st = d.stats
-        seeds[p] = st.time_s["idle"]
-        seeds[P + p] = st.energy_j["idle"]
-        seeds[2 * P + p] = st.time_s["active"]
-        seeds[3 * P + p] = st.energy_j["active"]
-        seeds[4 * P + p] = st.idle_time_by_rpm.get(rpm_p[p], 0.0)
-    iw_a = np.array(iw_p)
-    aw_a = np.array(aw_p)
-    finals = np.empty(5 * P)
-    # Disks are bucketed by power-of-two sub count, so a bucket's rows pad
-    # to under twice the subs of its shortest disk: one bucket, and one
-    # matrix, when the disks are evenly loaded.
-    exps = np.frexp(glen)[1]
-    for e in np.unique(exps).tolist():
-        sel = np.flatnonzero(exps == e)
-        B = sel.size
-        gl = glen[sel]
-        first = np.cumsum(gl) - gl
-        stride = int(gl.max()) + 1
-        lanes = (np.arange(5)[:, None] * P + sel).ravel()
-        mat = np.zeros((5 * B, stride))
-        mat[:, 0] = seeds[lanes]
-        # Scatter the two time lanes (a disk's i-th sub lands in column
-        # i + 1 of its row), then derive the energy and per-RPM lanes
-        # densely: each element of a per-disk power broadcast is the exact
-        # ``dur * w`` product the scalar path computes, and padding stays
-        # zero.
-        idx = np.arange(int(gl.sum()), dtype=np.int64)
-        pos = idx + np.repeat(np.arange(B, dtype=np.int64) * stride - first + 1, gl)
-        if B == P:
-            dur_b, svc_b = dur, svc_s
+        seeds[0, p] = st.time_s["idle"]
+        seeds[1, p] = st.energy_j["idle"]
+        seeds[2, p] = st.time_s["active"]
+        seeds[3, p] = st.energy_j["active"]
+    finals = _fold_lanes(
+        seeds, [dur, dur * iw_s, svc_s, svc_s * aw_s], glen
+    ).tolist()
+    # The idle time by RPM folds one level the window touches at a time
+    # (a DRPM window may touch all of them): the idle durations at that
+    # level, zero at the others.
+    lo, hi = int(li_s.min()), int(li_s.max())
+    for li in range(lo, hi + 1):
+        if lo == hi:
+            n, idle = li_s.size, dur
         else:
-            src = idx + np.repeat(heads[sel] - first, gl)
-            dur_b, svc_b = dur[src], svc_s[src]
-        flat = mat.ravel()
-        flat[pos] = dur_b
-        flat[pos + 2 * B * stride] = svc_b
-        idle = mat[:B, 1:]
-        act = mat[2 * B:3 * B, 1:]
-        np.multiply(idle, iw_a[sel][:, None], out=mat[B:2 * B, 1:])
-        np.multiply(act, aw_a[sel][:, None], out=mat[3 * B:4 * B, 1:])
-        mat[4 * B:, 1:] = idle
-        np.add.accumulate(mat, axis=1, out=mat)
-        finals[lanes] = mat[:, -1]
-    idle_t = finals[:P].tolist()
-    idle_e = finals[P:2 * P].tolist()
-    act_t = finals[2 * P:3 * P].tolist()
-    act_e = finals[3 * P:4 * P].tolist()
-    rpm_tm = finals[4 * P:].tolist()
+            at = li_s == li
+            n = int(np.count_nonzero(at))
+            if not n:
+                continue
+            idle = np.where(at, dur, 0.0)
+        rpm = levels[li]
+        if rpm_counts is not None:
+            rpm_counts[rpm] = rpm_counts.get(rpm, 0) + n
+        seed = [[d.stats.idle_time_by_rpm.get(rpm, 0.0) for d in pdisks]]
+        totals = _fold_lanes(np.array(seed), [idle], glen)[0].tolist()
+        dmax = np.maximum.reduceat(idle, heads).tolist()
+        for p, disk in enumerate(pdisks):
+            by_rpm = disk.stats.idle_time_by_rpm
+            # A level gains a key only where some idle duration is
+            # positive, as ``Disk._settle_idle`` creates it.
+            if rpm in by_rpm or dmax[p] > 0:
+                by_rpm[rpm] = totals[p]
     lasts = heads + glen - 1
-    dmax = np.maximum.reduceat(dur, heads).tolist()
     nbytes_g = np.add.reduceat(nbytes_s, heads).tolist()
     td_last = td_s[lasts].tolist()
     comp_last = comp_s[lasts].tolist()
     glen_l = glen.tolist()
     for p, disk in enumerate(pdisks):
         st = disk.stats
-        st.time_s["idle"] = idle_t[p]
-        st.energy_j["idle"] = idle_e[p]
-        st.time_s["active"] = act_t[p]
-        st.energy_j["active"] = act_e[p]
-        by_rpm = st.idle_time_by_rpm
-        rpm_d = rpm_p[p]
-        if rpm_d in by_rpm or dmax[p] > 0:
-            by_rpm[rpm_d] = rpm_tm[p]
+        st.time_s["idle"] = finals[0][p]
+        st.energy_j["idle"] = finals[1][p]
+        st.time_s["active"] = finals[2][p]
+        st.energy_j["active"] = finals[3][p]
         st.num_requests += glen_l[p]
         st.bytes_served += nbytes_g[p]
         disk.last_service_start_s = td_last[p]
@@ -859,8 +902,6 @@ def _fold_disks(
         disk.idle_anchor_s = end
         disk.last_request_end_s = end
         disk._auto_armed = True
-        if rpm_counts is not None:
-            rpm_counts[rpm_d] = rpm_counts.get(rpm_d, 0) + glen_l[p]
     if busy is not None:
         starts, ends = busy
         lo = 0
@@ -876,19 +917,65 @@ def _fold_disks(
     rec_fn = recorder.record
     prev_l = prev_s.tolist()
     svc_l = svc_s.tolist()
+    rpm_l = np.asarray(levels)[li_s].tolist()
+    iw_l = iw_s.tolist()
+    aw_l = aw_s.tolist()
+    shifts = shifts or {}
     lo = 0
     for p, disk in enumerate(pdisks):
         hi = lo + glen_l[p]
         d_id = disk.disk_id
-        rpm_d = rpm_p[p]
-        iw = iw_p[p]
-        aw = aw_p[p]
         for i in range(lo, hi):
+            for seg in shifts.get(i, ()):
+                rec_fn(d_id, *seg)
             t_i = td_l[i]
-            rec_fn(d_id, "idle", prev_l[i], t_i, iw, rpm_d)
-            rec_fn(d_id, "active", t_i, comp_l[i], aw, rpm_d, "", svc_l[i])
+            rpm_i = rpm_l[i]
+            rec_fn(d_id, "idle", prev_l[i], t_i, iw_l[i], rpm_i)
+            rec_fn(
+                d_id, "active", t_i, comp_l[i], aw_l[i], rpm_i, "", svc_l[i]
+            )
         lo = hi
 
+
+def _fold_lanes(
+    seeds: np.ndarray, lanes: list[np.ndarray], glen: np.ndarray
+) -> np.ndarray:
+    """Left-fold every lane of per-sub values per disk: ``seeds[j, p] +
+    lane_j[sub_0] + lane_j[sub_1] + ...`` over disk ``p``'s ``glen[p]``
+    consecutive subs, bit for bit the scalar ``+=`` chain, as a ``(lanes,
+    disks)`` array.
+
+    Disks are bucketed by power-of-two sub count, and each bucket's rows,
+    one per (lane, disk), are packed into one zero-padded matrix, seeded
+    in column 0 and run through a single ``np.add.accumulate`` along its
+    rows: padding zeros are bitwise no-ops on the non-negative
+    accumulators.  A bucket pads to under twice the subs of its shortest
+    disk, so evenly loaded disks make one matrix.
+    """
+    nl, P = seeds.shape
+    out = np.empty((nl, P))
+    heads = np.cumsum(glen) - glen
+    exps = np.frexp(glen)[1]
+    for e in np.unique(exps).tolist():
+        sel = np.flatnonzero(exps == e)
+        B = sel.size
+        gl = glen[sel]
+        first = np.cumsum(gl) - gl
+        stride = int(gl.max()) + 1
+        mat = np.zeros((nl * B, stride))
+        mat[:, 0] = seeds[:, sel].ravel()
+        # A disk's i-th sub lands in column i + 1 of its rows.
+        idx = np.arange(int(gl.sum()), dtype=np.int64)
+        pos = idx + np.repeat(
+            np.arange(B, dtype=np.int64) * stride - first + 1, gl
+        )
+        src = slice(None) if B == P else idx + np.repeat(heads[sel] - first, gl)
+        blocks = mat.reshape(nl, B * stride)
+        for block, lane in zip(blocks, lanes):
+            block[pos] = lane[src]
+        np.add.accumulate(mat, axis=1, out=mat)
+        out[:, sel] = mat[:, -1].reshape(nl, B)
+    return out
 
 
 def _run_vector(
@@ -920,9 +1007,9 @@ def _run_vector(
     timeline segments.
     """
     geom.vector_views()
-    indptr_l = geom.indptr_l
-    s0 = indptr_l[ri]
-    s1 = indptr_l[we]
+    indptr = plan.indptr
+    s0 = int(indptr[ri])
+    s1 = int(indptr[we])
     level_row = tables.level_row
     rpm_set = {
         d.rpm
@@ -957,7 +1044,7 @@ def _run_vector(
     k = ri + cut
     responses.frombytes(resp[:cut].tobytes())
 
-    wsubs = indptr_l[k] - s0
+    wsubs = int(indptr[k]) - s0
     queues.commit(
         wsubs, td_s, comp_s, prev_s, plan.sub_nbytes[s0:s1], disks, pm,
         rpm_counts, busy, recorder,
@@ -968,6 +1055,282 @@ def _run_vector(
     if len(rpm_set) > 1:
         cov["segments_fused_multirpm"] += 1
     return k, delay
+
+
+def _drpm_guess(
+    tables: _ServiceTables,
+    win: np.ndarray,
+    seek: np.ndarray,
+    nb: np.ndarray,
+    base: np.ndarray,
+    nwin: int,
+) -> np.ndarray:
+    """Each window's sum of service-over-baseline ratios at every level,
+    ``(windows, levels)``: the window means a reactive DRPM disk would see
+    if each sub's observed service time were its table entry.  Only a
+    guess (the exact ``(start + svc) - start`` differs in the last bits,
+    and the sum is not folded in order); :func:`_run_drpm` checks every
+    decision it implies.  ``sum(seek_base[li, code] / b) + sum(nbytes /
+    b) / rate[li]`` needs one pass over the subs, not one per level."""
+    inv = 1.0 / base
+    ncode = tables.base.shape[1]
+    per_code = np.bincount(
+        win * ncode + seek, weights=inv, minlength=nwin * ncode
+    ).reshape(nwin, ncode)
+    per_byte = np.bincount(win, weights=nb * inv, minlength=nwin)
+    return per_code @ tables.base.T + per_byte[:, None] / tables.rate
+
+
+def _accrue_shifts(
+    pdisks: list[Disk],
+    shifts: list[tuple[int, int, int]],
+    cuts: list[int],
+    starts: list[float],
+    arrivals: list[float],
+    pair: dict,
+    record: bool,
+) -> dict[int, list] | None:
+    """Accrue each mid-chunk shift ``(p, from_rpm, to_rpm)`` of
+    :func:`_run_drpm` as the next sub's wait does in ``Disk``: the shift
+    starts at ``starts[i]`` (``c``, its window's last completion), and
+    ``Disk._accrue_transition`` books it in one piece up to ``end`` when
+    the next arrival ``a`` is at or past ``end - Disk._EPS``, else from
+    ``c`` to ``max(a, c)`` and then to ``end``.  Returns the timeline
+    segments for :func:`_fold_disks` to record ahead of each next sub
+    (grouped index ``cuts[i]``), or ``None`` without ``record``."""
+    segs: dict[int, list] | None = {} if record else None
+    for (p, f, t), cut, c, nxt in zip(shifts, cuts, starts, arrivals):
+        dur, power = pair[(f, t)]
+        end = c + dur
+        if c > nxt:
+            nxt = c
+        st = pdisks[p].stats
+        st.num_rpm_shifts += 1
+        cur = c
+        for x in ((end,) if end <= nxt + Disk._EPS else (nxt, end)):
+            d = x - cur if x > cur else 0.0
+            st.time_s["rpm_shift"] += d
+            st.energy_j["rpm_shift"] += d * power
+            if x > cur:
+                if record:
+                    segs.setdefault(cut, []).append(
+                        ("rpm_shift", cur, x, power, t, CAUSE_DRPM_WINDOW)
+                    )
+                cur = x
+    return segs
+
+
+def _run_drpm(
+    plan: ReplayPlan,
+    geom: _PlanGeometry,
+    tables: _ServiceTables,
+    pm: PowerModel,
+    disks: list[Disk],
+    ctrl,
+    delay: float,
+    responses: array,
+    busy: BusySink | None,
+    rpm_counts: dict[int, int] | None,
+    recorder=None,
+) -> None:
+    """Open-loop reactive DRPM over a whole chunk on the vector kernel.
+
+    With the delay frozen every sub issues at its recorded arrival, so each
+    disk is an independent FIFO queue whose level changes only at its own
+    window boundaries: the controller (``ctrl``, a
+    :class:`~repro.controllers.drpm.ReactiveDRPM`) decides after every
+    ``window_size`` completions of a disk, at fixed positions of its
+    queue.  A decision is a barrier in that queue: the shift starts at the
+    window's last completion ``c`` and ends at ``c + dur``
+    (``Disk._begin_transition``), and the next sub starts at ``max(a,
+    end)``.  The barrier rides in the queue as a pseudo-sub arriving with
+    the decision's sub and taking ``dur``, so the queue stays one Lindley
+    recursion (:func:`_lindley`), and each sub reads its epoch level's row
+    of the one service table.
+
+    The decisions are :func:`~repro.power.planner.drpm_window_step`'s,
+    on the exact ``observed = comp - start`` over the max-level row,
+    folded per window with ``np.add.accumulate`` from the controller's
+    ``_window_sum``/``_window_count``/``_prev_mean`` (read here and
+    written back).  They are guessed first from table service times
+    (:func:`_drpm_guess`) and then checked against the exact solve; a
+    disk whose exact decision differs takes it and is guessed again from
+    there, until no decision moves.  Energy accrues per (disk, level
+    epoch) in :func:`_fold_disks`, and each shift as
+    ``Disk._accrue_transition`` splits it (:func:`_accrue_shifts`).  A
+    shift decided at a disk's last sub in the chunk goes through
+    ``Disk.set_rpm``, so the next chunk (whose first sub waits it out
+    through ``Disk.advance``) and ``finalize`` see the stepwise state.
+    """
+    drpm = ctrl.drpm
+    W = drpm.window_size
+    max_rpm = drpm.max_rpm
+    levels = pm.levels
+    level_row = tables.level_row
+    pair = pm._transition_by_pair
+    geom.vector_views()
+    order, heads, glen, present = _by_disk(plan.sub_disk, len(disks))
+    ids = present.tolist()
+    pdisks = [disks[d] for d in ids]
+    P = len(pdisks)
+    S = order.size
+    heads_l = heads.tolist()
+    glen_l = glen.tolist()
+    t_arr = plan.columns.nominal_time_s + delay
+    a = (t_arr if geom.single_sub else np.repeat(t_arr, geom.counts))[order]
+    # A shift decided at a disk's last sub of the previous chunk is still
+    # in flight: its first sub here waits it out as ``Disk.serve`` does.
+    for disk, t in zip(pdisks, a[heads].tolist()):
+        if disk._transition_end_s is not None:
+            c = disk.cursor_s
+            disk.advance(t if t > c else c)
+            end = disk._transition_end_s
+            if end is not None:
+                disk.advance(end)
+    seed = np.array([d.cursor_s for d in pdisks])
+    seek = plan.sub_seek[order]
+    nb = geom.nbytes_f[order]
+    base = tables.row_np(level_row[max_rpm])[order]
+    # Window k of a disk holds its subs at window positions [kW, (k+1)W),
+    # counting the completions the controller already holds.
+    cnt0 = [ctrl._window_count[d] for d in ids]
+    sum0 = np.array([ctrl._window_sum[d] for d in ids])
+    cnt0_a = np.array(cnt0, dtype=np.int64)
+    posn = np.arange(S, dtype=np.int64) - np.repeat(heads - cnt0_a, glen)
+    nwin_a = (glen + cnt0_a - 1) // W + 1
+    wbase_a = np.cumsum(nwin_a) - nwin_a
+    win = np.repeat(wbase_a, glen) + posn // W
+    col = posn % W + 1
+    nwin = int(nwin_a.sum())
+    wbase = wbase_a.tolist()
+    ndec = ((glen + cnt0_a) // W).tolist()
+    guess = _drpm_guess(tables, win, seek, nb, base, nwin)
+    guess[wbase_a] += sum0[:, None]
+    guess = (guess / W).tolist()
+    L0 = [d.rpm for d in pdisks]
+    prev0 = [ctrl._prev_mean[d] for d in ids]
+
+    def chain(p: int, exact: list | None, known: list | None):
+        """Disk ``p``'s decision per complete window, its last mean and
+        whether a decision differs from ``known``: exact means until the
+        first difference, guessed ones after it."""
+        rpm = L0[p]
+        prev = prev0[p]
+        row = wbase[p]
+        out = []
+        moved = False
+        for k in range(ndec[p]):
+            if exact is not None:
+                mean = exact[row + k]
+            else:
+                mean = guess[row + k][level_row[rpm]]
+            target = drpm_window_step(prev, mean, rpm, drpm)
+            if exact is not None and target != known[k]:
+                # Later exact means assumed the other decision.
+                moved = True
+                exact = None
+            prev = mean
+            if target is not None:
+                rpm = target
+                if target == max_rpm:
+                    prev = None
+            out.append(target)
+        return out, prev, moved
+
+    targets = [chain(p, None, None)[0] for p in range(P)]
+    while True:
+        # Epochs: each disk's entry level, then one per mid-chunk shift.
+        cuts: list[int] = []
+        shifts: list[tuple[int, int, int]] = []
+        ep_li: list[int] = []
+        last_shift: list[int | None] = [None] * P
+        for p in range(P):
+            rpm = L0[p]
+            ep_li.append(level_row[rpm])
+            h = heads_l[p]
+            last = glen_l[p] - 1
+            for k, target in enumerate(targets[p]):
+                if target is None:
+                    continue
+                q = (k + 1) * W - cnt0[p] - 1
+                if q == last:
+                    last_shift[p] = target
+                else:
+                    cuts.append(h + q + 1)
+                    shifts.append((p, rpm, target))
+                    ep_li.append(level_row[target])
+                rpm = target
+        cut_a = np.array(cuts, dtype=np.int64)
+        mark = np.zeros(S, dtype=np.int64)
+        mark[heads] = 1
+        mark[cut_a] = 1
+        li = np.array(ep_li)[np.cumsum(mark) - 1]
+        svc = tables.base[li, seek] + nb / tables.rate[li]
+        if cuts:
+            tdur = np.array([pair[(f, t)][0] for _, f, t in shifts])
+            start, comp, prev = _lindley(
+                np.insert(a, cut_a, a[cut_a - 1]),
+                np.insert(svc, cut_a, tdur),
+                heads + np.searchsorted(cut_a, heads),
+                seed,
+            )
+            real = np.ones(comp.size, dtype=bool)
+            real[cut_a + np.arange(cut_a.size)] = False
+            start, comp, prev = start[real], comp[real], prev[real]
+        else:
+            start, comp, prev = _lindley(a, svc, heads, seed)
+        sums = np.zeros((nwin, W + 1))
+        sums[wbase_a, 0] = sum0
+        sums[win, col] = (comp - start) / base
+        np.add.accumulate(sums, axis=1, out=sums)
+        sums = sums[:, -1]
+        exact = (sums / W).tolist()
+        moved = False
+        prev_end = []
+        for p in range(P):
+            out, last_mean, moved_p = chain(p, exact, targets[p])
+            prev_end.append(last_mean)
+            if moved_p:
+                targets[p] = out
+                moved = True
+        if not moved:
+            break
+
+    segs = _accrue_shifts(
+        pdisks, shifts, cuts, comp[cut_a - 1].tolist(), a[cut_a].tolist(),
+        pair, recorder is not None,
+    )
+    _fold_disks(
+        pdisks, glen, start, prev, svc, comp, plan.sub_nbytes[order], li,
+        pm, rpm_counts, busy, recorder, segs,
+    )
+    final_li = li[heads + glen - 1].tolist()
+    for p, disk in enumerate(pdisks):
+        rpm = levels[final_li[p]]
+        if rpm != disk.rpm:
+            disk.rpm = rpm
+            disk._refresh_level_consts(rpm)
+        if last_shift[p] is not None:
+            disk.set_rpm(disk.cursor_s, last_shift[p], CAUSE_DRPM_WINDOW)
+        # The open window, if any, is the one after the last decision.
+        d = ids[p]
+        k = ndec[p]
+        ctrl._window_count[d] = glen_l[p] + cnt0[p] - k * W
+        ctrl._window_sum[d] = (
+            float(sums[wbase[p] + k]) if ctrl._window_count[d] else 0.0
+        )
+        ctrl._prev_mean[d] = prev_end[p]
+
+    latest = np.empty(S)
+    latest[order] = comp
+    if not geom.single_sub:
+        latest = np.maximum.reduceat(latest, plan.indptr[:-1])
+    responses.frombytes((latest - t_arr).tobytes())
+    cov = REPLAY_COVERAGE
+    cov["subrequests_vector"] += S
+    cov["segments_fused"] += 1
+    if li.min() != li.max():
+        cov["segments_fused_multirpm"] += 1
 
 
 # ---------------------------------------------------------------------- #
@@ -991,6 +1354,7 @@ def _replay(
     miss_keys: frozenset | None,
     open_loop: bool,
     use_vector: bool,
+    drpm=None,
 ) -> tuple[int, float, float, int]:
     """Replay one chunk; returns ``(num_directives, end_time, delay,
     timed_idx)``.
@@ -1006,7 +1370,12 @@ def _replay(
     fault plan flags it), with the striping fan-out and seek-class code
     read from the scheme-invariant plan's flat per-sub lists, so no
     ``IORequest`` objects are ever materialized.  ``on_complete`` (the
-    reactive controller hook, stepwise only) sees every completion.
+    reactive controller hook) sees every completion the driver serves.
+
+    ``drpm`` (the reactive DRPM controller of an open-loop replay that
+    :func:`_solves_drpm` admits) hands a chunk of at least
+    ``VECTOR_MIN_SUBREQUESTS`` sub-requests whole to :func:`_run_drpm`;
+    a shorter one runs through ``Disk.serve`` and ``on_complete``.
 
     ``use_vector`` turns the vector probe on (segmented replay): at the
     start of each quiescent run long enough for a window before the next
@@ -1046,10 +1415,19 @@ def _replay(
     lives in the ``Disk`` objects.
     """
     geom = _geometry(plan)
-    req_times = geom.req_times
-    indptr_l = geom.indptr_l
-    # Built on first use: an all-vector replay never pays the O(subs)
-    # ``tolist`` views, a stepwise one never the service tables.
+    if drpm is not None and plan.num_subrequests >= VECTOR_MIN_SUBREQUESTS:
+        _run_drpm(
+            plan, geom, _service_tables(plan, pm, geom), pm, disks, drpm,
+            delay0, responses, busy, rpm_counts, disks[0].recorder,
+        )
+        return 0, total_compute_s + delay0, delay0, timed_idx0
+    # Built on first use: a replay that only opens vector windows reads
+    # its boundary scalars from the arrays and never pays the ``tolist``
+    # views (per request, then per sub), a stepwise one never the service
+    # tables.
+    req_times = plan.columns.nominal_time_s
+    indptr_l = plan.indptr
+    listed = False
     disk_l = nb_l = seek_l = None
     tables = None
     n = len(req_times)
@@ -1135,6 +1513,9 @@ def _replay(
         # run first.  Nominal times are compared, so the bound is
         # delay-independent; the scan totals O(num_requests) per replay.
         if di < num_dir_records:
+            if not listed:
+                req_times, indptr_l = geom.request_lists()
+                listed = True
             dnom = d_time[di]
             bound = ri
             while bound < n and req_times[bound] < dnom:
@@ -1219,6 +1600,9 @@ def _replay(
 
             if disk_l is None and ri < bound:
                 disk_l, nb_l, seek_l = geom.scalar_views()
+                if not listed:
+                    req_times, indptr_l = geom.request_lists()
+                    listed = True
             if due:
                 reqmask = geom.request_masks()
             k = ri
@@ -1265,7 +1649,7 @@ def _replay(
                     nf = flagged[f] if f < fr_n and flagged[f] < bound else bound
                     if indptr_l[nf] - indptr_l[k] >= VECTOR_MIN_SUBREQUESTS:
                         break
-            scalar_subs += indptr_l[k] - indptr_l[ri]
+            scalar_subs += int(indptr_l[k] - indptr_l[ri])
             ri = k
 
         if di < num_dir_records:
@@ -1338,6 +1722,23 @@ def _stream_chunks(layout, directives: np.ndarray, columns):
             yield plan, directives[dlo:dhi], final
             dlo = dhi
         cur = nxt
+
+
+def _solves_drpm(ctrl, open_loop: bool, fault_plan, directives, timed) -> bool:
+    """Whether :func:`_run_drpm` replays ``ctrl``: reactive DRPM's own
+    completion hook, open loop, and nothing else that changes a disk's
+    state (no fault plan, no trace or timed directive rows, no autonomous
+    spin-down)."""
+    from ..controllers.drpm import ReactiveDRPM
+
+    return (
+        open_loop
+        and type(ctrl).on_request_complete is ReactiveDRPM.on_request_complete
+        and ctrl.auto_spindown_threshold_s is None
+        and fault_plan is None
+        and not directives.size
+        and not timed.size
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -1424,9 +1825,15 @@ def simulate(
     against).  Both are bit-identical — including any attached timeline
     recorder's segment stream.  A segmented replay falls back to stepwise
     for reactive controllers, whose ``on_request_complete`` hook observes
-    every sub-request (``reactive-controller``: reactive DRPM and adaptive
-    TPM).  Reactive TPM has no hook — its autonomous spin-down lives in
-    ``Disk`` — so it replays segmented.
+    every sub-request (``reactive-controller``: adaptive TPM, and reactive
+    DRPM in closed loop or with directive rows or a fault plan).  An
+    open-loop reactive DRPM replay without either stays segmented: the
+    vector kernel solves each chunk per disk, with the controller's window
+    decisions (:func:`~repro.power.planner.drpm_window_step`) as barriers
+    in the disks' queues (:func:`_run_drpm`); a chunk under
+    ``VECTOR_MIN_SUBREQUESTS`` sub-requests runs through ``Disk.serve``
+    and the hook.  Reactive TPM has no hook — its autonomous spin-down
+    lives in ``Disk`` — so it replays segmented.
 
     No fallback is silent: each forced routing is logged (DEBUG) with its
     reason and recorded in ``SimulationResult.engine`` /
@@ -1536,14 +1943,18 @@ def simulate(
     # result's ``engine_forced`` metadata, and counted in ``sim.fallbacks``.
     segmented = engine != "stepwise"
     forced = ""
+    drpm = None
     if segmented and reactive:
-        segmented = False
-        forced = "reactive-controller"
-        logger.debug(
-            "%s/%s: reactive controller %s observes per-sub-request "
-            "completions; routing to the stepwise reference loop",
-            trace.program_name, ctrl.name, type(ctrl).__name__,
-        )
+        if _solves_drpm(ctrl, open_loop, fault_plan, directives, timed):
+            drpm = ctrl
+        else:
+            segmented = False
+            forced = "reactive-controller"
+            logger.debug(
+                "%s/%s: reactive controller %s observes per-sub-request "
+                "completions; routing to the stepwise reference loop",
+                trace.program_name, ctrl.name, type(ctrl).__name__,
+            )
     engine_used = "segmented" if segmented else "stepwise"
 
     observing = obs.enabled()
@@ -1595,7 +2006,7 @@ def simulate(
                 plan_c, disks, pm, on_complete, timed_columns, dirs_c,
                 trace.total_compute_s, responses, busy,
                 rpm_counts, fault_plan, delay,
-                timed_idx, final, miss_keys, open_loop, segmented,
+                timed_idx, final, miss_keys, open_loop, segmented, drpm,
             )
             num_directives += nd
             num_requests += plan_c.num_requests

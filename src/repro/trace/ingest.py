@@ -32,10 +32,13 @@ Two on-disk formats are supported:
 
 Every reader runs on one columnar block reader: binary records are read
 in blocks with positional reads straight into :data:`RECORD_DTYPE` arrays
-and validated with vector masks; text is parsed line by line into the same
-blocks.  A streamed text trace is parsed exactly once, when the stream is
-opened, and spilled in the binary record layout to an anonymous temporary
-file, so every replay pass reads binary blocks.
+and validated with vector masks; text is parsed in blocks of lines by
+``np.loadtxt`` into the same blocks, and a block it might read otherwise
+than the line parser, or that fails validation, is read again by the line
+parser, so every text error still names its line.  A streamed text trace
+is parsed exactly once, when the stream is opened, and spilled in the
+binary record layout to an anonymous temporary file, so every replay pass
+reads binary blocks.
 
 Every malformed input raises :class:`~repro.util.errors.TraceError` with
 the offending line/record number — the first bad one in file order;
@@ -69,8 +72,11 @@ chain — see :mod:`repro.disksim.simulator`.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
+import re
 import tempfile
+import warnings
 from dataclasses import dataclass
 from itertools import islice
 from math import isfinite
@@ -111,8 +117,20 @@ RECORD_DTYPE = np.dtype(
      ("kind", "u1")]
 )
 _HEADER_BYTES = len(BINARY_MAGIC) + 8
-#: Records per block of scans, whole-file reads and text parsing.
+#: Records per block of scans and whole-file reads, and lines per block
+#: of text parsing.
 _BLOCK_RECORDS = 1 << 14
+#: One text line's fields as ``np.loadtxt`` reads them.  ``kind`` is two
+#: characters wide, so a longer field (``RW``) cannot truncate to a valid
+#: one.
+_TEXT_DTYPE = np.dtype(
+    [("arrival", "f8"), ("device", "i8"), ("lba", "i8"), ("nbytes", "i8"),
+     ("kind", "U2")]
+)
+#: Every byte a plain text block may hold: tab, newline, printable ASCII.
+_PLAIN = b"\t\n" + bytes(range(32, 127))
+_COMMENT_LINE = re.compile(r"^[ \t]*#", re.M)
+_COMMA_LINE = re.compile(r"^[ \t]*,[ \t,]*$", re.M)
 _U32_MAX = (1 << 32) - 1
 _I64_MAX = (1 << 63) - 1
 
@@ -152,36 +170,88 @@ def _check_record(
         raise TraceError(f"{where}: LBA extent overflows 64 bits")
 
 
-def _iter_text(path: Path) -> Iterator[tuple[float, int, int, int, bool]]:
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 5:
-                raise TraceError(
-                    f"line {lineno}: expected 5 fields "
-                    f"(arrival device lba nbytes R|W), got {len(parts)}"
-                )
-            try:
-                arrival = float(parts[0])
-                device = int(parts[1])
-                lba = int(parts[2])
-                nbytes = int(parts[3])
-            except ValueError as exc:
-                raise TraceError(f"line {lineno}: {exc}") from exc
-            if parts[4] not in ("R", "W"):
-                raise TraceError(
-                    f"line {lineno}: bad request kind {parts[4]!r} "
-                    "(expected R or W)"
-                )
-            if device < 0:
-                raise TraceError(f"line {lineno}: negative device {device}")
-            if device > _U32_MAX:
-                raise TraceError(f"line {lineno}: device {device} exceeds 32 bits")
-            _check_record(f"line {lineno}", arrival, lba, nbytes)
-            yield arrival, device, lba, nbytes, parts[4] == "W"
+def _iter_text(
+    lines: list[str], lineno: int
+) -> Iterator[tuple[float, int, int, int, bool]]:
+    """The line parser: records of ``lines`` (the first is line
+    ``lineno``), each checked as it is read, so an error names its line."""
+    for lineno, raw in enumerate(lines, start=lineno):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.replace(",", " ").split()
+        if len(parts) != 5:
+            raise TraceError(
+                f"line {lineno}: expected 5 fields "
+                f"(arrival device lba nbytes R|W), got {len(parts)}"
+            )
+        try:
+            arrival = float(parts[0])
+            device = int(parts[1])
+            lba = int(parts[2])
+            nbytes = int(parts[3])
+        except ValueError as exc:
+            raise TraceError(f"line {lineno}: {exc}") from exc
+        if parts[4] not in ("R", "W"):
+            raise TraceError(
+                f"line {lineno}: bad request kind {parts[4]!r} "
+                "(expected R or W)"
+            )
+        if device < 0:
+            raise TraceError(f"line {lineno}: negative device {device}")
+        if device > _U32_MAX:
+            raise TraceError(f"line {lineno}: device {device} exceeds 32 bits")
+        _check_record(f"line {lineno}", arrival, lba, nbytes)
+        yield arrival, device, lba, nbytes, parts[4] == "W"
+
+
+def _parse_block(lines: list[str]) -> np.ndarray | None:
+    """``lines`` as records, parsed by ``np.loadtxt``; ``None`` where the
+    line parser might read them otherwise or reject them: a character
+    other than tab, newline or printable ASCII (``str.split`` breaks
+    fields at more whitespace than ``loadtxt``), an inline ``#``
+    (``loadtxt`` strips it, the line parser counts it as a field), a line
+    of only commas (skipped by ``loadtxt``, a line of no fields to the
+    line parser), a field ``loadtxt`` cannot parse (``float`` also takes
+    ``1_000.5``; an integer field it reads only as a float, such as
+    ``8.5`` or ``1e3``), a kind other than ``R``/``W`` or a device
+    outside 32 bits.  The values ``loadtxt`` does parse are ``float``'s
+    and ``int``'s bit for bit."""
+    text = "".join(lines)
+    if not text.isascii() or text.encode().translate(None, _PLAIN):
+        return None
+    if "#" in text and text.count("#") != len(_COMMENT_LINE.findall(text)):
+        return None
+    if "," in text:
+        if _COMMA_LINE.search(text):
+            return None
+        text = text.replace(",", " ")
+    try:
+        with warnings.catch_warnings():
+            # A block of only blank and comment lines holds no records.
+            warnings.simplefilter("ignore", UserWarning)
+            # The NumPy releases that still cast a float to an integer
+            # field (``8.5`` reads as 8) only warn that they do so.
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(
+                io.StringIO(text), dtype=_TEXT_DTYPE, comments="#", ndmin=1
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+    kind = rows["kind"]
+    write = kind == "W"
+    device = rows["device"]
+    if not (
+        (write | (kind == "R")).all()
+        and (device >= 0).all()
+        and (device <= _U32_MAX).all()
+    ):
+        return None
+    recs = np.empty(rows.size, RECORD_DTYPE)
+    for name in ("arrival", "device", "lba", "nbytes"):
+        recs[name] = rows[name]
+    recs["kind"] = write
+    return recs
 
 
 def _check_block(
@@ -255,23 +325,43 @@ def _read_blocks(
 
 
 def _text_blocks(path: Path, order: str | None) -> Iterator[np.ndarray]:
-    records = _iter_text(path)
-    base, prev = 0, -1.0
-    while True:
-        rows: list = []
-        try:
-            for rec in islice(records, _BLOCK_RECORDS):
-                rows.append(rec)
-        finally:
-            # On a parse error this still reports an earlier record's
-            # ordering error first, as a record-at-a-time reader would.
-            recs = np.array(rows, dtype=RECORD_DTYPE)
-            _check_block(recs, base, prev, order)
-        if not rows:
-            return
-        prev = float(recs["arrival"][-1])
-        base += len(recs)
-        yield recs
+    """Validated record blocks of a text trace, ``_BLOCK_RECORDS`` lines
+    at a time.  A block that :func:`_parse_block` hands back or
+    :func:`_check_block` rejects is read again by the line parser: it
+    raises the block's first error in file order, naming its line, or
+    reads a valid block that ``loadtxt`` could not."""
+    base, prev, lineno = 0, -1.0, 1
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        while lines := list(islice(fh, _BLOCK_RECORDS)):
+            recs = _parse_block(lines)
+            if recs is not None:
+                try:
+                    _check_block(recs, base, prev, order)
+                except TraceError:
+                    recs = None
+            if recs is None:
+                recs = _line_block(lines, lineno, base, prev, order)
+            lineno += len(lines)
+            if len(recs):
+                prev = float(recs["arrival"][-1])
+                base += len(recs)
+                yield recs
+
+
+def _line_block(
+    lines: list[str], lineno: int, base: int, prev: float, order: str | None
+) -> np.ndarray:
+    """One block through the line parser, then :func:`_check_block`."""
+    rows: list = []
+    try:
+        for rec in _iter_text(lines, lineno):
+            rows.append(rec)
+    finally:
+        # On a parse error this still reports an earlier record's
+        # ordering error first, as a record-at-a-time reader would.
+        recs = np.array(rows, dtype=RECORD_DTYPE)
+        _check_block(recs, base, prev, order)
+    return recs
 
 
 def _record_blocks(path: Path, fmt: str, order: str | None) -> Iterator[np.ndarray]:

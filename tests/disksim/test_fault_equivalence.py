@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from conftest import _assert_results_identical  # noqa: E402
+from tests.conftest import _assert_results_identical  # noqa: E402
 from strategies import fault_configs, programs  # noqa: E402
 
 from repro.analysis.cycles import EstimationModel

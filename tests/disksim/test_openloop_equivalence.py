@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from conftest import _assert_results_identical  # noqa: E402
+from tests.conftest import _assert_results_identical  # noqa: E402
 from strategies import (  # noqa: E402
     directive_rows,
     fault_configs,
@@ -107,8 +107,7 @@ def test_ingested_fixture_engines_identical(scheme, assert_results_identical):
         ]
     for other, _ in runs[1:]:
         assert_results_identical(runs[0][0], other)
-    if scheme != "drpm":  # reactive DRPM replays stepwise
-        assert runs[1][1] > 0
+    assert runs[1][1] > 0
 
 
 @pytest.mark.parametrize("chunk", [7, 64])

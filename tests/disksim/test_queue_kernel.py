@@ -2,9 +2,9 @@
 
 The kernel serves a window's sub-requests as one Lindley recursion per
 disk, ``c_j = max(a_j, c_{j-1}) + s_j`` (``_Queues.solve``: busy periods
-folded exactly, or a stream-order chain where a guessed period boundary
-fails its check or a closed-loop sub queues), then accrues the window in
-one batch (``_Queues.commit``).  Here it runs over random arrival and service
+folded exactly, a disk served on in order where a guessed period boundary
+fails its check, or a stream-order chain where a closed-loop sub queues),
+then accrues the window in one batch (``_Queues.commit``).  Here it runs over random arrival and service
 columns and must reproduce a loop of ``Disk.serve`` on fresh disks bit for
 bit (compared as ``float.hex``): service starts and completions (the busy
 intervals), per-request responses, the disks' cursors and every
@@ -211,8 +211,8 @@ def _no_period_starts(a, a0, svc, heads, queued):
 @given(case=queue_columns())
 def test_queue_kernel_matches_serve(guess, case):
     """With a wrong busy-period guess, the boundary check must catch every
-    queued open-loop window, and the stream-order chain that serves its
-    rest must still match ``Disk.serve``."""
+    queued open-loop window, and serving each failed disk on in order
+    must still match ``Disk.serve``."""
     ref, ref_resp, ref_busy, ref_delay = _reference(*case)
     if guess == "max-plus":
         got, resp, busy, delay = _kernel(*case)

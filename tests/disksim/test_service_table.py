@@ -19,7 +19,7 @@ from repro.disksim.simulator import _PlanGeometry, _ServiceTables
 from repro.disksim.timeline import TimelineRecorder
 from repro.faults import FaultConfig
 from repro.trace.request import RequestColumns
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, SimulationError
 
 _SIZES = (1, 512, 4096, 8192, 65536, 65537, 1 << 20, 3 * (1 << 20) + 7)
 _CODES = range(len(SEEK_CLASSES))
@@ -148,3 +148,16 @@ def test_unknown_code_leaves_disk_untouched(power_model, make_disk, code):
     full = SEEK_CODES["full"]
     assert disk.serve(t, 4096, full) == reference.serve(t, 4096, full)
     assert _snapshot(disk, recorder) == _snapshot(reference, reference_recorder)
+
+
+def test_serve_faulty_without_fault_plan_leaves_disk_untouched(power_model):
+    """Regression: a disk built without a fault plan rejects
+    ``serve_faulty`` with a typed error naming the disk (it used to raise
+    ``AttributeError`` on the missing plan), before any state changes."""
+    recorder = TimelineRecorder()
+    disk = Disk(3, power_model, recorder=recorder)
+    disk.serve(0.5, 4096, SEEK_CODES["full"])
+    before = _snapshot(disk, recorder)
+    with pytest.raises(SimulationError, match=r"^disk 3: .*fault plan"):
+        disk.serve_faulty(1.0, 4096, 2, 1)
+    assert _snapshot(disk, recorder) == before

@@ -73,11 +73,24 @@ def test_reactive_controller_forces_stepwise(p):
 
 
 def test_reactive_drpm_forces_stepwise(p):
-    # Reactive DRPM's window heuristic lives only in its completion hook,
-    # so it routes stepwise like any other reactive controller.
+    # In closed loop every response feeds the next issue time, so reactive
+    # DRPM's window heuristic stays in its completion hook and routes
+    # stepwise like any other reactive controller.
     res = simulate(_trace(), p, ReactiveDRPM(p.drpm))
     assert res.engine == "stepwise"
     assert res.engine_forced == "reactive-controller"
+
+
+def test_open_loop_reactive_drpm_runs_segmented(p):
+    # Open loop, each disk is an independent queue whose level changes
+    # only at its own window boundaries, so the vector kernel solves it.
+    res = simulate(_trace(), p, ReactiveDRPM(p.drpm), open_loop=True)
+    assert res.engine == "segmented"
+    assert res.engine_forced == ""
+    ref = simulate(
+        _trace(), p, ReactiveDRPM(p.drpm), engine="stepwise", open_loop=True
+    )
+    assert res == ref
 
 
 def test_recorder_no_longer_forces_an_engine(p):

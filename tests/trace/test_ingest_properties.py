@@ -353,13 +353,13 @@ _TEXT_RECORDS = [(i * 0.5, i % 3, i * 8, 4096, i % 2 == 0) for i in range(50)]
 def test_text_stream_parses_once(tmp_path, monkeypatch):
     path = _write(_TEXT_RECORDS, "text", tmp_path)
     calls = []
-    parse = ingest._iter_text
+    parse = ingest._text_blocks
 
-    def counting_parse(p):
+    def counting_parse(p, order):
         calls.append(p)
-        return parse(p)
+        return parse(p, order)
 
-    monkeypatch.setattr(ingest, "_iter_text", counting_parse)
+    monkeypatch.setattr(ingest, "_text_blocks", counting_parse)
     stream = stream_ingest(path, num_disks=4, chunk_requests=7)
     assert len(calls) == 1
     passes = [list(stream.iter_chunks()) for _ in range(3)]
@@ -442,3 +442,154 @@ def test_device_out_of_declared_range_raises(records):
         path = _write(records, "text", Path(d))
         with pytest.raises(TraceError):
             ingest_trace(path, num_disks=4, num_devices=max_dev)
+
+
+# --------------------------------------------------------------------- #
+# Text blocks: ``np.loadtxt`` reads what the line parser reads.
+# --------------------------------------------------------------------- #
+def _lines(path: Path) -> list[str]:
+    """The file's lines as the text reader sees them (universal
+    newlines: ``\\r\\n`` arrives as ``\\n``)."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        return list(fh)
+
+
+def _text_file(tmp_path: Path, body: str | bytes) -> Path:
+    path = tmp_path / "t.trace"
+    if isinstance(body, str):
+        body = body.encode()
+    path.write_bytes(body)
+    return path
+
+
+_SPELLINGS = {
+    "exponents": "1e-3 0 8 512 R\n1E+02 1 16 4096 W\n1.5e2 0 24 512 R\n",
+    "signs": "+1.5 +0 +8 +512 W\n2.25 -0 0 1024 R\n",
+    "integer arrivals": "1 0 8 512 R\n2 1 0 512 W\n30 2 4096 8 R\n",
+    "commas and whitespace": (
+        "0.5,0,8,512,R\n  0.75 ,\t1, 16 ,512, W \n1.0,,0 8\t512,,R,\n"
+    ),
+    "crlf": "0.5 0 8 512 R\r\n0.75 1 16 512 W\r\n1.0 0 0 512 R",
+    "comment-only lines": (
+        "# arrival_s device lba nbytes kind\n\n   \n\t# note\n"
+        "0.1 0 8 512 R\n  #0.2 0 8 512 R\n0.3 1 8 512 W\n#\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPELLINGS))
+def test_text_block_matches_line_parser(name, tmp_path):
+    lines = _lines(_text_file(tmp_path, _SPELLINGS[name]))
+    block = ingest._parse_block(lines)
+    assert block is not None  # read by loadtxt, not handed back
+    ref = list(ingest._iter_text(lines, 1))
+    assert len(block) == len(ref) > 0
+    got = zip(
+        block["arrival"].tolist(), block["device"].tolist(),
+        block["lba"].tolist(), block["nbytes"].tolist(),
+        (block["kind"] == 1).tolist(),
+    )
+    for (a, dev, lba, nb, w), (ra, rdev, rlba, rnb, rw) in zip(got, ref):
+        assert a.hex() == ra.hex()
+        assert (dev, lba, nb, w) == (rdev, rlba, rnb, rw)
+
+
+def test_text_block_hands_back_what_loadtxt_cannot_parse(tmp_path):
+    """``float`` reads ``1_000.5``; ``loadtxt`` cannot, so that block goes
+    through the line parser instead of being rejected."""
+    path = _text_file(tmp_path, "0.5 0 8 512 R\n1_000.5 1 16 512 W\n")
+    assert ingest._parse_block(_lines(path)) is None
+    cols = ingest_trace(path, num_disks=2).columns
+    assert cols.nominal_time_s.tolist() == [0.5, 1000.5]
+
+
+def test_text_block_hands_back_a_warned_float_cast(tmp_path, monkeypatch):
+    """NumPy releases that read ``8.5`` into an integer field as 8 only
+    warn (``DeprecationWarning``); a block whose parse warns so goes
+    through the line parser."""
+    real = np.loadtxt
+
+    def casting_loadtxt(*args, **kwargs):
+        warnings.warn("float cast to an integer field", DeprecationWarning)
+        return real(*args, **kwargs)
+
+    lines = _lines(_text_file(tmp_path, "0.5 0 8 512 R\n0.75 1 16 512 W\n"))
+    assert ingest._parse_block(lines) is not None
+    monkeypatch.setattr(np, "loadtxt", casting_loadtxt)
+    assert ingest._parse_block(lines) is None
+
+
+_ORDER = "trace must be time-ordered"
+_BAD_TEXT = {
+    # ``loadtxt`` would truncate an ``S1`` kind to ``R``.
+    "kind RW": (
+        "0.5 1 8 512 RW\n",
+        "line 4: bad request kind 'RW' (expected R or W)",
+    ),
+    # ``loadtxt`` would strip an inline comment.
+    "inline comment": (
+        "0.5 1 8 512 R # late\n",
+        "line 4: expected 5 fields (arrival device lba nbytes R|W), got 7",
+    ),
+    "four fields": (
+        "0.5 1 8 512\n",
+        "line 4: expected 5 fields (arrival device lba nbytes R|W), got 4",
+    ),
+    "six fields": (
+        "0.5 1 8 512 R W\n",
+        "line 4: expected 5 fields (arrival device lba nbytes R|W), got 6",
+    ),
+    "only commas": (
+        " , ,\n",
+        "line 4: expected 5 fields (arrival device lba nbytes R|W), got 0",
+    ),
+    # ``loadtxt`` would read these as floats and cast them to ``int64``.
+    "fractional lba": (
+        "0.5 1 8.5 512 R\n",
+        "line 4: invalid literal for int() with base 10: '8.5'",
+    ),
+    "float nbytes": (
+        "0.5 1 8 512.0 R\n",
+        "line 4: invalid literal for int() with base 10: '512.0'",
+    ),
+    "exponent device": (
+        "0.5 1e3 8 512 R\n",
+        "line 4: invalid literal for int() with base 10: '1e3'",
+    ),
+    "nan": ("nan 1 8 512 R\n", "line 4: bad arrival time nan"),
+    "device above 32 bits": (
+        "0.5 4294967296 8 512 R\n",
+        "line 4: device 4294967296 exceeds 32 bits",
+    ),
+    "int64 overflow": (
+        "0.5 1 9223372036854775808 512 R\n",
+        "line 4: LBA extent overflows 64 bits",
+    ),
+    "out of order": (
+        "0.05 1 8 512 R\n",
+        f"record 2: arrival 0.05 precedes previous 0.25 ({_ORDER}; pass "
+        "sort=True to reorder a whole-file ingest)",
+    ),
+}
+
+
+@pytest.mark.parametrize("block_lines", [4, 1 << 14])
+@pytest.mark.parametrize("name", sorted(_BAD_TEXT))
+def test_text_block_errors_name_their_line(
+    name, block_lines, tmp_path, monkeypatch
+):
+    """Each malformed line raises the line parser's message, whether it
+    sits in the first block or a later one."""
+    monkeypatch.setattr(ingest, "_BLOCK_RECORDS", block_lines)
+    bad, message = _BAD_TEXT[name]
+    good = "0.1 0 8 512 R\n0.25 1 16 512 W\n"
+    later = good.replace("0.", "9.")
+    path = _text_file(tmp_path, "# header\n" + good + bad + later)
+    with pytest.raises(TraceError) as err:
+        ingest_trace(path, num_disks=2)
+    assert str(err.value) == message
+    with pytest.raises(TraceError) as err:
+        stream_ingest(path, num_disks=2)
+    assert str(err.value) == message.replace(
+        "; pass sort=True to reorder a whole-file ingest", ""
+    )
