@@ -32,9 +32,9 @@ CSR-style NumPy arrays over the flat sub-request stream:
 
 Construction is fully vectorized: the striping fan-out is the closed-form
 per-phase stripe count (the array form of ``Striping.per_disk_bytes``),
-and the seek classes come from two stable argsorts (previous sub-request
-on the same disk → ``seq``; previous sub-request of the same (disk, array)
-→ ``stream``) instead of per-request dict updates.
+and the seek classes come from two stable groupings (:func:`_group`:
+previous sub-request on the same disk → ``seq``; previous sub-request of
+the same (disk, array) → ``stream``) instead of per-request dict updates.
 
 The suite engine builds one plan and passes it to every
 :func:`~repro.disksim.simulator.simulate` call; ``simulate`` builds a plan
@@ -55,6 +55,31 @@ __all__ = ["ReplayPlan", "SeekCarry", "SEEK_CLASSES", "SEEK_CODES"]
 #: service-time table are indexed by these codes.
 SEEK_CLASSES: tuple[str, ...] = ("seq", "stream", "full")
 SEEK_CODES: dict[str, int] = {name: i for i, name in enumerate(SEEK_CLASSES)}
+
+
+def _group(
+    keys: np.ndarray, nkeys: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group the positions of ``keys`` (each in ``[0, nkeys)``) by key,
+    stably, so each group keeps its positions' order: ``(order, heads,
+    glen, present)``, the grouping permutation, and the start in
+    ``order`` and length of each present key's group and that key.
+
+    A stable sort's permutation is unique, so it is sorted on the
+    narrowest unsigned dtype that holds every key, which NumPy serves
+    with an O(n) radix sort up to 16 bits.
+    """
+    if nkeys <= 1 << 8:
+        dtype = np.uint8
+    elif nkeys <= 1 << 16:
+        dtype = np.uint16
+    else:
+        dtype = np.int64
+    order = np.argsort(keys.astype(dtype, copy=False), kind="stable")
+    counts = np.bincount(keys, minlength=nkeys)
+    present = np.flatnonzero(counts)
+    glen = counts[present]
+    return order, np.cumsum(glen) - glen, glen, present
 
 
 class SeekCarry:
@@ -267,8 +292,8 @@ class ReplayPlan:
         # stream after an interruption pays a short seek ("stream");
         # anything else pays the full average seek.  Both rules compare a
         # sub-request with its predecessor in a stable grouping — by disk
-        # for "seq", by (disk, array) for "stream" — which two stable
-        # argsorts expose as adjacent elements.
+        # for "seq", by (disk, array) for "stream" — which :func:`_group`
+        # exposes as adjacent elements; a group's head has none.
         m = int(sub_disk.size)
         sub_seek = np.full(m, SEEK_CODES["full"], dtype=np.int8)
         # The disk-order fixup above permutes only within a request, so the
@@ -282,6 +307,19 @@ class ReplayPlan:
             o = off[req_of_sub]
             e = end[req_of_sub]
 
+        def adjacent(keys: np.ndarray, nkeys: int):
+            """Group the subs by ``keys``: ``(order, eo, oo, hit, heads,
+            lasts, present)``, ``eo``/``oo`` the grouped end and begin
+            offsets, ``hit`` each sub whose begin is its group
+            predecessor's end, ``lasts`` each group's last sub."""
+            order, heads, glen, present = _group(keys, nkeys)
+            eo = e[order]
+            oo = o[order]
+            hit = np.empty(m, dtype=bool)
+            hit[1:] = eo[:-1] == oo[1:]
+            hit[heads] = False
+            return order, eo, oo, hit, heads, heads + glen - 1, present
+
         if m and len(names) == 1:
             # One array: the (disk, array) grouping coincides with the
             # disk grouping and the "stream" adjacency test equals the
@@ -289,80 +327,56 @@ class ReplayPlan:
             # every shared hit, exactly as the two-pass assignment order
             # resolves it.  Both carries update so either path continues
             # the classification on later chunks.
-            order = np.argsort(sub_disk, kind="stable")
-            ds = sub_disk[order]
-            eo = e[order]
-            oo = o[order]
-            hit = np.zeros(m, dtype=bool)
-            hit[1:] = (ds[1:] == ds[:-1]) & (eo[:-1] == oo[1:])
+            order, eo, oo, hit, heads, lasts, present = adjacent(
+                sub_disk, num_disks
+            )
             sub_seek[order[hit]] = SEEK_CODES["seq"]
             if carry is not None:
-                starts = np.flatnonzero(
-                    np.concatenate(([True], ds[1:] != ds[:-1]))
-                )
                 sl = carry.stream_last
                 dl = carry.disk_last
-                for p in starts.tolist():
-                    if dl.get(int(ds[p])) == (0, oo[p]):
+                disks = present.tolist()
+                for d_id, p in zip(disks, heads.tolist()):
+                    if dl.get(d_id) == (0, oo[p]):
                         sub_seek[order[p]] = SEEK_CODES["seq"]
-                lasts = np.concatenate((starts[1:] - 1, [m - 1]))
-                for q in lasts.tolist():
-                    d_id = int(ds[q])
-                    e_q = int(eo[q])
+                for d_id, e_q in zip(disks, eo[lasts].tolist()):
                     sl[(d_id, 0)] = e_q
                     dl[d_id] = (0, e_q)
             return cls(cols, num_disks, indptr, sub_disk, sub_nbytes, sub_seek)
 
         a = aid[req_of_sub] if m != len(cols) else aid
         if m:
-            key = sub_disk * len(names) + a
-            order = np.argsort(key, kind="stable")
-            ks = key[order]
-            eo = e[order]
-            oo = o[order]
-            hit = np.zeros(m, dtype=bool)
-            hit[1:] = (ks[1:] == ks[:-1]) & (eo[:-1] == oo[1:])
+            na = len(names)
+            order, eo, oo, hit, heads, lasts, present = adjacent(
+                sub_disk * na + a, num_disks * na
+            )
             sub_seek[order[hit]] = SEEK_CODES["stream"]
             if carry is not None:
                 # Each group's first element has its predecessor in an
                 # earlier chunk; the carry holds exactly that predecessor's
                 # end offset.  Apply before updating so a one-element group
                 # reads the previous chunk, not itself.
-                starts = np.flatnonzero(
-                    np.concatenate(([True], ks[1:] != ks[:-1]))
-                )
-                na = len(names)
                 sl = carry.stream_last
-                for p in starts.tolist():
-                    k = int(ks[p])
-                    if sl.get((k // na, k % na)) == oo[p]:
+                keys = [divmod(k, na) for k in present.tolist()]
+                for k, p in zip(keys, heads.tolist()):
+                    if sl.get(k) == oo[p]:
                         sub_seek[order[p]] = SEEK_CODES["stream"]
-                lasts = np.concatenate((starts[1:] - 1, [m - 1]))
-                for q in lasts.tolist():
-                    k = int(ks[q])
-                    sl[(k // na, k % na)] = int(eo[q])
+                for k, e_q in zip(keys, eo[lasts].tolist()):
+                    sl[k] = e_q
 
-            order = np.argsort(sub_disk, kind="stable")
-            ds = sub_disk[order]
-            ao = a[order]
-            eo = e[order]
-            oo = o[order]
-            hit = np.zeros(m, dtype=bool)
-            hit[1:] = (
-                (ds[1:] == ds[:-1]) & (eo[:-1] == oo[1:]) & (ao[:-1] == ao[1:])
+            order, eo, oo, hit, heads, lasts, present = adjacent(
+                sub_disk, num_disks
             )
+            ao = a[order]
+            hit[1:] &= ao[:-1] == ao[1:]
             sub_seek[order[hit]] = SEEK_CODES["seq"]
             if carry is not None:
-                starts = np.flatnonzero(
-                    np.concatenate(([True], ds[1:] != ds[:-1]))
-                )
                 dl = carry.disk_last
-                for p in starts.tolist():
-                    if dl.get(int(ds[p])) == (ao[p], oo[p]):
+                disks = present.tolist()
+                for d_id, p in zip(disks, heads.tolist()):
+                    if dl.get(d_id) == (ao[p], oo[p]):
                         sub_seek[order[p]] = SEEK_CODES["seq"]
-                lasts = np.concatenate((starts[1:] - 1, [m - 1]))
-                for q in lasts.tolist():
-                    dl[int(ds[q])] = (int(ao[q]), int(eo[q]))
+                for d_id, q in zip(disks, lasts.tolist()):
+                    dl[d_id] = (int(ao[q]), int(eo[q]))
 
         return cls(cols, num_disks, indptr, sub_disk, sub_nbytes, sub_seek)
 

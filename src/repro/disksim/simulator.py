@@ -98,7 +98,7 @@ from .disk import Disk, sequential_sum
 from .timeline import CAUSE_DRPM_WINDOW, CAUSE_EXTERNAL
 from .params import SubsystemParams
 from .powermodel import PowerModel
-from .replay import ReplayPlan
+from .replay import ReplayPlan, _group
 from .stats import ResponseSummary, SimulationResult
 
 __all__ = [
@@ -390,37 +390,63 @@ def _behind(comp: np.ndarray, heads: np.ndarray, seed: np.ndarray) -> np.ndarray
     return prev
 
 
+def _seg_fold(
+    seeds: np.ndarray,
+    lanes: list[np.ndarray],
+    lens: np.ndarray,
+    partials: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Left-fold every lane over consecutive segments: ``seeds[j, p] +
+    lane_j[s_0] + lane_j[s_1] + ...`` over segment ``p``'s ``lens[p]``
+    values, bit for bit the scalar ``+=`` chain.
+
+    Returns ``(totals, running)``: the ``(lanes, segments)`` totals and,
+    with ``partials``, the ``(lanes, values)`` running totals (else
+    ``None``).  Segments are bucketed by power-of-two length, and each
+    bucket's rows, one per (lane, segment), are packed into one padded
+    matrix, seeded in column 0 and run through a single
+    ``np.add.accumulate`` along its rows, a strictly sequential fold.
+    Each result is read at its segment's own last column, so padding
+    never reaches one (an empty segment's total is its seed, bit for
+    bit).  A bucket pads to under twice its shortest segment, so evenly
+    sized segments make one matrix, which reads the lanes whole.
+    """
+    nl, P = seeds.shape
+    totals = np.empty((nl, P))
+    running = np.empty((nl, int(lens.sum()))) if partials else None
+    heads = np.cumsum(lens) - lens
+    exps = np.frexp(lens)[1]
+    for e in np.unique(exps).tolist():
+        sel = np.flatnonzero(exps == e)
+        B = sel.size
+        gl = lens[sel]
+        first = np.cumsum(gl) - gl
+        stride = int(gl.max()) + 1
+        mat = np.zeros((nl * B, stride))
+        mat[:, 0] = seeds[:, sel].ravel()
+        # A segment's i-th value lands in column i + 1 of its rows.
+        row0 = np.arange(B, dtype=np.int64) * stride
+        idx = np.arange(int(gl.sum()), dtype=np.int64)
+        pos = idx + np.repeat(row0 - first + 1, gl)
+        src = slice(None) if B == P else idx + np.repeat(heads[sel] - first, gl)
+        blocks = mat.reshape(nl, B * stride)
+        for block, lane in zip(blocks, lanes):
+            block[pos] = lane[src]
+        np.add.accumulate(mat, axis=1, out=mat)
+        totals[:, sel] = blocks[:, row0 + gl]
+        if partials:
+            running[:, src] = blocks[:, pos]
+    return totals, running
+
+
 def _busy_periods(a0: np.ndarray, svc: np.ndarray, st: np.ndarray) -> np.ndarray:
     """Completions of a FIFO queue whose busy periods start where ``st``
-    is set.
-
-    A period is one left fold seeded with its first arrival ``a0``.  The
-    periods are bucketed by power-of-two length, so each bucket is one
-    zero-padded matrix (a row per period, the seed in column 0) run
-    through a single ``np.add.accumulate`` along its rows — a strictly
-    sequential fold, bit-equal to ``Disk.serve``'s ``start + svc`` chain —
-    with padding under twice the subs.
-    """
-    n = a0.size
+    is set: each period is the running left fold of its ``svc`` seeded
+    with its first arrival ``a0`` (:func:`_seg_fold`), bit-equal to
+    ``Disk.serve``'s ``start + svc`` chain."""
     starts = np.flatnonzero(st)
-    lens = np.diff(starts, append=n)
-    exps = np.frexp(lens - 1)[1]
-    comp = np.empty(n)
-    for e in np.unique(exps).tolist():
-        sel = exps == e
-        first = starts[sel]
-        glen = lens[sel]
-        width = int(glen.max()) + 1
-        mat = np.zeros((first.size, width))
-        mat[:, 0] = a0[first]
-        off = np.arange(int(glen.sum())) - np.repeat(np.cumsum(glen) - glen, glen)
-        src = np.repeat(first, glen) + off
-        flat = np.repeat(np.arange(first.size) * width + 1, glen) + off
-        cells = mat.ravel()
-        cells[flat] = svc[src]
-        np.add.accumulate(mat, axis=1, out=mat)
-        comp[src] = cells[flat]
-    return comp
+    lens = np.diff(starts, append=a0.size)
+    return _seg_fold(a0[starts][None], [svc], lens, partials=True)[1][0]
 
 
 def _period_starts(
@@ -568,28 +594,13 @@ def _chain(
     return r_out, st_out, c_out, delay
 
 
-def _by_disk(
-    sub_disk: np.ndarray, num_disks: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group subs by disk with one stable argsort, so each disk's subs
-    stay in stream order: ``(order, heads, glen, present)``, the grouping
-    permutation, and the start and length of each touched disk's group
-    and its id."""
-    order = np.argsort(sub_disk, kind="stable")
-    bounds = np.searchsorted(
-        sub_disk[order], np.arange(num_disks + 1, dtype=np.int64)
-    )
-    glen_all = np.diff(bounds)
-    present = np.flatnonzero(glen_all)
-    return order, bounds[present], glen_all[present], present
-
-
 class _Queues:
     """A vector window's sub-requests as one FIFO queue per disk.
 
-    The subs are grouped by disk with one stable argsort (``order``), so
-    each disk's subs stay in stream order, which its queue requires.
-    Window-local grouping keeps the kernel O(window log window); a global
+    The subs are grouped by disk with one stable sort (``order``,
+    :func:`~repro.disksim.replay._group`), so each disk's subs stay in
+    stream order, which its queue requires.  Window-local grouping keeps
+    the kernel O(window + disks) (a radix sort on a narrow key); a global
     per-disk index would cost O(disks x requests) to build.  ``present``
     lists the disks the window touches, ``heads``/``glen`` the start and
     length of each one's group, ``seed`` their cursors and ``svc`` the
@@ -609,7 +620,7 @@ class _Queues:
         svc: np.ndarray,
         disks: list[Disk],
     ):
-        self.order, self.heads, self.glen, self.present = _by_disk(
+        self.order, self.heads, self.glen, self.present = _group(
             sub_disk, len(disks)
         )
         self.seed = np.array([disks[d].cursor_s for d in self.present.tolist()])
@@ -826,8 +837,8 @@ def _fold_disks(
     Idle time ``td_s - prev_s`` is exactly ``0.0`` inside a busy period,
     so it accrues only between periods.  Every accrual is a sequential
     left fold per disk — idle and active time and energy, and idle time
-    at each level the window touches — and all of them run in one
-    :func:`_fold_lanes`, bit for bit the scalar ``+=`` chains.  The
+    at each level the window touches — and all of them run through
+    :func:`_seg_fold`, bit for bit the scalar ``+=`` chains.  The
     disks' ``rpm`` is the caller's to set.
 
     Busy intervals (``busy`` given) are the per-disk slices of the
@@ -854,9 +865,9 @@ def _fold_disks(
         seeds[1, p] = st.energy_j["idle"]
         seeds[2, p] = st.time_s["active"]
         seeds[3, p] = st.energy_j["active"]
-    finals = _fold_lanes(
+    finals = _seg_fold(
         seeds, [dur, dur * iw_s, svc_s, svc_s * aw_s], glen
-    ).tolist()
+    )[0].tolist()
     # The idle time by RPM folds one level the window touches at a time
     # (a DRPM window may touch all of them): the idle durations at that
     # level, zero at the others.
@@ -874,7 +885,7 @@ def _fold_disks(
         if rpm_counts is not None:
             rpm_counts[rpm] = rpm_counts.get(rpm, 0) + n
         seed = [[d.stats.idle_time_by_rpm.get(rpm, 0.0) for d in pdisks]]
-        totals = _fold_lanes(np.array(seed), [idle], glen)[0].tolist()
+        totals = _seg_fold(np.array(seed), [idle], glen)[0][0].tolist()
         dmax = np.maximum.reduceat(idle, heads).tolist()
         for p, disk in enumerate(pdisks):
             by_rpm = disk.stats.idle_time_by_rpm
@@ -935,47 +946,6 @@ def _fold_disks(
                 d_id, "active", t_i, comp_l[i], aw_l[i], rpm_i, "", svc_l[i]
             )
         lo = hi
-
-
-def _fold_lanes(
-    seeds: np.ndarray, lanes: list[np.ndarray], glen: np.ndarray
-) -> np.ndarray:
-    """Left-fold every lane of per-sub values per disk: ``seeds[j, p] +
-    lane_j[sub_0] + lane_j[sub_1] + ...`` over disk ``p``'s ``glen[p]``
-    consecutive subs, bit for bit the scalar ``+=`` chain, as a ``(lanes,
-    disks)`` array.
-
-    Disks are bucketed by power-of-two sub count, and each bucket's rows,
-    one per (lane, disk), are packed into one zero-padded matrix, seeded
-    in column 0 and run through a single ``np.add.accumulate`` along its
-    rows: padding zeros are bitwise no-ops on the non-negative
-    accumulators.  A bucket pads to under twice the subs of its shortest
-    disk, so evenly loaded disks make one matrix.
-    """
-    nl, P = seeds.shape
-    out = np.empty((nl, P))
-    heads = np.cumsum(glen) - glen
-    exps = np.frexp(glen)[1]
-    for e in np.unique(exps).tolist():
-        sel = np.flatnonzero(exps == e)
-        B = sel.size
-        gl = glen[sel]
-        first = np.cumsum(gl) - gl
-        stride = int(gl.max()) + 1
-        mat = np.zeros((nl * B, stride))
-        mat[:, 0] = seeds[:, sel].ravel()
-        # A disk's i-th sub lands in column i + 1 of its rows.
-        idx = np.arange(int(gl.sum()), dtype=np.int64)
-        pos = idx + np.repeat(
-            np.arange(B, dtype=np.int64) * stride - first + 1, gl
-        )
-        src = slice(None) if B == P else idx + np.repeat(heads[sel] - first, gl)
-        blocks = mat.reshape(nl, B * stride)
-        for block, lane in zip(blocks, lanes):
-            block[pos] = lane[src]
-        np.add.accumulate(mat, axis=1, out=mat)
-        out[:, sel] = mat[:, -1].reshape(nl, B)
-    return out
 
 
 def _run_vector(
@@ -1150,7 +1120,7 @@ def _run_drpm(
 
     The decisions are :func:`~repro.power.planner.drpm_window_step`'s,
     on the exact ``observed = comp - start`` over the max-level row,
-    folded per window with ``np.add.accumulate`` from the controller's
+    folded per window (:func:`_seg_fold`) from the controller's
     ``_window_sum``/``_window_count``/``_prev_mean`` (read here and
     written back).  They are guessed first from table service times
     (:func:`_drpm_guess`) and then checked against the exact solve; a
@@ -1169,7 +1139,7 @@ def _run_drpm(
     level_row = tables.level_row
     pair = pm._transition_by_pair
     geom.vector_views()
-    order, heads, glen, present = _by_disk(plan.sub_disk, len(disks))
+    order, heads, glen, present = _group(plan.sub_disk, len(disks))
     ids = present.tolist()
     pdisks = [disks[d] for d in ids]
     P = len(pdisks)
@@ -1200,8 +1170,10 @@ def _run_drpm(
     nwin_a = (glen + cnt0_a - 1) // W + 1
     wbase_a = np.cumsum(nwin_a) - nwin_a
     win = np.repeat(wbase_a, glen) + posn // W
-    col = posn % W + 1
     nwin = int(nwin_a.sum())
+    wlen = np.bincount(win, minlength=nwin)
+    wseed = np.zeros((1, nwin))
+    wseed[0, wbase_a] = sum0
     wbase = wbase_a.tolist()
     ndec = ((glen + cnt0_a) // W).tolist()
     guess = _drpm_guess(tables, win, seek, nb, base, nwin)
@@ -1279,11 +1251,7 @@ def _run_drpm(
             start, comp, prev = start[real], comp[real], prev[real]
         else:
             start, comp, prev = _lindley(a, svc, heads, seed)
-        sums = np.zeros((nwin, W + 1))
-        sums[wbase_a, 0] = sum0
-        sums[win, col] = (comp - start) / base
-        np.add.accumulate(sums, axis=1, out=sums)
-        sums = sums[:, -1]
+        sums = _seg_fold(wseed, [(comp - start) / base], wlen)[0][0]
         exact = (sums / W).tolist()
         moved = False
         prev_end = []

@@ -32,11 +32,13 @@ exactly when the same recorded bytes would replay the same way.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .. import obs
 from ..cache import fingerprint, trace_fingerprint
+from ..disksim.replay import ReplayPlan
 from ..disksim.simulator import simulate
 from ..disksim.stats import SimulationResult
 from ..trace.ingest import ingest_fingerprint, ingest_trace, stream_ingest
@@ -251,6 +253,13 @@ def _replay_source(
             entry="trace_replay", source=source.label, scheme=scheme,
         )
 
+    # Every scheme replays the same request stream, so a whole trace
+    # shares one plan, built on the first cache miss; a stream builds
+    # its plans per chunk.
+    replay_plan = functools.cache(
+        lambda: None if source.streamed else ReplayPlan.for_trace(trace)
+    )
+
     def _replay(
         scheme: str, base=None, collect_busy_intervals: bool = False
     ) -> SimulationResult:
@@ -259,6 +268,7 @@ def _replay_source(
         return _memo(scheme, lambda: simulate(
             trace, params, controller_for(scheme, params, base),
             collect_busy_intervals=collect_busy_intervals, open_loop=True,
+            plan=replay_plan(),
         ))
 
     notes: list[str] = []

@@ -1,6 +1,8 @@
 """The ``trace_replay`` suite: sources, synth specs, caching, CLI wiring."""
 
+import dataclasses
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ import pytest
 from repro.cache import ResultCache
 from repro.controllers.compiler_directed import CompilerDirected
 from repro.disksim.params import SubsystemParams
+from repro.disksim.replay import ReplayPlan
 from repro.disksim.simulator import simulate
 from repro.experiments.cli import build_parser, main
 from repro.experiments.runner import ExperimentContext
+from repro.experiments.schemes import controller_for
 from repro.experiments.trace_replay import (
     TRACE_REPLAY_SCHEMES,
     STREAM_THRESHOLD_REQUESTS,
@@ -197,6 +201,74 @@ def test_degraded_schemes_equal_real_compiler_directed_replays(
         assert (got.engine, got.engine_forced) == (real.engine, real.engine_forced)
         assert got.busy_columns == real.busy_columns == ()
         assert np.array_equal(got.response_array, real.response_array)
+
+
+def _result_hex(result) -> dict:
+    """Every field and column of a result, floats as ``float.hex``."""
+
+    def enc(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, dict):
+            return {k: enc(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [enc(x) for x in v]
+        return v
+
+    return {
+        "fields": enc(dataclasses.asdict(result)),
+        "responses": enc(result.response_array.tolist()),
+        "busy": [
+            (enc(s.tolist()), enc(e.tolist())) for s, e in result.busy_columns
+        ],
+    }
+
+
+def test_whole_sources_share_one_plan():
+    """One ``ReplayPlan.for_trace`` per whole-trace source, shared by its
+    replays, and every result bit-identical to a replay that builds its
+    own plan; a streamed source plans per chunk and never calls it."""
+    params = SubsystemParams(num_disks=4)
+    sources = (
+        TraceSource.from_file(FIXTURE),
+        TraceSource.from_synth(
+            SynthConfig(num_requests=900, num_disks=4, model="pareto", seed=4)
+        ),
+        TraceSource(
+            label="streamed",
+            synth=SynthConfig(
+                num_requests=700, num_disks=4, model="onoff", seed=6
+            ),
+            streamed=True,
+        ),
+    )
+    capture = _Capture()
+    with mock.patch.object(
+        ReplayPlan, "for_trace", wraps=ReplayPlan.for_trace
+    ) as spy:
+        run_trace_replay(
+            ExperimentContext(params=params, cache=capture), sources=sources
+        )
+    assert spy.call_count == 2
+    stored = iter(capture.stored)
+    for source in sources:
+        trace = source.load(params.num_disks)
+        schemes = ["Base", "TPM", "DRPM"]
+        if not source.streamed:
+            schemes += ["ITPM", "IDRPM"]
+        base = None
+        for scheme in schemes:
+            got = next(stored)
+            assert got.scheme == scheme
+            fresh = simulate(
+                trace, params, controller_for(scheme, params, base),
+                collect_busy_intervals=scheme == "Base" and not source.streamed,
+                open_loop=True,
+            )
+            assert _result_hex(got) == _result_hex(fresh)
+            base = base or fresh
+        for scheme in ("CMTPM", "CMDRPM"):
+            assert next(stored).scheme == scheme
 
 
 # --------------------------------------------------------------------- #
