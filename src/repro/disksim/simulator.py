@@ -16,8 +16,8 @@ Execution time is the full compute timeline plus every blocking response;
 disk energy is integrated by the :class:`~repro.disksim.disk.Disk` state
 machines until the app finishes.
 
-One replay driver (:func:`_replay`) walks the request stream merged with
-the trace and timed (oracle) directive rows
+One replay driver (:class:`Replay`, fed chunk by chunk) walks the request
+stream merged with the trace and timed (oracle) directive rows
 (:data:`~repro.trace.request.DIRECTIVE_ROW`).  Every sub-request outside
 a vector window is served by the exact state machine (``Disk.serve``, or
 ``Disk.serve_faulty`` for a sub-request the fault plan flags), and every
@@ -102,6 +102,7 @@ from .replay import ReplayPlan, _group
 from .stats import ResponseSummary, SimulationResult
 
 __all__ = [
+    "Replay",
     "simulate",
     "apply_call",
     "replay_coverage",
@@ -1304,358 +1305,604 @@ def _run_drpm(
 # ---------------------------------------------------------------------- #
 # Replay driver
 # ---------------------------------------------------------------------- #
-def _replay(
-    plan: ReplayPlan,
-    disks: list[Disk],
-    pm: PowerModel,
-    on_complete,
-    timed: tuple[list, list, list, list],
-    directives: np.ndarray,
-    total_compute_s: float,
-    responses: array,
-    busy: BusySink | None,
-    rpm_counts: dict[int, int] | None,
-    fault_plan,
-    delay0: float,
-    timed_idx0: int,
-    finalize: bool,
-    miss_keys: frozenset | None,
-    open_loop: bool,
-    use_vector: bool,
-    drpm=None,
-) -> tuple[int, float, float, int]:
-    """Replay one chunk; returns ``(num_directives, end_time, delay,
-    timed_idx)``.
+class Replay:
+    """One replay, fed chunk by chunk: :func:`simulate` builds one and
+    feeds it every chunk of its trace.
 
-    The request, trace-directive, and timed (oracle) streams are merged
-    inline: all are sorted by time, and a trace directive executes ahead
-    of a request at the same nominal time.  ``directives`` is the chunk's
-    share of the trace's :data:`~repro.trace.request.DIRECTIVE_ROW` rows;
-    ``timed`` is the whole timed stream's ``(time, action, disk, rpm)``
-    columns as lists.  Each call reaches its disk through
-    :func:`apply_call`.  Every sub-request outside a
-    vector window runs through ``Disk.serve`` (``serve_faulty`` when the
-    fault plan flags it), with the striping fan-out and seek-class code
-    read from the scheme-invariant plan's flat per-sub lists, so no
-    ``IORequest`` objects are ever materialized.  ``on_complete`` (the
-    reactive controller hook) sees every completion the driver serves.
+    The constructor takes :func:`simulate`'s arguments, checks them, and
+    builds the disks; :meth:`chunks` yields the replay's ``(plan,
+    directives, final)`` triples, :meth:`feed` replays one, and
+    :meth:`finish` returns the :class:`SimulationResult`.  A replay owns
+    all state that crosses chunks: the disks, its controller, the
+    closed-loop delay, the timed-directive cursor, the response column and
+    its running fold, the busy sinks and the per-RPM sub-request counts.
+    A plan keeps only scheme-invariant derived state (geometry lists,
+    service tables keyed by power model), so replays of one trace and plan
+    without a fault plan can be fed the same triples in turn.
 
-    ``drpm`` (the reactive DRPM controller of an open-loop replay that
-    :func:`_solves_drpm` admits) hands a chunk of at least
-    ``VECTOR_MIN_SUBREQUESTS`` sub-requests whole to :func:`_run_drpm`;
-    a shorter one runs through ``Disk.serve`` and ``on_complete``.
+    :meth:`feed` merges the request, trace-directive, and timed (oracle)
+    streams inline: all are sorted by time, and a trace directive executes
+    ahead of a request at the same nominal time.  Each call reaches its
+    disk through :func:`apply_call`.  Every sub-request outside a vector
+    window runs through ``Disk.serve`` (``serve_faulty`` when the fault
+    plan flags it), with the striping fan-out and seek-class code read
+    from the plan's flat per-sub lists, so no ``IORequest`` objects are
+    ever materialized.  A reactive controller's ``on_request_complete``
+    hook sees every completion the driver serves.
 
-    ``use_vector`` turns the vector probe on (segmented replay): at the
-    start of each quiescent run long enough for a window before the next
-    directive of either kind, the driver completes every transition due
-    by the next issue time (``Disk.advance(end)``), marks *hot* disks — a
-    transition in flight (pending power calls and spin-up chains only
-    exist while one is) or standby — and bounds the window at the next
-    timed directive and the earliest instant an autonomous spin-down could
-    fire.  An armed disk already past its threshold (*overdue*) fires only
-    when next served, so it truncates the window at its first touch
-    instead of pinning the bound in the past.  The window also ends at the
-    first request touching a hot disk and at the next fault-flagged
-    request.  After a probe, the scalar run ends at that bound, at the
-    earliest hot transition end, right after the request that fires an
-    overdue disk, or right after a flagged request that leaves room for a
-    window before the next one, whichever comes first: only there can a
-    later probe open a window this one could not.
-
-    ``open_loop=True`` freezes the delay at ``delay0``: issue times come
-    straight from the trace (recorded arrival times) instead of the
-    closed-loop compute/IO feedback chain, and neither responses nor
-    directive overheads shift later arrivals.  Queueing at a busy disk is
-    still modeled exactly — :meth:`Disk.serve` starts each sub-request at
-    ``max(arrival, cursor, ready)``, and the vector kernel's per-disk
-    FIFO queues compute the same starts in batch.
-
-    ``miss_keys`` (only supplied when a timeline recorder is attached)
-    holds the ``(disk, realized_time)`` keys of fault-plan deadline
-    misses so slipped directives are attributed ``deadline-miss:*``
-    instead of ``directive:*``/``oracle:*``.
-
-    ``delay0``/``timed_idx0`` seed the closed-loop delay and the oracle
-    directive cursor carried over from the previous chunk (``0.0``/``0``
-    for the first); ``finalize=False`` skips the trailing timed-directive
-    flush so the next chunk continues the same timeline.  A whole trace
-    is a single chunk with ``finalize=True``.  All other cross-chunk state
-    lives in the ``Disk`` objects.
+    A segmented replay probes the vector kernel: at the start of each
+    quiescent run long enough for a window before the next directive of
+    either kind, the driver completes every transition due by the next
+    issue time (``Disk.advance(end)``), marks *hot* disks — a transition
+    in flight (pending power calls and spin-up chains only exist while one
+    is) or standby — and bounds the window at the next timed directive and
+    the earliest instant an autonomous spin-down could fire.  An armed
+    disk already past its threshold (*overdue*) fires only when next
+    served, so it truncates the window at its first touch instead of
+    pinning the bound in the past.  The window also ends at the first
+    request touching a hot disk and at the next fault-flagged request.
+    After a probe, the scalar run ends at that bound, at the earliest hot
+    transition end, right after the request that fires an overdue disk, or
+    right after a flagged request that leaves room for a window before the
+    next one, whichever comes first: only there can a later probe open a
+    window this one could not.
     """
-    geom = _geometry(plan)
-    if drpm is not None and plan.num_subrequests >= VECTOR_MIN_SUBREQUESTS:
-        _run_drpm(
-            plan, geom, _service_tables(plan, pm, geom), pm, disks, drpm,
-            delay0, responses, busy, rpm_counts, disks[0].recorder,
-        )
-        return 0, total_compute_s + delay0, delay0, timed_idx0
-    # Built on first use: a replay that only opens vector windows reads
-    # its boundary scalars from the arrays and never pays the ``tolist``
-    # views (per request, then per sub), a stepwise one never the service
-    # tables.
-    req_times = plan.columns.nominal_time_s
-    indptr_l = plan.indptr
-    listed = False
-    disk_l = nb_l = seek_l = None
-    tables = None
-    n = len(req_times)
-    # Directive columns are read once, as lists (the timed ones by
-    # ``simulate``, for the whole replay).
-    t_time, t_action, t_disk, t_rpm = timed
-    num_timed = len(t_time)
-    d_time, d_action, d_disk, d_rpm, d_over = (
-        directives[name].tolist()
-        for name in ("time", "action", "disk", "rpm", "overhead")
-    )
-    num_dir_records = len(d_time)
-    serves = [d.serve for d in disks]
-    # Fault threading: ``flags[ri]`` marks requests with at least one
-    # faulty sub-request; those dispatch per-sub to ``serve_faulty`` and
-    # end any vector window.  A zero-rate plan materializes no flags
-    # (nothing can fault), so the hot loop pays one test per request.
-    if fault_plan is not None and fault_plan.request_flags is not None:
-        flags = fault_plan.request_flags
-        sub_errors = fault_plan.sub_errors
-        flagged = fault_plan.flagged_requests
-    else:
-        flags = None
-        sub_errors = None
-        flagged = ()
-    fr_n = len(flagged)
-    fr_idx = 0
-    append_response = responses.append
-    track = busy is not None or on_complete is not None
-    if busy is not None:
-        busy_starts = [a.append for a in busy[0]]
-        busy_ends = [a.append for a in busy[1]]
-    tl_rec = disks[0].recorder if disks else None
-    auto_active = use_vector and any(
-        d.auto_spindown_threshold_s is not None for d in disks
-    )
-    # Cause tagging is recorder-only: the closures exist iff a timeline
-    # recorder is attached, so the unobserved replay pays one ``is None``
-    # test per directive (requests never check).
-    _dcause = _tcause = None
-    if tl_rec is not None:
-        miss = miss_keys or frozenset()
 
-        def _dcause(k):
-            if (d_disk[k], d_time[k]) in miss:
-                return f"deadline-miss:{k}"
-            return f"directive:{k}"
-
-        def _tcause(k):
-            if (t_disk[k], t_time[k]) in miss:
-                return f"deadline-miss:oracle:{k}"
-            return f"oracle:{k}"
-    delay = delay0
-    num_directives = 0
-    timed_idx = timed_idx0
-    tnext = t_time[timed_idx] if timed_idx < num_timed else inf
-    scalar_subs = 0
-
-    def drain(t: float) -> None:
-        # Oracle directives scheduled at or before ``t`` fire at their own
-        # absolute times (they were planned against the realized
-        # timeline, which a zero-penalty oracle shares with this replay);
-        # if replay drifted past the planned instant (the disk was still
-        # busy), the call takes effect as soon as the disk is available.
-        nonlocal timed_idx, num_directives, tnext
-        while timed_idx < num_timed and t_time[timed_idx] <= t:
-            k = timed_idx
-            target = disks[t_disk[k]]
-            t_td = t_time[k]
-            c = target.cursor_s
-            apply_call(
-                target, t_td if t_td > c else c, t_action[k], t_rpm[k],
-                CAUSE_EXTERNAL if _tcause is None else _tcause(k),
+    def __init__(
+        self,
+        trace: Trace | TraceStream,
+        params: SubsystemParams,
+        controller: Controller | None = None,
+        collect_busy_intervals: bool = False,
+        recorder=None,
+        plan: ReplayPlan | None = None,
+        engine: str = "segmented",
+        faults=None,
+        open_loop: bool = False,
+    ) -> None:
+        self.trace = trace
+        self.streamed = streamed = isinstance(trace, TraceStream)
+        if engine not in ("segmented", "stepwise"):
+            raise SimulationError(f"unknown replay engine {engine!r}")
+        for refused, message in (
+            (recorder is not None, "streamed replay cannot attach a timeline "
+             "recorder; replay a whole Trace for timelines"),
+            (collect_busy_intervals, "streamed replay cannot collect busy "
+             "intervals; replay a whole Trace for busy-interval capture"),
+            (faults is not None, "streamed replay does not support fault "
+             "injection: a fault plan indexes absolute sub-request ordinals "
+             "of a whole-trace replay plan"),
+            (plan is not None, "streamed replay builds one plan per chunk; "
+             "do not pass a whole-trace plan"),
+        ):
+            if streamed and refused:
+                raise SimulationError(message)
+        self.ctrl = ctrl = controller or Controller()
+        layout = trace.layout
+        if layout.num_disks != params.num_disks:
+            raise SimulationError(
+                f"trace layout has {layout.num_disks} disks, params say {params.num_disks}"
             )
-            num_directives += 1
-            timed_idx += 1
-        tnext = t_time[timed_idx] if timed_idx < num_timed else inf
+        if not streamed:
+            if plan is None:
+                plan = ReplayPlan.for_trace(trace)
+            elif not plan.matches(trace):
+                raise SimulationError(
+                    "replay plan was built for a different request stream"
+                )
+        #: The whole trace's plan; ``None`` for a stream.
+        self.plan = plan
+        self.fault_plan = fault_plan = None
+        if faults is not None:
+            from ..faults import FaultPlan
 
-    ri = 0
-    di = 0
-    while True:
-        # Requests strictly before the next trace directive's nominal time
-        # run first.  Nominal times are compared, so the bound is
-        # delay-independent; the scan totals O(num_requests) per replay.
-        if di < num_dir_records:
-            if not listed:
-                req_times, indptr_l = geom.request_lists()
-                listed = True
-            dnom = d_time[di]
-            bound = ri
-            while bound < n and req_times[bound] < dnom:
-                bound += 1
+            self.fault_plan = fault_plan = FaultPlan(faults, plan)
+        self.pm = pm = PowerModel(params.disk, params.drpm)
+        self.disks = disks = [
+            Disk(
+                i, pm, auto_spindown_threshold_s=ctrl.auto_spindown_threshold_s,
+                recorder=recorder, faults=fault_plan,
+            )
+            for i in range(params.num_disks)
+        ]
+        ctrl.prepare(len(disks), pm)
+        # The base Controller's reactive hook is a no-op; controllers that
+        # never override it skip one dispatch per sub-request.
+        reactive = type(ctrl).on_request_complete is not Controller.on_request_complete
+        self.on_complete = ctrl.on_request_complete if reactive else None
+
+        timed = check_directives(
+            ctrl.timed_directives(), "timed directive", sort=True
+        )
+        directives = trace.directives
+        for what, rows in (("directive", directives), ("timed directive", timed)):
+            unknown = np.flatnonzero(rows["disk"] >= params.num_disks)
+            if unknown.size:
+                k = int(unknown[0])
+                raise SimulationError(
+                    f"{what} {k} targets unknown disk {rows['disk'][k]}"
+                )
+        # Deadline misses shift pre-activation directives *before* engine
+        # dispatch: both engines replay the already-slipped streams, and
+        # the requests a slip strands at the pre-directive disk state
+        # simply serve there — the graceful-degradation semantics fall out
+        # of the ordinary replay rules (low-RPM service for the DRPM
+        # family, a reactive spin-up for the TPM family), with the
+        # directive honoured late.
+        trace_misses: tuple = ()
+        timed_misses: tuple = ()
+        if fault_plan is not None:
+            top_rpm = params.disk.rpm
+            directives, trace_misses = fault_plan.delay_directives(
+                directives, top_rpm, "trace"
+            )
+            timed, timed_misses = fault_plan.delay_directives(
+                timed, top_rpm, "timed"
+            )
+        self.directives = directives
+        self.trace_misses = trace_misses
+        # The timed stream is read once, as lists, for the whole replay.
+        self.timed = tuple(
+            timed[name].tolist() for name in ("time", "action", "disk", "rpm")
+        )
+        # Deadline-miss attribution keys: a slipped directive's row carries
+        # its *realized* time, so ``(disk, realized_time)`` identifies it
+        # in either engine and tags it ``deadline-miss:*`` instead of
+        # ``directive:*``/``oracle:*``.  Only kept with a recorder attached.
+        self.miss_keys: frozenset | None = None
+        if recorder is not None and (trace_misses or timed_misses):
+            self.miss_keys = frozenset(
+                (d_id, t1) for d_id, _t0, t1 in (*trace_misses, *timed_misses)
+            )
+        # Every miss counts on its disk; only trace windows also count
+        # degraded serves (:meth:`finish`), as oracle windows live on the
+        # realized timeline, which nominal coordinates cannot index.
+        for d_id, _, _ in (*trace_misses, *timed_misses):
+            disks[d_id].stats.num_deadline_misses += 1
+
+        # Engine selection.  Nothing here is silent: every routing away
+        # from the requested engine is logged with its reason, recorded in
+        # the result's ``engine_forced`` metadata, and counted in
+        # ``sim.fallbacks``.
+        segmented = engine != "stepwise"
+        self.forced = ""
+        self.drpm = None
+        if segmented and reactive:
+            if _solves_drpm(ctrl, open_loop, fault_plan, directives, timed):
+                self.drpm = ctrl
+            else:
+                segmented = False
+                self.forced = "reactive-controller"
+                logger.debug(
+                    "%s/%s: reactive controller %s observes per-sub-request "
+                    "completions; routing to the stepwise reference loop",
+                    trace.program_name, ctrl.name, type(ctrl).__name__,
+                )
+        self.engine = "segmented" if segmented else "stepwise"
+        REPLAY_COVERAGE["replays_segmented" if segmented else "replays_stepwise"] += 1
+
+        self.open_loop = open_loop
+        self.observing = obs.enabled()
+        self.rpm_counts: dict[int, int] | None = {} if self.observing else None
+        # Time spent in this replay's own feeds: replays fed in turn do not
+        # count each other's work.
+        self.wall_s = 0.0
+        # Responses land in one unboxed column.  A whole trace keeps it
+        # (exact p95 and ``request_responses``); a stream folds each chunk's
+        # column into a running count, total and max, then reuses it.
+        self.responses = array("d")
+        self.resp_count = 0
+        self.resp_total = self.resp_max = 0.0
+        self.busy: BusySink | None = None
+        if collect_busy_intervals:
+            self.busy = ([array("d") for _ in disks], [array("d") for _ in disks])
+        self.delay = 0.0
+        self.timed_idx = self.num_directives = 0
+        self.num_requests = self.num_chunks = 0
+
+    def chunks(self):
+        """This replay's ``(plan, directives, final)`` triples: a whole
+        trace is one, with its plan and (fault-shifted) directive stream;
+        a stream's come from :func:`_stream_chunks`."""
+        if self.streamed:
+            return _stream_chunks(
+                self.trace.layout, self.directives, self.trace.iter_chunks()
+            )
+        return ((self.plan, self.directives, True),)
+
+    def feed(self, plan: ReplayPlan, directives: np.ndarray, final: bool) -> None:
+        """Replay one chunk: its plan, its share of the directive rows, and
+        whether it is the last (``final`` flushes the timed directives due
+        after its last request).  Chunks are fed in stream order."""
+        t0 = time.perf_counter() if self.observing else 0.0
+        geom = _geometry(plan)
+        if self.drpm is not None and plan.num_subrequests >= VECTOR_MIN_SUBREQUESTS:
+            _run_drpm(
+                plan, geom, _service_tables(plan, self.pm, geom), self.pm,
+                self.disks, self.drpm, self.delay, self.responses, self.busy,
+                self.rpm_counts, self.disks[0].recorder,
+            )
         else:
-            bound = n
+            self._drive(plan, geom, directives, final)
+        self.num_requests += plan.num_requests
+        self.num_chunks += 1
+        if self.streamed:
+            # The same left fold, in the same order, as appending every
+            # response to one column: ``sequential_sum`` is the ``+=``
+            # chain, and max is an exact selection.
+            chunk = np.frombuffer(self.responses, dtype=float)
+            if chunk.size:
+                self.resp_count += chunk.size
+                self.resp_total = sequential_sum(self.resp_total, chunk)
+                self.resp_max = max(self.resp_max, float(chunk.max()))
+            del chunk  # an exported buffer blocks the resize below
+            del self.responses[:]
+            if self.observing:
+                # Live-telemetry feed: a ProgressReporter samples these
+                # between chunks (requests replayed so far, chunk count,
+                # simulated-time watermark) to derive req/s and ETA.
+                _metrics.inc("progress.requests", plan.num_requests)
+                _metrics.inc("progress.chunks")
+                _metrics.set_gauge(
+                    "progress.sim_time_s",
+                    round(self.trace.total_compute_s + self.delay, 6),
+                )
+        if self.observing:
+            self.wall_s += time.perf_counter() - t0
 
-        while ri < bound:
-            t0 = req_times[ri] + delay
-            if t0 >= tnext:
-                drain(t0)
-            stop = tnext
-            due = 0
-            # The window must reach VECTOR_MIN_SUBREQUESTS sub-requests
-            # before the next trace directive (checked in O(1) here, ahead
-            # of the per-disk scan).
-            if (
-                use_vector
-                and indptr_l[bound] - indptr_l[ri] >= VECTOR_MIN_SUBREQUESTS
-            ):
-                hot = 0
-                vnext = tnext
-                for d, disk in enumerate(disks):
-                    end = disk._transition_end_s
-                    while end is not None and end <= t0:
-                        disk.advance(end)
-                        end = disk._transition_end_s
-                    if end is not None:
-                        hot |= 1 << d
-                        if end < stop:
-                            stop = end
-                    elif disk.standby:
-                        hot |= 1 << d
-                    elif auto_active:
-                        thr = disk.auto_spindown_threshold_s
-                        if thr is not None:
-                            # Arming sets the anchor at a serve
-                            # completion, never earlier, and in-window
-                            # serves only push anchors later.
-                            if disk._auto_armed:
-                                fd = disk.idle_anchor_s + thr
-                                if fd <= t0:
-                                    due |= 1 << d
-                                elif fd < vnext:
-                                    vnext = fd
-                            elif t0 + thr < vnext:
-                                vnext = t0 + thr
-                if vnext < stop:
-                    stop = vnext
-                we = bound
-                if vnext is not inf:
-                    # The kernel stops at ``vnext`` itself.
-                    cut = bisect_left(req_times, vnext - delay, ri, bound) + 1
-                    if cut < we:
-                        we = cut
-                hmask = hot | due
-                if hmask and we > ri:
-                    reqmask = geom.request_masks()
-                    k = ri
-                    while k < we and not reqmask[k] & hmask:
-                        k += 1
-                    we = k
-                if fr_idx < fr_n:
-                    while fr_idx < fr_n and flagged[fr_idx] < ri:
-                        fr_idx += 1
-                    if fr_idx < fr_n and flagged[fr_idx] < we:
-                        we = flagged[fr_idx]
-                if indptr_l[we] - indptr_l[ri] >= VECTOR_MIN_SUBREQUESTS:
-                    if tables is None:
-                        tables = _service_tables(plan, pm, geom)
-                    ri0 = ri
-                    ri, delay = _run_vector(
-                        plan, geom, tables, pm, disks, ri, we, delay, vnext,
-                        hot, responses, busy, rpm_counts, tl_rec, open_loop,
-                    )
-                    # A window that stopped at ``vnext`` or an unsettled
-                    # delay fixpoint re-probes; one that reached a hot,
-                    # overdue, or flagged request hands over to
-                    # ``Disk.serve``.
-                    if ri0 < ri < we:
-                        continue
+    def _drive(self, plan, geom, directives, final) -> None:
+        """The driver loop over one chunk (see the class docstring)."""
+        disks, pm, on_complete = self.disks, self.pm, self.on_complete
+        responses, busy, rpm_counts = self.responses, self.busy, self.rpm_counts
+        open_loop, use_vector = self.open_loop, self.engine == "segmented"
+        # Built on first use: a replay that only opens vector windows reads
+        # its boundary scalars from the arrays and never pays the ``tolist``
+        # views (per request, then per sub), a stepwise one never the
+        # service tables.
+        req_times = plan.columns.nominal_time_s
+        indptr_l = plan.indptr
+        listed = False
+        disk_l = nb_l = seek_l = None
+        tables = None
+        n = len(req_times)
+        t_time, t_action, t_disk, t_rpm = self.timed
+        num_timed = len(t_time)
+        d_time, d_action, d_disk, d_rpm, d_over = (
+            directives[name].tolist()
+            for name in ("time", "action", "disk", "rpm", "overhead")
+        )
+        num_dir_records = len(d_time)
+        serves = [d.serve for d in disks]
+        # Fault threading: ``flags[ri]`` marks requests with at least one
+        # faulty sub-request; those dispatch per-sub to ``serve_faulty`` and
+        # end any vector window.  A zero-rate plan materializes no flags
+        # (nothing can fault), so the hot loop pays one test per request.
+        fp = self.fault_plan
+        flags = sub_errors = None
+        flagged = ()
+        if fp is not None and fp.request_flags is not None:
+            flags, sub_errors, flagged = (
+                fp.request_flags, fp.sub_errors, fp.flagged_requests
+            )
+        fr_n = len(flagged)
+        fr_idx = 0
+        append_response = responses.append
+        track = busy is not None or on_complete is not None
+        if busy is not None:
+            busy_starts = [a.append for a in busy[0]]
+            busy_ends = [a.append for a in busy[1]]
+        tl_rec = disks[0].recorder if disks else None
+        auto_active = use_vector and any(
+            d.auto_spindown_threshold_s is not None for d in disks
+        )
+        # Cause tagging is recorder-only: the closures exist iff a timeline
+        # recorder is attached, so the unobserved replay pays one ``is None``
+        # test per directive (requests never check).
+        _dcause = _tcause = None
+        if tl_rec is not None:
+            miss = self.miss_keys or frozenset()
 
-            if disk_l is None and ri < bound:
-                disk_l, nb_l, seek_l = geom.scalar_views()
+            def _dcause(k):
+                if (d_disk[k], d_time[k]) in miss:
+                    return f"deadline-miss:{k}"
+                return f"directive:{k}"
+
+            def _tcause(k):
+                if (t_disk[k], t_time[k]) in miss:
+                    return f"deadline-miss:oracle:{k}"
+                return f"oracle:{k}"
+        delay = self.delay
+        num_directives = 0
+        timed_idx = self.timed_idx
+        tnext = t_time[timed_idx] if timed_idx < num_timed else inf
+        scalar_subs = 0
+
+        def drain(t: float) -> None:
+            # Oracle directives scheduled at or before ``t`` fire at their
+            # own absolute times (they were planned against the realized
+            # timeline, which a zero-penalty oracle shares with this
+            # replay); if replay drifted past the planned instant (the disk
+            # was still busy), the call takes effect as soon as the disk is
+            # available.
+            nonlocal timed_idx, num_directives, tnext
+            while timed_idx < num_timed and t_time[timed_idx] <= t:
+                k = timed_idx
+                target = disks[t_disk[k]]
+                t_td = t_time[k]
+                c = target.cursor_s
+                apply_call(
+                    target, t_td if t_td > c else c, t_action[k], t_rpm[k],
+                    CAUSE_EXTERNAL if _tcause is None else _tcause(k),
+                )
+                num_directives += 1
+                timed_idx += 1
+            tnext = t_time[timed_idx] if timed_idx < num_timed else inf
+
+        ri = 0
+        di = 0
+        while True:
+            # Requests strictly before the next trace directive's nominal
+            # time run first.  Nominal times are compared, so the bound is
+            # delay-independent; the scan totals O(num_requests) per replay.
+            if di < num_dir_records:
                 if not listed:
                     req_times, indptr_l = geom.request_lists()
                     listed = True
-            if due:
-                reqmask = geom.request_masks()
-            k = ri
-            while k < bound:
-                t = req_times[k] + delay
-                if t >= stop:
-                    break
-                completion = t
-                faulty = flags is not None and flags[k]
-                for j in range(indptr_l[k], indptr_l[k + 1]):
-                    disk_id = disk_l[j]
-                    if faulty and (errs := sub_errors.get(j, 0)):
-                        done = disks[disk_id].serve_faulty(
-                            t, nb_l[j], seek_l[j], errs
+                dnom = d_time[di]
+                bound = ri
+                while bound < n and req_times[bound] < dnom:
+                    bound += 1
+            else:
+                bound = n
+
+            while ri < bound:
+                t0 = req_times[ri] + delay
+                if t0 >= tnext:
+                    drain(t0)
+                stop = tnext
+                due = 0
+                # The window must reach VECTOR_MIN_SUBREQUESTS sub-requests
+                # before the next trace directive (checked in O(1) here,
+                # ahead of the per-disk scan).
+                if (
+                    use_vector
+                    and indptr_l[bound] - indptr_l[ri] >= VECTOR_MIN_SUBREQUESTS
+                ):
+                    hot = 0
+                    vnext = tnext
+                    for d, disk in enumerate(disks):
+                        end = disk._transition_end_s
+                        while end is not None and end <= t0:
+                            disk.advance(end)
+                            end = disk._transition_end_s
+                        if end is not None:
+                            hot |= 1 << d
+                            if end < stop:
+                                stop = end
+                        elif disk.standby:
+                            hot |= 1 << d
+                        elif auto_active:
+                            thr = disk.auto_spindown_threshold_s
+                            if thr is not None:
+                                # Arming sets the anchor at a serve
+                                # completion, never earlier, and in-window
+                                # serves only push anchors later.
+                                if disk._auto_armed:
+                                    fd = disk.idle_anchor_s + thr
+                                    if fd <= t0:
+                                        due |= 1 << d
+                                    elif fd < vnext:
+                                        vnext = fd
+                                elif t0 + thr < vnext:
+                                    vnext = t0 + thr
+                    if vnext < stop:
+                        stop = vnext
+                    we = bound
+                    if vnext is not inf:
+                        # The kernel stops at ``vnext`` itself.
+                        cut = bisect_left(req_times, vnext - delay, ri, bound) + 1
+                        if cut < we:
+                            we = cut
+                    hmask = hot | due
+                    if hmask and we > ri:
+                        reqmask = geom.request_masks()
+                        k = ri
+                        while k < we and not reqmask[k] & hmask:
+                            k += 1
+                        we = k
+                    if fr_idx < fr_n:
+                        while fr_idx < fr_n and flagged[fr_idx] < ri:
+                            fr_idx += 1
+                        if fr_idx < fr_n and flagged[fr_idx] < we:
+                            we = flagged[fr_idx]
+                    if indptr_l[we] - indptr_l[ri] >= VECTOR_MIN_SUBREQUESTS:
+                        if tables is None:
+                            tables = _service_tables(plan, pm, geom)
+                        ri0 = ri
+                        ri, delay = _run_vector(
+                            plan, geom, tables, pm, disks, ri, we, delay,
+                            vnext, hot, responses, busy, rpm_counts, tl_rec,
+                            open_loop,
                         )
-                    else:
-                        done = serves[disk_id](t, nb_l[j], seek_l[j])
-                    if rpm_counts is not None:
-                        r = disks[disk_id].rpm
-                        rpm_counts[r] = rpm_counts.get(r, 0) + 1
-                    if track:
-                        disk = disks[disk_id]
-                        start = disk.last_service_start_s
-                        if busy is not None:
-                            busy_starts[disk_id](start)
-                            busy_ends[disk_id](done)
-                        if on_complete is not None:
-                            on_complete(
-                                disk, t, start, done, nb_l[j], seek_l[j]
-                            )
-                    if done > completion:
-                        completion = done
-                k += 1
-                response = completion - t
-                append_response(response)
-                if not open_loop:
-                    delay += response
-                if due and reqmask[k - 1] & due:
-                    break
-                if faulty and use_vector:
-                    # Only the flagged request needed ``serve_faulty``: end
-                    # the run if a window fits before the next flagged one.
-                    f = bisect_right(flagged, k - 1)
-                    nf = flagged[f] if f < fr_n and flagged[f] < bound else bound
-                    if indptr_l[nf] - indptr_l[k] >= VECTOR_MIN_SUBREQUESTS:
+                        # A window that stopped at ``vnext`` or an unsettled
+                        # delay fixpoint re-probes; one that reached a hot,
+                        # overdue, or flagged request hands over to
+                        # ``Disk.serve``.
+                        if ri0 < ri < we:
+                            continue
+
+                if disk_l is None and ri < bound:
+                    disk_l, nb_l, seek_l = geom.scalar_views()
+                    if not listed:
+                        req_times, indptr_l = geom.request_lists()
+                        listed = True
+                if due:
+                    reqmask = geom.request_masks()
+                k = ri
+                while k < bound:
+                    t = req_times[k] + delay
+                    if t >= stop:
                         break
-            scalar_subs += int(indptr_l[k] - indptr_l[ri])
-            ri = k
+                    completion = t
+                    faulty = flags is not None and flags[k]
+                    for j in range(indptr_l[k], indptr_l[k + 1]):
+                        disk_id = disk_l[j]
+                        if faulty and (errs := sub_errors.get(j, 0)):
+                            done = disks[disk_id].serve_faulty(
+                                t, nb_l[j], seek_l[j], errs
+                            )
+                        else:
+                            done = serves[disk_id](t, nb_l[j], seek_l[j])
+                        if rpm_counts is not None:
+                            r = disks[disk_id].rpm
+                            rpm_counts[r] = rpm_counts.get(r, 0) + 1
+                        if track:
+                            disk = disks[disk_id]
+                            start = disk.last_service_start_s
+                            if busy is not None:
+                                busy_starts[disk_id](start)
+                                busy_ends[disk_id](done)
+                            if on_complete is not None:
+                                on_complete(
+                                    disk, t, start, done, nb_l[j], seek_l[j]
+                                )
+                        if done > completion:
+                            completion = done
+                    k += 1
+                    response = completion - t
+                    append_response(response)
+                    if not open_loop:
+                        delay += response
+                    if due and reqmask[k - 1] & due:
+                        break
+                    if faulty and use_vector:
+                        # Only the flagged request needed ``serve_faulty``:
+                        # end the run if a window fits before the next
+                        # flagged one.
+                        f = bisect_right(flagged, k - 1)
+                        nf = flagged[f] if f < fr_n and flagged[f] < bound else bound
+                        if indptr_l[nf] - indptr_l[k] >= VECTOR_MIN_SUBREQUESTS:
+                            break
+                scalar_subs += int(indptr_l[k] - indptr_l[ri])
+                ri = k
 
-        if di < num_dir_records:
-            k = di
-            di += 1
-            t_exec = d_time[k] + delay
-            if t_exec >= tnext:
-                drain(t_exec)
-            target = disks[d_disk[k]]
-            if open_loop:
-                # The frozen delay can leave a directive's executed time
-                # behind a backlogged disk; it takes effect as soon as the
-                # disk is available, like a timed call.
-                c = target.cursor_s
-                if t_exec < c:
-                    t_exec = c
-            apply_call(
-                target, t_exec, d_action[k], d_rpm[k],
-                CAUSE_EXTERNAL if _dcause is None else _dcause(k),
+            if di < num_dir_records:
+                k = di
+                di += 1
+                t_exec = d_time[k] + delay
+                if t_exec >= tnext:
+                    drain(t_exec)
+                target = disks[d_disk[k]]
+                if open_loop:
+                    # The frozen delay can leave a directive's executed time
+                    # behind a backlogged disk; it takes effect as soon as
+                    # the disk is available, like a timed call.
+                    c = target.cursor_s
+                    if t_exec < c:
+                        t_exec = c
+                apply_call(
+                    target, t_exec, d_action[k], d_rpm[k],
+                    CAUSE_EXTERNAL if _dcause is None else _dcause(k),
+                )
+                num_directives += 1
+                overhead = d_over[k]
+                if overhead and not open_loop:
+                    delay += overhead / _CLOCK_HZ
+            elif ri >= n:
+                break
+
+        # Flush oracle directives scheduled after the last record.
+        if final:
+            drain(self.trace.total_compute_s + delay)
+        cov = REPLAY_COVERAGE
+        if use_vector:
+            cov["subrequests_scalar"] += scalar_subs
+            cov["directive_edits"] += num_directives
+        else:
+            cov["subrequests_stepwise"] += scalar_subs
+        self.delay = delay
+        self.timed_idx = timed_idx
+        self.num_directives += num_directives
+
+    def finish(self) -> SimulationResult:
+        """The replay's result, once the final chunk has been fed."""
+        disks = self.disks
+        ctrl, fault_plan = self.ctrl, self.fault_plan
+        if fault_plan is not None:
+            # Deadline-miss and degraded-serve accounting is derived from
+            # the (engine-invariant) miss windows and the plan's nominal
+            # coordinates, so both engines report identical counters.
+            degraded = fault_plan.degraded_counts(self.plan, self.trace_misses)
+            for d_id, cnt in degraded.items():
+                disks[d_id].stats.num_degraded_serves += cnt
+
+        if self.observing:
+            _metrics.inc("sim.replays", engine=self.engine, scheme=ctrl.name)
+            if self.forced:
+                _metrics.inc("sim.fallbacks", reason=self.forced)
+            _metrics.inc("sim.requests", self.num_requests)
+            if self.streamed:
+                # Retire the live-telemetry count: ``progress.requests``
+                # minus ``progress.requests_done`` is the streamed in-flight
+                # backlog, so a reporter's (completed + in-flight) total
+                # never double-counts a finished streamed replay against
+                # ``sim.requests``.
+                _metrics.inc("progress.requests_done", self.num_requests)
+            _metrics.inc("sim.directives", self.num_directives)
+            for rpm, count in self.rpm_counts.items():
+                _metrics.inc("sim.subrequests", count, rpm=rpm)
+            _metrics.observe("sim.replay_wall_s", self.wall_s, scheme=ctrl.name)
+            if fault_plan is not None:
+                for name in (
+                    "request_errors", "request_retries", "request_timeouts",
+                    "spinup_failures", "deadline_misses", "degraded_serves",
+                ):
+                    total = sum(getattr(d.stats, f"num_{name}") for d in disks)
+                    if total:
+                        _metrics.inc(f"sim.faults.{name}", total, scheme=ctrl.name)
+
+        end_time = self.trace.total_compute_s + self.delay
+        if self.open_loop:
+            # With no delay feedback the nominal span can end before the
+            # last queued request drains; execution runs to the later of
+            # the two.  ``last_request_end_s`` is engine-invariant (both
+            # engines leave identical disk state), so the extension
+            # preserves bit-identity.
+            end_time = max(
+                end_time, max((d.last_request_end_s for d in disks), default=0.0)
             )
-            num_directives += 1
-            overhead = d_over[k]
-            if overhead and not open_loop:
-                delay += overhead / _CLOCK_HZ
-        elif ri >= n:
-            break
-
-    # Flush oracle directives scheduled after the last record.
-    end_time = total_compute_s + delay
-    if finalize:
-        drain(end_time)
-    cov = REPLAY_COVERAGE
-    if use_vector:
-        cov["subrequests_scalar"] += scalar_subs
-        cov["directive_edits"] += num_directives
-    else:
-        cov["subrequests_stepwise"] += scalar_subs
-    return num_directives, end_time, delay, timed_idx
+        for disk in disks:
+            disk.finalize(end_time)
+        if self.streamed:
+            summary = ResponseSummary.from_running(
+                self.resp_count, self.resp_total, self.resp_max
+            )
+            per_request = None
+        else:
+            per_request = np.frombuffer(self.responses, dtype=float)
+            summary = ResponseSummary.from_samples(per_request)
+        busy = self.busy
+        busy_columns = () if busy is None else tuple(
+            (np.frombuffer(s, dtype=float), np.frombuffer(e, dtype=float))
+            for s, e in zip(*busy)
+        )
+        # Disk timelines may exceed the app end (e.g. a trailing
+        # transition); execution time is the app's, but energy accounting
+        # follows each disk to its own final cursor, so energy==power*time
+        # invariants hold.
+        return SimulationResult.from_columns(
+            busy_columns=busy_columns,
+            response_array=per_request,
+            scheme=ctrl.name,
+            program_name=self.trace.program_name,
+            execution_time_s=end_time,
+            disk_stats=tuple(d.stats for d in disks),
+            responses=summary,
+            num_requests=self.num_requests,
+            num_directives=self.num_directives,
+            engine=self.engine,
+            engine_forced=self.forced,
+        )
 
 
 def _stream_chunks(layout, directives: np.ndarray, columns):
@@ -1669,6 +1916,11 @@ def _stream_chunks(layout, directives: np.ndarray, columns):
     reproduces the whole-trace replay exactly.  Empty chunks are skipped,
     except that an empty stream still yields one empty final chunk.  One
     chunk of lookahead tells the last chunk apart.
+
+    Every replay fed a chunk is done with it when the next one is asked
+    for, so its derived state (geometry lists and service tables, O(chunk)
+    each) is freed then, before the next chunk's plan is built: two
+    chunks' worth are never alive at once.
     """
     dir_times = directives["time"]
     carry = None
@@ -1688,6 +1940,7 @@ def _stream_chunks(layout, directives: np.ndarray, columns):
                     dir_times, cur.nominal_time_s[-1], "right"
                 ))
             yield plan, directives[dlo:dhi], final
+            plan._derived.clear()
             dlo = dhi
         cur = nxt
 
@@ -1724,19 +1977,18 @@ def simulate(
     """Replay ``trace`` under ``params`` with an optional controller.
 
     ``trace`` is a whole :class:`~repro.trace.request.Trace` or a
-    :class:`~repro.trace.stream.TraceStream`, and both run one replay
-    loop over chunks.  A whole trace is exactly one chunk: the ``plan``
-    (or :meth:`ReplayPlan.for_trace`), the full (fault-shifted) directive
-    stream, and a per-request response column, so the result carries
-    ``request_responses`` and an exact p95.  A stream is replayed chunk by
-    chunk with peak memory bounded by the chunk size: each chunk gets its
-    own plan and its share of the directives (see :func:`_stream_chunks`).
-    Between chunks the closed-loop delay and the oracle-directive cursor
-    carry over; all other cross-chunk state lives in the ``Disk`` state
-    machines (and in a reactive controller's own fields).  Any chunking of the same request sequence is therefore
-    bit-identical to the whole-trace replay, and both engines agree (the
-    streaming equivalence tests enforce both).  Streamed response
-    statistics fold as running count/total/max —
+    :class:`~repro.trace.stream.TraceStream`; either way one
+    :class:`Replay` is fed every chunk.  A whole trace is exactly one
+    chunk: the ``plan`` (or :meth:`ReplayPlan.for_trace`), the full
+    (fault-shifted) directive stream, and a per-request response column,
+    so the result carries ``request_responses`` and an exact p95.  A
+    stream is replayed chunk by chunk with peak memory bounded by the
+    chunk size: each chunk gets its own plan and its share of the
+    directives (see :func:`_stream_chunks`), and the replay carries
+    everything else across chunks.  Any chunking of the same request
+    sequence is therefore bit-identical to the whole-trace replay, and
+    both engines agree (the streaming equivalence tests enforce both).
+    Streamed response statistics fold as running count/total/max —
     :meth:`ResponseSummary.from_running`, with the 95th percentile
     reported as the documented ``0.0`` sentinel — and per-request
     response columns are not retained.
@@ -1763,7 +2015,7 @@ def simulate(
 
     ``faults`` optionally supplies a :class:`~repro.faults.FaultConfig`;
     the regime is materialized into a :class:`~repro.faults.FaultPlan`
-    against this trace's replay plan *before* engine dispatch, so both
+    against this trace's replay plan *before* the disks are built, so both
     engines consume the same event schedule: pre-activation directives
     slip their deadlines up front (the shifted streams replace the clean
     ones), per-sub-request transient errors route flagged requests through
@@ -1787,7 +2039,7 @@ def simulate(
     :class:`SimulationError` with its index in the whole stream.
 
     ``engine`` selects the replay path.  There is one driver
-    (:func:`_replay`): ``"segmented"`` (the default) runs it with vector
+    (:class:`Replay`): ``"segmented"`` (the default) runs it with vector
     windows on, ``"stepwise"`` with them off, so every sub-request goes
     through ``Disk.serve`` (the reference the equivalence suites compare
     against).  Both are bit-identical — including any attached timeline
@@ -1807,298 +2059,22 @@ def simulate(
     reason and recorded in ``SimulationResult.engine`` /
     ``SimulationResult.engine_forced``.
     """
-    streamed = isinstance(trace, TraceStream)
-    if engine not in ("segmented", "stepwise"):
-        raise SimulationError(f"unknown replay engine {engine!r}")
-    if streamed:
-        if recorder is not None:
-            raise SimulationError(
-                "streamed replay cannot attach a timeline recorder; "
-                "replay a whole Trace for timelines"
-            )
-        if collect_busy_intervals:
-            raise SimulationError(
-                "streamed replay cannot collect busy intervals; "
-                "replay a whole Trace for busy-interval capture"
-            )
-        if faults is not None:
-            raise SimulationError(
-                "streamed replay does not support fault injection: a fault "
-                "plan indexes absolute sub-request ordinals of a whole-trace "
-                "replay plan"
-            )
-        if plan is not None:
-            raise SimulationError(
-                "streamed replay builds one plan per chunk; do not pass a "
-                "whole-trace plan"
-            )
-    ctrl = controller or Controller()
-    layout = trace.layout
-    if layout.num_disks != params.num_disks:
-        raise SimulationError(
-            f"trace layout has {layout.num_disks} disks, params say {params.num_disks}"
-        )
-    if not streamed:
-        if plan is None:
-            plan = ReplayPlan.for_trace(trace)
-        elif not plan.matches(trace):
-            raise SimulationError(
-                "replay plan was built for a different request stream"
-            )
-    fault_plan = None
-    if faults is not None:
-        from ..faults import FaultPlan
-
-        fault_plan = FaultPlan(faults, plan)
-    pm = PowerModel(params.disk, params.drpm)
-    disks = [
-        Disk(
-            i,
-            pm,
-            auto_spindown_threshold_s=ctrl.auto_spindown_threshold_s,
-            recorder=recorder,
-            faults=fault_plan,
-        )
-        for i in range(params.num_disks)
-    ]
-    ctrl.prepare(len(disks), pm)
-    # The base Controller's reactive hook is a no-op; skipping the call for
-    # controllers that never override it saves one dispatch per sub-request.
-    reactive = type(ctrl).on_request_complete is not Controller.on_request_complete
-
-    timed = check_directives(
-        ctrl.timed_directives(), "timed directive", sort=True
+    replay = Replay(
+        trace, params, controller, collect_busy_intervals, recorder, plan,
+        engine, faults, open_loop,
     )
-    directives = trace.directives
-    for what, rows in (("directive", directives), ("timed directive", timed)):
-        unknown = np.flatnonzero(rows["disk"] >= params.num_disks)
-        if unknown.size:
-            k = int(unknown[0])
-            raise SimulationError(
-                f"{what} {k} targets unknown disk {rows['disk'][k]}"
-            )
-    # Deadline misses shift pre-activation directives *before* engine
-    # dispatch: both engines replay the already-slipped streams, and the
-    # requests a slip strands at the pre-directive disk state simply serve
-    # there — the graceful-degradation semantics fall out of the ordinary
-    # replay rules (low-RPM service for the DRPM family, a reactive
-    # spin-up for the TPM family), with the directive honoured late.
-    trace_misses: tuple = ()
-    timed_misses: tuple = ()
-    if fault_plan is not None:
-        top_rpm = params.disk.rpm
-        directives, trace_misses = fault_plan.delay_directives(
-            directives, top_rpm, "trace"
-        )
-        timed, timed_misses = fault_plan.delay_directives(
-            timed, top_rpm, "timed"
-        )
-    timed_columns = tuple(
-        timed[name].tolist() for name in ("time", "action", "disk", "rpm")
-    )
-    # Deadline-miss attribution keys: a slipped directive's row carries its
-    # *realized* time, so ``(disk, realized_time)`` identifies it in
-    # either engine.  Only materialized when a recorder is attached.
-    miss_keys: frozenset | None = None
-    if recorder is not None and (trace_misses or timed_misses):
-        miss_keys = frozenset(
-            (d_id, t1) for d_id, _t0, t1 in (*trace_misses, *timed_misses)
-        )
-
-    # ------------------------------------------------------------------ #
-    # Engine selection.  Nothing here is silent: every routing away from
-    # the requested engine is logged with its reason, recorded in the
-    # result's ``engine_forced`` metadata, and counted in ``sim.fallbacks``.
-    segmented = engine != "stepwise"
-    forced = ""
-    drpm = None
-    if segmented and reactive:
-        if _solves_drpm(ctrl, open_loop, fault_plan, directives, timed):
-            drpm = ctrl
-        else:
-            segmented = False
-            forced = "reactive-controller"
-            logger.debug(
-                "%s/%s: reactive controller %s observes per-sub-request "
-                "completions; routing to the stepwise reference loop",
-                trace.program_name, ctrl.name, type(ctrl).__name__,
-            )
-    engine_used = "segmented" if segmented else "stepwise"
-
-    observing = obs.enabled()
-    rpm_counts: dict[int, int] | None = {} if observing else None
-    t_replay0 = time.perf_counter() if observing else 0.0
-
-    # Responses land in one unboxed column.  A whole trace keeps it (exact
-    # p95 and ``request_responses``); a stream folds each chunk's column
-    # into a running count, total and max, then reuses it.
-    responses = array("d")
-    resp_count = 0
-    resp_total = 0.0
-    resp_max = 0.0
-    if streamed:
-        span_attrs: dict = {"streamed": True}
-    else:
-        span_attrs = {
-            "requests": plan.num_requests,
-            "subrequests": plan.num_subrequests,
-        }
-    busy: BusySink | None = None
-    if collect_busy_intervals:
-        busy = ([array("d") for _ in disks], [array("d") for _ in disks])
-    on_complete = ctrl.on_request_complete if reactive else None
-    delay = 0.0
-    timed_idx = 0
-    num_directives = 0
-    num_requests = 0
-    num_chunks = 0
-    REPLAY_COVERAGE["replays_segmented" if segmented else "replays_stepwise"] += 1
-
     with obs.span(
-        "sim.replay",
-        program=trace.program_name,
-        scheme=ctrl.name,
-        engine=engine_used,
-        **span_attrs,
+        "sim.replay", program=trace.program_name, scheme=replay.ctrl.name,
+        engine=replay.engine, streamed=replay.streamed,
     ) as sp:
-        if forced:
-            sp.set(forced=forced)
-        if fault_plan is not None:
+        if replay.forced:
+            sp.set(forced=replay.forced)
+        if faults is not None:
             sp.set(fault_seed=faults.seed)
-        if not streamed:
-            chunks = ((plan, directives, True),)
-        else:
-            chunks = _stream_chunks(layout, directives, trace.iter_chunks())
-        for plan_c, dirs_c, final in chunks:
-            nd, end_time, delay, timed_idx = _replay(
-                plan_c, disks, pm, on_complete, timed_columns, dirs_c,
-                trace.total_compute_s, responses, busy,
-                rpm_counts, fault_plan, delay,
-                timed_idx, final, miss_keys, open_loop, segmented, drpm,
-            )
-            num_directives += nd
-            num_requests += plan_c.num_requests
-            num_chunks += 1
-            if streamed:
-                # The same left fold, in the same order, as appending
-                # every response to one column: ``sequential_sum`` is the
-                # ``+=`` chain, and max is an exact selection.
-                chunk = np.frombuffer(responses, dtype=float)
-                if chunk.size:
-                    resp_count += chunk.size
-                    resp_total = sequential_sum(resp_total, chunk)
-                    resp_max = max(resp_max, float(chunk.max()))
-                del chunk  # an exported buffer blocks the resize below
-                del responses[:]
-                if observing:
-                    # Live-telemetry feed: a ProgressReporter samples
-                    # these between chunks (requests replayed so far,
-                    # chunk count, simulated-time watermark) to derive
-                    # req/s and ETA.
-                    _metrics.inc("progress.requests", plan_c.num_requests)
-                    _metrics.inc("progress.chunks")
-                    _metrics.set_gauge("progress.sim_time_s", round(end_time, 6))
-                # Free this chunk's derived state (geometry lists and
-                # service tables, O(chunk) each) now: ``plan_c`` stays
-                # bound until the generator yields the next chunk, whose
-                # plan is built first, so without this two chunks' worth
-                # would be alive at once.  Only per-chunk plans built here
-                # are cleared: a caller's plan keeps its derived state for
-                # the next replay.
-                plan_c._derived.clear()
-        if streamed:
-            sp.set(
-                requests=num_requests, directives=num_directives,
-                chunks=num_chunks,
-            )
-        else:
-            sp.set(directives=num_directives)
-
-    if fault_plan is not None:
-        # Deadline-miss and degraded-serve accounting is derived from the
-        # (engine-invariant) miss windows and the plan's nominal
-        # coordinates, so both engines report identical counters.  Oracle
-        # (absolute-time) windows count misses only: their times live on
-        # the realized timeline, which nominal coordinates cannot index.
-        for d_id, _, _ in trace_misses:
-            disks[d_id].stats.num_deadline_misses += 1
-        for d_id, _, _ in timed_misses:
-            disks[d_id].stats.num_deadline_misses += 1
-        for d_id, cnt in fault_plan.degraded_counts(plan, trace_misses).items():
-            disks[d_id].stats.num_degraded_serves += cnt
-
-    if observing:
-        _metrics.inc("sim.replays", engine=engine_used, scheme=ctrl.name)
-        if forced:
-            _metrics.inc("sim.fallbacks", reason=forced)
-        _metrics.inc("sim.requests", num_requests)
-        if streamed:
-            # Retire the live-telemetry count: ``progress.requests`` minus
-            # ``progress.requests_done`` is the streamed in-flight
-            # backlog, so a reporter's (completed + in-flight) total never
-            # double-counts a finished streamed replay against
-            # ``sim.requests``.
-            _metrics.inc("progress.requests_done", num_requests)
-        _metrics.inc("sim.directives", num_directives)
-        if rpm_counts:
-            for rpm, count in rpm_counts.items():
-                _metrics.inc("sim.subrequests", count, rpm=rpm)
-        _metrics.observe(
-            "sim.replay_wall_s", time.perf_counter() - t_replay0,
-            scheme=ctrl.name,
+        for chunk in replay.chunks():
+            replay.feed(*chunk)
+        sp.set(
+            requests=replay.num_requests, directives=replay.num_directives,
+            chunks=replay.num_chunks,
         )
-        if fault_plan is not None:
-            stats_list = [d.stats for d in disks]
-            for metric, total in (
-                ("sim.faults.request_errors",
-                 sum(s.num_request_errors for s in stats_list)),
-                ("sim.faults.request_retries",
-                 sum(s.num_request_retries for s in stats_list)),
-                ("sim.faults.request_timeouts",
-                 sum(s.num_request_timeouts for s in stats_list)),
-                ("sim.faults.spinup_failures",
-                 sum(s.num_spinup_failures for s in stats_list)),
-                ("sim.faults.deadline_misses",
-                 len(trace_misses) + len(timed_misses)),
-                ("sim.faults.degraded_serves",
-                 sum(s.num_degraded_serves for s in stats_list)),
-            ):
-                if total:
-                    _metrics.inc(metric, total, scheme=ctrl.name)
-
-    if open_loop:
-        # With no delay feedback the nominal span can end before the last
-        # queued request drains; execution runs to the later of the two.
-        # ``last_request_end_s`` is engine-invariant (both engines leave
-        # identical disk state), so the extension preserves bit-identity.
-        end_time = max(
-            end_time, max((d.last_request_end_s for d in disks), default=0.0)
-        )
-    for disk in disks:
-        disk.finalize(end_time)
-    if streamed:
-        summary = ResponseSummary.from_running(resp_count, resp_total, resp_max)
-        per_request = None
-    else:
-        per_request = np.frombuffer(responses, dtype=float)
-        summary = ResponseSummary.from_samples(per_request)
-    busy_columns = () if busy is None else tuple(
-        (np.frombuffer(s, dtype=float), np.frombuffer(e, dtype=float))
-        for s, e in zip(*busy)
-    )
-    # Disk timelines may exceed the app end (e.g. a trailing transition);
-    # execution time is the app's, but energy accounting follows each disk
-    # to its own final cursor, so energy==power*time invariants hold.
-    return SimulationResult.from_columns(
-        busy_columns=busy_columns,
-        response_array=per_request,
-        scheme=ctrl.name,
-        program_name=trace.program_name,
-        execution_time_s=end_time,
-        disk_stats=tuple(d.stats for d in disks),
-        responses=summary,
-        num_requests=num_requests,
-        num_directives=num_directives,
-        engine=engine_used,
-        engine_forced=forced,
-    )
+    return replay.finish()

@@ -40,7 +40,7 @@ from typing import Sequence
 from . import ablations, extensions, fig3, fig4, fig5_6, fig7_8, fig13, table1, table2, table3
 from .. import obs
 from ..cache import ResultCache
-from ..disksim.simulator import ROUTING, replay_coverage
+from ..disksim.simulator import ROUTING, replay_coverage, reset_replay_coverage
 from ..obs.manifest import build_manifest, write_manifest
 from .runner import ExperimentContext
 
@@ -272,7 +272,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         or obs.env_requests_obs()
     )
     if observing:
+        # The manifest counts this run only: an earlier in-process run's
+        # metrics and engine coverage are cleared first.
         obs.enable()
+        obs.metrics.reset()
+        reset_replay_coverage()
 
     if args.no_cache:
         cache: ResultCache | bool | None = False

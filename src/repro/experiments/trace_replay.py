@@ -9,7 +9,10 @@ from the trace — ``simulate(..., open_loop=True)``).
 Scheme semantics on external traces:
 
 * ``Base``/``TPM``/``DRPM`` — unchanged: reactive policies need no
-  compile-time knowledge.
+  compile-time knowledge.  They replay in one pass over the source: each
+  chunk (a whole trace is one) is read and planned once and fed to each
+  scheme's :class:`~repro.disksim.simulator.Replay` in turn, so a
+  streamed source is read and planned once for all three.
 * ``ITPM``/``IDRPM`` — the oracles derive from the Base replay's realized
   busy intervals, so they run only for whole-trace (non-streamed)
   sources; streamed sources skip them with a report note.
@@ -39,7 +42,7 @@ from pathlib import Path
 from .. import obs
 from ..cache import fingerprint, trace_fingerprint
 from ..disksim.replay import ReplayPlan
-from ..disksim.simulator import simulate
+from ..disksim.simulator import Replay, simulate
 from ..disksim.stats import SimulationResult
 from ..trace.ingest import ingest_fingerprint, ingest_trace, stream_ingest
 from ..trace.synth import SynthConfig, synth_stream, synth_trace
@@ -245,39 +248,53 @@ def _replay_source(
         "streamed" if source.streamed else "whole",
     )
 
-    def _memo(scheme: str, compute) -> SimulationResult:
+    def _load(scheme: str) -> SimulationResult | None:
         if cache is None:
-            return compute()
-        return cache.memo(
-            cache.scheme_key(suite_fp, scheme), compute,
+            return None
+        got = cache.load(cache.scheme_key(suite_fp, scheme))
+        obs.event(
+            "cache.memo", outcome="miss" if got is None else "hit",
             entry="trace_replay", source=source.label, scheme=scheme,
         )
+        return got
+
+    def _store(scheme: str, result: SimulationResult) -> SimulationResult:
+        if cache is not None:
+            cache.store(cache.scheme_key(suite_fp, scheme), result)
+        return result
+
+    def _memo(scheme: str, compute) -> SimulationResult:
+        got = _load(scheme)
+        return _store(scheme, compute()) if got is None else got
 
     # Every scheme replays the same request stream, so a whole trace
-    # shares one plan, built on the first cache miss; a stream builds
-    # its plans per chunk.
+    # shares one plan, built on the first cache miss.
     replay_plan = functools.cache(
         lambda: None if source.streamed else ReplayPlan.for_trace(trace)
     )
-
-    def _replay(
-        scheme: str, base=None, collect_busy_intervals: bool = False
-    ) -> SimulationResult:
-        # The controller is built only on a miss, so a cache hit also
-        # skips the oracle derivation.
-        return _memo(scheme, lambda: simulate(
-            trace, params, controller_for(scheme, params, base),
-            collect_busy_intervals=collect_busy_intervals, open_loop=True,
-            plan=replay_plan(),
-        ))
-
+    # The shared pass: each cache entry is loaded once, only the schemes
+    # that miss replay, memory stays at one chunk plus their replay
+    # states, and results are stored in scheme order.
+    results = {scheme: _load(scheme) for scheme in ("Base", "TPM", "DRPM")}
+    missing = [scheme for scheme, got in results.items() if got is None]
+    replays = [
+        Replay(
+            trace, params, controller_for(scheme, params),
+            collect_busy_intervals=scheme == "Base" and not source.streamed,
+            plan=replay_plan(), open_loop=True,
+        )
+        for scheme in missing
+    ]
+    if replays:
+        with obs.span(
+            "trace_replay.pass", source=source.label, schemes=",".join(missing)
+        ):
+            for chunk in replays[0].chunks():
+                for replay in replays:
+                    replay.feed(*chunk)
+    for scheme, replay in zip(missing, replays):
+        results[scheme] = _store(scheme, replay.finish())
     notes: list[str] = []
-    results: dict[str, SimulationResult] = {}
-    results["Base"] = _replay(
-        "Base", collect_busy_intervals=not source.streamed
-    )
-    for scheme in ("TPM", "DRPM"):
-        results[scheme] = _replay(scheme)
     if source.streamed:
         notes.append(
             f"{source.label}: streamed replay — oracle schemes skipped "
@@ -285,7 +302,12 @@ def _replay_source(
         )
     else:
         for scheme in ("ITPM", "IDRPM"):
-            results[scheme] = _replay(scheme, results["Base"])
+            # The oracles read Base's busy intervals, so they replay after
+            # the shared pass; the controller is built only on a miss.
+            results[scheme] = _memo(scheme, lambda: simulate(
+                trace, params, controller_for(scheme, params, results["Base"]),
+                open_loop=True, plan=replay_plan(),
+            ))
     base = results["Base"]
     for scheme in ("CMTPM", "CMDRPM"):
         results[scheme] = _memo(scheme, lambda: _no_directive_result(base, scheme))

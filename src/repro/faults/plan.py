@@ -215,10 +215,6 @@ class FaultPlan:
                 self.flagged_requests = np.nonzero(flags)[0].tolist()
 
     # ------------------------------------------------------------------ #
-    @property
-    def has_request_faults(self) -> bool:
-        return bool(self.sub_errors)
-
     def spinup_fault(self, disk_id: int, ordinal: int) -> SpinUpFault | None:
         """Outcome of the ``ordinal``-th spin-up event on ``disk_id``.
 

@@ -12,7 +12,9 @@ bit-identical to the per-object stepwise engine.
 
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,10 +22,14 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from strategies import directive_rows, programs  # noqa: E402
 
+from repro.controllers.drpm import ReactiveDRPM
 from repro.controllers.tpm import ReactiveTPM
-from repro.disksim.params import SubsystemParams
+from repro.disksim import simulator
+from repro.disksim.interface import Controller
+from repro.disksim.params import DiskParams, DRPMParams, SubsystemParams
 from repro.disksim.replay import ReplayPlan
 from repro.disksim.simulator import (
+    Replay,
     replay_coverage,
     reset_replay_coverage,
     simulate,
@@ -33,8 +39,10 @@ from repro.disksim.timeline import TimelineRecorder
 from repro.ir.nodes import PowerAction, PowerCall
 from repro.layout.files import default_layout
 from repro.trace.generator import TraceOptions, generate_trace, stream_trace
+from repro.trace.ingest import stream_ingest, write_text_records
 from repro.trace.stream import TraceStream
 from repro.util.errors import SimulationError, TraceError
+from tests.conftest import _assert_results_identical
 
 ENGINES = ("stepwise", "segmented")
 
@@ -466,3 +474,71 @@ def test_single_rpm_vector_windows_still_fuse():
     assert cov["segments_fused"] >= 1
     assert cov["segments_fused_multirpm"] == 0
     assert seg == simulate(cell.stream(), cell.params, engine="stepwise")
+
+
+# --------------------------------------------------------------------- #
+# Interleaved replays: one chunk sequence fed to several replays in turn.
+# --------------------------------------------------------------------- #
+def _bursty_trace(tmp_path) -> Path:
+    """Bursty single-disk requests over three disks: gaps shorter and
+    longer than a DRPM shift, some queueing in open loop."""
+    rng = np.random.default_rng(12)
+    n = 400
+    gaps = rng.choice([0.0004, 0.004, 0.02, 0.07, 0.4], n, p=[.25, .25, .25, .15, .1])
+    path = tmp_path / "bursty.trace"
+    write_text_records(path, zip(
+        np.cumsum(gaps).tolist(),
+        rng.integers(0, 3, n).tolist(),
+        (rng.integers(0, 1 << 20, n) * 8).tolist(),
+        rng.choice([4096, 16384, 65536], n).tolist(),
+        [False] * n,
+    ))
+    return path
+
+
+@pytest.mark.parametrize("open_loop", [False, True], ids=["closed", "open"])
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_interleaved_replays_match_their_own_simulate(chunk, open_loop, tmp_path):
+    """Four replays fed one ``_stream_chunks`` sequence, chunk by chunk in
+    alternating order, each bit-identical to its own ``simulate``.  They
+    differ in power model (a plan's service tables must stay keyed by it)
+    and controller (two reactive DRPM controllers' fields must stay their
+    own); with the vector gate at 1, every chunk opens vector windows and
+    open-loop reactive DRPM runs through ``_run_drpm``."""
+    path = _bursty_trace(tmp_path)
+    drpm = SubsystemParams(num_disks=3, drpm=DRPMParams(window_size=3))
+    wide = SubsystemParams(num_disks=3, drpm=DRPMParams(window_size=5))
+    slow = SubsystemParams(num_disks=3, disk=DiskParams(transfer_rate_bps=20e6))
+    setups = (
+        (slow, Controller),
+        (drpm, lambda: ReactiveTPM(0.3)),
+        (drpm, lambda: ReactiveDRPM(drpm.drpm)),
+        (wide, lambda: ReactiveDRPM(wide.drpm)),
+    )
+
+    def stream():
+        return stream_ingest(path, num_disks=3, mapping="lba", chunk_requests=chunk)
+
+    with mock.patch.object(simulator, "VECTOR_MIN_SUBREQUESTS", 1):
+        shared = stream()
+        replays = [
+            Replay(shared, params, make(), open_loop=open_loop)
+            for params, make in setups
+        ]
+        assert (replays[3].drpm is not None) == open_loop
+        triples = simulator._stream_chunks(
+            shared.layout, shared.directives, shared.iter_chunks()
+        )
+        for k, triple in enumerate(triples):
+            for replay in replays[:: -1 if k % 2 else 1]:
+                replay.feed(*triple)
+        for replay, (params, make) in zip(replays, setups):
+            got = replay.finish()
+            alone = simulate(stream(), params, make(), open_loop=open_loop)
+            _assert_results_identical(got, alone)
+            assert got.execution_time_s.hex() == alone.execution_time_s.hex()
+            assert got.responses.total_s.hex() == alone.responses.total_s.hex()
+            assert (got.engine, got.engine_forced) == (
+                alone.engine, alone.engine_forced,
+            )
+    assert sum(st.num_rpm_shifts for st in got.disk_stats) > 0

@@ -11,7 +11,11 @@ from repro.cache import ResultCache
 from repro.controllers.compiler_directed import CompilerDirected
 from repro.disksim.params import SubsystemParams
 from repro.disksim.replay import ReplayPlan
-from repro.disksim.simulator import simulate
+from repro.disksim.simulator import (
+    replay_coverage,
+    reset_replay_coverage,
+    simulate,
+)
 from repro.experiments.cli import build_parser, main
 from repro.experiments.runner import ExperimentContext
 from repro.experiments.schemes import controller_for
@@ -269,6 +273,81 @@ def test_whole_sources_share_one_plan():
             base = base or fresh
         for scheme in ("CMTPM", "CMDRPM"):
             assert next(stored).scheme == scheme
+
+
+class _DictCache(ResultCache):
+    """An in-memory cache that logs every probe and store."""
+
+    def __init__(self, entries: dict):
+        super().__init__()
+        self.entries = entries
+        self.loads: list = []
+        self.stored: list = []
+
+    def load(self, key):
+        self.loads.append(key)
+        return self.entries.get(key)
+
+    def store(self, key, payload):
+        self.stored.append(payload)
+        self.entries[key] = payload
+
+
+def test_streamed_source_is_read_and_planned_once(tmp_path):
+    """Base, TPM and DRPM of a streamed text source share one pass: one
+    ``for_columns`` plan per chunk and one read of the text's binary
+    spill, each result bit-identical to its own ``simulate``; on a cache
+    holding only Base, TPM and DRPM replay and Base does not."""
+    from repro.trace import ingest
+
+    n = 200_000
+    rng = np.random.default_rng(8)
+    path = tmp_path / "onoff.trace"
+    ingest.write_text_records(path, zip(
+        np.cumsum(rng.choice([1e-4, 2e-3, 0.05, 0.6], n, p=[.5, .3, .15, .05])).tolist(),
+        (np.arange(n) % 4).tolist(),
+        (rng.integers(0, 1 << 20, n) * 8).tolist(),
+        rng.choice([4096, 65536], n).tolist(),
+        [False] * n,
+    ))
+    params = SubsystemParams(num_disks=4)
+    source = TraceSource(label="onoff", path=str(path), streamed=True)
+    schemes = ("Base", "TPM", "DRPM", "CMTPM", "CMDRPM")
+
+    def run(entries):
+        cache = _DictCache(entries)
+        with mock.patch.object(
+            ReplayPlan, "for_columns", wraps=ReplayPlan.for_columns
+        ) as plans, mock.patch.object(
+            ingest, "_read_blocks", wraps=ingest._read_blocks
+        ) as reads:
+            reset_replay_coverage()
+            run_trace_replay(
+                ExperimentContext(params=params, cache=cache), sources=(source,)
+            )
+        assert plans.call_count == 4  # one plan per chunk
+        assert reads.call_count == 1  # one pass over the spill
+        assert sorted(cache.loads) == sorted(set(cache.loads))
+        assert len(cache.loads) == len(schemes)
+        return cache, replay_coverage()
+
+    cold, cov = run({})
+    assert [r.scheme for r in cold.stored] == list(schemes)
+    assert cov["replays_segmented"] == 3
+    stream = source.load(params.num_disks)
+    for got in cold.stored[:3]:
+        alone = simulate(
+            stream, params, controller_for(got.scheme, params), open_loop=True
+        )
+        assert _result_hex(got) == _result_hex(alone)
+        assert (got.engine, got.engine_forced) == (alone.engine, alone.engine_forced)
+
+    base_key = cold.loads[0]
+    warm, cov = run({base_key: cold.entries[base_key]})
+    assert [r.scheme for r in warm.stored] == list(schemes[1:])
+    assert cov["replays_segmented"] + cov["replays_stepwise"] == 2
+    for got, first in zip(warm.stored, cold.stored[1:]):
+        assert _result_hex(got) == _result_hex(first)
 
 
 # --------------------------------------------------------------------- #

@@ -152,3 +152,20 @@ def test_cli_obs_manifest_captures_suite_metrics(tmp_path, capsys):
     assert routing == ROUTING
     assert routing["vector_min_subrequests"] > 0
     assert manifest["engine"]["replays_segmented"] > 0
+
+
+def test_cli_manifest_counts_only_its_own_run(tmp_path, capsys):
+    """Two observed in-process runs write equal counters: each run clears
+    the metrics registry and the engine coverage counters first."""
+    manifests = []
+    for run in ("first", "second"):
+        path = tmp_path / f"{run}.json"
+        argv = ["--no-cache", "--obs", "--manifest-out", str(path), "table2"]
+        assert cli.main(argv) == 0
+        manifests.append(load_manifest(path))
+    capsys.readouterr()
+    first, second = manifests
+    assert first["metrics"]["counters"]["sim.requests"] > 0
+    assert first["metrics"]["counters"] == second["metrics"]["counters"]
+    assert first["engine"] == second["engine"]
+    assert first["engine"]["replays_segmented"] > 0
